@@ -46,7 +46,7 @@ std::vector<serve::JobSpec> makeJobs(const std::string &Source) {
     Jobs[I].Source = Source;
     // A small simulated machine: the point of this workload is compile
     // cost amortization, so execution is kept light relative to it.
-    Jobs[I].Pes = 16;
+    Jobs[I].Cfg.Pes = 16;
   }
   return Jobs;
 }

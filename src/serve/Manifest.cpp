@@ -18,34 +18,10 @@ namespace js = f90y::observe::json;
 
 namespace {
 
-/// Strict numeric member read: JSON numbers only, non-negative integers.
-bool readU64(const js::Value &V, uint64_t &Out, std::string &Error,
-             const char *Key) {
-  if (!V.isNumber() || V.Num < 0 ||
-      V.Num != static_cast<double>(static_cast<uint64_t>(V.Num))) {
-    Error = std::string("'") + Key + "' must be a non-negative integer";
-    return false;
-  }
-  Out = static_cast<uint64_t>(V.Num);
-  return true;
-}
-
-bool readCount(const js::Value &V, unsigned &Out, std::string &Error,
-               const char *Key) {
-  uint64_t U = 0;
-  if (!readU64(V, U, Error, Key))
-    return false;
-  if (U == 0 || U > 0xffffffffull) {
-    Error = std::string("'") + Key + "' must be a positive count";
-    return false;
-  }
-  Out = static_cast<unsigned>(U);
-  return true;
-}
-
 /// Parses one manifest job object into \p Job; false with Error on any
 /// malformed or unknown member (strict, matching the f90yc flag
 /// philosophy: silent acceptance hides typos behind valid-looking jobs).
+/// Every key this service does not own is a knob of the shared table.
 bool parseJobObject(const js::Value &Obj, const std::string &BaseDir,
                     JobSpec &Job, std::string &Error) {
   bool HaveSource = false, HavePath = false;
@@ -64,77 +40,14 @@ bool parseJobObject(const js::Value &Obj, const std::string &BaseDir,
         return Error = "'source_path' must be a non-empty string", false;
       Job.SourcePath = V.Str;
       HavePath = true;
-    } else if (Key == "profile") {
-      if (V.Str == "f90y")
-        Job.Prof = driver::Profile::F90Y;
-      else if (V.Str == "cmf")
-        Job.Prof = driver::Profile::CMFStyle;
-      else if (V.Str == "naive")
-        Job.Prof = driver::Profile::Naive;
-      else
-        return Error = "'profile' must be f90y|cmf|naive", false;
-    } else if (Key == "cm5") {
-      if (V.K != js::Value::Kind::Bool)
-        return Error = "'cm5' must be a boolean", false;
-      Job.Cm5 = V.B;
-    } else if (Key == "pes") {
-      if (!readCount(V, Job.Pes, Error, "pes"))
-        return false;
-    } else if (Key == "threads") {
-      if (!readCount(V, Job.Threads, Error, "threads"))
-        return false;
-    } else if (Key == "exec") {
-      if (V.Str == "compiled")
-        Job.Engine = peac::EngineKind::Compiled;
-      else if (V.Str == "interp")
-        Job.Engine = peac::EngineKind::Interp;
-      else
-        return Error = "'exec' must be compiled|interp", false;
-    } else if (Key == "comm") {
-      if (V.Str == "overlap")
-        Job.OverlapComm = true;
-      else if (V.Str == "sync")
-        Job.OverlapComm = false;
-      else
-        return Error = "'comm' must be overlap|sync", false;
-    } else if (Key == "fuse") {
-      if (V.Str == "on")
-        Job.Fuse = true;
-      else if (V.Str == "off")
-        Job.Fuse = false;
-      else
-        return Error = "'fuse' must be on|off", false;
-    } else if (Key == "layout") {
-      if (V.Str == "infer")
-        Job.LayoutInfer = true;
-      else if (V.Str == "canonical")
-        Job.LayoutInfer = false;
-      else
-        return Error = "'layout' must be infer|canonical", false;
-    } else if (Key == "faults") {
-      if (!V.isString())
-        return Error = "'faults' must be a spec string", false;
-      std::string SpecError;
-      if (!support::FaultSpec::parse(V.Str, Job.Faults, SpecError))
-        return Error = "'faults': " + SpecError, false;
-    } else if (Key == "fault_seed") {
-      if (!readU64(V, Job.FaultSeed, Error, "fault_seed"))
-        return false;
-    } else if (Key == "max_steps") {
-      if (!readU64(V, Job.MaxSteps, Error, "max_steps"))
-        return false;
     } else if (Key == "deadline_ms") {
-      if (!readU64(V, Job.DeadlineMs, Error, "deadline_ms"))
+      if (!driver::parseNumber(Key, V, 0, UINT64_MAX, Job.DeadlineMs, Error))
         return false;
     } else if (Key == "retries") {
-      uint64_t R = 0;
-      if (!readU64(V, R, Error, "retries"))
+      if (!driver::parseNumber(Key, V, 0, 16, Job.Retries, Error))
         return false;
-      if (R > 16)
-        return Error = "'retries' must be at most 16", false;
-      Job.Retries = static_cast<unsigned>(R);
-    } else {
-      return Error = "unknown manifest key '" + Key + "'", false;
+    } else if (!driver::applyKey(Job.Cfg, Key, V, Error)) {
+      return false;
     }
   }
   if (HaveSource == HavePath)

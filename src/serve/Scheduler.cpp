@@ -97,27 +97,15 @@ JobRecord runOne(const JobSpec &S, const ServeOptions &O) {
         .count();
   };
 
-  cm2::CostModel Machine =
-      S.Cm5 ? cm2::CostModel::cm5() : cm2::CostModel{};
-  if (S.Pes)
-    Machine.NumPEs = S.Pes;
-  driver::CompileOptions COpts =
-      driver::CompileOptions::forProfile(S.Prof, Machine);
-  COpts.Transforms.CommSchedule = S.OverlapComm;
-  COpts.Transforms.Fusion = S.Fuse;
-  COpts.Transforms.Layout = S.LayoutInfer;
-
   ArtifactCache::EntryPtr E;
   if (O.Cache) {
     R.Compile = S.ColdCompile ? "cold" : "shared";
-    const std::string &Source = S.Source;
-    driver::CompileOptions *CO = &COpts;
-    E = O.Cache->get(S.Fingerprint, [&Source, CO] {
-      return compileEntry(Source, std::move(*CO));
+    E = O.Cache->get(S.Fingerprint, [&S] {
+      return compileEntry(S.Source, S.Cfg.compileOptions());
     });
   } else {
     R.Compile = "private";
-    E = compileEntry(S.Source, std::move(COpts));
+    E = compileEntry(S.Source, S.Cfg.compileOptions());
   }
   if (!E->Ok) {
     R.Status = JobStatus::CompileError;
@@ -127,17 +115,12 @@ JobRecord runOne(const JobSpec &S, const ServeOptions &O) {
   }
 
   for (unsigned Attempt = 0;; ++Attempt) {
-    driver::ExecutionOptions EOpts;
-    EOpts.Threads = S.Threads;
-    EOpts.Engine = S.Engine;
-    EOpts.OverlapComm = S.OverlapComm;
-    EOpts.Faults = S.Faults;
+    driver::ExecutionOptions EOpts = S.Cfg.executionOptions();
     // The retry schedule is deterministic: attempt k draws a fresh fault
     // schedule from a seed derived by a fixed stride, never from wall
     // clock, so a retried job is the same job at every worker count.
-    EOpts.FaultSeed = S.FaultSeed + static_cast<uint64_t>(Attempt) * 1000003ull;
-    EOpts.MaxSteps = S.MaxSteps;
-    driver::Execution Exec(Machine, EOpts);
+    EOpts.FaultSeed += static_cast<uint64_t>(Attempt) * 1000003ull;
+    driver::Execution Exec(S.Cfg.machine(), EOpts);
     auto Report = Exec.run(E->Comp->artifacts().Compiled.Program);
     R.Attempts = Attempt + 1;
     if (Report) {
@@ -244,16 +227,8 @@ BatchResult serve::runBatch(std::vector<JobSpec> Jobs,
     for (JobSpec &J : Jobs) {
       if (!J.Valid)
         continue;
-      cm2::CostModel Machine =
-          J.Cm5 ? cm2::CostModel::cm5() : cm2::CostModel{};
-      if (J.Pes)
-        Machine.NumPEs = J.Pes;
-      driver::CompileOptions CO =
-          driver::CompileOptions::forProfile(J.Prof, Machine);
-      CO.Transforms.CommSchedule = J.OverlapComm;
-      CO.Transforms.Fusion = J.Fuse;
-      CO.Transforms.Layout = J.LayoutInfer;
-      J.Fingerprint = ArtifactCache::fingerprint(J.Source, CO);
+      J.Fingerprint =
+          ArtifactCache::fingerprint(J.Source, J.Cfg.compileOptions());
       bool &Seen = SeenInBatch[J.Fingerprint];
       J.ColdCompile = !Seen && !Opts.Cache->contains(J.Fingerprint);
       Seen = true;

@@ -25,8 +25,7 @@
 #ifndef F90Y_SERVE_SERVE_H
 #define F90Y_SERVE_SERVE_H
 
-#include "driver/Driver.h"
-#include "support/FaultInjector.h"
+#include "driver/Config.h"
 
 #include <cstdint>
 #include <string>
@@ -50,28 +49,12 @@ struct JobSpec {
   /// Provenance when the source came from a file (diagnostics only).
   std::string SourcePath;
 
-  driver::Profile Prof = driver::Profile::F90Y;
-  bool Cm5 = false;     ///< Use the CM/5 machine description.
-  unsigned Pes = 0;     ///< Simulated PEs (0: the machine default).
-  /// Host threads for this job's simulation sweep. Defaults to 1 in the
-  /// serving context: the scheduler already runs jobs concurrently, and
-  /// the simulation is bit-identical at any setting.
-  unsigned Threads = 1;
-  peac::EngineKind Engine = peac::EngineKind::Compiled;
-  bool OverlapComm = true;
-  /// Cross-statement elementwise fusion (f90yc -fuse=). Participates in
-  /// the artifact fingerprint: on/off jobs never share a compilation.
-  bool Fuse = true;
-  /// Alignment/layout inference (f90yc -layout=). Participates in the
-  /// artifact fingerprint: infer/canonical jobs never share a compilation
-  /// (a realigned program's host code stores fields differently).
-  bool LayoutInfer = true;
-  support::FaultSpec Faults;
-  uint64_t FaultSeed = 0;
-  /// Step deadline: the existing -max-steps watchdog. A run that trips it
-  /// is classified as a timeout (never retried - the limit is
-  /// deterministic, so retrying cannot help).
-  uint64_t MaxSteps = 0;
+  /// The knobs f90yc shares (driver/Config.h), one manifest key each. The
+  /// one serving preset is a single host thread per job: the scheduler
+  /// already runs jobs concurrently, and the simulation is bit-identical
+  /// at any setting. A run that trips the max_steps watchdog is a
+  /// timeout, never retried: the limit is deterministic.
+  driver::Config Cfg{.Threads = 1};
   /// Wall deadline in milliseconds (0: none). Best effort: checked when
   /// the job starts and between attempts; a completed-but-late job is
   /// classified as a timeout and its results are discarded. Inherently
@@ -81,7 +64,7 @@ struct JobSpec {
   /// the runtime's own retry/backoff machinery could not absorb). Attempt
   /// k re-runs with FaultSeed + k * 1000003, so the retry schedule is
   /// itself deterministic.
-  unsigned Retries = 0;
+  uint64_t Retries = 0;
 
   /// False when the manifest line could not be parsed; ParseError says
   /// why. Invalid jobs become "invalid" records, not batch failures.

@@ -52,8 +52,9 @@ protected:
     auto Ref = Interp.getScalar(Name);
     EXPECT_TRUE(Machine.has_value());
     EXPECT_TRUE(Ref.has_value());
-    if (Machine && Ref)
+    if (Machine && Ref) {
       EXPECT_NEAR(Machine->asReal(), Ref->asReal(), 1e-9);
+    }
     return Machine ? Machine->asReal() : 0;
   }
 
@@ -61,9 +62,10 @@ protected:
     Compilation C(CompileOptions::forProfile(Profile::F90Y, small()));
     bool OK = C.compile(Src);
     EXPECT_FALSE(OK) << "expected failure mentioning '" << Needle << "'";
-    if (!OK)
+    if (!OK) {
       EXPECT_NE(C.diags().str().find(Needle), std::string::npos)
           << C.diags().str();
+    }
     return !OK;
   }
 };

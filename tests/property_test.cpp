@@ -40,6 +40,15 @@ struct GeometryCase {
   int64_t PEs;
 };
 
+// gtest_discover_tests names each case after its printed parameter, so
+// the printers below spell a stable name ("e13x9_pes8") where gtest's
+// default would dump the struct's bytes: heap addresses and padding.
+void PrintTo(const GeometryCase &C, std::ostream *OS) {
+  for (size_t D = 0; D < C.Extents.size(); ++D)
+    *OS << (D ? "x" : "e") << C.Extents[D];
+  *OS << "_pes" << C.PEs;
+}
+
 class GeometryProperty : public ::testing::TestWithParam<GeometryCase> {};
 
 TEST_P(GeometryProperty, LocateCoordOfRoundTrip) {
@@ -106,6 +115,11 @@ struct ShiftCase {
   int64_t Shift;
   unsigned PEs;
 };
+
+void PrintTo(const ShiftCase &C, std::ostream *OS) {
+  *OS << "n" << C.N << "_dim" << C.Dim << "_by" << C.Shift << "_pes"
+      << C.PEs;
+}
 
 class ShiftProperty : public ::testing::TestWithParam<ShiftCase> {};
 
@@ -202,6 +216,12 @@ struct DiffCase {
   Profile P;
   unsigned PEs;
 };
+
+void PrintTo(const DiffCase &C, std::ostream *OS) {
+  const char *Profiles[] = {"f90y", "cmf", "naive"}; // Enum order.
+  *OS << "seed" << C.Seed << "_" << Profiles[static_cast<int>(C.P)]
+      << "_pes" << C.PEs;
+}
 
 class CompiledEqualsInterpreted
     : public ::testing::TestWithParam<DiffCase> {};

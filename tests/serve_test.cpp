@@ -58,17 +58,17 @@ TEST(Manifest, ParsesJobsSkipsCommentsAndBlanks) {
   EXPECT_TRUE(Jobs[0].Valid);
   EXPECT_EQ(Jobs[0].Id, "a");
   EXPECT_EQ(Jobs[0].Source, "x");
-  EXPECT_EQ(Jobs[0].Threads, 1u) << "serve jobs default to 1 host thread";
+  EXPECT_EQ(Jobs[0].Cfg.Threads, 1u) << "serve jobs default to 1 host thread";
   EXPECT_TRUE(Jobs[1].Valid);
   EXPECT_EQ(Jobs[1].Id, "job2") << "ids default to the manifest ordinal";
-  EXPECT_EQ(Jobs[1].Prof, driver::Profile::CMFStyle);
-  EXPECT_EQ(Jobs[1].Pes, 64u);
-  EXPECT_TRUE(Jobs[1].Cm5);
-  EXPECT_EQ(Jobs[1].Engine, peac::EngineKind::Interp);
-  EXPECT_FALSE(Jobs[1].OverlapComm);
+  EXPECT_EQ(Jobs[1].Cfg.Prof, driver::Profile::CMFStyle);
+  EXPECT_EQ(Jobs[1].Cfg.Pes, 64u);
+  EXPECT_TRUE(Jobs[1].Cfg.Cm5);
+  EXPECT_EQ(Jobs[1].Cfg.Engine, peac::EngineKind::Interp);
+  EXPECT_FALSE(Jobs[1].Cfg.OverlapComm);
   EXPECT_EQ(Jobs[1].Retries, 2u);
-  EXPECT_EQ(Jobs[1].FaultSeed, 7u);
-  EXPECT_EQ(Jobs[1].MaxSteps, 100u);
+  EXPECT_EQ(Jobs[1].Cfg.FaultSeed, 7u);
+  EXPECT_EQ(Jobs[1].Cfg.MaxSteps, 100u);
 }
 
 TEST(Manifest, RejectsMalformedLinesWithoutKillingTheBatch) {
@@ -102,12 +102,15 @@ TEST(Manifest, ParsesFuseKeyAndRejectsBadValues) {
       "{\"id\":\"bad\",\"source\":\"x\",\"fuse\":\"maybe\"}\n";
   auto Jobs = parseManifest(Text, "");
   ASSERT_EQ(Jobs.size(), 4u);
+  auto Fusion = [&](size_t I) {
+    return Jobs[I].Cfg.compileOptions().Transforms.Fusion;
+  };
   EXPECT_TRUE(Jobs[0].Valid);
-  EXPECT_TRUE(Jobs[0].Fuse);
+  EXPECT_TRUE(Fusion(0));
   EXPECT_TRUE(Jobs[1].Valid);
-  EXPECT_FALSE(Jobs[1].Fuse);
+  EXPECT_FALSE(Fusion(1));
   EXPECT_TRUE(Jobs[2].Valid);
-  EXPECT_TRUE(Jobs[2].Fuse) << "fusion defaults to on, like f90yc";
+  EXPECT_TRUE(Fusion(2)) << "fusion defaults to on, like f90yc";
   EXPECT_FALSE(Jobs[3].Valid);
   EXPECT_NE(Jobs[3].ParseError.find("fuse"), std::string::npos)
       << Jobs[3].ParseError;
@@ -121,12 +124,15 @@ TEST(Manifest, ParsesLayoutKeyAndRejectsBadValues) {
       "{\"id\":\"bad\",\"source\":\"x\",\"layout\":\"auto\"}\n";
   auto Jobs = parseManifest(Text, "");
   ASSERT_EQ(Jobs.size(), 4u);
+  auto Infers = [&](size_t I) {
+    return Jobs[I].Cfg.compileOptions().Transforms.Layout;
+  };
   EXPECT_TRUE(Jobs[0].Valid);
-  EXPECT_TRUE(Jobs[0].LayoutInfer);
+  EXPECT_TRUE(Infers(0));
   EXPECT_TRUE(Jobs[1].Valid);
-  EXPECT_FALSE(Jobs[1].LayoutInfer);
+  EXPECT_FALSE(Infers(1));
   EXPECT_TRUE(Jobs[2].Valid);
-  EXPECT_TRUE(Jobs[2].LayoutInfer) << "layout defaults to infer, like f90yc";
+  EXPECT_TRUE(Infers(2)) << "layout defaults to infer, like f90yc";
   EXPECT_FALSE(Jobs[3].Valid);
   EXPECT_NE(Jobs[3].ParseError.find("layout"), std::string::npos)
       << Jobs[3].ParseError;
@@ -377,9 +383,10 @@ TEST(RunBatch, WorkerCountIsUnobservable) {
   for (size_t I = 0; I < B1.Records.size(); ++I) {
     EXPECT_EQ(B1.Records[I].Output, B8.Records[I].Output) << I;
     EXPECT_EQ(B1.Records[I].HasReport, B8.Records[I].HasReport) << I;
-    if (B1.Records[I].HasReport)
+    if (B1.Records[I].HasReport) {
       EXPECT_EQ(B1.Records[I].Report.json(), B8.Records[I].Report.json())
           << I;
+    }
   }
 }
 

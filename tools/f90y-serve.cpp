@@ -41,16 +41,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/Config.h"
 #include "observe/Metrics.h"
 #include "observe/Trace.h"
 #include "serve/Scheduler.h"
 #include "support/FileIO.h"
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 
@@ -65,40 +63,6 @@ void usage() {
                "  -stats-json=FILE   -metrics=FILE   -trace=FILE\n");
 }
 
-bool parseUint64(const std::string &Flag, const std::string &Text,
-                 uint64_t &Out) {
-  if (Text.empty() || Text[0] == '-' || Text[0] == '+') {
-    std::fprintf(stderr, "f90y-serve: invalid value '%s' for %s=N\n",
-                 Text.c_str(), Flag.c_str());
-    return false;
-  }
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(Text.c_str(), &End, 10);
-  if (End == Text.c_str() || *End != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "f90y-serve: invalid value '%s' for %s=N\n",
-                 Text.c_str(), Flag.c_str());
-    return false;
-  }
-  Out = V;
-  return true;
-}
-
-bool parsePositiveCount(const std::string &Flag, const std::string &Text,
-                        unsigned &Out) {
-  uint64_t V = 0;
-  if (!parseUint64(Flag, Text, V))
-    return false;
-  if (V == 0 || V > 0xffffffffull) {
-    std::fprintf(stderr,
-                 "f90y-serve: %s must be a positive count, got '%s'\n",
-                 Flag.c_str(), Text.c_str());
-    return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -108,6 +72,8 @@ int main(int argc, char **argv) {
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
+    std::string Error;
+    bool Ok = true;
     if (Arg.rfind("-jobs=", 0) == 0) {
       JobsPath = Arg.substr(6);
       if (JobsPath.empty()) {
@@ -115,8 +81,10 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (Arg.rfind("-workers=", 0) == 0) {
-      if (!parsePositiveCount("-workers", Arg.substr(9), Opts.Workers))
-        return 2;
+      uint64_t Workers = 0;
+      Ok = driver::parseNumber("-workers", Arg.substr(9), 1, UINT32_MAX,
+                               Workers, Error);
+      Opts.Workers = static_cast<unsigned>(Workers);
     } else if (Arg.rfind("-out=", 0) == 0) {
       OutDir = Arg.substr(5);
       if (OutDir.empty()) {
@@ -125,15 +93,8 @@ int main(int argc, char **argv) {
       }
     } else if (Arg.rfind("-queue-limit=", 0) == 0) {
       uint64_t Limit = 0;
-      if (!parseUint64("-queue-limit", Arg.substr(13), Limit))
-        return 2;
-      if (Limit == 0) {
-        std::fprintf(stderr,
-                     "f90y-serve: -queue-limit must be a positive count, "
-                     "got '%s'\n",
-                     Arg.substr(13).c_str());
-        return 2;
-      }
+      Ok = driver::parseNumber("-queue-limit", Arg.substr(13), 1, SIZE_MAX,
+                               Limit, Error);
       Opts.QueueLimit = static_cast<size_t>(Limit);
     } else if (Arg == "-no-cache") {
       UseCache = false;
@@ -158,6 +119,10 @@ int main(int argc, char **argv) {
     } else {
       std::fprintf(stderr, "f90y-serve: unknown option '%s'\n", Arg.c_str());
       usage();
+      return 2;
+    }
+    if (!Ok) {
+      std::fprintf(stderr, "f90y-serve: %s\n", Error.c_str());
       return 2;
     }
   }

@@ -14,36 +14,6 @@
 ///   -emit-blocked    print the transformed (blocked) NIR and stop
 ///   -emit-peac       print the generated PEAC node code and stop
 ///   -emit-host       print the generated host (FE) code and stop
-///   -profile=NAME    f90y (default) | cmf | naive
-///   -pes=N           number of simulated PEs (default 2048)
-///   -threads=N       host threads for the simulation sweep (default: all
-///                    hardware threads; results are identical at any N)
-///   -exec=KIND       PEAC executor: compiled (default; translate each
-///                    routine once, cached) | interp (the reference
-///                    interpreter); results are identical either way
-///   -comm=MODE       overlap (default): schedule communication early,
-///                    coalesce same-axis shifts, and hide exchanges under
-///                    independent node computation (OverlappedCycles) |
-///                    sync: the paper's strict phase-serial model.
-///                    Program output is bit-identical in both modes
-///   -fuse=MODE       on (default): cross-statement elementwise fusion —
-///                    single-use array temporaries are folded into their
-///                    consumer and their allocation deleted, so producer
-///                    chains compile into one PEAC sweep | off: keep every
-///                    temporary. Program output is bit-identical either way
-///   -layout=MODE     infer (default for -profile=f90y): alignment/layout
-///                    inference — fields connected by constant CSHIFTs are
-///                    realigned by per-axis storage offsets so exchanges
-///                    become local copies (or shrink to the residual
-///                    distance) | canonical: every field in its canonical
-///                    placement (cmf/naive profiles always compile
-///                    canonical). Program output is bit-identical either way
-///   -faults=SPEC     inject faults: kind:prob[,kind:prob...]; kinds are
-///                    router-drop, grid-timeout, corrupt, pe-trap, fpu,
-///                    oom, or all (e.g. -faults=all:0.01)
-///   -fault-seed=N    seed of the deterministic fault schedule (default 0)
-///   -max-steps=N     watchdog: abort after N executed host statements
-///   -cm5             use the CM/5 machine description
 ///   -stats           print the cycle ledger (and any fault/recovery
 ///                    counters) after the run
 ///   -stats-json=F    write the run report (ledger breakdown, flops,
@@ -65,23 +35,23 @@
 ///                    right after completing step N (after any checkpoint
 ///                    due at that boundary is on disk)
 ///
+/// The compile and run knobs f90yc shares with f90y-serve are the rows of
+/// the table in driver/Config.cpp; the usage text lists them.
+///
 /// Exit codes: 0 success, 1 compile/runtime/IO error, 2 bad usage or a
 /// -restore= checkpoint that cannot be loaded, 3 the deliberate
 /// -crash-at-step kill.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/Config.h"
 #include "host/Printer.h"
 #include "nir/Printer.h"
 #include "observe/Metrics.h"
 #include "observe/Trace.h"
 #include "support/FileIO.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -95,52 +65,11 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: f90yc [options] file.f90\n"
-      "  -emit-nir | -emit-blocked | -emit-peac | -emit-host\n"
-      "  -profile=f90y|cmf|naive   -pes=N   -threads=N   -cm5   -stats\n"
-      "  -exec=compiled|interp   -comm=overlap|sync   -fuse=on|off\n"
-      "  -layout=infer|canonical\n"
-      "  -faults=kind:prob[,...]   -fault-seed=N   -max-steps=N\n"
+      "  -emit-nir | -emit-blocked | -emit-peac | -emit-host   -stats\n"
       "  -stats-json=FILE   -trace=FILE   -metrics=FILE\n"
       "  -checkpoint=FILE   -checkpoint-every=N   -restore=FILE\n"
-      "  -crash-at-step=N  (kills the process with exit code 3)\n");
-}
-
-/// Strict decimal parse of a flag value: the whole string must be a
-/// number, and it must fit. atoi-style silent zeroes ("-pes=garbage")
-/// hide typos behind a valid-looking configuration.
-bool parseUint64(const std::string &Flag, const std::string &Text,
-                 uint64_t &Out) {
-  if (Text.empty() || Text[0] == '-' || Text[0] == '+') {
-    std::fprintf(stderr, "f90yc: invalid value '%s' for %s=N\n",
-                 Text.c_str(), Flag.c_str());
-    return false;
-  }
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long V = std::strtoull(Text.c_str(), &End, 10);
-  if (End == Text.c_str() || *End != '\0' || errno == ERANGE) {
-    std::fprintf(stderr, "f90yc: invalid value '%s' for %s=N\n",
-                 Text.c_str(), Flag.c_str());
-    return false;
-  }
-  Out = V;
-  return true;
-}
-
-/// As parseUint64, additionally requiring the value to be a positive
-/// 32-bit count (PEs and threads: 0 of either is not a machine).
-bool parsePositiveCount(const std::string &Flag, const std::string &Text,
-                        unsigned &Out) {
-  uint64_t V = 0;
-  if (!parseUint64(Flag, Text, V))
-    return false;
-  if (V == 0 || V > 0xffffffffull) {
-    std::fprintf(stderr, "f90yc: %s must be a positive count, got '%s'\n",
-                 Flag.c_str(), Text.c_str());
-    return false;
-  }
-  Out = static_cast<unsigned>(V);
-  return true;
+      "  -crash-at-step=N  (kills the process with exit code 3)\n%s",
+      knobUsage().c_str());
 }
 
 } // namespace
@@ -148,19 +77,15 @@ bool parsePositiveCount(const std::string &Flag, const std::string &Text,
 int main(int argc, char **argv) {
   std::string Path;
   enum class Emit { Run, NIR, Blocked, Peac, Host } Mode = Emit::Run;
-  Profile Prof = Profile::F90Y;
   bool Stats = false;
   std::string StatsJsonPath, TracePath, MetricsPath;
-  cm2::CostModel Machine;
-  ExecutionOptions ExecOpts;
-  bool OverlapComm = true;
-  bool Fuse = true;
-  bool FuseExplicit = false; // -fuse= overrides the profile's default
-  bool LayoutInfer = true;
-  bool LayoutExplicit = false; // -layout= overrides the profile's default
+  Config Cfg;
+  runtime::ckpt::Options Ckpt;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
+    std::string Error;
+    bool Ok = true;
     if (Arg == "-emit-nir")
       Mode = Emit::NIR;
     else if (Arg == "-emit-blocked")
@@ -171,81 +96,7 @@ int main(int argc, char **argv) {
       Mode = Emit::Host;
     else if (Arg == "-stats")
       Stats = true;
-    else if (Arg == "-cm5")
-      Machine = cm2::CostModel::cm5();
-    else if (Arg.rfind("-pes=", 0) == 0) {
-      if (!parsePositiveCount("-pes", Arg.substr(5), Machine.NumPEs))
-        return 2;
-    } else if (Arg.rfind("-threads=", 0) == 0) {
-      if (!parsePositiveCount("-threads", Arg.substr(9), ExecOpts.Threads))
-        return 2;
-    } else if (Arg.rfind("--threads=", 0) == 0) {
-      if (!parsePositiveCount("--threads", Arg.substr(10), ExecOpts.Threads))
-        return 2;
-    } else if (Arg.rfind("-exec=", 0) == 0) {
-      std::string E = Arg.substr(6);
-      if (E == "interp")
-        ExecOpts.Engine = peac::EngineKind::Interp;
-      else if (E == "compiled")
-        ExecOpts.Engine = peac::EngineKind::Compiled;
-      else {
-        std::fprintf(stderr, "f90yc: unknown executor '%s' for -exec="
-                             "compiled|interp\n",
-                     E.c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("-comm=", 0) == 0) {
-      std::string M = Arg.substr(6);
-      if (M == "overlap")
-        OverlapComm = true;
-      else if (M == "sync")
-        OverlapComm = false;
-      else {
-        std::fprintf(stderr, "f90yc: unknown mode '%s' for -comm="
-                             "overlap|sync\n",
-                     M.c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("-fuse=", 0) == 0) {
-      std::string M = Arg.substr(6);
-      FuseExplicit = true;
-      if (M == "on")
-        Fuse = true;
-      else if (M == "off")
-        Fuse = false;
-      else {
-        std::fprintf(stderr, "f90yc: unknown mode '%s' for -fuse="
-                             "on|off\n",
-                     M.c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("-layout=", 0) == 0) {
-      std::string M = Arg.substr(8);
-      LayoutExplicit = true;
-      if (M == "infer")
-        LayoutInfer = true;
-      else if (M == "canonical")
-        LayoutInfer = false;
-      else {
-        std::fprintf(stderr, "f90yc: unknown mode '%s' for -layout="
-                             "infer|canonical\n",
-                     M.c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("-faults=", 0) == 0) {
-      std::string Error;
-      if (!support::FaultSpec::parse(Arg.substr(8), ExecOpts.Faults,
-                                     Error)) {
-        std::fprintf(stderr, "f90yc: -faults: %s\n", Error.c_str());
-        return 2;
-      }
-    } else if (Arg.rfind("-fault-seed=", 0) == 0) {
-      if (!parseUint64("-fault-seed", Arg.substr(12), ExecOpts.FaultSeed))
-        return 2;
-    } else if (Arg.rfind("-max-steps=", 0) == 0) {
-      if (!parseUint64("-max-steps", Arg.substr(11), ExecOpts.MaxSteps))
-        return 2;
-    } else if (Arg.rfind("-stats-json=", 0) == 0) {
+    else if (Arg.rfind("-stats-json=", 0) == 0) {
       StatsJsonPath = Arg.substr(12);
       if (StatsJsonPath.empty()) {
         std::fprintf(stderr, "f90yc: -stats-json needs a file name\n");
@@ -264,53 +115,34 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (Arg.rfind("-checkpoint=", 0) == 0) {
-      ExecOpts.Checkpoint.Path = Arg.substr(12);
-      if (ExecOpts.Checkpoint.Path.empty()) {
+      Ckpt.Path = Arg.substr(12);
+      if (Ckpt.Path.empty()) {
         std::fprintf(stderr, "f90yc: -checkpoint needs a file name\n");
         return 2;
       }
     } else if (Arg.rfind("-checkpoint-every=", 0) == 0) {
-      uint64_t Every = 0;
-      if (!parseUint64("-checkpoint-every", Arg.substr(18), Every))
-        return 2;
-      if (Every == 0) {
-        std::fprintf(stderr,
-                     "f90yc: -checkpoint-every must be a positive step "
-                     "count, got '%s'\n",
-                     Arg.substr(18).c_str());
-        return 2;
-      }
-      ExecOpts.Checkpoint.Every = Every;
+      Ok = parseNumber("-checkpoint-every", Arg.substr(18), 1, UINT64_MAX,
+                       Ckpt.Every, Error);
     } else if (Arg.rfind("-restore=", 0) == 0) {
-      ExecOpts.Checkpoint.RestorePath = Arg.substr(9);
-      if (ExecOpts.Checkpoint.RestorePath.empty()) {
+      Ckpt.RestorePath = Arg.substr(9);
+      if (Ckpt.RestorePath.empty()) {
         std::fprintf(stderr, "f90yc: -restore needs a file name\n");
         return 2;
       }
     } else if (Arg.rfind("-crash-at-step=", 0) == 0) {
-      if (!parseUint64("-crash-at-step", Arg.substr(15),
-                       ExecOpts.Checkpoint.CrashAtStep))
-        return 2;
-    } else if (Arg.rfind("-profile=", 0) == 0) {
-      std::string P = Arg.substr(9);
-      if (P == "f90y")
-        Prof = Profile::F90Y;
-      else if (P == "cmf")
-        Prof = Profile::CMFStyle;
-      else if (P == "naive")
-        Prof = Profile::Naive;
-      else {
-        std::fprintf(stderr, "f90yc: unknown profile '%s'\n", P.c_str());
-        return 2;
-      }
+      Ok = parseNumber("-crash-at-step", Arg.substr(15), 0, UINT64_MAX,
+                       Ckpt.CrashAtStep, Error);
     } else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "f90yc: unknown option '%s'\n", Arg.c_str());
-      usage();
-      return 2;
+      Ok = applyFlag(Cfg, Arg, Error);
     } else if (Path.empty()) {
       Path = Arg;
     } else {
       std::fprintf(stderr, "f90yc: multiple input files\n");
+      return 2;
+    }
+    if (!Ok) {
+      std::fprintf(stderr, "f90yc: %s\n", Error.c_str());
+      usage();
       return 2;
     }
   }
@@ -356,14 +188,7 @@ int main(int argc, char **argv) {
     return Ok;
   };
 
-  CompileOptions COpts = CompileOptions::forProfile(Prof, Machine);
-  COpts.Transforms.CommSchedule = OverlapComm;
-  if (FuseExplicit)
-    COpts.Transforms.Fusion = Fuse;
-  if (LayoutExplicit)
-    COpts.Transforms.Layout = LayoutInfer;
-  ExecOpts.OverlapComm = OverlapComm;
-  Compilation C(std::move(COpts));
+  Compilation C(Cfg.compileOptions());
   C.setObservability(TraceP, MetricsP);
   if (!C.compile(Buf.str())) {
     std::fprintf(stderr, "%s", C.diags().str().c_str());
@@ -392,8 +217,11 @@ int main(int argc, char **argv) {
     break;
   }
 
+  const cm2::CostModel Machine = Cfg.machine();
+  ExecutionOptions ExecOpts = Cfg.executionOptions();
   ExecOpts.Trace = TraceP;
   ExecOpts.Metrics = MetricsP;
+  ExecOpts.Checkpoint = std::move(Ckpt);
   Execution Exec(Machine, ExecOpts);
   auto Report = Exec.run(C.artifacts().Compiled.Program);
   if (!Report) {
