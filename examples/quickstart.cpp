@@ -72,6 +72,6 @@ end program quickstart
   std::printf("flops:        %12llu\n",
               static_cast<unsigned long long>(Report->Ledger.Flops));
   std::printf("time:         %12.3f ms\n", Report->seconds() * 1e3);
-  std::printf("sustained:    %12.3f GFLOPS\n", Report->gflops());
+  std::printf("executed:     %12.3f GFLOPS\n", Report->executedGflops());
   return 0;
 }

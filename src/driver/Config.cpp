@@ -30,7 +30,7 @@ const Knob Table[] = {
     {"exec", KnobKind::Choice, "interp|compiled", "PEAC executor (compiled)",
      [](Config &C, const KnobValue &V) { C.Engine = peac::EngineKind(V.Num); }},
     {"comm", KnobKind::Choice, "overlap|sync",
-     "hide exchanges under compute (overlap), or the paper's sync",
+     "hide exchanges under compute, or the paper's sync",
      [](Config &C, const KnobValue &V) { C.OverlapComm = V.Num == 0; }},
     {"fuse", KnobKind::Choice, "on|off", "cross-statement elementwise fusion",
      [](Config &C, const KnobValue &V) { C.Fuse = V.Num == 0; }},
@@ -117,6 +117,13 @@ bool set(Config &C, const Knob &K, std::string_view What,
   return Ok;
 }
 
+/// Unset, comm follows the profile: only the paper's compiler schedules
+/// and overlaps exchanges; CM Fortran v1.1 and the naive encoding ran
+/// them synchronously.
+bool overlaps(const Config &C) {
+  return C.OverlapComm.value_or(C.Prof == Profile::F90Y);
+}
+
 } // namespace
 
 cm2::CostModel Config::machine() const {
@@ -128,7 +135,7 @@ cm2::CostModel Config::machine() const {
 
 CompileOptions Config::compileOptions() const {
   CompileOptions O = CompileOptions::forProfile(Prof, machine());
-  O.Transforms.CommSchedule = OverlapComm;
+  O.Transforms.CommSchedule = overlaps(*this);
   O.Transforms.Fusion = Fuse.value_or(O.Transforms.Fusion);
   O.Transforms.Layout = Layout.value_or(O.Transforms.Layout);
   return O;
@@ -139,7 +146,7 @@ ExecutionOptions Config::executionOptions() const {
   E.Threads = Threads;
   E.Faults = Faults;
   E.FaultSeed = FaultSeed;
-  E.OverlapComm = OverlapComm;
+  E.OverlapComm = overlaps(*this);
   E.MaxSteps = MaxSteps;
   E.Engine = Engine;
   return E;
@@ -186,7 +193,7 @@ bool driver::applyKey(Config &C, std::string_view Key, const js::Value &V,
 std::string driver::knobUsage() {
   std::string Out = "compile and run knobs, shared with f90y-serve (a "
                     "manifest key is the flag\nname with '_' for '-'; an "
-                    "unset fuse or layout follows the profile):\n";
+                    "unset comm, fuse or layout follows the profile):\n";
   for (const Knob &K : Table) {
     std::string Flag = std::string("-") + K.Name +
                        (K.Kind == KnobKind::Switch ? "" : "=") + K.Values;

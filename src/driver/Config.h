@@ -37,7 +37,9 @@ struct Config {
   unsigned Pes = 0;     ///< Simulated PEs (0: the machine's own count).
   unsigned Threads = 0; ///< Host sweep threads (0: all hardware threads).
   peac::EngineKind Engine = peac::EngineKind::Compiled;
-  bool OverlapComm = true; ///< Schedule and overlap communication.
+  /// Schedule and overlap communication. Unset: the profile's, which is
+  /// overlap for f90y and the paper's sync for cmf and naive.
+  std::optional<bool> OverlapComm = std::nullopt;
   std::optional<bool> Fuse = std::nullopt;   ///< Unset: the profile's.
   std::optional<bool> Layout = std::nullopt; ///< Unset: the profile's.
   support::FaultSpec Faults = {};
@@ -47,7 +49,7 @@ struct Config {
   /// CM/2 or CM/5, then Pes when set, whatever order the knobs came in.
   cm2::CostModel machine() const;
   /// CompileOptions::forProfile on machine(), then the comm schedule,
-  /// then Fuse and Layout where they are set.
+  /// Fuse and Layout, each the profile's where unset.
   CompileOptions compileOptions() const;
   /// The run knobs; no observability sinks, no checkpointing.
   ExecutionOptions executionOptions() const;

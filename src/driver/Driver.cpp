@@ -254,7 +254,7 @@ std::string RunReport::json() const {
   Out += "},\n";
   Out += "\"clock_mhz\":" + js::number(ClockMHz);
   Out += ",\"seconds\":" + js::number(seconds());
-  Out += ",\"gflops\":" + js::number(gflops());
+  Out += ",\"executed_gflops\":" + js::number(executedGflops());
   Out += ",\n\"faults\":{";
   Out += "\"injected\":{";
   bool First = true;

@@ -113,7 +113,8 @@ struct RunReport {
   support::FaultCounters Faults;
 
   double seconds() const { return Ledger.total() / (ClockMHz * 1e6); }
-  double gflops() const {
+  /// GFLOPS over the flops the machine executed (Ledger.Flops).
+  double executedGflops() const {
     double S = seconds();
     return S > 0 ? static_cast<double>(Ledger.Flops) / S / 1e9 : 0.0;
   }
@@ -125,8 +126,8 @@ struct RunReport {
   }
 
   /// Deterministic JSON rendering of the report (the -stats-json flag):
-  /// ledger breakdown, flops, simulated seconds, sustained GFLOPS, and
-  /// fault/recovery counters.
+  /// ledger breakdown, executed flops, simulated seconds, executed GFLOPS,
+  /// and fault/recovery counters.
   std::string json() const;
 };
 

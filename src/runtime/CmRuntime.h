@@ -97,7 +97,10 @@ struct CycleLedger {
   /// computation (the Section 5.3.2 extension model; zero under the
   /// paper's strict virtual-processor model).
   double OverlappedCycles = 0;
-  uint64_t Flops = 0; ///< Useful floating-point operations.
+  /// Floating-point operations the machine executed. Blocking and fusion
+  /// can execute fewer than the source program's useful flops, which the
+  /// NIR interpreter counts.
+  uint64_t Flops = 0;
 
   double total() const {
     return NodeCycles + CallCycles + CommCycles + HostCycles -

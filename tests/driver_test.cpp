@@ -87,7 +87,7 @@ TEST(DriverTest, SweCompilesAndMatchesReference) {
   EXPECT_GT(Report->Ledger.NodeCycles, 0.0);
   EXPECT_GT(Report->Ledger.CommCycles, 0.0);
   EXPECT_GT(Report->Ledger.CallCycles, 0.0);
-  EXPECT_GT(Report->gflops(), 0.0);
+  EXPECT_GT(Report->executedGflops(), 0.0);
 }
 
 TEST(DriverTest, SweProfilesAgreeFunctionally) {

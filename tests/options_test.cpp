@@ -207,16 +207,26 @@ TEST(Options, UnsetFuseAndLayoutFollowTheProfile) {
     Config C;
     C.Prof = P;
     const CompileOptions Base = CompileOptions::forProfile(P);
+    // Only the paper's compiler schedules and overlaps its exchanges.
+    const bool Overlap = P == Profile::F90Y;
+    EXPECT_EQ(C.compileOptions().Transforms.CommSchedule, Overlap);
+    EXPECT_EQ(C.executionOptions().OverlapComm, Overlap);
     EXPECT_EQ(C.compileOptions().Transforms.Fusion, Base.Transforms.Fusion);
     EXPECT_EQ(C.compileOptions().Transforms.Layout, Base.Transforms.Layout);
+    C.OverlapComm = !Overlap;
     C.Fuse = C.Layout = true;
+    EXPECT_EQ(C.compileOptions().Transforms.CommSchedule, !Overlap);
+    EXPECT_EQ(C.executionOptions().OverlapComm, !Overlap);
     EXPECT_TRUE(C.compileOptions().Transforms.Fusion);
     EXPECT_TRUE(C.compileOptions().Transforms.Layout);
   }
-  // The serve job that sets only its profile compiles the baseline
-  // statement by statement, as f90yc -profile=cmf does.
-  const CompileOptions Cmf =
-      jobWith("profile", "\"cmf\"").Cfg.compileOptions();
+  // The serve job that sets only its profile compiles and runs the
+  // baseline statement by statement with synchronous exchanges, as
+  // f90yc -profile=cmf does.
+  const serve::JobSpec Job = jobWith("profile", "\"cmf\"");
+  const CompileOptions Cmf = Job.Cfg.compileOptions();
+  EXPECT_FALSE(Cmf.Transforms.CommSchedule);
+  EXPECT_FALSE(Job.Cfg.executionOptions().OverlapComm);
   EXPECT_FALSE(Cmf.Transforms.Fusion);
   EXPECT_FALSE(Cmf.Transforms.Layout);
 }

@@ -65,7 +65,7 @@ TEST(Manifest, ParsesJobsSkipsCommentsAndBlanks) {
   EXPECT_EQ(Jobs[1].Cfg.Pes, 64u);
   EXPECT_TRUE(Jobs[1].Cfg.Cm5);
   EXPECT_EQ(Jobs[1].Cfg.Engine, peac::EngineKind::Interp);
-  EXPECT_FALSE(Jobs[1].Cfg.OverlapComm);
+  EXPECT_EQ(Jobs[1].Cfg.OverlapComm, false);
   EXPECT_EQ(Jobs[1].Retries, 2u);
   EXPECT_EQ(Jobs[1].Cfg.FaultSeed, 7u);
   EXPECT_EQ(Jobs[1].Cfg.MaxSteps, 100u);

@@ -16,8 +16,8 @@
 ///   -emit-host       print the generated host (FE) code and stop
 ///   -stats           print the cycle ledger (and any fault/recovery
 ///                    counters) after the run
-///   -stats-json=F    write the run report (ledger breakdown, flops,
-///                    GFLOPS, fault counters) to F as JSON
+///   -stats-json=F    write the run report (ledger breakdown, executed
+///                    flops and GFLOPS, fault counters) to F as JSON
 ///   -trace=F         record a dual-clock trace (compiler phases on the
 ///                    host wall clock, execution on simulated cycles) and
 ///                    write Chrome trace-event JSON to F
@@ -243,13 +243,13 @@ int main(int argc, char **argv) {
                  "-- %u PEs @ %.1f MHz: %.3f ms simulated "
                  "(node %.0f, call %.0f, comm %.0f, host %.0f, "
                  "overlapped %.0f cycles), "
-                 "%llu flops, %.3f GFLOPS\n",
+                 "%llu executed flops, %.3f executed GFLOPS\n",
                  Machine.NumPEs, Machine.ClockMHz, Report->seconds() * 1e3,
                  Report->Ledger.NodeCycles, Report->Ledger.CallCycles,
                  Report->Ledger.CommCycles, Report->Ledger.HostCycles,
                  Report->Ledger.OverlappedCycles,
                  static_cast<unsigned long long>(Report->Ledger.Flops),
-                 Report->gflops());
+                 Report->executedGflops());
     if (Exec.faultInjector())
       std::fprintf(stderr, "-- %s\n", Report->Faults.str().c_str());
   }
