@@ -239,16 +239,16 @@ int CmRuntime::coordField(const Geometry *Geo, unsigned Dim) {
     return It->second;
   int Handle = allocField(Geo, ElemKind::Int);
   PeArray &A = field(Handle);
-  std::vector<int64_t> Coord;
-  for (int64_t PE = 0; PE < Geo->GridPEs; ++PE) {
-    double *Base = A.peBase(PE);
-    for (int64_t Off = 0; Off < Geo->PaddedSubgrid; ++Off) {
-      if (Geo->coordOf(PE, Off, Coord))
-        Base[Off] = static_cast<double>(Coord[Dim - 1] + Geo->Los[Dim - 1]);
-      else
-        Base[Off] = 0; // Padding positions never feed active results.
-    }
-  }
+  const size_t Axis = Dim - 1;
+  const int64_t Along = Axis + 1 == Geo->rank(); // Runs advance along Axis.
+  // Padding positions keep the fresh field's zeros; they never feed
+  // active results.
+  const RegionWalk W{Region(*Geo), Region(*Geo), {}};
+  W.forEachRun(0, Geo->GridPEs, [&](const Run &R) {
+    double *Out = A.peBase(R.DstPE) + R.DstOff;
+    for (int64_t I = 0; I < R.Len; ++I)
+      Out[I] = static_cast<double>(R.Pos[Axis] + Along * I + Geo->Los[Axis]);
+  });
   CoordFields[Key] = Handle;
   return Handle;
 }
@@ -304,228 +304,171 @@ void CmRuntime::writeElement(int Handle,
   A.peBase(PE)[Off] = V;
 }
 
-int64_t CmRuntime::hopDistance(const Geometry &Geo, int64_t FromPE,
-                               int64_t ToPE, size_t D) {
-  // Decompose the PE numbers along the grid (row-major).
-  int64_t From = FromPE, To = ToPE;
-  int64_t FromC = 0, ToC = 0;
-  for (size_t K = Geo.Extents.size(); K-- > 0;) {
-    int64_t FC = From % Geo.Grid[K];
-    int64_t TC = To % Geo.Grid[K];
-    From /= Geo.Grid[K];
-    To /= Geo.Grid[K];
-    if (K == D) {
-      FromC = FC;
-      ToC = TC;
-    }
+namespace {
+
+/// What a copy walk moved: slots whose source sits on their own PE
+/// (boundary fills included), and the wire hops of the rest.
+struct Moved {
+  int64_t Local = 0, Hops = 0;
+  Moved &operator+=(const Moved &M) {
+    Local += M.Local;
+    Hops += M.Hops;
+    return *this;
   }
-  int64_t N = Geo.Grid[D];
-  int64_t Fwd = ((ToC - FromC) % N + N) % N;
-  return Fwd < N - Fwd ? Fwd : N - Fwd;
+};
+
+/// Folds the runs of \p W into one T per chunk of destination PEs, in walk
+/// order, and combines the chunks in chunk order (the ThreadPool
+/// determinism contract), so every thread count gives the same T.
+template <typename T, typename OnRunFn, typename CombineFn>
+T walkChunks(support::ThreadPool *Pool, const RegionWalk &W, OnRunFn OnRun,
+             CombineFn Combine) {
+  return support::reduceChunksOrdered<T>(
+      Pool, W.dst().GridPEs,
+      [&](int64_t Begin, int64_t End) {
+        T Acc{};
+        W.forEachRun(Begin, End, [&](const Run &R) { OnRun(Acc, R); });
+        return Acc;
+      },
+      Combine);
 }
 
-RtStatus CmRuntime::cshift(int Dst, int Src, unsigned Dim, int64_t Shift) {
-  PeArray &D = field(Dst);
-  PeArray Snapshot;
-  const PeArray &S = Dst == Src ? (Snapshot = field(Src)) : field(Src);
-  const Geometry &Geo = *D.Geo;
-  F90Y_CHECK(S.Geo->Extents == Geo.Extents, "cshift requires a common shape");
-  size_t Axis = static_cast<size_t>(Dim - 1);
-  int64_t N = Geo.Extents[Axis];
+/// Copies every run of \p W from \p S into \p D (zero for boundary fill),
+/// truncating under \p Truncate, and counts what moved. A remote run of
+/// length L costs L times its PEs' hop distance along \p HopDim, if set.
+Moved moveRuns(support::ThreadPool *Pool, const RegionWalk &W, PeArray &D,
+               const PeArray &S, int HopDim = -1, bool Truncate = false) {
+  return walkChunks<Moved>(
+      Pool, W,
+      [&](Moved &M, const Run &R) {
+        double *Out = D.peBase(R.DstPE) + R.DstOff;
+        if (R.Fill) {
+          for (int64_t I = 0; I < R.Len; ++I)
+            Out[I * R.DstStep] = 0.0;
+          M.Local += R.Len;
+          return;
+        }
+        const double *In = S.peBase(R.SrcPE) + R.SrcOff;
+        for (int64_t I = 0; I < R.Len; ++I) {
+          double V = In[I * R.SrcStep];
+          Out[I * R.DstStep] = Truncate ? std::trunc(V) : V;
+        }
+        if (R.SrcPE == R.DstPE)
+          M.Local += R.Len;
+        else if (HopDim >= 0)
+          M.Hops += R.Len * W.dst().hopDistance(R.DstPE, R.SrcPE,
+                                                static_cast<size_t>(HopDim));
+      },
+      [](Moved &Acc, const Moved &M) { Acc += M; });
+}
 
-  // Destination PEs are independent, so chunks of them run concurrently.
-  // Wire time is accumulated as integer hop counts per chunk and combined
-  // in chunk order: the ledger charge is exact and thread-count
-  // independent.
-  return runFaultableComm(FaultKind::GridTimeout, "cshift", {Dst}, [&] {
-    struct Part {
-      int64_t LocalElems = 0;
-      int64_t WireHops = 0;
-    };
-    Part Total = support::reduceChunksOrdered<Part>(
-        Pool, Geo.GridPEs,
-        [&](int64_t Begin, int64_t End) {
-          Part P;
-          std::vector<int64_t> Coord;
-          for (int64_t PE = Begin; PE < End; ++PE) {
-            double *Out = D.peBase(PE);
-            for (int64_t Off = 0; Off < Geo.SubgridElems; ++Off) {
-              if (!Geo.coordOf(PE, Off, Coord))
-                continue;
-              Coord[Axis] = ((Coord[Axis] + Shift) % N + N) % N;
-              int64_t SrcPE, SrcOff;
-              Geo.locate(Coord, SrcPE, SrcOff);
-              Out[Off] = S.peBase(SrcPE)[SrcOff];
-              if (SrcPE == PE)
-                ++P.LocalElems;
-              else
-                P.WireHops += hopDistance(Geo, PE, SrcPE, Axis);
-            }
-          }
-          return P;
-        },
-        [](Part &Acc, const Part &P) {
-          Acc.LocalElems += P.LocalElems;
-          Acc.WireHops += P.WireHops;
-        });
-    noteSweep(Geo, Geo.totalElements(), Total.WireHops);
-    Ledger.CommCycles +=
-        Costs.CommStartupCycles +
-        (Costs.GridLocalPerElem * static_cast<double>(Total.LocalElems) +
-         Costs.GridWirePerElemHop * static_cast<double>(Total.WireHops)) /
-            static_cast<double>(Geo.GridPEs);
-  });
+/// One ReduceOp fold: Sum adds from zero; Product, Max and Min start from
+/// the first element; Count, Any and All count the nonzero elements.
+struct Fold {
+  bool Seen = false;
+  double Acc = 0;
+  int64_t True = 0, Elems = 0;
+
+  void add(ReduceOp Op, double V) { absorb(Op, V, V != 0, 1); }
+  /// Folds in \p V standing for \p N elements, \p T of them nonzero.
+  void absorb(ReduceOp Op, double V, int64_t T, int64_t N) {
+    if (Op == ReduceOp::Sum)
+      Acc += V;
+    else if (Op == ReduceOp::Product)
+      Acc = Seen ? Acc * V : V;
+    else if (Op == ReduceOp::Max)
+      Acc = Seen ? (V > Acc ? V : Acc) : V;
+    else if (Op == ReduceOp::Min)
+      Acc = Seen ? (V < Acc ? V : Acc) : V;
+    True += T;
+    Elems += N;
+    Seen = true;
+  }
+  double result(ReduceOp Op) const {
+    if (Op == ReduceOp::Count)
+      return static_cast<double>(True);
+    if (Op == ReduceOp::Any)
+      return True > 0 ? 1.0 : 0.0;
+    if (Op == ReduceOp::All)
+      return True == Elems ? 1.0 : 0.0;
+    return Acc;
+  }
+};
+
+/// A reduction's charge: startup, a local vectorized pass over \p G's
+/// subgrid, and log2(Nodes) combine steps.
+double reduceCycles(const cm2::CostModel &Costs, const Geometry &G,
+                    int64_t Nodes) {
+  return Costs.CommStartupCycles +
+         static_cast<double>(G.SubgridElems) * Costs.VectorAluCycles /
+             static_cast<double>(Costs.VectorWidth) +
+         std::ceil(std::log2(static_cast<double>(Nodes) + 1)) *
+             Costs.ReduceStepCycles;
+}
+
+} // namespace
+
+RtStatus CmRuntime::cshift(int Dst, int Src, unsigned Dim, int64_t Shift) {
+  return shiftExchange("cshift", {{Dst, Shift}}, Src, Dim, /*EndOff=*/false);
 }
 
 RtStatus CmRuntime::eoshift(int Dst, int Src, unsigned Dim, int64_t Shift) {
-  PeArray &D = field(Dst);
-  PeArray Snapshot;
-  const PeArray &S = Dst == Src ? (Snapshot = field(Src)) : field(Src);
-  const Geometry &Geo = *D.Geo;
-  size_t Axis = static_cast<size_t>(Dim - 1);
-  int64_t N = Geo.Extents[Axis];
-
-  // Same destination-parallel sweep and exact hop accounting as cshift.
-  // Boundary positions shifted past the edge receive the EOSHIFT fill
-  // value: a real in-PE store, charged like any other local element.
-  return runFaultableComm(FaultKind::GridTimeout, "eoshift", {Dst}, [&] {
-    struct Part {
-      int64_t LocalElems = 0;
-      int64_t WireHops = 0;
-      int64_t FillElems = 0;
-    };
-    Part Total = support::reduceChunksOrdered<Part>(
-        Pool, Geo.GridPEs,
-        [&](int64_t Begin, int64_t End) {
-          Part P;
-          std::vector<int64_t> Coord;
-          for (int64_t PE = Begin; PE < End; ++PE) {
-            double *Out = D.peBase(PE);
-            for (int64_t Off = 0; Off < Geo.SubgridElems; ++Off) {
-              if (!Geo.coordOf(PE, Off, Coord))
-                continue;
-              int64_t C = Coord[Axis] + Shift;
-              if (C < 0 || C >= N) {
-                Out[Off] = 0.0;
-                ++P.FillElems;
-                continue;
-              }
-              Coord[Axis] = C;
-              int64_t SrcPE, SrcOff;
-              Geo.locate(Coord, SrcPE, SrcOff);
-              Out[Off] = S.peBase(SrcPE)[SrcOff];
-              if (SrcPE == PE)
-                ++P.LocalElems;
-              else
-                P.WireHops += hopDistance(Geo, PE, SrcPE, Axis);
-            }
-          }
-          return P;
-        },
-        [](Part &Acc, const Part &P) {
-          Acc.LocalElems += P.LocalElems;
-          Acc.WireHops += P.WireHops;
-          Acc.FillElems += P.FillElems;
-        });
-    noteSweep(Geo, Geo.totalElements(), Total.WireHops);
-    Ledger.CommCycles +=
-        Costs.CommStartupCycles +
-        (Costs.GridLocalPerElem *
-             static_cast<double>(Total.LocalElems + Total.FillElems) +
-         Costs.GridWirePerElemHop * static_cast<double>(Total.WireHops)) /
-            static_cast<double>(Geo.GridPEs);
-  });
+  return shiftExchange("eoshift", {{Dst, Shift}}, Src, Dim, /*EndOff=*/true);
 }
 
 RtStatus CmRuntime::multiShift(const std::vector<ShiftSpec> &Shifts, int Src,
                                unsigned Dim, bool EndOff) {
-  F90Y_CHECK(!Shifts.empty(), "multiShift requires at least one shift");
-  const Geometry &Geo = *field(Src).Geo;
-  size_t Axis = static_cast<size_t>(Dim - 1);
-  int64_t N = Geo.Extents[Axis];
-  std::vector<int> DstHandles;
-  DstHandles.reserve(Shifts.size());
-  for (const ShiftSpec &Spec : Shifts) {
-    F90Y_CHECK(field(Spec.Dst).Geo->Extents == Geo.Extents,
-               "multiShift requires a common shape");
-    DstHandles.push_back(Spec.Dst);
-  }
   // Exchanges saved relative to the unfused sequence (counted once per
   // call, not per fault retry: retries repeat work, not fusions).
   if (Metrics && Shifts.size() > 1)
     Metrics->count("comm.coalesced",
                    static_cast<uint64_t>(Shifts.size() - 1));
+  return shiftExchange("multi-shift", Shifts, Src, Dim, EndOff);
+}
 
-  // One coalesced exchange: every clause's data still moves with exact
-  // cshift/eoshift sweeps applied in clause order (an aliased destination
+RtStatus CmRuntime::shiftExchange(const char *OpName,
+                                  const std::vector<ShiftSpec> &Shifts,
+                                  int Src, unsigned Dim, bool EndOff) {
+  F90Y_CHECK(!Shifts.empty(), "multiShift requires at least one shift");
+  const Geometry &Geo = *field(Src).Geo;
+  const size_t Axis = static_cast<size_t>(Dim - 1);
+  F90Y_CHECK(Axis < Geo.rank(), "shift dimension out of range");
+  // Clause I's destination slot x reads source slot x + Shift along Axis,
+  // wrapped around, or boundary fill past the edge under EndOff.
+  std::vector<RegionWalk> Walks;
+  std::vector<int> DstHandles;
+  for (const ShiftSpec &Spec : Shifts) {
+    std::vector<int64_t> By(Geo.rank(), 0);
+    By[Axis] = Spec.Shift;
+    Walks.emplace_back(Region(*field(Spec.Dst).Geo), Region(Geo),
+                       std::vector<int>(), std::move(By), EndOff);
+    DstHandles.push_back(Spec.Dst);
+  }
+
+  // One exchange: the clauses move their data in order, each reading the
+  // source as it stands when the clause runs (an aliased destination
   // behaves exactly like the unfused sequence), but the grid pays the
   // fixed communication startup once. A fault retries or rolls back the
-  // whole exchange - all destinations together - as one operation.
-  return runFaultableComm(
-      FaultKind::GridTimeout, "multi-shift", DstHandles, [&] {
-        struct Part {
-          int64_t LocalElems = 0;
-          int64_t WireHops = 0;
-          int64_t FillElems = 0;
-        };
-        Part Total;
-        for (const ShiftSpec &Spec : Shifts) {
-          PeArray &D = field(Spec.Dst);
-          PeArray Snapshot;
-          const PeArray &S =
-              Spec.Dst == Src ? (Snapshot = field(Src)) : field(Src);
-          const int64_t Shift = Spec.Shift;
-          Part P = support::reduceChunksOrdered<Part>(
-              Pool, Geo.GridPEs,
-              [&](int64_t Begin, int64_t End) {
-                Part C;
-                std::vector<int64_t> Coord;
-                for (int64_t PE = Begin; PE < End; ++PE) {
-                  double *Out = D.peBase(PE);
-                  for (int64_t Off = 0; Off < Geo.SubgridElems; ++Off) {
-                    if (!Geo.coordOf(PE, Off, Coord))
-                      continue;
-                    int64_t Pos = Coord[Axis] + Shift;
-                    if (EndOff) {
-                      if (Pos < 0 || Pos >= N) {
-                        Out[Off] = 0.0;
-                        ++C.FillElems;
-                        continue;
-                      }
-                    } else {
-                      Pos = (Pos % N + N) % N;
-                    }
-                    Coord[Axis] = Pos;
-                    int64_t SrcPE, SrcOff;
-                    Geo.locate(Coord, SrcPE, SrcOff);
-                    Out[Off] = S.peBase(SrcPE)[SrcOff];
-                    if (SrcPE == PE)
-                      ++C.LocalElems;
-                    else
-                      C.WireHops += hopDistance(Geo, PE, SrcPE, Axis);
-                  }
-                }
-                return C;
-              },
-              [](Part &Acc, const Part &Piece) {
-                Acc.LocalElems += Piece.LocalElems;
-                Acc.WireHops += Piece.WireHops;
-                Acc.FillElems += Piece.FillElems;
-              });
-          Total.LocalElems += P.LocalElems;
-          Total.WireHops += P.WireHops;
-          Total.FillElems += P.FillElems;
-        }
-        noteSweep(Geo,
-                  Geo.totalElements() * static_cast<int64_t>(Shifts.size()),
-                  Total.WireHops);
-        Ledger.CommCycles +=
-            Costs.CommStartupCycles +
-            (Costs.GridLocalPerElem *
-                 static_cast<double>(Total.LocalElems + Total.FillElems) +
-             Costs.GridWirePerElemHop * static_cast<double>(Total.WireHops)) /
-                static_cast<double>(Geo.GridPEs);
-      });
+  // whole exchange - all destinations together - as one operation. Local
+  // slots, boundary fills (real in-PE stores) and wire hops are exact
+  // integer totals, so the charge is thread-count independent.
+  return runFaultableComm(FaultKind::GridTimeout, OpName, DstHandles, [&] {
+    Moved Total;
+    for (size_t I = 0; I < Shifts.size(); ++I) {
+      PeArray Snapshot;
+      const PeArray &S =
+          Shifts[I].Dst == Src ? (Snapshot = field(Src)) : field(Src);
+      Total += moveRuns(Pool, Walks[I], field(Shifts[I].Dst), S,
+                        static_cast<int>(Axis));
+    }
+    noteSweep(Geo, Geo.totalElements() * static_cast<int64_t>(Shifts.size()),
+              Total.Hops);
+    Ledger.CommCycles +=
+        Costs.CommStartupCycles +
+        (Costs.GridLocalPerElem * static_cast<double>(Total.Local) +
+         Costs.GridWirePerElemHop * static_cast<double>(Total.Hops)) /
+            static_cast<double>(Geo.GridPEs);
+  });
 }
 
 RtStatus CmRuntime::transpose(int Dst, int Src) {
@@ -534,10 +477,8 @@ RtStatus CmRuntime::transpose(int Dst, int Src) {
   const PeArray &S = Dst == Src ? (Snapshot = field(Src)) : field(Src);
   const Geometry &DG = *D.Geo, &SG = *S.Geo;
   F90Y_CHECK(DG.rank() == 2 && SG.rank() == 2, "transpose requires rank 2");
-  // The destination must have the transposed extents, or the coordinate
-  // swap below would ask SG.locate for out-of-range positions and read
-  // other fields' subgrid memory. A correct program can hit this through
-  // mismatched declarations, so it is a recoverable status, not a check.
+  // A correct program can reach mismatched extents through mismatched
+  // declarations, so it is a recoverable status, not a check.
   if (DG.Extents[0] != SG.Extents[1] || DG.Extents[1] != SG.Extents[0])
     return RtStatus::fault(
         RtCode::ShapeMismatch,
@@ -546,24 +487,10 @@ RtStatus CmRuntime::transpose(int Dst, int Src) {
             " are not the transpose of source extents " +
             std::to_string(SG.Extents[0]) + "x" +
             std::to_string(SG.Extents[1]));
+  RegionWalk W(Region(DG), Region(SG), {1, 0}); // dst(i, j) = src(j, i).
 
   return runFaultableComm(FaultKind::RouterDrop, "transpose", {Dst}, [&] {
-    support::parallelChunks(
-        Pool, DG.GridPEs, [&](int64_t, int64_t Begin, int64_t End) {
-          std::vector<int64_t> Coord, SrcCoord(2);
-          for (int64_t PE = Begin; PE < End; ++PE) {
-            double *Out = D.peBase(PE);
-            for (int64_t Off = 0; Off < DG.SubgridElems; ++Off) {
-              if (!DG.coordOf(PE, Off, Coord))
-                continue;
-              SrcCoord[0] = Coord[1];
-              SrcCoord[1] = Coord[0];
-              int64_t SrcPE, SrcOff;
-              SG.locate(SrcCoord, SrcPE, SrcOff);
-              Out[Off] = S.peBase(SrcPE)[SrcOff];
-            }
-          }
-        });
+    moveRuns(Pool, W, D, S);
     noteSweep(DG, DG.totalElements(), /*Hops=*/0);
     // Transpose goes through the router; charge the per-element cost
     // spread across the machine (all PEs inject concurrently).
@@ -580,11 +507,9 @@ RtStatus CmRuntime::sectionCopy(int Dst,
                                 const std::vector<SectionDim> &SrcSec) {
   PeArray &D = field(Dst);
   const PeArray &S = field(Src);
-  const Geometry &DG = *D.Geo, &SG = *S.Geo;
-  F90Y_CHECK(DstSec.size() == DG.rank() && SrcSec.size() == SG.rank(),
-             "section rank mismatch");
-
-  // Iterate the section's position space.
+  const Geometry &DG = *D.Geo;
+  F90Y_CHECK(DstSec.size() == SrcSec.size(), "section rank mismatch");
+  RegionWalk W(Region(DG, DstSec), Region(*S.Geo, SrcSec), {});
   int64_t Total = 1;
   for (const SectionDim &SD : DstSec)
     Total *= SD.Count;
@@ -592,66 +517,17 @@ RtStatus CmRuntime::sectionCopy(int Dst,
     return RtStatus::ok();
 
   return runFaultableComm(FaultKind::RouterDrop, "section copy", {Dst}, [&] {
-    // Buffer destination values first: overlapping src/dst sections of the
-    // same array keep Fortran vector semantics. The gather runs in parallel
-    // over chunks of the section's linear position space (each position owns
-    // its own Writes slot); the buffered writes are applied serially so
-    // degenerate sections with repeated destination positions keep the
-    // serial last-write order.
-    std::vector<std::pair<size_t, double>> Writes(static_cast<size_t>(Total));
-    struct Part {
-      int64_t LocalElems = 0;
-      int64_t RemoteElems = 0;
-    };
-    Part Counts = support::reduceChunksOrdered<Part>(
-        Pool, Total,
-        [&](int64_t Begin, int64_t End) {
-          Part P;
-          std::vector<int64_t> Pos(DstSec.size());
-          std::vector<int64_t> DC(DstSec.size()), SC(SrcSec.size());
-          // Decompose the chunk's first linear position (row-major).
-          int64_t L = Begin;
-          for (size_t K = DstSec.size(); K-- > 0;) {
-            Pos[K] = L % DstSec[K].Count;
-            L /= DstSec[K].Count;
-          }
-          for (int64_t Done = Begin; Done < End; ++Done) {
-            for (size_t K = 0; K < DstSec.size(); ++K) {
-              DC[K] = DstSec[K].Start + Pos[K] * DstSec[K].Stride;
-              SC[K] = SrcSec[K].Start + Pos[K] * SrcSec[K].Stride;
-            }
-            int64_t DPE, DOff, SPE, SOff;
-            DG.locate(DC, DPE, DOff);
-            SG.locate(SC, SPE, SOff);
-            double V = S.peBase(SPE)[SOff];
-            if (D.Kind == ElemKind::Int)
-              V = std::trunc(V);
-            Writes[static_cast<size_t>(Done)] = {
-                static_cast<size_t>(DPE * DG.PaddedSubgrid + DOff), V};
-            if (SPE == DPE)
-              ++P.LocalElems;
-            else
-              ++P.RemoteElems;
-            for (size_t K = DstSec.size(); K-- > 0;) {
-              if (++Pos[K] < DstSec[K].Count)
-                break;
-              Pos[K] = 0;
-            }
-          }
-          return P;
-        },
-        [](Part &Acc, const Part &P) {
-          Acc.LocalElems += P.LocalElems;
-          Acc.RemoteElems += P.RemoteElems;
-        });
-    for (const auto &[Idx, V] : Writes)
-      D.Data[Idx] = V;
-
+    // Overlapping sections of one array keep Fortran vector semantics:
+    // every read sees the array as it stood before the copy.
+    PeArray Snapshot;
+    const PeArray &From = Dst == Src ? (Snapshot = S) : S;
+    Moved M = moveRuns(Pool, W, D, From, /*HopDim=*/-1,
+                       /*Truncate=*/D.Kind == ElemKind::Int);
     noteSweep(DG, Total, /*Hops=*/0);
     Ledger.CommCycles +=
         Costs.CommStartupCycles +
-        (Costs.GridLocalPerElem * static_cast<double>(Counts.LocalElems) +
-         Costs.RouterPerElem * static_cast<double>(Counts.RemoteElems)) /
+        (Costs.GridLocalPerElem * static_cast<double>(M.Local) +
+         Costs.RouterPerElem * static_cast<double>(Total - M.Local)) /
             static_cast<double>(DG.GridPEs);
   });
 }
@@ -659,6 +535,7 @@ RtStatus CmRuntime::sectionCopy(int Dst,
 RtResult<double> CmRuntime::tryReduce(ReduceOp Op, int Src) {
   const PeArray &S = field(Src);
   const Geometry &Geo = *S.Geo;
+  const RegionWalk W{Region(Geo), Region(Geo), {}};
   double Out = 0;
 
   // Per-chunk partial folds in PE order, combined in chunk order. The
@@ -668,100 +545,23 @@ RtResult<double> CmRuntime::tryReduce(ReduceOp Op, int Src) {
   // fold in the final ulps, exactly as the real machine's tree combine
   // does (see programs_test's note on machine-vs-interpreter order).
   RtStatus St = runFaultableComm(FaultKind::GridTimeout, "reduce", {}, [&] {
-    struct Part {
-      bool Seen = false;
-      double Acc = 0;
-      int64_t CountTrue = 0;
-    };
-    Part Total = support::reduceChunksOrdered<Part>(
-        Pool, Geo.GridPEs,
-        [&](int64_t Begin, int64_t End) {
-          Part P;
-          std::vector<int64_t> Coord;
-          for (int64_t PE = Begin; PE < End; ++PE) {
-            const double *Base = S.peBase(PE);
-            for (int64_t Off = 0; Off < Geo.SubgridElems; ++Off) {
-              if (!Geo.coordOf(PE, Off, Coord))
-                continue;
-              double V = Base[Off];
-              switch (Op) {
-              case ReduceOp::Sum:
-                P.Acc += V;
-                break;
-              case ReduceOp::Product:
-                P.Acc = P.Seen ? P.Acc * V : V;
-                break;
-              case ReduceOp::Max:
-                P.Acc = P.Seen ? (V > P.Acc ? V : P.Acc) : V;
-                break;
-              case ReduceOp::Min:
-                P.Acc = P.Seen ? (V < P.Acc ? V : P.Acc) : V;
-                break;
-              case ReduceOp::Count:
-              case ReduceOp::Any:
-              case ReduceOp::All:
-                P.CountTrue += V != 0;
-                break;
-              }
-              P.Seen = true;
-            }
-          }
-          return P;
+    Fold Total = walkChunks<Fold>(
+        Pool, W,
+        [&](Fold &F, const Run &R) {
+          const double *In = S.peBase(R.DstPE) + R.DstOff;
+          for (int64_t I = 0; I < R.Len; ++I)
+            F.add(Op, In[I]);
         },
-        [&](Part &A, const Part &P) {
-          if (!P.Seen)
-            return;
-          if (!A.Seen) {
-            A = P;
-            return;
-          }
-          switch (Op) {
-          case ReduceOp::Sum:
-            A.Acc += P.Acc;
-            break;
-          case ReduceOp::Product:
-            A.Acc *= P.Acc;
-            break;
-          case ReduceOp::Max:
-            A.Acc = P.Acc > A.Acc ? P.Acc : A.Acc;
-            break;
-          case ReduceOp::Min:
-            A.Acc = P.Acc < A.Acc ? P.Acc : A.Acc;
-            break;
-          case ReduceOp::Count:
-          case ReduceOp::Any:
-          case ReduceOp::All:
-            A.CountTrue += P.CountTrue;
-            break;
-          }
+        [&](Fold &Acc, const Fold &P) {
+          if (P.Seen) // Fold in a later chunk's partial.
+            Acc.absorb(Op, P.Acc, P.True, P.Elems);
         });
 
     noteSweep(Geo, Geo.totalElements(), /*Hops=*/0);
-    // Local vectorized reduce + log2(P) combine steps.
-    double LocalCycles = static_cast<double>(Geo.SubgridElems) *
-                         Costs.VectorAluCycles /
-                         static_cast<double>(Costs.VectorWidth);
-    double Steps =
-        std::ceil(std::log2(static_cast<double>(Geo.GridPEs) + 1));
-    Ledger.CommCycles += Costs.CommStartupCycles + LocalCycles +
-                         Steps * Costs.ReduceStepCycles;
+    Ledger.CommCycles += reduceCycles(Costs, Geo, Geo.GridPEs);
     if (Op == ReduceOp::Sum || Op == ReduceOp::Product)
       Ledger.Flops += static_cast<uint64_t>(Geo.totalElements());
-
-    switch (Op) {
-    case ReduceOp::Count:
-      Out = static_cast<double>(Total.CountTrue);
-      break;
-    case ReduceOp::Any:
-      Out = Total.CountTrue > 0 ? 1.0 : 0.0;
-      break;
-    case ReduceOp::All:
-      Out = Total.CountTrue == Geo.totalElements() ? 1.0 : 0.0;
-      break;
-    default:
-      Out = Total.Acc;
-      break;
-    }
+    Out = Total.result(Op);
   });
   if (!St)
     return St;
@@ -782,88 +582,45 @@ RtStatus CmRuntime::reduceAlongDim(ReduceOp Op, int Dst, int Src,
   size_t Axis = static_cast<size_t>(Dim - 1);
   F90Y_CHECK(Axis < SG.rank() && DG.rank() + 1 == SG.rank(),
              "reduceAlongDim rank mismatch");
+  // A run's sources are its elements' source lines at coordinate 0 of the
+  // reduced axis; Line[K] is the storage step from there to coordinate K.
+  std::vector<int> From;
+  for (size_t J = 0, Out = 0; J < SG.rank(); ++J)
+    From.push_back(J == Axis ? -1 : static_cast<int>(Out++));
+  RegionWalk W(Region(DG), Region(SG), From);
+  std::vector<int64_t> Line;
+  for (int64_t K = 0; K < SG.Extents[Axis]; ++K)
+    Line.push_back(K / SG.Sub[Axis] * SG.PEStride[Axis] * SG.PaddedSubgrid +
+                   K % SG.Sub[Axis] * SG.OffStride[Axis]);
 
-  // Every destination element accumulates its own source line along the
-  // reduced axis, in axis order, independently of all others - so chunks
-  // of the destination position space run concurrently and the result is
-  // bit-identical to the serial sweep.
+  // Every destination element folds its own source line in axis order,
+  // independently of all others - so chunks of destination PEs run
+  // concurrently and the result is bit-identical to the serial sweep.
   return runFaultableComm(FaultKind::GridTimeout, "reduce-dim", {Dst}, [&] {
-  support::parallelChunks(
-      Pool, DG.totalElements(), [&](int64_t, int64_t Begin, int64_t End) {
-        std::vector<int64_t> Pos(DG.rank()), DC(DG.rank()), SC(SG.rank());
-        // Decompose the chunk's first linear position (row-major).
-        int64_t L = Begin;
-        for (size_t K = DG.rank(); K-- > 0;) {
-          Pos[K] = L % DG.Extents[K];
-          L /= DG.Extents[K];
-        }
-        for (int64_t Done = Begin; Done < End; ++Done) {
-          for (size_t K = 0, Out = 0; K < SG.rank(); ++K)
-            SC[K] = K == Axis ? 0 : Pos[Out++];
-          double Acc = 0;
-          int64_t CountTrue = 0;
-          for (int64_t K = 0; K < SG.Extents[Axis]; ++K) {
-            SC[Axis] = K;
-            int64_t PE, Off;
-            SG.locate(SC, PE, Off);
-            double V = S.peBase(PE)[Off];
-            switch (Op) {
-            case ReduceOp::Sum:
-              Acc += V;
-              break;
-            case ReduceOp::Product:
-              Acc = K == 0 ? V : Acc * V;
-              break;
-            case ReduceOp::Max:
-              Acc = K == 0 ? V : (V > Acc ? V : Acc);
-              break;
-            case ReduceOp::Min:
-              Acc = K == 0 ? V : (V < Acc ? V : Acc);
-              break;
-            case ReduceOp::Count:
-            case ReduceOp::Any:
-            case ReduceOp::All:
-              CountTrue += V != 0;
-              break;
+    support::parallelChunks(
+        Pool, DG.GridPEs, [&](int64_t, int64_t Begin, int64_t End) {
+          W.forEachRun(Begin, End, [&](const Run &R) {
+            const double *In = S.peBase(R.SrcPE) + R.SrcOff;
+            double *Out = D.peBase(R.DstPE) + R.DstOff;
+            for (int64_t I = 0; I < R.Len; ++I) {
+              Fold F;
+              for (int64_t Step : Line)
+                F.add(Op, In[I * R.SrcStep + Step]);
+              double V = F.result(Op);
+              Out[I * R.DstStep] = D.Kind == ElemKind::Int ? std::trunc(V) : V;
             }
-          }
-          if (Op == ReduceOp::Count)
-            Acc = static_cast<double>(CountTrue);
-          else if (Op == ReduceOp::Any)
-            Acc = CountTrue > 0 ? 1 : 0;
-          else if (Op == ReduceOp::All)
-            Acc = CountTrue == SG.Extents[Axis] ? 1 : 0;
-          if (D.Kind == ElemKind::Int)
-            Acc = std::trunc(Acc);
-          std::copy(Pos.begin(), Pos.end(), DC.begin());
-          int64_t DPE, DOff;
-          DG.locate(DC, DPE, DOff);
-          D.peBase(DPE)[DOff] = Acc;
+          });
+        });
 
-          for (size_t K = Pos.size(); K-- > 0;) {
-            if (++Pos[K] < DG.Extents[K])
-              break;
-            Pos[K] = 0;
-          }
-        }
-      });
-
-  noteSweep(SG, SG.totalElements(), /*Hops=*/0);
-  // Cost: local vectorized accumulate over the source subgrid plus
-  // log2(grid along the reduced axis) combine steps, then a redistribution
-  // of the rank-reduced result through the router.
-  double LocalCycles = static_cast<double>(SG.SubgridElems) *
-                       Costs.VectorAluCycles /
-                       static_cast<double>(Costs.VectorWidth);
-  double Steps = std::ceil(
-      std::log2(static_cast<double>(SG.Grid[Axis]) + 1));
-  Ledger.CommCycles +=
-      Costs.CommStartupCycles + LocalCycles +
-      Steps * Costs.ReduceStepCycles +
-      Costs.RouterPerElem * static_cast<double>(DG.totalElements()) /
-          static_cast<double>(DG.GridPEs > 0 ? DG.GridPEs : 1);
-  if (Op == ReduceOp::Sum || Op == ReduceOp::Product)
-    Ledger.Flops += static_cast<uint64_t>(SG.totalElements());
+    noteSweep(SG, SG.totalElements(), /*Hops=*/0);
+    // Combine along the reduced axis's PEs, then redistribute the
+    // rank-reduced result through the router.
+    Ledger.CommCycles +=
+        reduceCycles(Costs, SG, SG.Grid[Axis]) +
+        Costs.RouterPerElem * static_cast<double>(DG.totalElements()) /
+            static_cast<double>(DG.GridPEs);
+    if (Op == ReduceOp::Sum || Op == ReduceOp::Product)
+      Ledger.Flops += static_cast<uint64_t>(SG.totalElements());
   });
 }
 
@@ -874,81 +631,56 @@ RtStatus CmRuntime::spreadAlongDim(int Dst, int Src, unsigned Dim) {
   size_t Axis = static_cast<size_t>(Dim - 1);
   F90Y_CHECK(Axis < DG.rank() && DG.rank() == SG.rank() + 1,
              "spreadAlongDim rank mismatch");
+  // Source dimension J follows destination dimension J, skipping Axis, so
+  // every slot along Axis reads the same source slot.
+  std::vector<int> From;
+  for (size_t J = 0; J < SG.rank(); ++J)
+    From.push_back(static_cast<int>(J < Axis ? J : J + 1));
+  RegionWalk W(Region(DG), Region(SG), From);
 
   // Pure broadcast: destination PEs only read the source, so chunks of
   // them run concurrently with no accounting to reduce.
   return runFaultableComm(FaultKind::RouterDrop, "spread", {Dst}, [&] {
-  support::parallelChunks(
-      Pool, DG.GridPEs, [&](int64_t, int64_t Begin, int64_t End) {
-        std::vector<int64_t> Coord, SC(SG.rank());
-        for (int64_t PE = Begin; PE < End; ++PE) {
-          double *Out = D.peBase(PE);
-          for (int64_t Off = 0; Off < DG.SubgridElems; ++Off) {
-            if (!DG.coordOf(PE, Off, Coord))
-              continue;
-            for (size_t K = 0, In = 0; K < DG.rank(); ++K)
-              if (K != Axis)
-                SC[In++] = Coord[K];
-            int64_t SPE, SOff;
-            SG.locate(SC, SPE, SOff);
-            Out[Off] = S.peBase(SPE)[SOff];
-          }
-        }
-      });
-  noteSweep(DG, DG.totalElements(), /*Hops=*/0);
-  // Broadcast through the router (each source element fans out).
-  Ledger.CommCycles +=
-      Costs.CommStartupCycles +
-      Costs.RouterPerElem * static_cast<double>(DG.totalElements()) /
-          static_cast<double>(DG.GridPEs > 0 ? DG.GridPEs : 1);
+    moveRuns(Pool, W, D, S);
+    noteSweep(DG, DG.totalElements(), /*Hops=*/0);
+    // Broadcast through the router (each source element fans out).
+    Ledger.CommCycles +=
+        Costs.CommStartupCycles +
+        Costs.RouterPerElem * static_cast<double>(DG.totalElements()) /
+            static_cast<double>(DG.GridPEs);
   });
 }
 
 RtResult<std::string> CmRuntime::tryRenderField(int Handle) {
   const PeArray &A = field(Handle);
   const Geometry &Geo = *A.Geo;
-  // Row-major over global coordinates; every element read crosses the
-  // router, so the whole render retries as one faultable op.
+  // Row-major over logical coordinates: walk a one-PE copy of the shape,
+  // whose logical element x reads slot (x + LayoutOffsets) modulo the
+  // extents. Every element read crosses the router, so the whole render
+  // retries as one faultable op.
+  const Geometry Rows = Geometry::layout(Geo.Extents, Geo.Los, 1, 1);
+  RegionWalk W(Region(Rows), Region(Geo), {}, A.LayoutOffsets);
   std::string Out;
   RtStatus St =
       runFaultableComm(FaultKind::RouterDrop, "field render", {}, [&] {
-  Out.clear();
-  std::vector<int64_t> Coord(Geo.rank(), 0);
-  std::vector<int64_t> Slot;
-  bool FirstElem = true;
-  while (true) {
-    int64_t PE, Off;
-    if (A.hasLayout()) {
-      A.toSlot(Coord, Slot);
-      Geo.locate(Slot, PE, Off);
-    } else
-      Geo.locate(Coord, PE, Off);
-    double V = A.peBase(PE)[Off];
-    if (!FirstElem)
-      Out += ' ';
-    FirstElem = false;
-    if (A.Kind == ElemKind::Int)
-      Out += std::to_string(static_cast<int64_t>(V));
-    else if (A.Kind == ElemKind::Bool)
-      Out += V != 0 ? "T" : "F";
-    else
-      Out += formatDouble(V);
-    size_t K = Geo.rank();
-    bool Done = true;
-    while (K-- > 0) {
-      if (++Coord[K] < Geo.Extents[K]) {
-        Done = false;
-        break;
-      }
-      Coord[K] = 0;
-    }
-    if (Done)
-      break;
-  }
-  noteSweep(Geo, Geo.totalElements(), /*Hops=*/0);
-  Ledger.CommCycles +=
-      Costs.RouterPerElem * static_cast<double>(Geo.totalElements());
-  });
+        Out.clear();
+        W.forEachRun(0, 1, [&](const Run &R) {
+          for (int64_t I = 0; I < R.Len; ++I) {
+            double V = A.peBase(R.SrcPE)[R.SrcOff + I * R.SrcStep];
+            if (!Out.empty())
+              Out += ' ';
+            if (A.Kind == ElemKind::Int)
+              Out += std::to_string(static_cast<int64_t>(V));
+            else if (A.Kind == ElemKind::Bool)
+              Out += V != 0 ? "T" : "F";
+            else
+              Out += formatDouble(V);
+          }
+        });
+        noteSweep(Geo, Geo.totalElements(), /*Hops=*/0);
+        Ledger.CommCycles +=
+            Costs.RouterPerElem * static_cast<double>(Geo.totalElements());
+      });
   if (!St)
     return St;
   return Out;

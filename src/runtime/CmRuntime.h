@@ -18,6 +18,7 @@
 
 #include "cm2/CostModel.h"
 #include "runtime/Geometry.h"
+#include "runtime/RegionWalk.h"
 #include "support/RtStatus.h"
 
 #include <cstdint>
@@ -59,8 +60,8 @@ struct PeArray {
   /// Storage placement solved by layout inference: logical element x
   /// lives at slot (x[d] + LayoutOffsets[d]) mod Extents[d]. Empty means
   /// canonical. AxisMap is carried for the checkpoint format but is
-  /// always the identity under the offset-only solver; sweeps (cshift,
-  /// PEAC dispatch) work on raw slots and never consult these - only the
+  /// always the identity under the offset-only solver; comm-op walks and
+  /// PEAC dispatch work on raw slots and never consult these - only the
   /// front end's element access and rendering translate.
   std::vector<int64_t> AxisMap;
   std::vector<int64_t> LayoutOffsets;
@@ -114,12 +115,13 @@ enum class ReduceOp { Sum, Product, Max, Min, Count, Any, All };
 
 /// The runtime system instance owned by one program execution.
 ///
-/// Communication ops (cshift/eoshift/transpose/sectionCopy/reduce/
-/// reduceAlongDim/spreadAlongDim) are element-parallel over destination
-/// PEs; when a host thread pool is attached they sweep destination chunks
-/// concurrently, with ledger charges reduced per chunk in deterministic
-/// chunk order (support/ThreadPool.h), so every thread count produces
-/// bit-identical data and cycle totals.
+/// Every communication op is a RegionWalk (runtime/RegionWalk.h): data moves
+/// and ledger counts accrue one run of a destination PE's subgrid at a
+/// time, never per element. When a host thread pool is attached, chunks of
+/// destination PEs (source PEs for a full reduction) walk concurrently and
+/// their exact integer counts or partial folds combine in chunk order
+/// (support/ThreadPool.h), so every thread count produces bit-identical
+/// data and cycle totals.
 ///
 /// When a FaultInjector is attached, comm ops pass through a recoverable
 /// fault path: transient faults (router drop, grid-link timeout) fail the
@@ -253,12 +255,9 @@ public:
 
   /// One dimension of a constant section (zero-based start, stride,
   /// count).
-  struct SectionDim {
-    int64_t Start = 0;
-    int64_t Stride = 1;
-    int64_t Count = 0;
-  };
-  /// General section-to-section copy (the misaligned case); router.
+  using SectionDim = runtime::SectionDim;
+  /// General section-to-section copy (the misaligned case); router. The
+  /// sections must lie inside their arrays and have the same counts.
   support::RtStatus sectionCopy(int Dst,
                                 const std::vector<SectionDim> &DstSec,
                                 int Src,
@@ -358,9 +357,11 @@ private:
   std::map<std::string, int> CoordFields; ///< geometry-signature + dim.
   int NextHandle = 1;
 
-  /// Torus hop distance between two PEs of \p Geo along dimension D.
-  static int64_t hopDistance(const Geometry &Geo, int64_t FromPE,
-                             int64_t ToPE, size_t D);
+  /// cshift, eoshift and multiShift: one exchange of \p Shifts, traced
+  /// and counted as \p OpName.
+  support::RtStatus shiftExchange(const char *OpName,
+                                  const std::vector<ShiftSpec> &Shifts,
+                                  int Src, unsigned Dim, bool EndOff);
 
   /// The shared recoverable-comm path: gates \p Sweep behind transient
   /// fault injection of \p Transient (fail-fast, backoff, retry), runs it,

@@ -8,6 +8,8 @@
 
 #include "support/RtStatus.h"
 
+#include <algorithm>
+
 using namespace f90y;
 using namespace f90y::runtime;
 
@@ -42,7 +44,11 @@ Geometry Geometry::layout(std::vector<int64_t> Extents,
   G.GridPEs = 1;
   G.SubgridElems = 1;
   G.Sub.resize(G.Extents.size());
-  for (size_t D = 0; D < G.Extents.size(); ++D) {
+  G.PEStride.resize(G.Extents.size());
+  G.OffStride.resize(G.Extents.size());
+  for (size_t D = G.Extents.size(); D-- > 0;) {
+    G.PEStride[D] = G.GridPEs;
+    G.OffStride[D] = G.SubgridElems;
     G.GridPEs *= G.Grid[D];
     G.Sub[D] = (G.Extents[D] + G.Grid[D] - 1) / G.Grid[D];
     G.SubgridElems *= G.Sub[D];
@@ -54,13 +60,10 @@ Geometry Geometry::layout(std::vector<int64_t> Extents,
 
 void Geometry::locate(const std::vector<int64_t> &Coord, int64_t &PE,
                       int64_t &Off) const {
-  PE = 0;
-  Off = 0;
+  PE = Off = 0;
   for (size_t D = 0; D < Extents.size(); ++D) {
-    int64_t G = Coord[D] / Sub[D];
-    int64_t O = Coord[D] % Sub[D];
-    PE = PE * Grid[D] + G;
-    Off = Off * Sub[D] + O;
+    PE += Coord[D] / Sub[D] * PEStride[D];
+    Off += Coord[D] % Sub[D] * OffStride[D];
   }
 }
 
@@ -69,20 +72,19 @@ bool Geometry::coordOf(int64_t PE, int64_t Off,
   if (Off >= SubgridElems)
     return false; // Vector-width padding.
   Coord.resize(Extents.size());
-  // Decompose PE and Off (both row-major).
-  std::vector<int64_t> GC(Extents.size()), OC(Extents.size());
-  for (size_t D = Extents.size(); D-- > 0;) {
-    GC[D] = PE % Grid[D];
-    PE /= Grid[D];
-    OC[D] = Off % Sub[D];
-    Off /= Sub[D];
-  }
   for (size_t D = 0; D < Extents.size(); ++D) {
-    Coord[D] = GC[D] * Sub[D] + OC[D];
+    Coord[D] = PE / PEStride[D] % Grid[D] * Sub[D] +
+               Off / OffStride[D] % Sub[D];
     if (Coord[D] >= Extents[D])
       return false; // Block padding at the array edge.
   }
   return true;
+}
+
+int64_t Geometry::hopDistance(int64_t FromPE, int64_t ToPE, size_t D) const {
+  int64_t N = Grid[D];
+  int64_t Fwd = ((ToPE / PEStride[D] - FromPE / PEStride[D]) % N + N) % N;
+  return std::min(Fwd, N - Fwd);
 }
 
 std::string Geometry::signature() const {

@@ -26,13 +26,15 @@ namespace runtime {
 
 /// Layout of one shape onto the PE grid.
 struct Geometry {
-  std::vector<int64_t> Extents; ///< Size of each dimension.
-  std::vector<int64_t> Los;     ///< Declared lower bound of each dimension.
-  std::vector<int64_t> Grid;    ///< PEs along each dimension.
-  std::vector<int64_t> Sub;     ///< Subgrid elements per PE per dimension.
-  int64_t GridPEs = 1;          ///< Product of Grid (PEs actually used).
-  int64_t SubgridElems = 1;     ///< Product of Sub (the VP ratio).
-  int64_t PaddedSubgrid = 1;    ///< SubgridElems rounded up to the width.
+  std::vector<int64_t> Extents;   ///< Size of each dimension.
+  std::vector<int64_t> Los;       ///< Declared lower bound of each dimension.
+  std::vector<int64_t> Grid;      ///< PEs along each dimension.
+  std::vector<int64_t> Sub;       ///< Subgrid elements per PE per dimension.
+  std::vector<int64_t> PEStride;  ///< PE-number step of one block per dim.
+  std::vector<int64_t> OffStride; ///< Subgrid-offset step of one element.
+  int64_t GridPEs = 1;            ///< Product of Grid (PEs actually used).
+  int64_t SubgridElems = 1;       ///< Product of Sub (the VP ratio).
+  int64_t PaddedSubgrid = 1;      ///< SubgridElems rounded up to the width.
 
   unsigned rank() const { return static_cast<unsigned>(Extents.size()); }
 
@@ -57,6 +59,9 @@ struct Geometry {
   /// Returns false for padding positions (offsets past the subgrid or
   /// block positions outside the array).
   bool coordOf(int64_t PE, int64_t Off, std::vector<int64_t> &Coord) const;
+
+  /// Torus hop distance between two PEs along dimension \p D.
+  int64_t hopDistance(int64_t FromPE, int64_t ToPE, size_t D) const;
 
   /// A stable identity string ("128x64/g:16x128/s:8x1").
   std::string signature() const;
