@@ -11,35 +11,75 @@
 #include "observe/Metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <utility>
 
 using namespace f90y;
 using namespace f90y::peac;
 using namespace f90y::peac::engine;
 
 //===----------------------------------------------------------------------===//
-// Translation
+// Translation and the strip legality check
 //===----------------------------------------------------------------------===//
 
 namespace f90y {
 namespace peac {
 namespace engine {
 
+/// How a routine addresses one pointer argument: what the dispatch-time
+/// binding check needs to know.
+struct PtrUse {
+  static constexpr int64_t Lo = std::numeric_limits<int64_t>::min();
+  static constexpr int64_t Hi = std::numeric_limits<int64_t>::max();
+  bool Used = false;
+  bool Written = false;
+  bool Unit = true; ///< Every operand has offset 0 and stride 1.
+  int64_t MinOffset = Hi, MaxOffset = Lo, MinStride = Hi, MaxStride = Lo;
+
+  void note(const Operand &O, bool Write) {
+    Used = true;
+    Written |= Write;
+    Unit &= O.Offset == 0 && O.Stride == 1;
+    MinOffset = std::min(MinOffset, O.Offset);
+    MaxOffset = std::max(MaxOffset, O.Offset);
+    MinStride = std::min(MinStride, O.Stride);
+    MaxStride = std::max(MaxStride, O.Stride);
+  }
+};
+
 /// A Routine translated once into a flat program of pre-resolved ops.
 /// Immutable after translation; shared by every dispatch (and thread)
 /// that executes the routine.
 class CompiledRoutine {
 public:
+  bool Legal = false; ///< Passed the translation half of the strip check.
   std::vector<CompiledOp> Prog;
-  std::vector<LaneVec> ImmPool; ///< Pre-broadcast immediate operands.
-  ScratchUse Use;               ///< Registers the body actually touches.
-  unsigned NumPtrArgs = 0;
+  std::vector<double> Imms; ///< Distinct immediates, one value each.
+  std::vector<PtrUse> Ptrs; ///< Per pointer argument.
+  ScratchUse Use;           ///< Registers the body actually touches.
 
-  /// Sweeps one PE's subgrid slice. Reuses per-thread scratch (grown
-  /// once, zeroed per PE for interpreter parity), so the steady-state
-  /// sweep performs no heap allocation.
-  void runPE(const ExecArgs &Args, const LaneVec *ScalarPool, unsigned PE,
-             unsigned Width, int64_t Iters) const;
+  /// Register-scratch rows: vector registers, then spill slots.
+  unsigned regRows() const { return Use.VRegs + Use.SpillSlots; }
+  /// Broadcast rows: scalar arguments, then immediates.
+  unsigned constRows() const {
+    return Use.ScalarArgs + static_cast<unsigned>(Imms.size());
+  }
+
+  /// The dispatch half of the strip check: Legal, and every written
+  /// binding is identical to or address-disjoint from every other one. An
+  /// identical binding counts as the same pointer, so its operands must
+  /// be unit too.
+  bool admits(const ExecArgs &Args) const;
+
+  /// Sweeps one PE's subgrid strip by strip, each op over the whole strip
+  /// before the next. \p Consts holds the dispatch's broadcast rows, all
+  /// rows \p Pitch lanes long. Per-thread scratch is grown once and never
+  /// cleared: legality means every row is written before it is read.
+  void runPE(const ExecArgs &Args, const double *Consts, size_t Pitch,
+             unsigned PE) const;
 };
 
 } // namespace engine
@@ -48,11 +88,10 @@ public:
 
 namespace {
 
-/// Reusable per-thread sweep scratch: the engine's replacement for the
-/// interpreter's per-PE PEState heap allocations.
+/// Reusable per-thread sweep scratch: register, spill and gather rows,
+/// and this PE's base pointer per pointer argument.
 struct EngineScratch {
-  std::vector<LaneVec> VRegs;
-  std::vector<LaneVec> Spill;
+  std::vector<double> Rows;
   std::vector<double *> Bases;
 };
 
@@ -61,48 +100,59 @@ EngineScratch &tlsScratch() {
   return S;
 }
 
-OperandRef classifyOperand(const Operand &O, const Routine &R,
-                           std::vector<LaneVec> &ImmPool) {
-  OperandRef Ref;
-  switch (O.K) {
-  case Operand::Kind::VReg:
-    Ref.F = OperandRef::Form::VReg;
-    Ref.Index = O.Reg;
-    break;
-  case Operand::Kind::SReg:
-    Ref.F = OperandRef::Form::SReg;
-    Ref.Index = O.Reg;
-    break;
-  case Operand::Kind::Imm: {
-    Ref.F = OperandRef::Form::Imm;
-    Ref.Index = static_cast<uint32_t>(ImmPool.size());
-    LaneVec V;
-    for (double &L : V.L)
-      L = O.Imm;
-    ImmPool.push_back(V);
-    break;
-  }
-  case Operand::Kind::Mem:
-    if (O.Reg >= R.NumPtrArgs) {
-      // Spill slot: one lane vector of PE-local scratch; offset and
-      // stride do not participate (PEState::memAddr semantics).
-      Ref.F = OperandRef::Form::Spill;
-      Ref.Index = O.Reg - R.NumPtrArgs;
-    } else {
-      Ref.F = OperandRef::Form::Mem;
-      Ref.Index = O.Reg;
-      Ref.Offset = O.Offset;
-      Ref.Stride = O.Stride;
-    }
-    break;
-  }
-  return Ref;
-}
-
+/// Translates \p R and runs the translation half of the strip check in
+/// the same walk: each source register or spill slot must already be
+/// written by an earlier op of the body, and each pointer some op writes
+/// must be addressed at offset 0, stride 1 by all of its operands.
 std::shared_ptr<const CompiledRoutine> translate(const Routine &R) {
   auto CR = std::make_shared<CompiledRoutine>();
   CR->Use = R.scratchUse();
-  CR->NumPtrArgs = R.NumPtrArgs;
+  CR->Ptrs.resize(R.NumPtrArgs);
+  std::vector<bool> Written(CR->regRows(), false);
+  bool Legal = true;
+  auto Classify = [&](const Operand &O, bool Write) {
+    OperandRef Ref;
+    switch (O.K) {
+    case Operand::Kind::VReg:
+      Ref.Index = O.Reg;
+      break;
+    case Operand::Kind::SReg:
+      Ref.F = OperandRef::Form::Const;
+      Ref.Index = O.Reg;
+      break;
+    case Operand::Kind::Imm: {
+      // One broadcast row per distinct immediate (bit pattern).
+      std::vector<double> &Imms = CR->Imms;
+      auto It = std::find_if(Imms.begin(), Imms.end(), [&](double V) {
+        return std::bit_cast<uint64_t>(V) == std::bit_cast<uint64_t>(O.Imm);
+      });
+      if (It == Imms.end())
+        It = Imms.insert(It, O.Imm);
+      Ref.F = OperandRef::Form::Const;
+      Ref.Index = CR->Use.ScalarArgs +
+                  static_cast<uint32_t>(std::distance(Imms.begin(), It));
+      break;
+    }
+    case Operand::Kind::Mem:
+      if (O.Reg >= R.NumPtrArgs) {
+        Ref.Index = CR->Use.VRegs + (O.Reg - R.NumPtrArgs);
+      } else {
+        Ref.F = OperandRef::Form::Mem;
+        Ref.Index = O.Reg;
+        Ref.Offset = O.Offset;
+        Ref.Stride = O.Stride;
+        CR->Ptrs[O.Reg].note(O, Write);
+      }
+      break;
+    }
+    if (Ref.F == OperandRef::Form::Reg) {
+      if (!Write && !Written[Ref.Index])
+        Legal = false;
+      Written[Ref.Index] = Written[Ref.Index] || Write;
+    }
+    return Ref;
+  };
+
   CR->Prog.reserve(R.Body.size());
   for (const Instruction &I : R.Body) {
     CompiledOp Op;
@@ -110,25 +160,76 @@ std::shared_ptr<const CompiledRoutine> translate(const Routine &R) {
         static_cast<unsigned>(std::min<size_t>(I.Srcs.size(), 3));
     Op.Kernel = lookupKernel(I.Op, NSrcs);
     for (unsigned S = 0; S < NSrcs; ++S)
-      Op.Srcs[S] = classifyOperand(I.Srcs[S], R, CR->ImmPool);
-    if (I.HasMemDst) {
-      Op.Dst = classifyOperand(I.MemDst, R, CR->ImmPool);
-    } else {
-      Op.Dst.F = OperandRef::Form::VReg;
-      Op.Dst.Index = I.DstVReg;
-    }
-    F90Y_CHECK(Op.Dst.F == OperandRef::Form::VReg ||
-                   Op.Dst.F == OperandRef::Form::Mem ||
-                   Op.Dst.F == OperandRef::Form::Spill,
-               "PEAC destination must be a vector register or memory");
+      Op.Srcs[S] = Classify(I.Srcs[S], /*Write=*/false);
+    if (!I.HasMemDst)
+      Op.Dst = Classify(Operand::vreg(I.DstVReg), /*Write=*/true);
+    else if (I.MemDst.isMem())
+      Op.Dst = Classify(I.MemDst, /*Write=*/true);
+    else
+      Legal = false; // Only the interpreter defines a non-memory MemDst.
     CR->Prog.push_back(Op);
   }
+  for (const PtrUse &P : CR->Ptrs)
+    Legal = Legal && (!P.Written || P.Unit);
+  CR->Legal = Legal;
   return CR;
+}
+
+} // namespace
+
+bool CompiledRoutine::admits(const ExecArgs &Args) const {
+  if (!Legal || Args.Ptrs.size() < Ptrs.size())
+    return false;
+  const int64_t N = Args.SubgridElems;
+  if (N <= 0 || Args.NumPEs == 0)
+    return true; // Nothing is swept.
+  // The bytes [Lo, Hi) pointer P's operands touch over every PE.
+  auto Span = [&](unsigned P) {
+    const PtrUse &U = Ptrs[P];
+    const PtrBinding &B = Args.Ptrs[P];
+    const int64_t First =
+        static_cast<int64_t>(B.Offset) + U.MinOffset +
+        std::min<int64_t>(0, U.MinStride * (N - 1));
+    const int64_t Last =
+        static_cast<int64_t>((Args.NumPEs - 1) * B.PEStride + B.Offset) +
+        U.MaxOffset + std::max<int64_t>(0, U.MaxStride * (N - 1));
+    const intptr_t Base = reinterpret_cast<intptr_t>(B.Data);
+    const intptr_t Elem = sizeof(double);
+    return std::pair<intptr_t, intptr_t>{Base + First * Elem,
+                                         Base + (Last + 1) * Elem};
+  };
+  for (unsigned W = 0; W < Ptrs.size(); ++W) {
+    if (!Ptrs[W].Written)
+      continue;
+    const auto [WLo, WHi] = Span(W);
+    for (unsigned Q = 0; Q < Ptrs.size(); ++Q) {
+      if (Q == W || !Ptrs[Q].Used)
+        continue;
+      const PtrBinding &BW = Args.Ptrs[W], &BQ = Args.Ptrs[Q];
+      if (BW.Data == BQ.Data && BW.PEStride == BQ.PEStride &&
+          BW.Offset == BQ.Offset) {
+        if (!Ptrs[Q].Unit)
+          return false;
+        continue;
+      }
+      const auto [QLo, QHi] = Span(Q);
+      if (WLo < QHi && QLo < WHi)
+        return false;
+    }
+  }
+  return true;
+}
+
+bool peac::stripLegal(const Routine &R, const ExecArgs *Args) {
+  std::shared_ptr<const CompiledRoutine> CR = translate(R);
+  return Args ? CR->admits(*Args) : CR->Legal;
 }
 
 //===----------------------------------------------------------------------===//
 // Structural fingerprint (FNV-1a)
 //===----------------------------------------------------------------------===//
+
+namespace {
 
 struct Fnv1a {
   uint64_t H = 1469598103934665603ull;
@@ -184,41 +285,34 @@ uint64_t fingerprint(const Routine &R) {
 // Per-PE sweep
 //===----------------------------------------------------------------------===//
 
-void CompiledRoutine::runPE(const ExecArgs &Args, const LaneVec *ScalarPool,
-                            unsigned PE, unsigned Width,
-                            int64_t Iters) const {
+void CompiledRoutine::runPE(const ExecArgs &Args, const double *Consts,
+                            size_t Pitch, unsigned PE) const {
   EngineScratch &S = tlsScratch();
-  if (S.VRegs.size() < Use.VRegs)
-    S.VRegs.resize(Use.VRegs);
-  if (S.Spill.size() < Use.SpillSlots)
-    S.Spill.resize(Use.SpillSlots);
-  if (S.Bases.size() < NumPtrArgs)
-    S.Bases.resize(NumPtrArgs);
-  // Interpreter parity: a fresh PEState zero-initializes its register
-  // files per PE, so a routine that reads before writing sees zeros.
-  std::fill_n(S.VRegs.begin(), Use.VRegs, LaneVec{});
-  std::fill_n(S.Spill.begin(), Use.SpillSlots, LaneVec{});
-  for (unsigned P = 0; P < NumPtrArgs; ++P) {
+  const size_t Rows = regRows() + 3; // Plus one gather row per source.
+  if (S.Rows.size() < Rows * Pitch)
+    S.Rows.resize(Rows * Pitch);
+  if (S.Bases.size() < Ptrs.size())
+    S.Bases.resize(Ptrs.size());
+  for (size_t P = 0; P < Ptrs.size(); ++P) {
     const PtrBinding &B = Args.Ptrs[P];
     S.Bases[P] = B.Data + static_cast<size_t>(PE) * B.PEStride + B.Offset;
   }
 
-  PEContext C;
-  C.VRegs = S.VRegs.data();
-  C.Spill = S.Spill.data();
-  C.ScalarPool = ScalarPool;
-  C.ImmPool = ImmPool.data();
-  C.Bases = S.Bases.data();
-  C.Width = Width;
+  Strip St;
+  St.Regs = S.Rows.data();
+  St.Consts = Consts;
+  St.Bases = S.Bases.data();
+  St.Pitch = Pitch;
+  St.GatherRow = regRows();
   const CompiledOp *Begin = Prog.data();
   const CompiledOp *End = Begin + Prog.size();
-  for (int64_t It = 0; It < Iters; ++It) {
-    C.IterBase = It * Width;
-    // It < Iters implies at least one valid lane remains.
-    C.StoreLanes = static_cast<unsigned>(
-        std::min<int64_t>(Width, Args.SubgridElems - C.IterBase));
+  for (int64_t First = 0; First < Args.SubgridElems;
+       First += static_cast<int64_t>(Pitch)) {
+    St.First = First;
+    St.Lanes = static_cast<unsigned>(std::min<int64_t>(
+        static_cast<int64_t>(Pitch), Args.SubgridElems - First));
     for (const CompiledOp *Op = Begin; Op != End; ++Op)
-      Op->Kernel(*Op, C);
+      Op->Kernel(*Op, St);
   }
 }
 
@@ -308,28 +402,31 @@ ExecResult ExecutionEngine::execute(const Routine &R, const ExecArgs &Args,
              "PEAC routine references unbound scalar arguments");
   F90Y_CHECK(R.NumPtrArgs <= Args.Ptrs.size(),
              "PEAC routine references unbound pointer arguments");
+  if (!CR->admits(Args))
+    return peac::execute(R, Args, Costs, Pool, FI, Metrics);
 
-  const unsigned Width = Costs.VectorWidth;
-  const int64_t Iters =
-      Args.SubgridElems <= 0 ? 0 : (Args.SubgridElems + Width - 1) / Width;
-
-  // Scalar arguments are dispatch constants: broadcast them to lane
-  // vectors once here (on the calling thread, before the sweep) so
-  // kernels resolve an SReg to a plain pointer. Thread-local and grown
-  // once, like the sweep scratch.
-  static thread_local std::vector<LaneVec> ScalarPool;
-  if (ScalarPool.size() < CR->Use.ScalarArgs)
-    ScalarPool.resize(CR->Use.ScalarArgs);
-  for (unsigned I = 0; I < CR->Use.ScalarArgs; ++I)
-    for (double &L : ScalarPool[I].L)
-      L = Args.Scalars[I];
-  const LaneVec *Scalars = ScalarPool.data();
+  // The strip sweeps the subgrid's real elements; the interpreter's
+  // padding lanes compute values its masked stores drop, and no real lane
+  // reads one. Scalar arguments and immediates are broadcast to rows of
+  // the strip's length once here, on the calling thread before the
+  // sweep, so kernels resolve them to plain pointers. Thread-local and
+  // grown once, like the sweep scratch.
+  const size_t Pitch = static_cast<size_t>(std::clamp<int64_t>(
+      Args.SubgridElems, 0, static_cast<int64_t>(StripLanes)));
+  static thread_local std::vector<double> ConstRows;
+  if (ConstRows.size() < CR->constRows() * Pitch)
+    ConstRows.resize(CR->constRows() * Pitch);
+  for (unsigned Row = 0; Row < CR->constRows(); ++Row)
+    std::fill_n(ConstRows.begin() + Row * Pitch, Pitch,
+                Row < CR->Use.ScalarArgs
+                    ? Args.Scalars[Row]
+                    : CR->Imms[Row - CR->Use.ScalarArgs]);
+  const double *Consts = ConstRows.data();
 
   const CompiledRoutine *Program = CR.get();
   return detail::dispatch(R, Args, Costs, Pool, FI, Metrics,
-                          [Program, &Args, Scalars, Width,
-                           Iters](unsigned PE) {
-                            Program->runPE(Args, Scalars, PE, Width, Iters);
+                          [Program, &Args, Consts, Pitch](unsigned PE) {
+                            Program->runPE(Args, Consts, Pitch, PE);
                           });
 }
 

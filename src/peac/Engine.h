@@ -8,8 +8,14 @@
 /// The pre-compiled PEAC execution engine: translates a Routine once into
 /// a flat program of pre-resolved ops (peac/Kernels.h), caches the result
 /// per process so timestep loops compile each routine exactly once, and
-/// sweeps PEs with reusable per-thread scratch so steady-state dispatch
-/// allocates nothing.
+/// sweeps each PE's subgrid op by strip - every op runs over a strip of up
+/// to engine::StripLanes elements before the next op starts, the paper's
+/// virtual-subgrid loop split and interchanged. Per-thread scratch is
+/// reused, so steady-state dispatch allocates nothing.
+///
+/// The interchange is legal only when no element's work reads another
+/// element's: stripLegal() is the check, and a routine or dispatch that
+/// fails it runs the reference interpreter's sweep instead.
 ///
 /// This is a *simulator* optimization, not a machine change: the cycle
 /// account is a static property of the routine computed by the shared
@@ -103,9 +109,21 @@ private:
   uint64_t Misses = 0;
 };
 
+/// The compiled engine's legality check. True when \p R may run op by
+/// strip: no vector register or spill slot is read in an iteration before
+/// that iteration writes it, and every operand of a pointer argument that
+/// some instruction writes has offset 0 and stride 1 (read-only pointers
+/// keep any offset or stride). Given \p Args, also checks the dispatch's
+/// bindings: every written binding is identical to or address-disjoint
+/// from every other binding, and an identical one must meet the written
+/// pointer's offset-0, stride-1 rule. The compiled engine runs a routine
+/// or dispatch that fails through the interpreter's sweep.
+bool stripLegal(const Routine &R, const ExecArgs *Args = nullptr);
+
 /// A PEAC executor with a selectable sweep implementation. Interp
 /// delegates to peac::execute; Compiled translates through \p Cache and
-/// runs the pre-decoded program. Both produce bit-identical results (see
+/// runs the pre-decoded program op by strip, or the interpreter's sweep
+/// where stripLegal() fails. Both produce bit-identical results (see
 /// tests/exec_engine_test.cpp).
 class ExecutionEngine {
 public:

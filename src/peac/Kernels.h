@@ -1,139 +1,114 @@
-//===- peac/Kernels.h - pre-specialized PEAC lane kernels ---------*- C++ -*-===//
+//===- peac/Kernels.h - strip kernels of the compiled PEAC engine -*- C++ -*-===//
 //
 // Part of the Fortran-90-Y reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The lane kernels of the pre-compiled PEAC execution engine
-/// (peac/Engine.h). Translation classifies every operand into an
-/// addressing form once (OperandRef), then each body instruction becomes
+/// The strip kernels of the pre-compiled PEAC execution engine
+/// (peac/Engine.h). The engine runs each body instruction over a strip of
+/// up to StripLanes consecutive subgrid elements of one PE before the next
+/// instruction starts. Translation classifies every operand into an
+/// addressing form once (OperandRef), and each body instruction becomes
 /// one kernel call specialized on opcode x source arity: the kernel
-/// resolves its operands to lane pointers (a switch per *operand*, not
-/// per lane), evaluates the whole lane vector, and stores once - with the
-/// Srcs.size() checks and the tail-store mask hoisted out of the per-lane
-/// path.
+/// resolves its operands to rows of Pitch lanes (a switch per operand per
+/// strip, not per lane) and evaluates the strip in one stride-free loop.
 ///
 /// Semantics are the reference interpreter's (peac/Executor.cpp), bit for
-/// bit: all lanes read before any lane writes (src/dst may alias),
-/// missing sources read as 0, IEEE-754 division on every computed lane,
-/// and stores to real subgrid memory masked to SubgridElems while VReg
-/// and spill writes stay unmasked.
+/// bit, for the routines and bindings the engine's legality check admits:
+/// evalLane mirrors applyOp, missing sources read as 0, and IEEE-754
+/// division holds on every lane. The check guarantees that a lane only
+/// ever reads what the same lane wrote (registers and spill slots are
+/// written before they are read, and written memory is addressed at
+/// offset 0, stride 1), so a destination may alias a source only lane for
+/// lane and every kernel writes in place.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef F90Y_PEAC_KERNELS_H
 #define F90Y_PEAC_KERNELS_H
 
-#include "peac/Executor.h"
+#include "peac/Peac.h"
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace f90y {
 namespace peac {
 namespace engine {
 
-/// One vector register's worth of lanes, the unit of engine scratch.
-struct LaneVec {
-  double L[MaxExecLanes] = {};
-};
+/// The strip cap: lanes one kernel call sweeps at most. A register row of
+/// 256 doubles is 2 KiB, so a routine's rows stay cache-resident.
+constexpr unsigned StripLanes = 256;
 
 /// A pre-resolved operand: the addressing form is classified at
-/// translation time, so the per-iteration path switches on a dense enum
-/// with everything it needs baked in.
+/// translation time, so a kernel switches on a dense enum once per strip.
 struct OperandRef {
   enum class Form : uint8_t {
-    VReg,  ///< Index into the per-PE vector-register scratch.
-    SReg,  ///< Index into the per-dispatch broadcast scalar pool.
-    Imm,   ///< Index into the routine's pre-broadcast immediate pool.
-    Mem,   ///< Real subgrid memory: Bases[Index] + Offset + elem*Stride.
-    Spill, ///< Index into the per-PE spill scratch (offset/stride do not
-           ///< apply: a spill slot is one lane vector, as in the
-           ///< interpreter's PEState::memAddr).
-    None   ///< Absent source: reads as 0, never a destination.
+    Reg,   ///< Row Index of the per-thread register scratch: vector
+           ///< registers first, then spill slots (offset and stride do
+           ///< not apply to a spill slot, as in the interpreter).
+    Const, ///< Row Index of the per-dispatch broadcast rows: scalar
+           ///< arguments first, then the routine's distinct immediates.
+    Mem    ///< Real subgrid memory: Bases[Index] + Offset + elem*Stride.
   };
 
-  Form F = Form::None;
+  Form F = Form::Reg;
   uint32_t Index = 0;
   int64_t Offset = 0; ///< Mem only.
   int64_t Stride = 1; ///< Mem only.
 };
 
-/// Everything a kernel needs about the current (PE, iteration) pair.
-/// VRegs/Spill point at reusable per-thread scratch; Bases holds this
-/// PE's subgrid base pointer per pointer argument.
-struct PEContext {
-  LaneVec *VRegs = nullptr;
-  LaneVec *Spill = nullptr;
-  const LaneVec *ScalarPool = nullptr;
-  const LaneVec *ImmPool = nullptr;
-  double *const *Bases = nullptr;
-  int64_t IterBase = 0;   ///< Element index of lane 0 this iteration.
-  unsigned Width = 0;     ///< Machine vector width (<= MaxExecLanes).
-  unsigned StoreLanes = 0; ///< Lanes within SubgridElems this iteration.
+/// Everything a kernel needs about the current (PE, strip) pair. Rows are
+/// Pitch lanes apart; a strip covers Lanes <= Pitch of them.
+struct Strip {
+  double *Regs = nullptr;         ///< Register rows, then one gather row
+                                  ///< per source slot (GatherRow on).
+  const double *Consts = nullptr; ///< Broadcast rows.
+  double *const *Bases = nullptr; ///< This PE's subgrid base per pointer.
+  size_t Pitch = 0;
+  size_t GatherRow = 0;
+  int64_t First = 0;   ///< Subgrid element of lane 0.
+  unsigned Lanes = 0;  ///< Subgrid elements in this strip.
 };
 
-/// The all-zero lane vector absent sources resolve to.
-inline const double *zeroLanes() {
-  static constexpr LaneVec Zeros{};
-  return Zeros.L;
+/// The all-zero row absent sources read.
+inline const double *zeroRow() {
+  static constexpr double Zeros[StripLanes] = {};
+  return Zeros;
 }
 
-/// Resolves a source operand to a lane pointer. Register files, scalar
-/// and immediate pools, and unit-stride memory all resolve to existing
-/// storage; only a strided memory read gathers into \p Scratch.
-/// FixedWidth = 0 means "use C.Width"; a nonzero value is a
-/// compile-time lane count the gather loop fully unrolls over.
-template <unsigned FixedWidth>
-inline const double *resolveSrc(const OperandRef &O, const PEContext &C,
-                                double *Scratch) {
+/// Resolves source slot \p Slot to a row of the strip's lanes. Register
+/// and broadcast rows and unit-stride memory resolve to existing storage;
+/// only a strided memory read gathers, into the slot's gather row.
+inline const double *source(const OperandRef &O, const Strip &S,
+                            unsigned Slot) {
   switch (O.F) {
-  case OperandRef::Form::VReg:
-    return C.VRegs[O.Index].L;
-  case OperandRef::Form::Spill:
-    return C.Spill[O.Index].L;
-  case OperandRef::Form::SReg:
-    return C.ScalarPool[O.Index].L;
-  case OperandRef::Form::Imm:
-    return C.ImmPool[O.Index].L;
-  case OperandRef::Form::Mem: {
-    // Same address arithmetic as PEState::memAddr: base + offset +
-    // (iter_base + lane) * stride, in elements.
-    const double *P = C.Bases[O.Index] + O.Offset + C.IterBase * O.Stride;
-    if (O.Stride == 1)
-      return P;
-    const unsigned Width = FixedWidth ? FixedWidth : C.Width;
-    for (unsigned Lane = 0; Lane < Width; ++Lane)
-      Scratch[Lane] = P[static_cast<int64_t>(Lane) * O.Stride];
-    return Scratch;
+  case OperandRef::Form::Reg:
+    return S.Regs + O.Index * S.Pitch;
+  case OperandRef::Form::Const:
+    return S.Consts + O.Index * S.Pitch;
+  case OperandRef::Form::Mem:
+    break;
   }
-  case OperandRef::Form::None:
-    return zeroLanes();
-  }
-  return zeroLanes();
+  // Same address arithmetic as PEState::memAddr: base + offset +
+  // element * stride.
+  const double *P = S.Bases[O.Index] + O.Offset + S.First * O.Stride;
+  if (O.Stride == 1)
+    return P;
+  double *G = S.Regs + (S.GatherRow + Slot) * S.Pitch;
+  for (unsigned Lane = 0; Lane < S.Lanes; ++Lane)
+    G[Lane] = P[static_cast<int64_t>(Lane) * O.Stride];
+  return G;
 }
 
-/// Stores a computed lane vector to a real-memory destination, masked to
-/// StoreLanes (the subgrid extent). VReg and spill destinations never
-/// reach here: kernels write those in place. The FixedWidth fast path
-/// covers every iteration but the subgrid tail.
-template <unsigned FixedWidth>
-inline void storeMem(const OperandRef &D, const PEContext &C,
-                     const double *Tmp) {
-  double *P = C.Bases[D.Index] + D.Offset + C.IterBase * D.Stride;
-  if (D.Stride == 1) {
-    if (FixedWidth != 0 && C.StoreLanes == FixedWidth) {
-      for (unsigned Lane = 0; Lane < FixedWidth; ++Lane)
-        P[Lane] = Tmp[Lane];
-      return;
-    }
-    for (unsigned Lane = 0; Lane < C.StoreLanes; ++Lane)
-      P[Lane] = Tmp[Lane];
-  } else {
-    for (unsigned Lane = 0; Lane < C.StoreLanes; ++Lane)
-      P[static_cast<int64_t>(Lane) * D.Stride] = Tmp[Lane];
-  }
+/// The row a destination is written through. Translation admits memory
+/// destinations at offset 0, stride 1 only.
+inline double *destination(const OperandRef &D, const Strip &S) {
+  if (D.F == OperandRef::Form::Reg)
+    return S.Regs + D.Index * S.Pitch;
+  return S.Bases[D.Index] + S.First;
 }
 
 /// One lane of \p Op. Must mirror the interpreter's applyOp exactly,
@@ -204,7 +179,7 @@ inline double evalLane(double A, double B, double C) {
 }
 
 struct CompiledOp;
-using KernelFn = void (*)(const CompiledOp &, const PEContext &);
+using KernelFn = void (*)(const CompiledOp &, const Strip &);
 
 /// One translated body instruction: the kernel pointer plus pre-resolved
 /// operands. Laid out flat so a routine's program is one contiguous walk.
@@ -214,69 +189,17 @@ struct CompiledOp {
   OperandRef Dst;
 };
 
-/// The opcode x arity kernel body: resolve up to NSrcs operands (absent
-/// ones are all-zero lanes, as in the interpreter) and evaluate every
-/// lane. Register destinations are written in place - the per-lane
-/// evaluation reads lane L of every source before writing lane L, and
-/// lanes are independent, so a destination register aliasing a source is
-/// still read-before-write. A memory destination needs both the tail
-/// mask and full read-before-write against overlapping memory sources
-/// (e.g. a shifted store over its own input), so it evaluates into a
-/// temporary and stores once.
-template <Opcode Op, unsigned NSrcs, unsigned FixedWidth>
-inline void runLanes(const CompiledOp &I, const PEContext &C) {
-  [[maybe_unused]] double SA[MaxExecLanes], SB[MaxExecLanes],
-      SC[MaxExecLanes];
-  const double *A = zeroLanes();
-  const double *B = zeroLanes();
-  const double *Cv = zeroLanes();
-  if constexpr (NSrcs > 0)
-    A = resolveSrc<FixedWidth>(I.Srcs[0], C, SA);
-  if constexpr (NSrcs > 1)
-    B = resolveSrc<FixedWidth>(I.Srcs[1], C, SB);
-  if constexpr (NSrcs > 2)
-    Cv = resolveSrc<FixedWidth>(I.Srcs[2], C, SC);
-  const unsigned Width = FixedWidth ? FixedWidth : C.Width;
-  double Tmp[MaxExecLanes];
-  double *Out = Tmp;
-  if (I.Dst.F == OperandRef::Form::VReg)
-    Out = C.VRegs[I.Dst.Index].L;
-  else if (I.Dst.F == OperandRef::Form::Spill)
-    Out = C.Spill[I.Dst.Index].L;
-  if constexpr (FixedWidth != 0) {
-    // Snapshot the source lanes into provably-local arrays first: Out may
-    // alias a source (dst == src register), which would otherwise force
-    // the compiler to assume every store invalidates the source loads.
-    // The snapshot is exactly the read-all-lanes-before-write the
-    // semantics require, and it unblocks vectorizing the eval+store loop.
-    double LA[FixedWidth], LB[FixedWidth], LC[FixedWidth];
-    for (unsigned Lane = 0; Lane < FixedWidth; ++Lane) {
-      LA[Lane] = A[Lane];
-      LB[Lane] = B[Lane];
-      LC[Lane] = Cv[Lane];
-    }
-    for (unsigned Lane = 0; Lane < FixedWidth; ++Lane)
-      Out[Lane] = evalLane<Op>(LA[Lane], LB[Lane], LC[Lane]);
-  } else {
-    for (unsigned Lane = 0; Lane < Width; ++Lane)
-      Tmp[Lane] = evalLane<Op>(A[Lane], B[Lane], Cv[Lane]);
-    if (Out != Tmp)
-      for (unsigned Lane = 0; Lane < Width; ++Lane)
-        Out[Lane] = Tmp[Lane];
-  }
-  if (Out == Tmp)
-    storeMem<FixedWidth>(I.Dst, C, Tmp);
-}
-
-/// The dispatched kernel: branches once on the machine's vector width so
-/// the dominant width-4 case runs with compile-time lane counts (fully
-/// unrolled and vectorizable); any other width takes the generic path.
+/// The opcode x arity kernel: resolve the NSrcs present sources (absent
+/// ones read the zero row, as in the interpreter) and evaluate every lane
+/// of the strip in place.
 template <Opcode Op, unsigned NSrcs>
-void kernel(const CompiledOp &I, const PEContext &C) {
-  if (C.Width == 4)
-    runLanes<Op, NSrcs, 4>(I, C);
-  else
-    runLanes<Op, NSrcs, 0>(I, C);
+void kernel(const CompiledOp &I, const Strip &S) {
+  const double *A = NSrcs > 0 ? source(I.Srcs[0], S, 0) : zeroRow();
+  const double *B = NSrcs > 1 ? source(I.Srcs[1], S, 1) : zeroRow();
+  const double *C = NSrcs > 2 ? source(I.Srcs[2], S, 2) : zeroRow();
+  double *Out = destination(I.Dst, S);
+  for (unsigned Lane = 0; Lane < S.Lanes; ++Lane)
+    Out[Lane] = evalLane<Op>(A[Lane], B[Lane], C[Lane]);
 }
 
 template <Opcode Op>
