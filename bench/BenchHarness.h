@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The plumbing every wall-clock benchmark repeats: compile a workload
-/// (exiting with a diagnostic on failure), run it best-of-N under chosen
-/// ExecutionOptions, and compare cycle ledgers bit for bit. The
-/// simulation is deterministic, so best-of-N isolates host scheduling
-/// noise - variance between reps is never the simulated machine.
+/// (exiting with a diagnostic on failure) and run it best-of-N under
+/// chosen ExecutionOptions. The simulation is deterministic, so best-of-N
+/// isolates host scheduling noise - variance between reps is never the
+/// simulated machine; invariance::diffReport compares two samples' runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,7 @@
 #define F90Y_BENCH_BENCHHARNESS_H
 
 #include "driver/Driver.h"
+#include "invariance/Invariance.h"
 #include "observe/Json.h"
 #include "support/FileIO.h"
 
@@ -32,11 +33,10 @@ namespace f90y {
 namespace bench {
 
 /// One measured configuration: best host wall time over the reps, plus
-/// the (rep-invariant) program output and cycle ledger.
+/// the (rep-invariant) run report: output, cycle ledger, fault counters.
 struct Sample {
   double Millis = 0;
-  std::string Output;
-  runtime::CycleLedger Ledger;
+  driver::RunReport Report;
 };
 
 /// Compiles \p Source under \p Profile for \p Machine; exits the process
@@ -74,19 +74,25 @@ inline Sample measure(const host::HostProgram &Program,
     double Ms = std::chrono::duration<double, std::milli>(T1 - T0).count();
     if (Rep == 0 || Ms < S.Millis)
       S.Millis = Ms;
-    S.Output = Report->Output;
-    S.Ledger = Report->Ledger;
+    S.Report = *Report;
   }
   return S;
 }
 
-/// Bit-exact ledger comparison, field by field (total() would mask
-/// compensating errors between categories).
-inline bool sameLedger(const runtime::CycleLedger &A,
-                       const runtime::CycleLedger &B) {
-  return A.NodeCycles == B.NodeCycles && A.CallCycles == B.CallCycles &&
-         A.CommCycles == B.CommCycles && A.HostCycles == B.HostCycles &&
-         A.OverlappedCycles == B.OverlappedCycles && A.Flops == B.Flops;
+/// The equivalence matrix of a compile-time switch: \p On and \p Off under
+/// the sync and the runtime-overlap comm models, fault-free and under
+/// recoverable faults, each leg compared with the first under the Model
+/// contract and crossed with the host legs (threads x engine) under the
+/// Host contract.
+inline invariance::Matrix switchMatrix(const char *On, const char *Off) {
+  invariance::Matrix M;
+  M.Model.clear();
+  for (const char *Comm : {"-comm=sync", invariance::UnscheduledOverlap})
+    for (const char *Faults :
+         {"-faults=", "-faults=corrupt:0.01,pe-trap:0.005"})
+      for (const char *Switch : {On, Off})
+        M.Model.push_back({{Comm, Faults, "-fault-seed=7", Switch}});
+  return M;
 }
 
 /// Machine-readable results: each benchmark fills one Report and writes

@@ -19,6 +19,7 @@
 
 #include "BenchHarness.h"
 #include "driver/Workloads.h"
+#include "invariance/Invariance.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -68,9 +69,11 @@ int main(int argc, char **argv) {
 
   // The hard gate: checkpoint writes live outside the simulated machine,
   // so everything the simulation produces must be untouched.
-  if (Ck.Output != Base.Output || !bench::sameLedger(Ck.Ledger, Base.Ledger)) {
+  if (std::string Diff = invariance::diffReport(Base.Report, Ck.Report);
+      !Diff.empty()) {
     std::fprintf(stderr,
-                 "FAIL: periodic checkpointing changed the simulation\n");
+                 "FAIL: periodic checkpointing changed the simulation: %s\n",
+                 Diff.c_str());
     return 1;
   }
 

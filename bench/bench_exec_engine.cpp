@@ -36,6 +36,7 @@
 
 #include "BenchHarness.h"
 #include "driver/Workloads.h"
+#include "invariance/Invariance.h"
 #include "peac/Engine.h"
 
 #include <chrono>
@@ -247,20 +248,20 @@ int main(int argc, char **argv) {
     std::printf("  fields, flops, cycles: bit-identical across engines\n");
 
   // Whole-program leg: a compiled SWE run end to end under each engine.
-  // Binding check: -exec=compiled may not change a program's output or
-  // its cycle ledger (so reported GFLOPS are engine-independent).
+  // Binding check: the host knobs (-exec, -threads) may not change a
+  // program's output, field storage or cycle ledger (so reported GFLOPS
+  // are engine-independent).
   int64_t ProgN = 128, ProgSteps = 2;
-  cm2::CostModel Full; // The stock 2048-PE machine the compiler targets.
-  auto C = bench::compileOrDie(sweSource(ProgN, ProgSteps), Profile::F90Y,
-                               Full);
-  ExecutionOptions IOpts, COpts;
-  IOpts.Threads = COpts.Threads = 1;
-  IOpts.Engine = peac::EngineKind::Interp;
-  COpts.Engine = peac::EngineKind::Compiled;
-  bench::Sample PI =
-      bench::measure(C->artifacts().Compiled.Program, Full, IOpts, Reps);
-  bench::Sample PC =
-      bench::measure(C->artifacts().Compiled.Program, Full, COpts, Reps);
+  const std::string ProgSrc = sweSource(ProgN, ProgSteps);
+  const invariance::Leg Prog{{"-comm=sync", "-threads=1"}};
+  auto C = bench::compileOrDie(ProgSrc, Profile::F90Y, Prog.config().machine());
+  auto Measure = [&](const char *Exec) {
+    return bench::measure(C->artifacts().Compiled.Program,
+                          C->options().Costs,
+                          (Prog + invariance::Leg{{Exec}}).executionOptions(),
+                          Reps);
+  };
+  bench::Sample PI = Measure("-exec=interp"), PC = Measure("-exec=compiled");
   double ProgX = PC.Millis > 0 ? PI.Millis / PC.Millis : 0;
   std::printf("\nwhole program (SWE %lldx%lld, %lld steps):\n",
               static_cast<long long>(ProgN), static_cast<long long>(ProgN),
@@ -268,12 +269,16 @@ int main(int argc, char **argv) {
   std::printf("  %-24s %9.2f ms\n", "-exec=interp", PI.Millis);
   std::printf("  %-24s %9.2f ms  (%.2fx)\n", "-exec=compiled", PC.Millis,
               ProgX);
-  if (PI.Output != PC.Output || !bench::sameLedger(PI.Ledger, PC.Ledger)) {
-    std::fprintf(stderr, "FAIL: -exec=compiled changed the program's output "
-                         "or cycle ledger\n");
+  invariance::Matrix M;
+  M.Base = Prog;
+  if (std::string Diff = invariance::check(ProgSrc, M).Divergence;
+      !Diff.empty()) {
+    std::fprintf(stderr, "FAIL: a host knob changed the program's run: %s\n",
+                 Diff.c_str());
     Ok = false;
   } else {
-    std::printf("  output and ledger: bit-identical across engines\n");
+    std::printf("  output, fields and ledger: bit-identical across "
+                "-exec and -threads\n");
   }
 
   // As in bench_fault_overhead, wall-clock ratios are informational; the

@@ -21,6 +21,7 @@
 
 #include "BenchHarness.h"
 #include "driver/Workloads.h"
+#include "invariance/Invariance.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -63,10 +64,11 @@ int main(int argc, char **argv) {
   }
   bench::Sample Probe = bench::measure(Program, Machine, Probed, Reps);
 
-  if (Probe.Output != Base.Output ||
-      !bench::sameLedger(Probe.Ledger, Base.Ledger)) {
+  if (std::string Diff = invariance::diffReport(Base.Report, Probe.Report);
+      !Diff.empty()) {
     std::fprintf(stderr,
-                 "FAIL: never-firing injector changed the simulation\n");
+                 "FAIL: never-firing injector changed the simulation: %s\n",
+                 Diff.c_str());
     return 1;
   }
 

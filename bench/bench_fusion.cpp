@@ -21,12 +21,14 @@
 ///
 /// Binding checks (exit nonzero on any failure):
 ///   - fuse.temps_eliminated > 0 and fuse.moves_fused > 0 on this source
-///   - final u/v/p field memory bit-identical fuse=on vs fuse=off at
-///     every -threads=1/8 x -exec=interp/compiled x -comm=sync/overlap
-///     x -faults=off/on combination (fusion never reassociates: the
-///     consumer evaluates the producer's exact expression tree)
-///   - within each fuse setting, the cycle ledger is bit-identical
-///     across threads and engines at fixed comm/fault settings
+///   - the invariance harness over bench::switchMatrix: fuse=on and
+///     fuse=off agree in output and the logical values of every field at
+///     each -comm=sync/runtime-overlap x -faults=off/on setting (fusion
+///     never reassociates: the consumer evaluates the producer's exact
+///     expression tree), and each of those 8 legs holds the Host contract
+///     at -threads=1/8 x -exec=compiled/interp (output, raw field
+///     storage, ledger and fault counters bitwise, traced or not, and
+///     killed halfway and restored)
 ///   - simulated NodeCycles strictly drop under fusion (the cost model
 ///     stops charging the temporaries' stores and reloads)
 ///   - warm-sweep wall-clock speedup >= 1.3x (the ISSUE 9 acceptance
@@ -75,77 +77,6 @@ std::unique_ptr<Compilation> compileWithFusion(const std::string &Source,
   return C;
 }
 
-/// One run's observable state: wall time, output, ledger, and the final
-/// field memory of the named arrays (valid elements in global coordinate
-/// order, so padding layout differences can never alias as divergence).
-struct RunResult {
-  double Millis = 0;
-  std::string Output;
-  runtime::CycleLedger Ledger;
-  std::vector<double> Fields;
-};
-
-void appendFieldBytes(Execution &Exec, const std::string &Name,
-                      std::vector<double> &Out) {
-  int Handle = Exec.executor().fieldHandle(Name);
-  if (Handle < 0) {
-    std::fprintf(stderr, "FAIL: field '%s' not present after run\n",
-                 Name.c_str());
-    std::exit(1);
-  }
-  const runtime::PeArray &Got = Exec.runtime().field(Handle);
-  std::vector<int64_t> Pos(Got.Geo->Extents.size(), 0);
-  bool Done = Got.Geo->totalElements() == 0;
-  while (!Done) {
-    int64_t PE, Off;
-    Got.Geo->locate(Pos, PE, Off);
-    Out.push_back(Got.peBase(PE)[Off]);
-    size_t K = Pos.size();
-    Done = true;
-    while (K-- > 0) {
-      if (++Pos[K] < Got.Geo->Extents[K]) {
-        Done = false;
-        break;
-      }
-      Pos[K] = 0;
-    }
-  }
-}
-
-RunResult runOnce(const host::HostProgram &Program,
-                  const cm2::CostModel &Machine,
-                  const ExecutionOptions &EOpts, int Reps,
-                  const std::vector<std::string> &FieldNames) {
-  RunResult R;
-  for (int Rep = 0; Rep < Reps; ++Rep) {
-    Execution Exec(Machine, EOpts);
-    auto T0 = std::chrono::steady_clock::now();
-    auto Report = Exec.run(Program);
-    auto T1 = std::chrono::steady_clock::now();
-    if (!Report) {
-      std::fprintf(stderr, "run failed:\n%s", Exec.diags().str().c_str());
-      std::exit(1);
-    }
-    double Ms = std::chrono::duration<double, std::milli>(T1 - T0).count();
-    if (Rep == 0 || Ms < R.Millis)
-      R.Millis = Ms;
-    R.Output = Report->Output;
-    R.Ledger = Report->Ledger;
-    if (Rep == Reps - 1) {
-      R.Fields.clear();
-      for (const std::string &Name : FieldNames)
-        appendFieldBytes(Exec, Name, R.Fields);
-    }
-  }
-  return R;
-}
-
-bool sameFields(const RunResult &A, const RunResult &B) {
-  return A.Fields.size() == B.Fields.size() &&
-         std::memcmp(A.Fields.data(), B.Fields.data(),
-                     A.Fields.size() * sizeof(double)) == 0;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -157,7 +88,6 @@ int main(int argc, char **argv) {
 
   cm2::CostModel Machine; // The stock 2048-PE CM/2.
   std::string Source = sweTempsSource(N, Steps);
-  const std::vector<std::string> Fields = {"u", "v", "p"};
 
   observe::MetricsRegistry FuseMetrics;
   auto Fused = compileWithFusion(Source, Machine, true, &FuseMetrics);
@@ -217,33 +147,27 @@ int main(int argc, char **argv) {
   // is comparable across legs.
   ExecutionOptions Warm;
   Warm.Threads = 1;
-  RunResult FusedRun =
-      runOnce(Fused->artifacts().Compiled.Program, Machine, Warm, Reps,
-              Fields);
-  RunResult UnfusedRun =
-      runOnce(Unfused->artifacts().Compiled.Program, Machine, Warm, Reps,
-              Fields);
+  bench::Sample FusedRun =
+      bench::measure(Fused->artifacts().Compiled.Program, Machine, Warm, Reps);
+  bench::Sample UnfusedRun = bench::measure(
+      Unfused->artifacts().Compiled.Program, Machine, Warm, Reps);
+  const runtime::CycleLedger &FusedLedger = FusedRun.Report.Ledger,
+                             &UnfusedLedger = UnfusedRun.Report.Ledger;
 
   double Speedup =
       FusedRun.Millis > 0 ? UnfusedRun.Millis / FusedRun.Millis : 0;
-  double SimSpeedup = FusedRun.Ledger.total() > 0
-                          ? UnfusedRun.Ledger.total() / FusedRun.Ledger.total()
+  double SimSpeedup = FusedLedger.total() > 0
+                          ? UnfusedLedger.total() / FusedLedger.total()
                           : 0;
   std::printf("  %-24s %9.2f ms   %14.0f node cycles\n", "fuse=off",
-              UnfusedRun.Millis, UnfusedRun.Ledger.NodeCycles);
+              UnfusedRun.Millis, UnfusedLedger.NodeCycles);
   std::printf("  %-24s %9.2f ms   %14.0f node cycles\n", "fuse=on",
-              FusedRun.Millis, FusedRun.Ledger.NodeCycles);
+              FusedRun.Millis, FusedLedger.NodeCycles);
   std::printf("  warm sweep speedup: %.2fx wall (target >= 1.3x), "
               "%.2fx simulated\n\n",
               Speedup, SimSpeedup);
 
-  if (!sameFields(FusedRun, UnfusedRun) ||
-      FusedRun.Output != UnfusedRun.Output) {
-    std::fprintf(stderr,
-                 "FAIL: fusion changed the program's output or fields\n");
-    Ok = false;
-  }
-  if (FusedRun.Ledger.NodeCycles >= UnfusedRun.Ledger.NodeCycles) {
+  if (FusedLedger.NodeCycles >= UnfusedLedger.NodeCycles) {
     std::fprintf(stderr, "FAIL: fusion did not reduce simulated NodeCycles\n");
     Ok = false;
   }
@@ -255,72 +179,19 @@ int main(int argc, char **argv) {
   }
 
   // Equivalence matrix: fuse=on must match fuse=off bit for bit at every
-  // threads x engine x comm x faults combination, and within one fuse
-  // setting the ledger may not depend on threads or engine.
-  support::FaultSpec Recoverable;
-  {
-    std::string Error;
-    if (!support::FaultSpec::parse("corrupt:0.01,pe-trap:0.005",
-                                   Recoverable, Error)) {
-      std::fprintf(stderr, "bad fault spec: %s\n", Error.c_str());
-      return 1;
-    }
-  }
-  int Combos = 0;
-  for (bool Overlap : {false, true}) {
-    for (bool Faults : {false, true}) {
-      // Ledger reference per (fuse, comm, faults) group: threads and the
-      // PEAC engine are host knobs and may not move a single cycle.
-      bool HaveRef = false;
-      runtime::CycleLedger RefFused{}, RefUnfused{};
-      for (unsigned Threads : {1u, 8u}) {
-        for (peac::EngineKind Engine :
-             {peac::EngineKind::Interp, peac::EngineKind::Compiled}) {
-          ExecutionOptions EO;
-          EO.Threads = Threads;
-          EO.Engine = Engine;
-          EO.OverlapComm = Overlap;
-          if (Faults) {
-            EO.Faults = Recoverable;
-            EO.FaultSeed = 7;
-          }
-          RunResult FR = runOnce(Fused->artifacts().Compiled.Program,
-                                 Machine, EO, 1, Fields);
-          RunResult UR = runOnce(Unfused->artifacts().Compiled.Program,
-                                 Machine, EO, 1, Fields);
-          ++Combos;
-          if (!sameFields(FR, UR) || FR.Output != UR.Output) {
-            std::fprintf(stderr,
-                         "FAIL: fuse=on diverged from fuse=off at "
-                         "threads=%u exec=%s comm=%s faults=%s\n",
-                         Threads,
-                         Engine == peac::EngineKind::Interp ? "interp"
-                                                            : "compiled",
-                         Overlap ? "overlap" : "sync",
-                         Faults ? "on" : "off");
-            Ok = false;
-          }
-          if (!HaveRef) {
-            HaveRef = true;
-            RefFused = FR.Ledger;
-            RefUnfused = UR.Ledger;
-          } else if (!bench::sameLedger(FR.Ledger, RefFused) ||
-                     !bench::sameLedger(UR.Ledger, RefUnfused)) {
-            std::fprintf(stderr,
-                         "FAIL: ledger depends on threads/engine at "
-                         "comm=%s faults=%s\n",
-                         Overlap ? "overlap" : "sync",
-                         Faults ? "on" : "off");
-            Ok = false;
-          }
-        }
-      }
-    }
-  }
-  if (Ok)
-    std::printf("  equivalence: %d threads x engine x comm x faults combos "
+  // comm x faults setting, and within each leg the host knobs (threads,
+  // engine) may not move a byte of output, field storage or ledger.
+  const invariance::Matrix M = bench::switchMatrix("-fuse=on", "-fuse=off");
+  const size_t Combos = M.Model.size() / 2 * invariance::hostLegs().size();
+  if (std::string Diff = invariance::check(Source, M).Divergence;
+      !Diff.empty()) {
+    std::fprintf(stderr, "FAIL: %s\n", Diff.c_str());
+    Ok = false;
+  } else {
+    std::printf("  equivalence: %zu threads x engine x comm x faults combos "
                 "bit-identical\n",
                 Combos);
+  }
 
   bench::Report Rep("fusion");
   Rep.set("n", N);
@@ -337,9 +208,9 @@ int main(int argc, char **argv) {
   Rep.set("unfused_ms", UnfusedRun.Millis);
   Rep.set("speedup", Speedup);
   Rep.set("sim_speedup", SimSpeedup);
-  Rep.set("node_cycles_fused", FusedRun.Ledger.NodeCycles);
-  Rep.set("node_cycles_unfused", UnfusedRun.Ledger.NodeCycles);
-  Rep.set("equivalence_combos", Combos);
+  Rep.set("node_cycles_fused", FusedLedger.NodeCycles);
+  Rep.set("node_cycles_unfused", UnfusedLedger.NodeCycles);
+  Rep.set("equivalence_combos", static_cast<uint64_t>(Combos));
   Rep.set("bit_identical", std::string(Ok ? "yes" : "no"));
   Rep.write();
   return Ok ? 0 : 1;

@@ -26,13 +26,13 @@
 ///     update stencils pin everything canonical - inference must not
 ///     perturb a program it cannot improve)
 ///   - simulated CommCycles drop by >= 25% (the ISSUE 10 acceptance bar)
-///   - program output and final field memory bit-identical infer vs
-///     canonical, fields compared in logical element order (the
-///     layout-aware readElement path) so placement can never alias as
-///     divergence - at every -threads=1/8 x -exec=interp/compiled x
-///     -comm=sync/overlap x -faults=off/on combination
-///   - within each layout setting, the cycle ledger is bit-identical
-///     across threads and engines at fixed comm/fault settings
+///   - the invariance harness over bench::switchMatrix: infer and
+///     canonical agree in output and every field's values in logical
+///     element order (so placement can never alias as divergence) at
+///     each -comm=sync/runtime-overlap x -faults=off/on setting, and each
+///     of those 8 legs holds the Host contract at -threads=1/8 x
+///     -exec=compiled/interp (output, raw field storage, ledger and fault
+///     counters bitwise, traced or not, and killed halfway and restored)
 ///
 /// Usage: bench_layout [N] [steps] [reps]   (default 128 4 3)
 ///
@@ -77,77 +77,6 @@ std::unique_ptr<Compilation> compileWithLayout(const std::string &Source,
   return C;
 }
 
-/// One run's observable state: wall time, output, ledger, and the final
-/// field memory of the named arrays. Elements are read in logical
-/// (global coordinate) order through the runtime's layout-aware element
-/// path, so a realigned leg and a canonical leg of the same program
-/// produce byte-comparable vectors.
-struct RunResult {
-  double Millis = 0;
-  std::string Output;
-  runtime::CycleLedger Ledger;
-  std::vector<double> Fields;
-};
-
-void appendFieldLogical(Execution &Exec, const std::string &Name,
-                        std::vector<double> &Out) {
-  int Handle = Exec.executor().fieldHandle(Name);
-  if (Handle < 0) {
-    std::fprintf(stderr, "FAIL: field '%s' not present after run\n",
-                 Name.c_str());
-    std::exit(1);
-  }
-  const runtime::PeArray &Got = Exec.runtime().field(Handle);
-  std::vector<int64_t> Pos(Got.Geo->Extents.size(), 0);
-  bool Done = Got.Geo->totalElements() == 0;
-  while (!Done) {
-    Out.push_back(Exec.runtime().readElement(Handle, Pos));
-    size_t K = Pos.size();
-    Done = true;
-    while (K-- > 0) {
-      if (++Pos[K] < Got.Geo->Extents[K]) {
-        Done = false;
-        break;
-      }
-      Pos[K] = 0;
-    }
-  }
-}
-
-RunResult runOnce(const host::HostProgram &Program,
-                  const cm2::CostModel &Machine,
-                  const ExecutionOptions &EOpts, int Reps,
-                  const std::vector<std::string> &FieldNames) {
-  RunResult R;
-  for (int Rep = 0; Rep < Reps; ++Rep) {
-    Execution Exec(Machine, EOpts);
-    auto T0 = std::chrono::steady_clock::now();
-    auto Report = Exec.run(Program);
-    auto T1 = std::chrono::steady_clock::now();
-    if (!Report) {
-      std::fprintf(stderr, "run failed:\n%s", Exec.diags().str().c_str());
-      std::exit(1);
-    }
-    double Ms = std::chrono::duration<double, std::milli>(T1 - T0).count();
-    if (Rep == 0 || Ms < R.Millis)
-      R.Millis = Ms;
-    R.Output = Report->Output;
-    R.Ledger = Report->Ledger;
-    if (Rep == Reps - 1) {
-      R.Fields.clear();
-      for (const std::string &Name : FieldNames)
-        appendFieldLogical(Exec, Name, R.Fields);
-    }
-  }
-  return R;
-}
-
-bool sameFields(const RunResult &A, const RunResult &B) {
-  return A.Fields.size() == B.Fields.size() &&
-         std::memcmp(A.Fields.data(), B.Fields.data(),
-                     A.Fields.size() * sizeof(double)) == 0;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -159,10 +88,6 @@ int main(int argc, char **argv) {
 
   cm2::CostModel Machine; // The stock 2048-PE CM/2.
   std::string Source = misalignedSweSource(N, Steps);
-  // State fields stay canonical; the neighbor/flux fields are the ones
-  // inference realigns. All are compared in logical order.
-  const std::vector<std::string> Fields = {"u",  "v",  "p",  "pe",
-                                           "pn", "fe", "fn", "q"};
 
   // Control leg: the stock SWE benchmark pins everything canonical (its
   // update stencils mix home-frame and shifted reads), so inference must
@@ -210,17 +135,19 @@ int main(int argc, char **argv) {
   // every eliminated exchange shows up in CommCycles undiluted.
   ExecutionOptions Warm;
   Warm.Threads = 1;
-  RunResult InferRun = runOnce(Inferred->artifacts().Compiled.Program,
-                               Machine, Warm, Reps, Fields);
-  RunResult CanonRun = runOnce(Canonical->artifacts().Compiled.Program,
-                               Machine, Warm, Reps, Fields);
+  bench::Sample InferRun = bench::measure(
+      Inferred->artifacts().Compiled.Program, Machine, Warm, Reps);
+  bench::Sample CanonRun = bench::measure(
+      Canonical->artifacts().Compiled.Program, Machine, Warm, Reps);
+  const runtime::CycleLedger &InferLedger = InferRun.Report.Ledger,
+                             &CanonLedger = CanonRun.Report.Ledger;
 
-  double CommInfer = InferRun.Ledger.CommCycles;
-  double CommCanon = CanonRun.Ledger.CommCycles;
+  double CommInfer = InferLedger.CommCycles;
+  double CommCanon = CanonLedger.CommCycles;
   double CommReduction =
       CommCanon > 0 ? (CommCanon - CommInfer) / CommCanon : 0;
-  double SimSpeedup = InferRun.Ledger.total() > 0
-                          ? CanonRun.Ledger.total() / InferRun.Ledger.total()
+  double SimSpeedup = InferLedger.total() > 0
+                          ? CanonLedger.total() / InferLedger.total()
                           : 0;
   std::printf("  %-24s %9.2f ms   %14.0f comm cycles\n", "layout=canonical",
               CanonRun.Millis, CommCanon);
@@ -230,13 +157,6 @@ int main(int argc, char **argv) {
               "%.2fx simulated total\n\n",
               CommReduction * 100, SimSpeedup);
 
-  if (!sameFields(InferRun, CanonRun) ||
-      InferRun.Output != CanonRun.Output) {
-    std::fprintf(stderr,
-                 "FAIL: layout inference changed the program's output or "
-                 "fields\n");
-    Ok = false;
-  }
   if (CommReduction < 0.25) {
     std::fprintf(stderr, "FAIL: comm-cycle reduction %.1f%% below the 25%% "
                          "target\n",
@@ -245,71 +165,22 @@ int main(int argc, char **argv) {
   }
 
   // Equivalence matrix: layout=infer must match layout=canonical bit for
-  // bit at every threads x engine x comm x faults combination, and
-  // within one layout setting the ledger may not depend on threads or
-  // the PEAC engine.
-  support::FaultSpec Recoverable;
-  {
-    std::string Error;
-    if (!support::FaultSpec::parse("corrupt:0.01,pe-trap:0.005",
-                                   Recoverable, Error)) {
-      std::fprintf(stderr, "bad fault spec: %s\n", Error.c_str());
-      return 1;
-    }
-  }
-  int Combos = 0;
-  for (bool Overlap : {false, true}) {
-    for (bool Faults : {false, true}) {
-      bool HaveRef = false;
-      runtime::CycleLedger RefInfer{}, RefCanon{};
-      for (unsigned Threads : {1u, 8u}) {
-        for (peac::EngineKind Engine :
-             {peac::EngineKind::Interp, peac::EngineKind::Compiled}) {
-          ExecutionOptions EO;
-          EO.Threads = Threads;
-          EO.Engine = Engine;
-          EO.OverlapComm = Overlap;
-          if (Faults) {
-            EO.Faults = Recoverable;
-            EO.FaultSeed = 7;
-          }
-          RunResult IR = runOnce(Inferred->artifacts().Compiled.Program,
-                                 Machine, EO, 1, Fields);
-          RunResult CR = runOnce(Canonical->artifacts().Compiled.Program,
-                                 Machine, EO, 1, Fields);
-          ++Combos;
-          if (!sameFields(IR, CR) || IR.Output != CR.Output) {
-            std::fprintf(stderr,
-                         "FAIL: layout=infer diverged from canonical at "
-                         "threads=%u exec=%s comm=%s faults=%s\n",
-                         Threads,
-                         Engine == peac::EngineKind::Interp ? "interp"
-                                                            : "compiled",
-                         Overlap ? "overlap" : "sync",
-                         Faults ? "on" : "off");
-            Ok = false;
-          }
-          if (!HaveRef) {
-            HaveRef = true;
-            RefInfer = IR.Ledger;
-            RefCanon = CR.Ledger;
-          } else if (!bench::sameLedger(IR.Ledger, RefInfer) ||
-                     !bench::sameLedger(CR.Ledger, RefCanon)) {
-            std::fprintf(stderr,
-                         "FAIL: ledger depends on threads/engine at "
-                         "comm=%s faults=%s\n",
-                         Overlap ? "overlap" : "sync",
-                         Faults ? "on" : "off");
-            Ok = false;
-          }
-        }
-      }
-    }
-  }
-  if (Ok)
-    std::printf("  equivalence: %d threads x engine x comm x faults combos "
+  // bit (fields in logical order, so placement can never alias as
+  // divergence) at every comm x faults setting, and within each leg the
+  // host knobs (threads, engine) may not move a byte of output, field
+  // storage or ledger.
+  const invariance::Matrix M =
+      bench::switchMatrix("-layout=infer", "-layout=canonical");
+  const size_t Combos = M.Model.size() / 2 * invariance::hostLegs().size();
+  if (std::string Diff = invariance::check(Source, M).Divergence;
+      !Diff.empty()) {
+    std::fprintf(stderr, "FAIL: %s\n", Diff.c_str());
+    Ok = false;
+  } else {
+    std::printf("  equivalence: %zu threads x engine x comm x faults combos "
                 "bit-identical\n",
                 Combos);
+  }
 
   bench::Report Rep("layout");
   Rep.set("n", N);
@@ -324,7 +195,7 @@ int main(int argc, char **argv) {
   Rep.set("comm_cycles_canonical", CommCanon);
   Rep.set("comm_reduction", CommReduction);
   Rep.set("sim_speedup", SimSpeedup);
-  Rep.set("equivalence_combos", Combos);
+  Rep.set("equivalence_combos", static_cast<uint64_t>(Combos));
   Rep.set("bit_identical", std::string(Ok ? "yes" : "no"));
   Rep.write();
   return Ok ? 0 : 1;

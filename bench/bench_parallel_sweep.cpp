@@ -20,6 +20,7 @@
 
 #include "BenchHarness.h"
 #include "driver/Workloads.h"
+#include "invariance/Invariance.h"
 #include "support/ThreadPool.h"
 
 #include <cstdio>
@@ -66,18 +67,13 @@ int main(int argc, char **argv) {
     bench::Sample S = bench::measure(Program, Machine, EOpts, 2);
     if (T == 1)
       Serial = S;
-    bool Same = S.Output == Serial.Output &&
-                bench::sameLedger(S.Ledger, Serial.Ledger);
+    const std::string Diff = invariance::diffReport(Serial.Report, S.Report);
     std::printf("  %8u %10.2f %8.2fx%s\n", T, S.Millis,
-                Serial.Millis / S.Millis, Same ? "" : "  MISMATCH");
-    if (!Same) {
+                Serial.Millis / S.Millis, Diff.empty() ? "" : "  MISMATCH");
+    if (!Diff.empty()) {
       Ok = false;
-      std::fprintf(stderr,
-                   "determinism violation at %u threads: output %s, "
-                   "ledger %s\n",
-                   T, S.Output == Serial.Output ? "equal" : "DIFFERS",
-                   bench::sameLedger(S.Ledger, Serial.Ledger) ? "equal"
-                                                              : "DIFFERS");
+      std::fprintf(stderr, "determinism violation at %u threads: %s\n", T,
+                   Diff.c_str());
     }
   }
 

@@ -28,6 +28,7 @@
 
 #include "BenchHarness.h"
 #include "driver/Workloads.h"
+#include "invariance/Invariance.h"
 #include "observe/Metrics.h"
 #include "observe/Trace.h"
 
@@ -42,36 +43,14 @@ namespace {
 
 struct TracedRun {
   bench::Sample S;
-  std::string TraceJson;   ///< Wall-normalized export.
-  std::string MetricsText;
   size_t Events = 0;
 };
-
-/// Drops `peac.engine.*` lines: the routine-cache hit/miss counters
-/// reflect host-side cache history (rep 2 hits on routines rep 1
-/// compiled), not simulated-machine state, so the byte-identical-across-
-/// reps contract excludes them.
-std::string stripEngineMetrics(const std::string &Text) {
-  std::string Out;
-  size_t Pos = 0;
-  while (Pos < Text.size()) {
-    size_t End = Text.find('\n', Pos);
-    End = End == std::string::npos ? Text.size() : End + 1;
-    std::string Line = Text.substr(Pos, End - Pos);
-    if (Line.rfind("peac.engine.", 0) != 0)
-      Out += Line;
-    Pos = End;
-  }
-  return Out;
-}
 
 TracedRun runTraced(const std::string &Source, const cm2::CostModel &Machine,
                     int Reps) {
   TracedRun R;
   for (int Rep = 0; Rep < Reps; ++Rep) {
-    // Fresh recorders and a fresh compile per rep: the export must be a
-    // pure function of the (source, machine) pair, not of accumulated
-    // state.
+    // Fresh recorders and a fresh compile per rep, as f90yc -trace= has.
     observe::TraceRecorder Trace;
     observe::MetricsRegistry Metrics;
     Compilation C(CompileOptions::forProfile(Profile::F90Y, Machine));
@@ -88,20 +67,8 @@ TracedRun runTraced(const std::string &Source, const cm2::CostModel &Machine,
         bench::measure(C.artifacts().Compiled.Program, Machine, EOpts, 1);
     if (Rep == 0 || S.Millis < R.S.Millis)
       R.S.Millis = S.Millis;
-    R.S.Output = S.Output;
-    R.S.Ledger = S.Ledger;
-    std::string Json = Trace.exportJson(/*NormalizeWall=*/true);
-    std::string Text = stripEngineMetrics(Metrics.exportText());
-    if (Rep == 0) {
-      R.TraceJson = std::move(Json);
-      R.MetricsText = std::move(Text);
-      R.Events = Trace.eventCount();
-    } else if (Json != R.TraceJson || Text != R.MetricsText) {
-      std::fprintf(stderr,
-                   "FAIL: repeated traced runs exported different %s\n",
-                   Json != R.TraceJson ? "traces" : "metrics");
-      std::exit(1);
-    }
+    R.S.Report = S.Report;
+    R.Events = Trace.eventCount();
   }
   return R;
 }
@@ -134,12 +101,25 @@ int main(int argc, char **argv) {
   TracedRun Traced = runTraced(Src, Machine, Reps);
 
   bool Ok = true;
-  if (Traced.S.Output != Base.Output ||
-      !bench::sameLedger(Traced.S.Ledger, Base.Ledger)) {
-    std::fprintf(stderr, "FAIL: tracing changed the simulation (output or "
-                         "ledger differs from the untraced run)\n");
+  if (std::string Diff = invariance::diffReport(Base.Report, Traced.S.Report);
+      !Diff.empty()) {
+    std::fprintf(stderr, "FAIL: tracing changed the simulation: %s\n",
+                 Diff.c_str());
     Ok = false;
   }
+  // The normalized trace and metrics exports are a pure function of the
+  // (source, machine) pair: every rep exports the same bytes (less the
+  // peac.engine.* routine-cache counters, which see earlier reps).
+  const invariance::Leg Serial{{"-threads=1", "-comm=sync"}};
+  const invariance::Record First = invariance::run(Src, Serial, true);
+  for (int Rep = 1; Rep < Reps && Ok; ++Rep)
+    if (std::string Diff =
+            invariance::diffHost(First, invariance::run(Src, Serial, true));
+        !Diff.empty()) {
+      std::fprintf(stderr, "FAIL: repeated traced runs differ: %s\n",
+                   Diff.c_str());
+      Ok = false;
+    }
 
   double OverheadPct =
       Base.Millis > 0 ? (Traced.S.Millis / Base.Millis - 1.0) * 100.0 : 0.0;

@@ -9,16 +9,20 @@
 /// plus nearest-neighbor communication" workload of Section 2.2. The demo
 /// sweeps the machine size, showing how the same compiled program scales
 /// with PEs (the layout, subgrid sizing, and cycle model all come from the
-/// runtime geometry).
+/// runtime geometry). Each size runs with f90yc's knobs (driver::Config);
+/// the demo exits 1 if a compile or run fails, or if a size's final
+/// maximum temperature is more than 1e-6 (relative) off the reference
+/// interpreter's.
 ///
 /// Usage: heat_diffusion [N] [steps]   (default 128 8)
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/Config.h"
 #include "driver/Workloads.h"
 #include "interp/Interpreter.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -34,29 +38,35 @@ int main(int argc, char **argv) {
               static_cast<long long>(N), static_cast<long long>(N),
               static_cast<long long>(Steps));
 
-  // Reference flops (machine-size independent).
-  CompileOptions Ref = CompileOptions::forProfile(Profile::F90Y);
-  Compilation RC(Ref);
+  // Reference flops (machine-size independent) and final temperatures.
+  Config Cfg; // f90yc's defaults; -pes= varies below.
+  Compilation RC(Cfg.compileOptions());
   if (!RC.compile(Src)) {
     std::fprintf(stderr, "compile failed:\n%s", RC.diags().str().c_str());
     return 1;
   }
   DiagnosticEngine Diags;
   interp::Interpreter Interp(Diags);
-  if (!Interp.run(RC.artifacts().RawNIR))
+  if (!Interp.run(RC.artifacts().RawNIR)) {
+    std::fprintf(stderr, "reference run failed:\n%s", Diags.str().c_str());
     return 1;
+  }
   uint64_t Flops = Interp.flopCount();
+  double RefMax = 0;
+  for (const interp::RtVal &V : Interp.getArray("u")->Data)
+    RefMax = V.asReal() > RefMax ? V.asReal() : RefMax;
 
   std::printf("  %6s %10s %10s %10s %12s\n", "PEs", "subgrid", "GFLOPS",
               "comm%", "time (ms)");
+  double MachineMax = 0;
   for (unsigned PEs : {32u, 128u, 512u, 2048u}) {
-    cm2::CostModel Machine;
-    Machine.NumPEs = PEs;
-    CompileOptions Opts = CompileOptions::forProfile(Profile::F90Y, Machine);
-    Compilation C(Opts);
-    if (!C.compile(Src))
+    Cfg.Pes = PEs;
+    Compilation C(Cfg.compileOptions());
+    if (!C.compile(Src)) {
+      std::fprintf(stderr, "compile failed:\n%s", C.diags().str().c_str());
       return 1;
-    Execution Exec(Opts.Costs);
+    }
+    Execution Exec(Cfg.machine(), Cfg.executionOptions());
     auto Report = Exec.run(C.artifacts().Compiled.Program);
     if (!Report) {
       std::fprintf(stderr, "run failed:\n%s", Exec.diags().str().c_str());
@@ -69,22 +79,16 @@ int main(int argc, char **argv) {
                 static_cast<long long>(Subgrid), Report->gflopsFor(Flops),
                 100.0 * Report->Ledger.CommCycles / Report->Ledger.total(),
                 Report->seconds() * 1e3);
+    // Verify the machine result against the reference at every size.
+    int H = Exec.executor().fieldHandle("u");
+    MachineMax = Exec.runtime().reduce(runtime::ReduceOp::Max, H);
+    if (!(std::abs(MachineMax - RefMax) <= 1e-6 * std::abs(RefMax))) {
+      std::fprintf(stderr, "%u PEs: max temperature %.17g, reference %.17g\n",
+                   PEs, MachineMax, RefMax);
+      return 1;
+    }
   }
 
-  // Verify the machine result against the reference.
-  cm2::CostModel Machine;
-  Machine.NumPEs = 64;
-  CompileOptions Opts = CompileOptions::forProfile(Profile::F90Y, Machine);
-  Compilation C(Opts);
-  C.compile(Src);
-  Execution Exec(Opts.Costs);
-  Exec.run(C.artifacts().Compiled.Program);
-  int H = Exec.executor().fieldHandle("u");
-  double MachineMax = Exec.runtime().reduce(runtime::ReduceOp::Max, H);
-  const interp::ArrayStorage *RefU = Interp.getArray("u");
-  double RefMax = 0;
-  for (const interp::RtVal &V : RefU->Data)
-    RefMax = V.asReal() > RefMax ? V.asReal() : RefMax;
   std::printf("\nfinal max temperature: machine %.6f, reference %.6f\n",
               MachineMax, RefMax);
   return 0;

@@ -12,7 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/Config.h"
 #include "driver/Workloads.h"
 #include "nir/Printer.h"
 #include "transform/Transforms.h"
@@ -26,9 +26,9 @@ int main() {
   std::printf("Figure 10 walk-through: masked-section blocking\n\n");
   std::printf("source:\n%s\n", figure10Source().c_str());
 
-  cm2::CostModel Machine;
-  Machine.NumPEs = 16;
-  Compilation C(CompileOptions::forProfile(Profile::F90Y, Machine));
+  Config Cfg; // f90yc's defaults on 16 PEs.
+  Cfg.Pes = 16;
+  Compilation C(Cfg.compileOptions());
   if (!C.compile(figure10Source())) {
     std::fprintf(stderr, "compile failed:\n%s", C.diags().str().c_str());
     return 1;
@@ -50,7 +50,7 @@ int main() {
               "(paper: \"two PEAC routines\")\n\n",
               Stats.ComputationPhases, Stats.CommunicationPhases);
 
-  Execution Exec(Machine);
+  Execution Exec(Cfg.machine(), Cfg.executionOptions());
   auto Report = Exec.run(C.artifacts().Compiled.Program);
   if (!Report) {
     std::fprintf(stderr, "run failed:\n%s", Exec.diags().str().c_str());

@@ -12,7 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "driver/Config.h"
 #include "nir/Printer.h"
 
 #include <cstdio>
@@ -35,12 +35,13 @@ print *, 'corner:', b(1,1), b(n,n)
 end program quickstart
 )f90";
 
-  // A small machine keeps the demo instant; pass cm2::CostModel{} for the
-  // full 2048-PE CM-2.
-  cm2::CostModel Machine;
-  Machine.NumPEs = 16;
+  // f90yc's defaults on a small machine, which keeps the demo instant;
+  // leave Pes unset for the full 2048-PE CM-2. driver::applyFlag sets any
+  // other f90yc knob (-profile=, -comm=, -threads=, ...).
+  Config Cfg;
+  Cfg.Pes = 16;
 
-  Compilation C(CompileOptions::forProfile(Profile::F90Y, Machine));
+  Compilation C(Cfg.compileOptions());
   if (!C.compile(Source)) {
     std::fprintf(stderr, "compilation failed:\n%s",
                  C.diags().str().c_str());
@@ -55,7 +56,7 @@ end program quickstart
   std::printf("=== Generated PEAC node code ===\n%s\n",
               C.artifacts().Compiled.peacListing().c_str());
 
-  Execution Exec(Machine);
+  Execution Exec(Cfg.machine(), Cfg.executionOptions());
   auto Report = Exec.run(C.artifacts().Compiled.Program);
   if (!Report) {
     std::fprintf(stderr, "execution failed:\n%s",

@@ -14,7 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
-#include "interp/Interpreter.h"
+#include "invariance/Invariance.h"
 
 #include <gtest/gtest.h>
 
@@ -29,70 +29,20 @@ cm2::CostModel testMachine(unsigned PEs = 16) {
   return C;
 }
 
-/// Compiles and runs \p Src under \p Profile; compares every named array
-/// and scalar (and PRINT output) against the reference interpreter.
+/// Compiles and runs \p Src on 16 PEs under the strict comm model (plus
+/// \p Leg); compares every named array and scalar (and PRINT output)
+/// against the reference interpreter.
 class BackendTest : public ::testing::Test {
 protected:
   void compareWithInterp(const std::string &Src,
                          const std::vector<std::string> &Arrays,
                          const std::vector<std::string> &Scalars = {},
-                         Profile P = Profile::F90Y, unsigned PEs = 16,
-                         double Tol = 1e-9) {
-    CompileOptions Opts = CompileOptions::forProfile(P, testMachine(PEs));
-    Compilation C(Opts);
-    ASSERT_TRUE(C.compile(Src)) << C.diags().str();
-
-    // Reference run.
-    DiagnosticEngine IDiags;
-    interp::Interpreter Interp(IDiags);
-    ASSERT_TRUE(Interp.run(C.artifacts().RawNIR)) << IDiags.str();
-
-    // Simulated run.
-    Execution Exec(Opts.Costs);
-    auto Report = Exec.run(C.artifacts().Compiled.Program);
-    ASSERT_TRUE(Report.has_value()) << Exec.diags().str();
-
-    EXPECT_EQ(Report->Output, Interp.output());
-
-    for (const std::string &Name : Arrays) {
-      const interp::ArrayStorage *Ref = Interp.getArray(Name);
-      ASSERT_NE(Ref, nullptr) << Name;
-      int Handle = Exec.executor().fieldHandle(Name);
-      ASSERT_GE(Handle, 0) << Name << " not allocated on the machine";
-      const runtime::PeArray &Got = Exec.runtime().field(Handle);
-
-      // Compare element-by-element through global coordinates.
-      std::vector<int64_t> Coord(Ref->Extents.size(), 0);
-      std::vector<int64_t> Pos(Ref->Extents.size(), 0);
-      bool Done = Ref->Extents.empty();
-      while (!Done) {
-        int64_t PE, Off;
-        Got.Geo->locate(Pos, PE, Off);
-        double Machine = Got.peBase(PE)[Off];
-        double Reference = Ref->Data[Ref->linearIndex(Pos)].asReal();
-        ASSERT_NEAR(Machine, Reference, Tol)
-            << Name << " at position " << Pos[0]
-            << (Pos.size() > 1 ? "," + std::to_string(Pos[1]) : "");
-        size_t K = Pos.size();
-        Done = true;
-        while (K-- > 0) {
-          if (++Pos[K] < Ref->Extents[K].size()) {
-            Done = false;
-            break;
-          }
-          Pos[K] = 0;
-        }
-      }
-      (void)Coord;
-    }
-
-    for (const std::string &Name : Scalars) {
-      auto Ref = Interp.getScalar(Name);
-      auto Got = Exec.executor().getScalar(Name);
-      ASSERT_TRUE(Ref.has_value()) << Name;
-      ASSERT_TRUE(Got.has_value()) << Name;
-      EXPECT_NEAR(Got->asReal(), Ref->asReal(), Tol) << Name;
-    }
+                         const invariance::Leg &Leg = {}, double Tol = 1e-9) {
+    std::vector<std::string> Names = Arrays;
+    Names.insert(Names.end(), Scalars.begin(), Scalars.end());
+    invariance::Record R =
+        invariance::run(Src, invariance::Leg{{"-pes=16", "-comm=sync"}} + Leg);
+    EXPECT_EQ(invariance::diffOracle(R, Src, Names, Tol), "");
   }
 };
 
@@ -119,7 +69,7 @@ TEST_F(BackendTest, FloatExpressionWithTranscendentals) {
                     "end do\n"
                     "b = sqrt(a)*sin(a) + exp(-a)\n"
                     "end\n",
-                    {"a", "b"}, {}, Profile::F90Y, 16, 1e-12);
+                    {"a", "b"}, {}, {}, 1e-12);
 }
 
 TEST_F(BackendTest, CShiftStencil) {
@@ -283,7 +233,7 @@ TEST_F(BackendTest, PowerStrengthReduction) {
                     "b = a**2\n"
                     "c = a**3 + a**0.5\n"
                     "end\n",
-                    {"a", "b", "c"}, {}, Profile::F90Y, 16, 1e-10);
+                    {"a", "b", "c"}, {}, {}, 1e-10);
 }
 
 TEST_F(BackendTest, DotProductEndToEnd) {
@@ -357,12 +307,11 @@ TEST_F(BackendTest, AllProfilesAgreeOnSemantics) {
                           "  u = u + 0.1*z\n"
                           "end do\n"
                           "end\n";
-  for (Profile P : {Profile::F90Y, Profile::CMFStyle, Profile::Naive}) {
-    SCOPED_TRACE(static_cast<int>(P));
-    // 'z' is fused away under F90Y (single use per timestep); 'u' carries
-    // its accumulated effect, so semantics are still fully compared.
-    compareWithInterp(Src, {"u", "v"}, {}, P, 16, 1e-9);
-  }
+  // 'z' is fused away under F90Y (single use per timestep); 'u' carries
+  // its accumulated effect, so semantics are still fully compared.
+  for (const char *Profile :
+       {"-profile=f90y", "-profile=cmf", "-profile=naive"})
+    compareWithInterp(Src, {"u", "v"}, {}, {{Profile}});
 }
 
 TEST_F(BackendTest, DifferentMachineSizesAgree) {
@@ -372,10 +321,8 @@ TEST_F(BackendTest, DifferentMachineSizesAgree) {
                           "forall (i=1:20, j=1:12) a(i,j) = i*j\n"
                           "b = cshift(a, 3, 1) + a\n"
                           "end\n";
-  for (unsigned PEs : {1u, 2u, 8u, 64u}) {
-    SCOPED_TRACE(PEs);
-    compareWithInterp(Src, {"a", "b"}, {}, Profile::F90Y, PEs);
-  }
+  for (const char *PEs : {"-pes=1", "-pes=2", "-pes=8", "-pes=64"})
+    compareWithInterp(Src, {"a", "b"}, {}, {{PEs}});
 }
 
 //===--------------------------------------------------------------------===//

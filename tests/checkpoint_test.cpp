@@ -8,8 +8,9 @@
 /// The checkpoint/restart contract (DESIGN.md section 9): a run killed at
 /// a step boundary and resumed with -restore= is bit-identical - program
 /// output, cycle ledger, fault counters, final field contents - to one
-/// that never stopped, at every thread count, PEAC engine, and fault
-/// configuration; every damaged byte of a checkpoint file is detected at
+/// that never stopped, at every thread count, PEAC engine, comm model and
+/// fault configuration (the invariance harness's kill/restore variant);
+/// every damaged byte of a checkpoint file is detected at
 /// load (per-section CRC-32) and falls back to the previous retained
 /// generation; a checkpoint from a different program or fault
 /// configuration is rejected; a missing or empty restore file is a clean
@@ -17,7 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "invariance/Invariance.h"
 #include "observe/Metrics.h"
 #include "runtime/Checkpoint.h"
 #include "support/FileIO.h"
@@ -32,17 +33,15 @@
 #include <vector>
 
 using namespace f90y;
-using namespace f90y::driver;
+using namespace f90y::invariance;
 using runtime::ckpt::CheckpointState;
 using runtime::ckpt::Controller;
 
 namespace {
 
-cm2::CostModel machine() {
-  cm2::CostModel C;
-  C.NumPEs = 16;
-  return C;
-}
+/// Runtime overlap on a 16-PE machine: an exchange may be in flight at a
+/// step boundary.
+const Leg Base{{"-pes=16", UnscheduledOverlap}};
 
 /// A stepped program crossing every checkpointed surface: grid shifts
 /// (comm + possible in-flight exchange under overlap), PEAC compute,
@@ -66,93 +65,6 @@ const char *steppedProgram() {
          "end do\n"
          "print *, 'final:', s, maxval(b)\n"
          "end program stepped\n";
-}
-
-/// One run configuration of the bit-identity matrix.
-struct Config {
-  unsigned Threads = 1;
-  peac::EngineKind Engine = peac::EngineKind::Compiled;
-  const char *Faults = nullptr; ///< Fault spec, or null for fault-free.
-  bool Overlap = true;
-
-  std::string str() const {
-    std::string S = "threads=" + std::to_string(Threads);
-    S += Engine == peac::EngineKind::Interp ? " exec=interp"
-                                            : " exec=compiled";
-    S += Faults ? std::string(" faults=") + Faults : " faults=off";
-    return S;
-  }
-};
-
-/// Everything the bit-identity contract compares.
-struct Outcome {
-  bool Ok = false;
-  bool RestoreFailed = false;
-  std::string Output;
-  std::string Diags;
-  runtime::CycleLedger Ledger;
-  support::FaultCounters Counters;
-  std::vector<double> FinalA;
-  uint64_t CheckpointsWritten = 0;
-};
-
-ExecutionOptions optionsFor(const Config &Cfg,
-                            const runtime::ckpt::Options &Ckpt,
-                            observe::MetricsRegistry *Metrics) {
-  ExecutionOptions O;
-  O.Threads = Cfg.Threads;
-  O.Engine = Cfg.Engine;
-  O.OverlapComm = Cfg.Overlap;
-  O.Metrics = Metrics;
-  O.Checkpoint = Ckpt;
-  if (Cfg.Faults) {
-    std::string Error;
-    EXPECT_TRUE(support::FaultSpec::parse(Cfg.Faults, O.Faults, Error))
-        << Error;
-    O.FaultSeed = 7;
-  }
-  return O;
-}
-
-Outcome runOnce(Compilation &C, const Config &Cfg,
-                const runtime::ckpt::Options &Ckpt = {},
-                observe::MetricsRegistry *Metrics = nullptr,
-                uint64_t MaxSteps = 0) {
-  ExecutionOptions O = optionsFor(Cfg, Ckpt, Metrics);
-  O.MaxSteps = MaxSteps;
-  Execution Exec(machine(), O);
-  auto Report = Exec.run(C.artifacts().Compiled.Program);
-  Outcome Res;
-  Res.Diags = Exec.diags().str();
-  Res.RestoreFailed = Exec.restoreFailed();
-  if (Exec.checkpoint())
-    Res.CheckpointsWritten = Exec.checkpoint()->writesCompleted();
-  if (!Report)
-    return Res;
-  Res.Ok = true;
-  Res.Output = Report->Output;
-  Res.Ledger = Report->Ledger;
-  Res.Counters = Report->Faults;
-  int H = Exec.executor().fieldHandle("a");
-  if (H >= 0)
-    Res.FinalA = Exec.runtime().snapshotField(H);
-  return Res;
-}
-
-void expectIdentical(const Outcome &A, const Outcome &B,
-                     const std::string &What) {
-  ASSERT_TRUE(A.Ok) << What << ": " << A.Diags;
-  ASSERT_TRUE(B.Ok) << What << ": " << B.Diags;
-  EXPECT_EQ(A.Output, B.Output) << What;
-  EXPECT_EQ(A.FinalA, B.FinalA) << What;
-  EXPECT_EQ(A.Ledger.NodeCycles, B.Ledger.NodeCycles) << What;
-  EXPECT_EQ(A.Ledger.CallCycles, B.Ledger.CallCycles) << What;
-  EXPECT_EQ(A.Ledger.CommCycles, B.Ledger.CommCycles) << What;
-  EXPECT_EQ(A.Ledger.HostCycles, B.Ledger.HostCycles) << What;
-  EXPECT_EQ(A.Ledger.OverlappedCycles, B.Ledger.OverlappedCycles) << What;
-  EXPECT_EQ(A.Ledger.Flops, B.Ledger.Flops) << What;
-  EXPECT_TRUE(A.Counters == B.Counters)
-      << What << ": " << A.Counters.str() << " vs " << B.Counters.str();
 }
 
 /// Temp-file path unique to the current test.
@@ -341,94 +253,61 @@ TEST(CheckpointFormat, DetectsBadMagicAndVersion) {
 // Kill/restore bit-identity
 //===----------------------------------------------------------------------===//
 
-class CheckpointRestartTest : public ::testing::Test {
-protected:
-  Compilation C{CompileOptions::forProfile(Profile::F90Y, machine())};
-
-  void SetUp() override {
-    ASSERT_TRUE(C.compile(steppedProgram())) << C.diags().str();
-  }
-
-  /// Baseline, kill mid-run (the -max-steps watchdog is the in-process
-  /// stand-in for a crash: the run dies between statements, past several
-  /// committed checkpoints), restore, and compare against the baseline.
-  void runMatrixCase(const Config &Cfg) {
-    SCOPED_TRACE(Cfg.str());
-    std::string Path = tempPath("ck_" + std::to_string(Cfg.Threads) +
-                                (Cfg.Faults ? "_f" : "") + ".bin");
-    removeGenerations(Path);
-
-    observe::MetricsRegistry BaseMetrics;
-    Outcome Base = runOnce(C, Cfg, {}, &BaseMetrics);
-    ASSERT_TRUE(Base.Ok) << Base.Diags;
-    uint64_t TotalStatements =
-        static_cast<uint64_t>(BaseMetrics.value("exec.statements"));
-    ASSERT_GT(TotalStatements, 16u);
-
-    runtime::ckpt::Options WriteOpts;
-    WriteOpts.Path = Path;
-    WriteOpts.Every = 1;
-    Outcome Killed =
-        runOnce(C, Cfg, WriteOpts, nullptr, TotalStatements / 2);
-    EXPECT_FALSE(Killed.Ok); // The watchdog killed it mid-run.
-    ASSERT_GE(Killed.CheckpointsWritten, 1u) << Killed.Diags;
-
-    runtime::ckpt::Options RestoreOpts;
-    RestoreOpts.RestorePath = Path;
-    Outcome Resumed = runOnce(C, Cfg, RestoreOpts);
-    expectIdentical(Base, Resumed, Cfg.str());
-    removeGenerations(Path);
-  }
-};
-
-TEST_F(CheckpointRestartTest, BitIdenticalAcrossThreadsAndEngines) {
-  for (unsigned Threads : {1u, 8u})
-    for (peac::EngineKind Engine :
-         {peac::EngineKind::Interp, peac::EngineKind::Compiled})
-      runMatrixCase({Threads, Engine, nullptr, true});
+/// The Host contract's kill/restore variant: every host leg of \p Legs
+/// killed halfway (past several committed checkpoints) and restored is
+/// bit-identical - output, ledger, fault counters, field storage - to the
+/// run that never stopped.
+void expectRestoresBitIdentically(const Leg &Legs) {
+  Matrix M;
+  M.Base = Legs;
+  Result R = check(steppedProgram(), M);
+  EXPECT_EQ(R.Divergence, "");
+  EXPECT_EQ(R.Restored, hostLegs().size());
 }
 
-TEST_F(CheckpointRestartTest, BitIdenticalUnderFaultInjection) {
-  const char *Spec = "router-drop:0.05,corrupt:0.05,pe-trap:0.05,fpu:0.05";
-  for (unsigned Threads : {1u, 8u})
-    runMatrixCase({Threads, peac::EngineKind::Compiled, Spec, true});
+TEST(CheckpointRestartTest, BitIdenticalAcrossThreadsAndEngines) {
+  expectRestoresBitIdentically(Base);
 }
 
-TEST_F(CheckpointRestartTest, BitIdenticalWithStrictCommModel) {
-  runMatrixCase({4, peac::EngineKind::Compiled, nullptr, false});
+TEST(CheckpointRestartTest, BitIdenticalUnderFaultInjection) {
+  expectRestoresBitIdentically(
+      Base + Leg{{"-faults=router-drop:0.05,corrupt:0.05,pe-trap:0.05,fpu:0.05",
+                  "-fault-seed=7"}});
 }
 
-TEST_F(CheckpointRestartTest, RestoredRunContinuesMetrics) {
+TEST(CheckpointRestartTest, BitIdenticalWithStrictCommModel) {
+  expectRestoresBitIdentically(Base + Leg{{"-comm=sync"}});
+}
+
+TEST(CheckpointRestartTest, RestoredRunContinuesMetrics) {
   std::string Path = tempPath("ck.bin");
   removeGenerations(Path);
-  Config Cfg{1, peac::EngineKind::Compiled, nullptr, true};
+  const Leg Serial = Base + Leg{{"-threads=1"}};
 
-  observe::MetricsRegistry BaseMetrics;
-  Outcome Base = runOnce(C, Cfg, {}, &BaseMetrics);
-  ASSERT_TRUE(Base.Ok) << Base.Diags;
-  uint64_t TotalStatements =
-      static_cast<uint64_t>(BaseMetrics.value("exec.statements"));
+  Record Full = run(steppedProgram(), Serial, /*Traced=*/true);
+  ASSERT_TRUE(Full.Ok) << Full.Diags;
+  const double Statements = Full.metric("exec.statements");
 
   runtime::ckpt::Options WriteOpts;
   WriteOpts.Path = Path;
-  observe::MetricsRegistry KilledMetrics;
-  Outcome Killed =
-      runOnce(C, Cfg, WriteOpts, &KilledMetrics, TotalStatements / 2);
+  Record Killed = run(
+      steppedProgram(),
+      Serial + Leg{{"-max-steps=" +
+                    std::to_string(static_cast<uint64_t>(Statements) / 2)}},
+      /*Traced=*/true, WriteOpts);
   ASSERT_FALSE(Killed.Ok);
-  EXPECT_GE(KilledMetrics.value("ckpt.write.count"), 1.0);
-  EXPECT_GT(KilledMetrics.value("ckpt.write.bytes"), 0.0);
+  EXPECT_GE(Killed.metric("ckpt.write.count"), 1.0);
+  EXPECT_GT(Killed.metric("ckpt.write.bytes"), 0.0);
 
   runtime::ckpt::Options RestoreOpts;
   RestoreOpts.RestorePath = Path;
-  observe::MetricsRegistry ResumeMetrics;
-  Outcome Resumed = runOnce(C, Cfg, RestoreOpts, &ResumeMetrics);
+  Record Resumed = run(steppedProgram(), Serial, /*Traced=*/true, RestoreOpts);
   ASSERT_TRUE(Resumed.Ok) << Resumed.Diags;
-  EXPECT_EQ(Resumed.Output, Base.Output);
+  EXPECT_EQ(Resumed.Report.Output, Full.Report.Output);
   // The restored registry continues the killed run's counts: the total
   // statement count matches an uninterrupted run (not just the tail).
-  EXPECT_EQ(ResumeMetrics.value("exec.statements"),
-            BaseMetrics.value("exec.statements"));
-  EXPECT_GE(ResumeMetrics.value("ckpt.restore.count"), 1.0);
+  EXPECT_EQ(Resumed.metric("exec.statements"), Statements);
+  EXPECT_GE(Resumed.metric("ckpt.restore.count"), 1.0);
   removeGenerations(Path);
 }
 
@@ -436,18 +315,28 @@ TEST_F(CheckpointRestartTest, RestoredRunContinuesMetrics) {
 // Damage detection and fallback
 //===----------------------------------------------------------------------===//
 
-class CheckpointDamageTest : public CheckpointRestartTest {
+class CheckpointDamageTest : public ::testing::Test {
 protected:
-  Config Cfg{1, peac::EngineKind::Compiled, nullptr, true};
+  const Leg Cfg = Base + Leg{{"-threads=1"}};
+
+  Record runStepped(const runtime::ckpt::Options &Ckpt = {}) {
+    return run(steppedProgram(), Cfg, false, Ckpt);
+  }
 
   /// Runs to completion writing every-step checkpoints, so Path, Path.1,
   /// Path.2 all exist (Keep=3) when the helper returns.
   void writeGenerations(const std::string &Path) {
     runtime::ckpt::Options WriteOpts;
     WriteOpts.Path = Path;
-    Outcome Full = runOnce(C, Cfg, WriteOpts);
+    Record Full = runStepped(WriteOpts);
     ASSERT_TRUE(Full.Ok) << Full.Diags;
     ASSERT_GE(Full.CheckpointsWritten, 3u);
+  }
+
+  runtime::ckpt::Options restoreFrom(const std::string &Path) {
+    runtime::ckpt::Options O;
+    O.RestorePath = Path;
+    return O;
   }
 };
 
@@ -455,7 +344,7 @@ TEST_F(CheckpointDamageTest, FallsBackToPreviousGenerationOnCorruption) {
   std::string Path = tempPath("ck.bin");
   removeGenerations(Path);
   writeGenerations(Path);
-  Outcome Base = runOnce(C, Cfg);
+  Record Full = runStepped();
 
   // Damage the primary checkpoint; the rotated previous generation is
   // intact, so restore succeeds from it - and the run is still
@@ -465,12 +354,10 @@ TEST_F(CheckpointDamageTest, FallsBackToPreviousGenerationOnCorruption) {
   Bytes[Bytes.size() / 2] ^= 0x01;
   ASSERT_TRUE(support::atomicWriteFile(Path, Bytes));
 
-  runtime::ckpt::Options RestoreOpts;
-  RestoreOpts.RestorePath = Path;
-  observe::MetricsRegistry Metrics;
-  Outcome Resumed = runOnce(C, Cfg, RestoreOpts, &Metrics);
-  expectIdentical(Base, Resumed, "fallback restore");
-  EXPECT_GE(Metrics.value("ckpt.restore.fallbacks"), 1.0);
+  Record Resumed =
+      run(steppedProgram(), Cfg, /*Traced=*/true, restoreFrom(Path));
+  EXPECT_EQ(diffHost(Full, Resumed), "");
+  EXPECT_GE(Resumed.metric("ckpt.restore.fallbacks"), 1.0);
   removeGenerations(Path);
 }
 
@@ -487,9 +374,7 @@ TEST_F(CheckpointDamageTest, FailsCleanlyWhenEveryGenerationIsDamaged) {
     ASSERT_TRUE(support::atomicWriteFile(P, Bytes));
   }
 
-  runtime::ckpt::Options RestoreOpts;
-  RestoreOpts.RestorePath = Path;
-  Outcome Resumed = runOnce(C, Cfg, RestoreOpts);
+  Record Resumed = runStepped(restoreFrom(Path));
   EXPECT_FALSE(Resumed.Ok);
   EXPECT_TRUE(Resumed.RestoreFailed);
   EXPECT_NE(Resumed.Diags.find("cannot restore"), std::string::npos)
@@ -498,9 +383,7 @@ TEST_F(CheckpointDamageTest, FailsCleanlyWhenEveryGenerationIsDamaged) {
 }
 
 TEST_F(CheckpointDamageTest, MissingRestoreFileFailsCleanly) {
-  runtime::ckpt::Options RestoreOpts;
-  RestoreOpts.RestorePath = tempPath("never_written.bin");
-  Outcome Resumed = runOnce(C, Cfg, RestoreOpts);
+  Record Resumed = runStepped(restoreFrom(tempPath("never_written.bin")));
   EXPECT_FALSE(Resumed.Ok);
   EXPECT_TRUE(Resumed.RestoreFailed);
   EXPECT_NE(Resumed.Diags.find("cannot restore"), std::string::npos);
@@ -509,9 +392,7 @@ TEST_F(CheckpointDamageTest, MissingRestoreFileFailsCleanly) {
 TEST_F(CheckpointDamageTest, EmptyRestoreFileFailsCleanly) {
   std::string Path = tempPath("empty.bin");
   ASSERT_TRUE(support::atomicWriteFile(Path, ""));
-  runtime::ckpt::Options RestoreOpts;
-  RestoreOpts.RestorePath = Path;
-  Outcome Resumed = runOnce(C, Cfg, RestoreOpts);
+  Record Resumed = runStepped(restoreFrom(Path));
   EXPECT_FALSE(Resumed.Ok);
   EXPECT_TRUE(Resumed.RestoreFailed);
   std::remove(Path.c_str());
@@ -522,21 +403,16 @@ TEST_F(CheckpointDamageTest, RejectsCheckpointFromDifferentProgram) {
   removeGenerations(Path);
   writeGenerations(Path);
 
-  Compilation Other{CompileOptions::forProfile(Profile::F90Y, machine())};
-  ASSERT_TRUE(Other.compile("program other\n"
-                            "real x(4)\n"
-                            "integer t\n"
-                            "x = 1.0\n"
-                            "do t = 1, 3\n"
-                            "  x = x + 1.0\n"
-                            "end do\n"
-                            "print *, sum(x)\n"
-                            "end program other\n"))
-      << Other.diags().str();
-
-  runtime::ckpt::Options RestoreOpts;
-  RestoreOpts.RestorePath = Path;
-  Outcome Resumed = runOnce(Other, Cfg, RestoreOpts);
+  Record Resumed = run("program other\n"
+                       "real x(4)\n"
+                       "integer t\n"
+                       "x = 1.0\n"
+                       "do t = 1, 3\n"
+                       "  x = x + 1.0\n"
+                       "end do\n"
+                       "print *, sum(x)\n"
+                       "end program other\n",
+                       Cfg, false, restoreFrom(Path));
   EXPECT_FALSE(Resumed.Ok);
   EXPECT_TRUE(Resumed.RestoreFailed);
   removeGenerations(Path);
@@ -547,11 +423,8 @@ TEST_F(CheckpointDamageTest, RejectsCheckpointFromDifferentFaultConfig) {
   removeGenerations(Path);
   writeGenerations(Path); // Fault-free run.
 
-  Config Faulty = Cfg;
-  Faulty.Faults = "corrupt:0.05";
-  runtime::ckpt::Options RestoreOpts;
-  RestoreOpts.RestorePath = Path;
-  Outcome Resumed = runOnce(C, Faulty, RestoreOpts);
+  Record Resumed = run(steppedProgram(), Cfg + Leg{{"-faults=corrupt:0.05"}},
+                       false, restoreFrom(Path));
   EXPECT_FALSE(Resumed.Ok);
   EXPECT_TRUE(Resumed.RestoreFailed);
   removeGenerations(Path);
@@ -563,7 +436,7 @@ TEST_F(CheckpointDamageTest, CheckpointEveryNWritesEveryNth) {
   runtime::ckpt::Options WriteOpts;
   WriteOpts.Path = Path;
   WriteOpts.Every = 3; // 8 steps -> checkpoints at steps 3 and 6.
-  Outcome Full = runOnce(C, Cfg, WriteOpts);
+  Record Full = runStepped(WriteOpts);
   ASSERT_TRUE(Full.Ok) << Full.Diags;
   EXPECT_EQ(Full.CheckpointsWritten, 2u);
   removeGenerations(Path);

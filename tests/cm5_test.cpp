@@ -16,7 +16,7 @@
 
 #include "driver/Driver.h"
 #include "driver/Workloads.h"
-#include "interp/Interpreter.h"
+#include "invariance/Invariance.h"
 
 #include <gtest/gtest.h>
 
@@ -24,37 +24,6 @@ using namespace f90y;
 using namespace f90y::driver;
 
 namespace {
-
-double maxError(Execution &Exec, const interp::Interpreter &Interp,
-                const std::string &Name) {
-  const interp::ArrayStorage *Ref = Interp.getArray(Name);
-  int Handle = Exec.executor().fieldHandle(Name);
-  EXPECT_NE(Ref, nullptr);
-  EXPECT_GE(Handle, 0);
-  if (!Ref || Handle < 0)
-    return 1e300;
-  const runtime::PeArray &Got = Exec.runtime().field(Handle);
-  double Max = 0;
-  std::vector<int64_t> Pos(Ref->Extents.size(), 0);
-  bool Done = false;
-  while (!Done) {
-    int64_t PE, Off;
-    Got.Geo->locate(Pos, PE, Off);
-    double E = std::abs(Got.peBase(PE)[Off] -
-                        Ref->Data[Ref->linearIndex(Pos)].asReal());
-    Max = E > Max ? E : Max;
-    size_t K = Pos.size();
-    Done = true;
-    while (K-- > 0) {
-      if (++Pos[K] < Ref->Extents[K].size()) {
-        Done = false;
-        break;
-      }
-      Pos[K] = 0;
-    }
-  }
-  return Max;
-}
 
 TEST(Cm5Test, ModelParameters) {
   cm2::CostModel M = cm2::CostModel::cm5();
@@ -79,20 +48,10 @@ TEST(Cm5Test, EightWideExecutionMatchesReference) {
                           "  z = z + 1.0\n"
                           "end where\n"
                           "end\n";
-  cm2::CostModel M = cm2::CostModel::cm5();
-  M.NumPEs = 16; // Small machine, same 8-wide node model.
-  CompileOptions Opts = CompileOptions::forProfile(Profile::F90Y, M);
-  Compilation C(Opts);
-  ASSERT_TRUE(C.compile(Src)) << C.diags().str();
-
-  DiagnosticEngine IDiags;
-  interp::Interpreter Interp(IDiags);
-  ASSERT_TRUE(Interp.run(C.artifacts().RawNIR)) << IDiags.str();
-
-  Execution Exec(M);
-  auto Report = Exec.run(C.artifacts().Compiled.Program);
-  ASSERT_TRUE(Report.has_value()) << Exec.diags().str();
-  EXPECT_LT(maxError(Exec, Interp, "z"), 1e-9);
+  // A small machine, the same 8-wide node model.
+  invariance::Record R =
+      invariance::run(Src, {{"-cm5", "-pes=16", "-comm=sync"}});
+  EXPECT_EQ(invariance::diffOracle(R, Src, {"z"}), "");
 }
 
 TEST(Cm5Test, SixteenRegistersReduceSpills) {
@@ -164,20 +123,13 @@ TEST(Cm5Test, Cm5RunsSweFasterThanCm2) {
 }
 
 TEST(Cm5Test, Cm5ResultsMatchCm2Results) {
-  // Machine descriptions must not change semantics.
-  std::string Src = sweSource(24, 2);
-  auto FinalP = [&](cm2::CostModel M) {
-    CompileOptions Opts = CompileOptions::forProfile(Profile::F90Y, M);
-    Compilation C(Opts);
-    EXPECT_TRUE(C.compile(Src)) << C.diags().str();
-    Execution Exec(M);
-    auto Report = Exec.run(C.artifacts().Compiled.Program);
-    EXPECT_TRUE(Report.has_value());
-    int H = Exec.executor().fieldHandle("p");
-    return Exec.runtime().reduce(runtime::ReduceOp::Sum, H);
-  };
-  EXPECT_NEAR(FinalP(cm2::CostModel{}), FinalP(cm2::CostModel::cm5()),
-              1e-6);
+  // Machine descriptions must not change semantics: each machine's final
+  // pressure field agrees with the reference interpreter.
+  const std::string Src = sweSource(24, 2);
+  for (const char *Machine : {"-pes=2048", "-cm5"})
+    EXPECT_EQ(invariance::diffOracle(invariance::run(Src, {{Machine}}), Src,
+                                     {"p"}, 1e-6),
+              "");
 }
 
 } // namespace

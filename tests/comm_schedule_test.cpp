@@ -8,45 +8,44 @@
 /// The communication scheduling pass (hoist + coalesce) and the f90yc
 /// -comm=overlap execution mode built on it. The contract under test:
 /// scheduling and split-phase execution change *when* exchanges run and
-/// what they cost, never what the program computes - output is
-/// bit-identical to the strict synchronous model at every thread count,
+/// what they cost, never what the program computes - output and fields
+/// are bit-identical to the strict synchronous model at every thread count,
 /// and under fault injection.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
 #include "host/Printer.h"
-#include "observe/Metrics.h"
+#include "invariance/Invariance.h"
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 using namespace f90y;
-using namespace f90y::driver;
+using namespace f90y::invariance;
 
 namespace {
 
-cm2::CostModel machine() {
-  cm2::CostModel C;
-  C.NumPEs = 64;
-  return C;
+const Leg Base{{"-pes=64"}};
+const Leg Sync{{"-comm=sync"}}, Overlap{{"-comm=overlap"}};
+
+/// \p Src's printed host program, compiled with or without the
+/// comm-schedule pass.
+std::string hostListing(const std::string &Src, const Leg &Comm) {
+  std::string Error;
+  auto C = compile(Src, Base + Comm, Error);
+  EXPECT_TRUE(C) << Error;
+  return C ? host::printHostProgram(C->artifacts().Compiled.Program) : "";
 }
 
-/// Compiles \p Src with or without the comm-schedule pass.
-std::unique_ptr<Compilation> compiled(const std::string &Src, bool Schedule) {
-  CompileOptions Opts = CompileOptions::forProfile(Profile::F90Y, machine());
-  Opts.Transforms.CommSchedule = Schedule;
-  auto C = std::make_unique<Compilation>(std::move(Opts));
-  EXPECT_TRUE(C->compile(Src)) << C->diags().str();
-  return C;
-}
-
-RunReport runWith(const Compilation &C, ExecutionOptions EOpts) {
-  Execution Exec(machine(), EOpts);
-  auto Rep = Exec.run(C.artifacts().Compiled.Program);
-  EXPECT_TRUE(Rep.has_value()) << Exec.diags().str();
-  return Rep ? *Rep : RunReport{};
+/// -comm=sync against -comm=overlap (and \p More) under the Model
+/// contract.
+Result syncVersusOverlap(const std::string &Src, bool Host,
+                         std::vector<Leg> More = {}) {
+  Matrix M;
+  M.Base = Base;
+  M.Model = {Sync, Overlap};
+  M.Model.insert(M.Model.end(), More.begin(), More.end());
+  M.Host = Host;
+  return check(Src, M);
 }
 
 /// A stencil with four same-axis shifts of one field and an independent
@@ -72,56 +71,37 @@ const char *stencilSource() {
 }
 
 TEST(CommScheduleTest, PassCoalescesShiftsIntoMultiShift) {
-  auto C = compiled(stencilSource(), /*Schedule=*/true);
-  std::string IR = host::printHostProgram(C->artifacts().Compiled.Program);
   // The four same-source same-axis shifts become one multi-shift exchange.
+  std::string IR = hostListing(stencilSource(), Overlap);
   EXPECT_NE(IR.find("cm_mshift"), std::string::npos) << IR;
 }
 
 TEST(CommScheduleTest, SyncPipelineNeverSeesMultiShift) {
-  auto C = compiled(stencilSource(), /*Schedule=*/false);
-  std::string IR = host::printHostProgram(C->artifacts().Compiled.Program);
+  std::string IR = hostListing(stencilSource(), Sync);
   EXPECT_EQ(IR.find("cm_mshift"), std::string::npos) << IR;
 }
 
 TEST(CommScheduleTest, OverlapModeIsBitIdenticalToSyncAcrossThreads) {
-  // The full -comm=sync vs -comm=overlap comparison, at one host thread
-  // and at eight: same printed output, same node work, cheaper or equal
-  // total time with overlap.
-  auto Sync = compiled(stencilSource(), false);
-  auto Sched = compiled(stencilSource(), true);
-  for (unsigned Threads : {1u, 8u}) {
-    ExecutionOptions SyncOpts;
-    SyncOpts.Threads = Threads;
-    RunReport S = runWith(*Sync, SyncOpts);
-
-    ExecutionOptions OvOpts;
-    OvOpts.Threads = Threads;
-    OvOpts.OverlapComm = true;
-    RunReport O = runWith(*Sched, OvOpts);
-
-    EXPECT_EQ(S.Output, O.Output) << "threads=" << Threads;
-    EXPECT_EQ(S.Ledger.Flops, O.Ledger.Flops);
-    EXPECT_DOUBLE_EQ(S.Ledger.NodeCycles, O.Ledger.NodeCycles);
-    EXPECT_LE(O.Ledger.total(), S.Ledger.total());
-    EXPECT_GT(O.Ledger.OverlappedCycles, 0.0);
-    EXPECT_LE(O.Ledger.OverlappedCycles, O.Ledger.CommCycles);
-  }
+  // The full -comm=sync vs -comm=overlap comparison, each under every
+  // host leg: same printed output and fields, same node work, cheaper or
+  // equal total time with overlap.
+  Result R = syncVersusOverlap(stencilSource(), /*Host=*/true);
+  ASSERT_EQ(R.Divergence, "");
+  const runtime::CycleLedger &S = R.Runs[0].Report.Ledger,
+                             &O = R.Runs[1].Report.Ledger;
+  EXPECT_EQ(S.Flops, O.Flops);
+  EXPECT_EQ(S.NodeCycles, O.NodeCycles);
+  EXPECT_LE(O.total(), S.total());
+  EXPECT_GT(O.OverlappedCycles, 0.0);
+  EXPECT_LE(O.OverlappedCycles, O.CommCycles);
 }
 
 TEST(CommScheduleTest, OverlapModeIsDeterministicAcrossThreads) {
-  auto Sched = compiled(stencilSource(), true);
-  ExecutionOptions One;
-  One.Threads = 1;
-  One.OverlapComm = true;
-  ExecutionOptions Eight;
-  Eight.Threads = 8;
-  Eight.OverlapComm = true;
-  RunReport A = runWith(*Sched, One);
-  RunReport B = runWith(*Sched, Eight);
-  EXPECT_EQ(A.Output, B.Output);
-  EXPECT_DOUBLE_EQ(A.Ledger.total(), B.Ledger.total());
-  EXPECT_DOUBLE_EQ(A.Ledger.OverlappedCycles, B.Ledger.OverlappedCycles);
+  Matrix M;
+  M.Base = Base + Overlap;
+  Result R = check(stencilSource(), M);
+  EXPECT_EQ(R.Divergence, "");
+  EXPECT_GT(R.Runs[0].Report.Ledger.OverlappedCycles, 0.0);
 }
 
 TEST(CommScheduleTest, VariedProgramsMatchSyncOutputs) {
@@ -157,55 +137,37 @@ TEST(CommScheduleTest, VariedProgramsMatchSyncOutputs) {
       "end\n",
   };
   for (const char *Src : Programs) {
-    auto Sync = compiled(Src, false);
-    auto Sched = compiled(Src, true);
-    RunReport S = runWith(*Sync, ExecutionOptions{});
-    ExecutionOptions OvOpts;
-    OvOpts.OverlapComm = true;
-    RunReport O = runWith(*Sched, OvOpts);
-    EXPECT_EQ(S.Output, O.Output) << Src;
-    EXPECT_DOUBLE_EQ(S.Ledger.NodeCycles, O.Ledger.NodeCycles) << Src;
-    EXPECT_LE(O.Ledger.total(), S.Ledger.total()) << Src;
+    Result R = syncVersusOverlap(Src, /*Host=*/false);
+    ASSERT_EQ(R.Divergence, "") << Src;
+    const runtime::CycleLedger &S = R.Runs[0].Report.Ledger,
+                               &O = R.Runs[1].Report.Ledger;
+    EXPECT_EQ(S.NodeCycles, O.NodeCycles) << Src;
+    EXPECT_LE(O.total(), S.total()) << Src;
   }
 }
 
 TEST(CommScheduleTest, MetricsReportCoalescingAndOverlap) {
-  auto Sched = compiled(stencilSource(), true);
-  observe::MetricsRegistry Metrics;
-  ExecutionOptions EOpts;
-  EOpts.OverlapComm = true;
-  EOpts.Metrics = &Metrics;
-  runWith(*Sched, EOpts);
+  Record R = run(stencilSource(), Base + Overlap, /*Traced=*/true);
+  ASSERT_TRUE(R.Ok) << R.Diags;
   // 4 shifts -> 1 exchange, 3 startups saved, per loop iteration.
-  EXPECT_DOUBLE_EQ(Metrics.value("comm.coalesced"), 12.0);
-  EXPECT_GT(Metrics.value("comm.overlapped_cycles"), 0.0);
-  EXPECT_GT(Metrics.value("comm.multi-shift.ops"), 0.0);
+  EXPECT_EQ(R.metric("comm.coalesced"), 12.0);
+  EXPECT_GT(R.metric("comm.overlapped_cycles"), 0.0);
+  EXPECT_GT(R.metric("comm.multi-shift.ops"), 0.0);
 }
 
 TEST(CommScheduleTest, FaultedCoalescedExchangeStillMatchesSync) {
   // The coalesced exchange under transient drops and corruption must
-  // retry / roll back exactly like its unfused parts: the output matches
-  // a fault-free synchronous run bit for bit.
-  auto Sync = compiled(stencilSource(), false);
-  auto Sched = compiled(stencilSource(), true);
-  RunReport Clean = runWith(*Sync, ExecutionOptions{});
-
-  ExecutionOptions Faulty;
-  Faulty.OverlapComm = true;
-  std::string Error;
-  ASSERT_TRUE(support::FaultSpec::parse("grid-timeout:0.3,corrupt:0.3",
-                                        Faulty.Faults, Error))
-      << Error;
-  Faulty.FaultSeed = 11;
-  RunReport F = runWith(*Sched, Faulty);
-  EXPECT_EQ(Clean.Output, F.Output);
+  // retry / roll back exactly like its unfused parts: the output and
+  // fields match a fault-free synchronous run bit for bit.
+  Result R = syncVersusOverlap(
+      stencilSource(), /*Host=*/false,
+      {Overlap + Leg{{"-faults=grid-timeout:0.3,corrupt:0.3",
+                      "-fault-seed=11"}}});
+  ASSERT_EQ(R.Divergence, "");
+  const driver::RunReport &CleanSched = R.Runs[1].Report, &F = R.Runs[2].Report;
   EXPECT_GT(F.Faults.totalInjected(), 0u);
   // Recovery costs cycles; it never changes answers. The baseline here is
   // the fault-free *scheduled* run - the faulted one repeats exchanges.
-  ExecutionOptions CleanOv;
-  CleanOv.OverlapComm = true;
-  RunReport CleanSched = runWith(*Sched, CleanOv);
-  EXPECT_EQ(Clean.Output, CleanSched.Output);
   EXPECT_GT(F.Ledger.CommCycles, CleanSched.Ledger.CommCycles);
 }
 

@@ -16,7 +16,7 @@
 #include "baselines/Fieldwise.h"
 #include "driver/Driver.h"
 #include "driver/Workloads.h"
-#include "interp/Interpreter.h"
+#include "invariance/Invariance.h"
 
 #include <gtest/gtest.h>
 
@@ -31,81 +31,31 @@ cm2::CostModel machineWith(unsigned PEs) {
   return C;
 }
 
-/// Maximum |machine - reference| over the named array.
-double maxArrayError(Execution &Exec, const interp::Interpreter &Interp,
-                     const std::string &Name) {
-  const interp::ArrayStorage *Ref = Interp.getArray(Name);
-  int Handle = Exec.executor().fieldHandle(Name);
-  EXPECT_NE(Ref, nullptr);
-  EXPECT_GE(Handle, 0);
-  if (!Ref || Handle < 0)
-    return 1e300;
-  const runtime::PeArray &Got = Exec.runtime().field(Handle);
-  double MaxErr = 0;
-  std::vector<int64_t> Pos(Ref->Extents.size(), 0);
-  bool Done = false;
-  while (!Done) {
-    int64_t PE, Off;
-    Got.Geo->locate(Pos, PE, Off);
-    double E = std::abs(Got.peBase(PE)[Off] -
-                        Ref->Data[Ref->linearIndex(Pos)].asReal());
-    MaxErr = E > MaxErr ? E : MaxErr;
-    size_t K = Pos.size();
-    Done = true;
-    while (K-- > 0) {
-      if (++Pos[K] < Ref->Extents[K].size()) {
-        Done = false;
-        break;
-      }
-      Pos[K] = 0;
-    }
-  }
-  return MaxErr;
-}
-
 TEST(DriverTest, SweCompilesAndMatchesReference) {
-  std::string Src = sweSource(/*N=*/16, /*Steps=*/3);
-  CompileOptions Opts =
-      CompileOptions::forProfile(Profile::F90Y, machineWith(16));
-  Compilation C(Opts);
-  ASSERT_TRUE(C.compile(Src)) << C.diags().str();
-
-  DiagnosticEngine IDiags;
-  interp::Interpreter Interp(IDiags);
-  ASSERT_TRUE(Interp.run(C.artifacts().RawNIR)) << IDiags.str();
-
-  Execution Exec(Opts.Costs);
-  auto Report = Exec.run(C.artifacts().Compiled.Program);
-  ASSERT_TRUE(Report.has_value()) << Exec.diags().str();
-
+  const std::string Src = sweSource(/*N=*/16, /*Steps=*/3);
+  invariance::Record R = invariance::run(Src, {{"-pes=16", "-comm=sync"}});
   // SWE fields are O(1e4); allow relative rounding effects only.
-  for (const char *Name : {"u", "v", "p", "z", "h", "cu", "cv"})
-    EXPECT_LT(maxArrayError(Exec, Interp, Name), 1e-6) << Name;
+  EXPECT_EQ(invariance::diffOracle(R, Src,
+                                   {"u", "v", "p", "z", "h", "cu", "cv"},
+                                   1e-6),
+            "");
 
   // The machine did real floating work and charged real time.
-  EXPECT_GT(Report->Ledger.Flops, 0u);
-  EXPECT_GT(Report->Ledger.NodeCycles, 0.0);
-  EXPECT_GT(Report->Ledger.CommCycles, 0.0);
-  EXPECT_GT(Report->Ledger.CallCycles, 0.0);
-  EXPECT_GT(Report->executedGflops(), 0.0);
+  EXPECT_GT(R.Report.Ledger.Flops, 0u);
+  EXPECT_GT(R.Report.Ledger.NodeCycles, 0.0);
+  EXPECT_GT(R.Report.Ledger.CommCycles, 0.0);
+  EXPECT_GT(R.Report.Ledger.CallCycles, 0.0);
+  EXPECT_GT(R.Report.executedGflops(), 0.0);
 }
 
 TEST(DriverTest, SweProfilesAgreeFunctionally) {
-  std::string Src = sweSource(12, 2);
-  DiagnosticEngine IDiags;
-
-  for (Profile P : {Profile::F90Y, Profile::CMFStyle, Profile::Naive}) {
-    SCOPED_TRACE(static_cast<int>(P));
-    CompileOptions Opts = CompileOptions::forProfile(P, machineWith(8));
-    Compilation C(Opts);
-    ASSERT_TRUE(C.compile(Src)) << C.diags().str();
-    interp::Interpreter Interp(IDiags);
-    ASSERT_TRUE(Interp.run(C.artifacts().RawNIR)) << IDiags.str();
-    Execution Exec(Opts.Costs);
-    auto Report = Exec.run(C.artifacts().Compiled.Program);
-    ASSERT_TRUE(Report.has_value()) << Exec.diags().str();
-    EXPECT_LT(maxArrayError(Exec, Interp, "p"), 1e-6);
-  }
+  const std::string Src = sweSource(12, 2);
+  for (const char *Profile :
+       {"-profile=f90y", "-profile=cmf", "-profile=naive"})
+    EXPECT_EQ(invariance::diffOracle(
+                  invariance::run(Src, {{"-pes=8", "-comm=sync", Profile}}),
+                  Src, {"p"}, 1e-6),
+              "");
 }
 
 TEST(DriverTest, BlockingReducesCallOverhead) {
@@ -183,20 +133,13 @@ TEST(DriverTest, FieldwiseWhileIsUntimeable) {
 }
 
 TEST(DriverTest, HeatWorkloadRunsOnAllProfiles) {
-  std::string Src = heatSource(16, 4);
-  DiagnosticEngine IDiags;
-  interp::Interpreter Interp(IDiags);
-
-  for (Profile P : {Profile::F90Y, Profile::CMFStyle, Profile::Naive}) {
-    CompileOptions Opts = CompileOptions::forProfile(P, machineWith(16));
-    Compilation C(Opts);
-    ASSERT_TRUE(C.compile(Src)) << C.diags().str();
-    ASSERT_TRUE(Interp.run(C.artifacts().RawNIR)) << IDiags.str();
-    Execution Exec(Opts.Costs);
-    auto Report = Exec.run(C.artifacts().Compiled.Program);
-    ASSERT_TRUE(Report.has_value()) << Exec.diags().str();
-    EXPECT_LT(maxArrayError(Exec, Interp, "u"), 1e-9);
-  }
+  const std::string Src = heatSource(16, 4);
+  for (const char *Profile :
+       {"-profile=f90y", "-profile=cmf", "-profile=naive"})
+    EXPECT_EQ(invariance::diffOracle(
+                  invariance::run(Src, {{"-pes=16", "-comm=sync", Profile}}),
+                  Src, {"u"}, 1e-9),
+              "");
 }
 
 TEST(DriverTest, Figure9And10WorkloadsCompile) {

@@ -23,6 +23,7 @@
 
 #include "driver/Config.h"
 #include "driver/Driver.h"
+#include "invariance/Invariance.h"
 #include "observe/Metrics.h"
 #include "peac/Engine.h"
 #include "peac/Executor.h"
@@ -32,9 +33,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <random>
-#include <sstream>
 #include <string>
 
 using namespace f90y;
@@ -687,97 +686,27 @@ TEST(RoutineCache, FingerprintCatchesInPlaceMutation) {
 // Whole programs: -exec=interp vs -exec=compiled
 //===--------------------------------------------------------------------===//
 
-std::string readProgram(const std::string &Name) {
-  std::string Path = std::string(F90Y_SOURCE_DIR) + "/examples/programs/" +
-                     Name;
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
-
-struct ProgramRun {
-  std::string Output;
-  runtime::CycleLedger Ledger;
-  support::FaultCounters Faults;
-  bool Ok = false;
-};
-
-ProgramRun runProgram(const host::HostProgram &Program,
-                      const cm2::CostModel &Machine, EngineKind Kind,
-                      unsigned Threads, const std::string &FaultSpec = "",
-                      uint64_t Seed = 0) {
-  driver::ExecutionOptions EOpts;
-  EOpts.Threads = Threads;
-  EOpts.Engine = Kind;
-  EOpts.FaultSeed = Seed;
-  if (!FaultSpec.empty()) {
-    std::string Error;
-    EXPECT_TRUE(support::FaultSpec::parse(FaultSpec, EOpts.Faults, Error))
-        << Error;
-  }
-  driver::Execution Exec(Machine, EOpts);
-  auto Report = Exec.run(Program);
-  ProgramRun R;
-  EXPECT_TRUE(Report.has_value()) << Exec.diags().str();
-  if (!Report)
-    return R;
-  R.Ok = true;
-  R.Output = Report->Output;
-  R.Ledger = Report->Ledger;
-  R.Faults = Report->Faults;
-  return R;
-}
-
-void expectSameRun(const ProgramRun &A, const ProgramRun &B) {
-  ASSERT_TRUE(A.Ok);
-  ASSERT_TRUE(B.Ok);
-  EXPECT_EQ(A.Output, B.Output);
-  EXPECT_EQ(A.Ledger.NodeCycles, B.Ledger.NodeCycles);
-  EXPECT_EQ(A.Ledger.CallCycles, B.Ledger.CallCycles);
-  EXPECT_EQ(A.Ledger.CommCycles, B.Ledger.CommCycles);
-  EXPECT_EQ(A.Ledger.HostCycles, B.Ledger.HostCycles);
-  EXPECT_EQ(A.Ledger.OverlappedCycles, B.Ledger.OverlappedCycles);
-  EXPECT_EQ(A.Ledger.Flops, B.Ledger.Flops);
-  EXPECT_TRUE(A.Faults == B.Faults)
-      << A.Faults.str() << " vs " << B.Faults.str();
-}
-
 class ExecEngineProgramTest : public ::testing::TestWithParam<const char *> {
 };
 
 TEST_P(ExecEngineProgramTest, CompiledMatchesInterpAtEveryThreadCount) {
-  cm2::CostModel Machine;
-  Machine.NumPEs = 256;
-  driver::Compilation C(
-      driver::CompileOptions::forProfile(driver::Profile::F90Y, Machine));
-  ASSERT_TRUE(C.compile(readProgram(GetParam()))) << C.diags().str();
-  const host::HostProgram &Program = C.artifacts().Compiled.Program;
-
-  ProgramRun Ref = runProgram(Program, Machine, EngineKind::Interp, 1);
-  expectSameRun(Ref, runProgram(Program, Machine, EngineKind::Compiled, 1));
-  expectSameRun(Ref, runProgram(Program, Machine, EngineKind::Compiled, 8));
+  invariance::Matrix M;
+  M.Base = {{"-pes=256", "-comm=sync"}};
+  EXPECT_EQ(invariance::check(invariance::sampleProgram(GetParam()), M)
+                .Divergence,
+            "");
 }
 
 TEST_P(ExecEngineProgramTest, FaultSchedulesAreEngineIndependent) {
   // A fired PE trap sweeps the PEs before the faulting one and replays
   // after rollback; the partial stores and the recovery account must be
   // identical under either engine.
-  cm2::CostModel Machine;
-  Machine.NumPEs = 64;
-  driver::Compilation C(
-      driver::CompileOptions::forProfile(driver::Profile::F90Y, Machine));
-  ASSERT_TRUE(C.compile(readProgram(GetParam()))) << C.diags().str();
-  const host::HostProgram &Program = C.artifacts().Compiled.Program;
-
-  const char *Spec = "pe-trap:0.05,fpu:0.05,corrupt:0.03";
-  ProgramRun Ref =
-      runProgram(Program, Machine, EngineKind::Interp, 1, Spec, 9);
-  expectSameRun(
-      Ref, runProgram(Program, Machine, EngineKind::Compiled, 1, Spec, 9));
-  expectSameRun(
-      Ref, runProgram(Program, Machine, EngineKind::Compiled, 8, Spec, 9));
+  invariance::Matrix M;
+  M.Base = {{"-pes=64", "-comm=sync",
+             "-faults=pe-trap:0.05,fpu:0.05,corrupt:0.03", "-fault-seed=9"}};
+  EXPECT_EQ(invariance::check(invariance::sampleProgram(GetParam()), M)
+                .Divergence,
+            "");
 }
 
 INSTANTIATE_TEST_SUITE_P(SamplePrograms, ExecEngineProgramTest,
@@ -801,7 +730,8 @@ TEST(StripPath, EmittedRoutinesPassTheLegalityCheck) {
         Cfg.Prof = P;
         Cfg.Cm5 = Cm5;
         driver::Compilation C(Cfg.compileOptions());
-        ASSERT_TRUE(C.compile(readProgram(Name))) << C.diags().str();
+        ASSERT_TRUE(C.compile(invariance::sampleProgram(Name)))
+            << C.diags().str();
         const std::vector<Routine> &Routines =
             C.artifacts().Compiled.Program.Routines;
         EXPECT_FALSE(Routines.empty()) << Name;

@@ -14,17 +14,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
-#include "observe/Metrics.h"
+#include "invariance/Invariance.h"
 #include "support/FaultInjector.h"
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
-
 using namespace f90y;
 using namespace f90y::driver;
+using namespace f90y::invariance;
 using support::FaultCounters;
 using support::FaultInjector;
 using support::FaultKind;
@@ -32,10 +29,12 @@ using support::FaultSpec;
 
 namespace {
 
-cm2::CostModel machine() {
-  cm2::CostModel C;
-  C.NumPEs = 16;
-  return C;
+/// The paper's strict comm model on a 16-PE machine.
+const Leg Base{{"-pes=16", "-comm=sync"}};
+
+/// Base under fault schedule \p Spec drawn from \p Seed.
+Leg faults(const std::string &Spec, uint64_t Seed) {
+  return Base + Leg{{"-faults=" + Spec, "-fault-seed=" + std::to_string(Seed)}};
 }
 
 /// A program that crosses every faultable path: grid shifts, router
@@ -67,65 +66,14 @@ const char *recoverableSpec() {
          "pe-trap:0.05,fpu:0.05";
 }
 
-ExecutionOptions optionsFor(const std::string &Spec, uint64_t Seed,
-                            unsigned Threads) {
-  ExecutionOptions O;
-  O.Threads = Threads;
-  O.FaultSeed = Seed;
-  std::string Error;
-  EXPECT_TRUE(FaultSpec::parse(Spec, O.Faults, Error)) << Error;
-  return O;
+/// faultyProgram fault-free, then under \p Faulty, compared under the
+/// Model contract: recovery may cost cycles, never results.
+Result cleanVersusFaulty(const Leg &Faulty) {
+  Matrix M;
+  M.Model = {Base, Faulty};
+  M.Host = false;
+  return check(faultyProgram(), M);
 }
-
-/// Everything one run produces that the determinism contract covers.
-struct Outcome {
-  bool Ok = false;
-  std::string Output;
-  std::string Diags;
-  runtime::CycleLedger Ledger;
-  FaultCounters Counters;
-  std::vector<double> FinalA; ///< Raw storage of array 'a' post-run.
-};
-
-Outcome runProgram(Compilation &C, const ExecutionOptions &EOpts) {
-  Execution Exec(machine(), EOpts);
-  auto Report = Exec.run(C.artifacts().Compiled.Program);
-  Outcome O;
-  O.Diags = Exec.diags().str();
-  if (!Report)
-    return O;
-  O.Ok = true;
-  O.Output = Report->Output;
-  O.Ledger = Report->Ledger;
-  O.Counters = Report->Faults;
-  int H = Exec.executor().fieldHandle("a");
-  if (H >= 0)
-    O.FinalA = Exec.runtime().snapshotField(H);
-  return O;
-}
-
-void expectIdentical(const Outcome &A, const Outcome &B) {
-  ASSERT_TRUE(A.Ok) << A.Diags;
-  ASSERT_TRUE(B.Ok) << B.Diags;
-  EXPECT_EQ(A.Output, B.Output);
-  EXPECT_EQ(A.FinalA, B.FinalA);
-  EXPECT_EQ(A.Ledger.NodeCycles, B.Ledger.NodeCycles);
-  EXPECT_EQ(A.Ledger.CallCycles, B.Ledger.CallCycles);
-  EXPECT_EQ(A.Ledger.CommCycles, B.Ledger.CommCycles);
-  EXPECT_EQ(A.Ledger.HostCycles, B.Ledger.HostCycles);
-  EXPECT_EQ(A.Ledger.Flops, B.Ledger.Flops);
-  EXPECT_TRUE(A.Counters == B.Counters)
-      << A.Counters.str() << " vs " << B.Counters.str();
-}
-
-class FaultInjectionTest : public ::testing::Test {
-protected:
-  Compilation C{CompileOptions::forProfile(Profile::F90Y, machine())};
-
-  void SetUp() override {
-    ASSERT_TRUE(C.compile(faultyProgram())) << C.diags().str();
-  }
-};
 
 //===----------------------------------------------------------------------===//
 // FaultSpec parsing
@@ -233,74 +181,66 @@ TEST(FaultInjectorTest, CountersRender) {
 // End-to-end determinism and recovery
 //===----------------------------------------------------------------------===//
 
-TEST_F(FaultInjectionTest, NoFaultSpecAttachesNoInjector) {
-  Execution Exec(machine(), ExecutionOptions());
+TEST(FaultInjectionTest, NoFaultSpecAttachesNoInjector) {
+  std::string Error;
+  auto C = compile(faultyProgram(), Base, Error);
+  ASSERT_TRUE(C) << Error;
+  Execution Exec(C->options().Costs, Base.executionOptions());
   EXPECT_EQ(Exec.faultInjector(), nullptr);
-  auto Report = Exec.run(C.artifacts().Compiled.Program);
+  auto Report = Exec.run(C->artifacts().Compiled.Program);
   ASSERT_TRUE(Report.has_value()) << Exec.diags().str();
   EXPECT_EQ(Report->Faults.totalInjected(), 0u);
 }
 
-TEST_F(FaultInjectionTest, RecoverableSchedulePreservesProgramResults) {
-  Outcome Clean = runProgram(C, ExecutionOptions());
-  Outcome Faulty = runProgram(C, optionsFor(recoverableSpec(), 1, 1));
-  ASSERT_TRUE(Clean.Ok) << Clean.Diags;
-  ASSERT_TRUE(Faulty.Ok) << Faulty.Diags;
-  // Recovery is invisible to the program: identical output and data.
-  EXPECT_EQ(Faulty.Output, Clean.Output);
-  EXPECT_EQ(Faulty.FinalA, Clean.FinalA);
+TEST(FaultInjectionTest, RecoverableSchedulePreservesProgramResults) {
+  // Recovery is invisible to the program: identical output and data...
+  Result R = cleanVersusFaulty(faults(recoverableSpec(), 1));
+  ASSERT_EQ(R.Divergence, "");
+  const driver::RunReport &Clean = R.Runs[0].Report, &Faulty = R.Runs[1].Report;
   // ...but not to the machine: the schedule injected real faults and the
   // ledger carries their recovery cost.
-  EXPECT_GT(Faulty.Counters.totalInjected(), 0u) << Faulty.Counters.str();
+  EXPECT_GT(Faulty.Faults.totalInjected(), 0u) << Faulty.Faults.str();
   EXPECT_GT(Faulty.Ledger.total(), Clean.Ledger.total());
 }
 
-TEST_F(FaultInjectionTest, FaultScheduleIsThreadCountInvariant) {
-  Outcome T1 = runProgram(C, optionsFor(recoverableSpec(), 42, 1));
-  Outcome T8 = runProgram(C, optionsFor(recoverableSpec(), 42, 8));
-  EXPECT_GT(T1.Counters.totalInjected(), 0u) << T1.Counters.str();
-  expectIdentical(T1, T8);
+TEST(FaultInjectionTest, FaultScheduleIsThreadCountInvariant) {
+  Matrix M;
+  M.Base = faults(recoverableSpec(), 42);
+  Result R = check(faultyProgram(), M);
+  EXPECT_EQ(R.Divergence, "");
+  EXPECT_GT(R.Runs[0].Report.Faults.totalInjected(), 0u);
 }
 
-TEST_F(FaultInjectionTest, SameSeedReproducesBitIdentically) {
-  Outcome A = runProgram(C, optionsFor(recoverableSpec(), 7, 2));
-  Outcome B = runProgram(C, optionsFor(recoverableSpec(), 7, 2));
-  expectIdentical(A, B);
+TEST(FaultInjectionTest, SameSeedReproducesBitIdentically) {
+  const Leg L = faults(recoverableSpec(), 7) + Leg{{"-threads=2"}};
+  EXPECT_EQ(diffHost(run(faultyProgram(), L), run(faultyProgram(), L)), "");
 }
 
-TEST_F(FaultInjectionTest, FaultScheduleIsEngineInvariant) {
+TEST(FaultInjectionTest, FaultScheduleIsEngineInvariant) {
   // Injection decisions are drawn per dispatch on the host thread and PE
   // traps partial-sweep through the engine's own sweep function, so the
   // schedule, the partial stores, and the recovery account are identical
   // under the interpreter and the compiled engine.
-  ExecutionOptions Interp = optionsFor(recoverableSpec(), 42, 2);
-  Interp.Engine = peac::EngineKind::Interp;
-  ExecutionOptions Compiled = optionsFor(recoverableSpec(), 42, 2);
-  Compiled.Engine = peac::EngineKind::Compiled;
-  Outcome A = runProgram(C, Interp);
-  Outcome B = runProgram(C, Compiled);
-  EXPECT_GT(A.Counters.totalInjected(), 0u) << A.Counters.str();
-  expectIdentical(A, B);
+  const Leg L = faults(recoverableSpec(), 42) + Leg{{"-threads=2"}};
+  Record Interp = run(faultyProgram(), L + Leg{{"-exec=interp"}});
+  EXPECT_EQ(diffHost(Interp, run(faultyProgram(), L + Leg{{"-exec=compiled"}})),
+            "");
+  EXPECT_GT(Interp.Report.Faults.totalInjected(), 0u);
 }
 
-TEST_F(FaultInjectionTest, CorruptionRollsBackAndRecovers) {
-  Outcome Clean = runProgram(C, ExecutionOptions());
-  Outcome Faulty = runProgram(C, optionsFor("corrupt:0.2", 3, 1));
-  ASSERT_TRUE(Faulty.Ok) << Faulty.Diags;
-  EXPECT_EQ(Faulty.Output, Clean.Output);
-  EXPECT_EQ(Faulty.FinalA, Clean.FinalA);
-  EXPECT_GT(Faulty.Counters.injected(FaultKind::Corruption), 0u)
-      << Faulty.Counters.str();
-  EXPECT_GT(Faulty.Counters.Rollbacks, 0u) << Faulty.Counters.str();
+TEST(FaultInjectionTest, CorruptionRollsBackAndRecovers) {
+  Result R = cleanVersusFaulty(faults("corrupt:0.2", 3));
+  ASSERT_EQ(R.Divergence, "");
+  const FaultCounters &F = R.Runs[1].Report.Faults;
+  EXPECT_GT(F.injected(FaultKind::Corruption), 0u) << F.str();
+  EXPECT_GT(F.Rollbacks, 0u) << F.str();
 }
 
-TEST_F(FaultInjectionTest, PeTrapReplaysDispatchAndRecovers) {
-  Outcome Clean = runProgram(C, ExecutionOptions());
-  Outcome Faulty = runProgram(C, optionsFor("pe-trap:0.3,fpu:0.3", 5, 1));
-  ASSERT_TRUE(Faulty.Ok) << Faulty.Diags;
-  EXPECT_EQ(Faulty.Output, Clean.Output);
-  EXPECT_EQ(Faulty.FinalA, Clean.FinalA);
-  EXPECT_GT(Faulty.Counters.Replays, 0u) << Faulty.Counters.str();
+TEST(FaultInjectionTest, PeTrapReplaysDispatchAndRecovers) {
+  Result R = cleanVersusFaulty(faults("pe-trap:0.3,fpu:0.3", 5));
+  ASSERT_EQ(R.Divergence, "");
+  const driver::RunReport &Clean = R.Runs[0].Report, &Faulty = R.Runs[1].Report;
+  EXPECT_GT(Faulty.Faults.Replays, 0u) << Faulty.Faults.str();
   // Replayed dispatches recharge node time, never flops: the useful-work
   // account matches the fault-free run exactly.
   EXPECT_EQ(Faulty.Ledger.Flops, Clean.Ledger.Flops);
@@ -343,104 +283,72 @@ const char *fusedChainProgram() {
 }
 
 TEST(FaultInjectionFused, FusedChainRecoversToUnfusedFaultFreeResults) {
-  // Fused compilation (the F90Y default), with the fusion metrics
-  // attached so the test can prove the chain really collapsed.
-  observe::MetricsRegistry MR;
-  Compilation Fused(CompileOptions::forProfile(Profile::F90Y, machine()));
-  Fused.setObservability(nullptr, &MR);
-  ASSERT_TRUE(Fused.compile(fusedChainProgram())) << Fused.diags().str();
-  ASSERT_GT(MR.value("fuse.temps_eliminated"), 0.0);
-
-  CompileOptions Off = CompileOptions::forProfile(Profile::F90Y, machine());
-  Off.Transforms.Fusion = false;
-  Compilation Unfused(Off);
-  ASSERT_TRUE(Unfused.compile(fusedChainProgram())) << Unfused.diags().str();
-
   // The reference: fault-free, fusion off. Rollback (corruption) and
-  // dispatch replay (PE trap) inside the megakernel must land exactly on
-  // the per-statement, fault-free results.
-  Outcome Reference = runProgram(Unfused, ExecutionOptions());
-  Outcome Faulty =
-      runProgram(Fused, optionsFor("corrupt:0.15,pe-trap:0.1", 13, 1));
-  ASSERT_TRUE(Reference.Ok) << Reference.Diags;
-  ASSERT_TRUE(Faulty.Ok) << Faulty.Diags;
-  EXPECT_GT(Faulty.Counters.injected(FaultKind::Corruption), 0u)
-      << Faulty.Counters.str();
-  EXPECT_GT(Faulty.Counters.injected(FaultKind::PeTrap), 0u)
-      << Faulty.Counters.str();
-  EXPECT_EQ(Faulty.Output, Reference.Output);
-  EXPECT_EQ(Faulty.FinalA, Reference.FinalA);
+  // dispatch replay (PE trap) inside the megakernel of the fused (F90Y
+  // default) compile must land exactly on the per-statement, fault-free
+  // results.
+  Matrix M;
+  M.Base = Base;
+  M.Model = {Leg{{"-fuse=off"}},
+             Leg{{"-faults=corrupt:0.15,pe-trap:0.1", "-fault-seed=13"}}};
+  M.Host = false;
+  Result R = check(fusedChainProgram(), M);
+  ASSERT_EQ(R.Divergence, "");
+  const Record &Faulty = R.Runs[1];
+  // The chain really collapsed, and faults landed inside it.
+  EXPECT_GT(Faulty.metric("fuse.temps_eliminated"), 0.0);
+  EXPECT_GT(Faulty.Report.Faults.injected(FaultKind::Corruption), 0u)
+      << Faulty.Report.Faults.str();
+  EXPECT_GT(Faulty.Report.Faults.injected(FaultKind::PeTrap), 0u)
+      << Faulty.Report.Faults.str();
 }
 
 TEST(FaultInjectionFused, FusedChainFaultScheduleIsThreadInvariant) {
-  Compilation C(CompileOptions::forProfile(Profile::F90Y, machine()));
-  ASSERT_TRUE(C.compile(fusedChainProgram())) << C.diags().str();
-  Outcome T1 = runProgram(C, optionsFor("corrupt:0.15,pe-trap:0.1", 42, 1));
-  Outcome T8 = runProgram(C, optionsFor("corrupt:0.15,pe-trap:0.1", 42, 8));
-  EXPECT_GT(T1.Counters.totalInjected(), 0u) << T1.Counters.str();
-  expectIdentical(T1, T8);
-  // Same seed, same schedule: the replay is bit-exact.
-  Outcome Again =
-      runProgram(C, optionsFor("corrupt:0.15,pe-trap:0.1", 42, 1));
-  expectIdentical(T1, Again);
+  // Same seed, same schedule at 1 and 8 threads, traced or not, killed
+  // and restored: the replay is bit-exact.
+  Matrix M;
+  M.Base = faults("corrupt:0.15,pe-trap:0.1", 42);
+  Result R = check(fusedChainProgram(), M);
+  EXPECT_EQ(R.Divergence, "");
+  EXPECT_GT(R.Runs[0].Report.Faults.totalInjected(), 0u);
 }
 
-#ifdef F90Y_SOURCE_DIR
 // The acceptance sweep: every shipped sample program, under an injected
-// recoverable schedule, is bit-identical at 1 and 8 threads and matches
-// its own fault-free output.
+// recoverable schedule, holds the Host contract and matches its own
+// fault-free output and fields.
 TEST(FaultInjectionPrograms, SamplesAreThreadInvariantUnderFaults) {
-  const char *Programs[] = {"fig10.f90", "subroutines.f90", "swe.f90"};
-  for (const char *Name : Programs) {
-    SCOPED_TRACE(Name);
-    std::ifstream In(std::string(F90Y_SOURCE_DIR) + "/examples/programs/" +
-                     Name);
-    ASSERT_TRUE(In.good());
-    std::stringstream Buf;
-    Buf << In.rdbuf();
-    Compilation C(CompileOptions::forProfile(Profile::F90Y, machine()));
-    ASSERT_TRUE(C.compile(Buf.str())) << C.diags().str();
-
-    Outcome Clean = runProgram(C, ExecutionOptions());
-    Outcome T1 = runProgram(C, optionsFor(recoverableSpec(), 11, 1));
-    Outcome T8 = runProgram(C, optionsFor(recoverableSpec(), 11, 8));
-    ASSERT_TRUE(Clean.Ok) << Clean.Diags;
-    expectIdentical(T1, T8);
-    EXPECT_EQ(T1.Output, Clean.Output);
+  for (const char *Name : {"fig10.f90", "subroutines.f90", "swe.f90"}) {
+    Matrix M;
+    M.Model = {Base, faults(recoverableSpec(), 11)};
+    EXPECT_EQ(check(sampleProgram(Name), M).Divergence, "") << Name;
   }
 }
-#endif
 
 //===----------------------------------------------------------------------===//
 // Unrecoverable faults surface as structured failures
 //===----------------------------------------------------------------------===//
 
-TEST_F(FaultInjectionTest, ExhaustedRetriesFailTheRunWithDiagnostics) {
-  Outcome O = runProgram(C, optionsFor("grid-timeout:1", 0, 1));
+TEST(FaultInjectionTest, ExhaustedRetriesFailTheRunWithDiagnostics) {
+  Record O = run(faultyProgram(), faults("grid-timeout:1", 0));
   EXPECT_FALSE(O.Ok);
   EXPECT_NE(O.Diags.find("timed out"), std::string::npos) << O.Diags;
   EXPECT_NE(O.Diags.find("error"), std::string::npos) << O.Diags;
 }
 
-TEST_F(FaultInjectionTest, SimulatedOomFailsAllocationStructurally) {
-  Outcome O = runProgram(C, optionsFor("oom:1", 0, 1));
+TEST(FaultInjectionTest, SimulatedOomFailsAllocationStructurally) {
+  Record O = run(faultyProgram(), faults("oom:1", 0));
   EXPECT_FALSE(O.Ok);
   EXPECT_NE(O.Diags.find("allocation"), std::string::npos) << O.Diags;
   EXPECT_NE(O.Diags.find("out-of-memory"), std::string::npos) << O.Diags;
 }
 
-TEST_F(FaultInjectionTest, WatchdogBoundsTheRun) {
-  ExecutionOptions Tight;
-  Tight.Threads = 1;
-  Tight.MaxSteps = 5;
-  Outcome O = runProgram(C, Tight);
+TEST(FaultInjectionTest, WatchdogBoundsTheRun) {
+  Record O = run(faultyProgram(), Base + Leg{{"-threads=1", "-max-steps=5"}});
   EXPECT_FALSE(O.Ok);
   EXPECT_NE(O.Diags.find("watchdog"), std::string::npos) << O.Diags;
-
-  ExecutionOptions Roomy;
-  Roomy.Threads = 1;
-  Roomy.MaxSteps = 10000000;
-  EXPECT_TRUE(runProgram(C, Roomy).Ok);
+  EXPECT_TRUE(
+      run(faultyProgram(), Base + Leg{{"-threads=1", "-max-steps=10000000"}})
+          .Ok);
 }
 
 //===----------------------------------------------------------------------===//
@@ -448,7 +356,7 @@ TEST_F(FaultInjectionTest, WatchdogBoundsTheRun) {
 //===----------------------------------------------------------------------===//
 
 TEST(FaultCheckDeathTest, InvalidFieldHandleAborts) {
-  cm2::CostModel Costs = machine();
+  cm2::CostModel Costs = Base.config().machine();
   runtime::CmRuntime RT(Costs);
   EXPECT_DEATH(RT.field(424242), "freed or invalid");
 }

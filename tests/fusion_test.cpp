@@ -10,32 +10,25 @@
 /// elementwise temporary chains fuse and their declarations disappear;
 /// multi-use temps, dead temps, comm-produced temps, reads under a
 /// communication call, guarded or sectioned producers, and intervening
-/// writes all block fusion. The end-to-end half runs randomized
-/// statement soups (temp chains, dead temps, multi-use temps, masked
-/// sections, cshift-fed operands) through the full driver and requires
-/// the final field memory to be byte-identical between -fuse=on and
-/// -fuse=off at every -threads=1/8 x -exec=interp/compiled setting, and
-/// the ledger/metrics/normalized traces to be invariant across host
-/// knobs within one fuse setting.
+/// writes all block fusion. The end-to-end half runs generated programs
+/// and the temp-chain SWE through the invariance harness: -fuse=on and
+/// -fuse=off agree in output and field values, and within one fuse
+/// setting the host knobs move no byte of output, field storage, ledger
+/// or normalized trace and metrics.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
 #include "driver/Workloads.h"
 #include "frontend/Lexer.h"
 #include "frontend/Parser.h"
 #include "interp/Interpreter.h"
+#include "invariance/Generator.h"
 #include "lower/Lowering.h"
 #include "nir/Printer.h"
 #include "observe/Metrics.h"
-#include "observe/Trace.h"
 #include "transform/Transforms.h"
 
 #include <gtest/gtest.h>
-
-#include <cstring>
-#include <random>
-#include <sstream>
 
 using namespace f90y;
 using namespace f90y::frontend;
@@ -277,269 +270,50 @@ TEST_F(FusionTest, PipelineReportsFusionMetrics) {
 }
 
 //===--------------------------------------------------------------------===//
-// Randomized fused-vs-unfused equivalence through the full driver
+// Fused-vs-unfused equivalence through the full driver
 //===--------------------------------------------------------------------===//
 
-/// A random straight-line program over persistent arrays u, v, w mixing
-/// everything fusion must handle or refuse: single-use temp chains,
-/// multi-use temps, dead temps, masked (where) updates, strided-section
-/// assignments, cshift statements, cshift-fed operands, and reads of
-/// temps under a communication call.
-std::string randomProgram(unsigned Seed) {
-  std::mt19937 Rng(Seed);
-  auto Pick = [&](int Lo, int Hi) {
-    return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
-  };
-  const char *Arr[3] = {"u", "v", "w"};
-  auto A = [&]() { return std::string(Arr[Pick(0, 2)]); };
-  auto Expr = [&]() {
-    switch (Pick(0, 3)) {
-    case 0:
-      return A() + "*0.5 + " + A();
-    case 1:
-      return A() + " - " + A() + "*0.25";
-    case 2:
-      return A() + " + 1.5";
-    default:
-      return "0.125*" + A() + " + 0.75*" + A();
-    }
-  };
-
-  int NTemps = 0;
-  std::ostringstream Body;
-  int Stmts = 10 + Pick(0, 4);
-  for (int K = 0; K < Stmts; ++K) {
-    switch (Pick(0, 7)) {
-    case 0: { // Single-use chain of 2-3 temps, consumed once.
-      int Len = 2 + Pick(0, 1), First = NTemps;
-      Body << "t" << NTemps++ << " = " << Expr() << "\n";
-      for (int I = 1; I < Len; ++I, ++NTemps)
-        Body << "t" << NTemps << " = t" << (NTemps - 1) << "*0.5 + " << A()
-             << "\n";
-      Body << A() << " = " << A() << " + 0.01*t" << (NTemps - 1) << "\n";
-      (void)First;
-      break;
-    }
-    case 1: { // Multi-use temp: must NOT fuse.
-      int T = NTemps++;
-      Body << "t" << T << " = " << Expr() << "\n";
-      Body << "u = u + 0.01*t" << T << "\n";
-      Body << "v = v - 0.01*t" << T << "\n";
-      break;
-    }
-    case 2: // Dead temp.
-      Body << "t" << NTemps++ << " = " << Expr() << "\n";
-      break;
-    case 3: // Masked update.
-      Body << "where (" << A() << " > 0.5)\n  w = w*0.5 + 0.25\n"
-           << "end where\n";
-      break;
-    case 4: // Communication statement.
-      Body << "v = cshift(v, " << (Pick(0, 1) ? 1 : -1) << ", 1)\n";
-      break;
-    case 5: { // cshift-fed temp: comm-produced, must NOT fuse.
-      int T = NTemps++;
-      Body << "t" << T << " = cshift(" << A() << ", 1, 1)\n";
-      Body << "u = u + 0.01*t" << T << "\n";
-      break;
-    }
-    case 6: // Strided-section assignment.
-      Body << "w(1:48:2) = w(1:48:2) + 0.5\n";
-      break;
-    default: { // Temp read under a comm call: must NOT fuse.
-      int T = NTemps++;
-      Body << "t" << T << " = " << Expr() << "\n";
-      Body << "w = w + 0.01*cshift(t" << T << ", -1, 1)\n";
-      break;
-    }
-    }
-  }
-
-  std::ostringstream P;
-  P << "program r" << Seed << "\n";
-  P << "real u(48), v(48), w(48)\n";
-  for (int T = 0; T < NTemps; ++T)
-    P << "real t" << T << "(48)\n";
-  P << "integer i\n";
-  P << "forall (i=1:48) u(i) = 0.5 + real(i)*0.01\n";
-  P << "forall (i=1:48) v(i) = 1.0 - real(i)*0.02\n";
-  P << "forall (i=1:48) w(i) = real(mod(i, 7))*0.125\n";
-  P << Body.str();
-  P << "end\n";
-  return P.str();
-}
-
-/// Everything one run produces that equivalence cares about.
-struct RunState {
-  std::vector<double> Fields;
-  std::string Output;
-  runtime::CycleLedger Ledger;
-};
-
-void collectField(driver::Execution &Exec, const std::string &Name,
-                  std::vector<double> &Out) {
-  int Handle = Exec.executor().fieldHandle(Name);
-  ASSERT_GE(Handle, 0) << Name;
-  const runtime::PeArray &Got = Exec.runtime().field(Handle);
-  std::vector<int64_t> Pos(Got.Geo->Extents.size(), 0);
-  bool Done = Got.Geo->totalElements() == 0;
-  while (!Done) {
-    int64_t PE, Off;
-    Got.Geo->locate(Pos, PE, Off);
-    Out.push_back(Got.peBase(PE)[Off]);
-    size_t K = Pos.size();
-    Done = true;
-    while (K-- > 0) {
-      if (++Pos[K] < Got.Geo->Extents[K]) {
-        Done = false;
-        break;
-      }
-      Pos[K] = 0;
-    }
-  }
-}
-
-RunState runCompiled(driver::Compilation &C, const cm2::CostModel &M,
-                     unsigned Threads, peac::EngineKind Engine,
-                     const std::vector<std::string> &Names = {"u", "v",
-                                                              "w"}) {
-  driver::ExecutionOptions EO;
-  EO.Threads = Threads;
-  EO.Engine = Engine;
-  driver::Execution Exec(M, EO);
-  auto Report = Exec.run(C.artifacts().Compiled.Program);
-  RunState S;
-  EXPECT_TRUE(Report.has_value()) << Exec.diags().str();
-  if (!Report)
-    return S;
-  S.Output = Report->Output;
-  S.Ledger = Report->Ledger;
-  for (const std::string &Name : Names)
-    collectField(Exec, Name, S.Fields);
-  return S;
-}
-
-bool sameFields(const RunState &A, const RunState &B) {
-  return A.Fields.size() == B.Fields.size() &&
-         std::memcmp(A.Fields.data(), B.Fields.data(),
-                     A.Fields.size() * sizeof(double)) == 0;
-}
-
-bool sameLedger(const runtime::CycleLedger &A, const runtime::CycleLedger &B) {
-  return A.NodeCycles == B.NodeCycles && A.CallCycles == B.CallCycles &&
-         A.CommCycles == B.CommCycles && A.HostCycles == B.HostCycles &&
-         A.OverlappedCycles == B.OverlappedCycles && A.Flops == B.Flops;
+/// -fuse=on against -fuse=off under the Model contract, each leg also
+/// under the Host contract.
+invariance::Matrix fuseOnAndOff(invariance::Leg Base) {
+  invariance::Matrix M;
+  M.Base = std::move(Base);
+  M.Model = {invariance::Leg{}, invariance::Leg{{"-fuse=off"}}};
+  return M;
 }
 
 TEST(FusionEquivalence, RandomProgramsMatchAcrossTheExecutionMatrix) {
-  cm2::CostModel M;
-  M.NumPEs = 16;
-  for (unsigned Seed = 1; Seed <= 8; ++Seed) {
-    std::string Src = randomProgram(Seed);
-    driver::CompileOptions OOn =
-        driver::CompileOptions::forProfile(driver::Profile::F90Y, M);
-    driver::CompileOptions OOff = OOn;
-    OOff.Transforms.Fusion = false;
-    driver::Compilation COn(OOn), COff(OOff);
-    ASSERT_TRUE(COn.compile(Src)) << "seed " << Seed << "\n"
-                                  << COn.diags().str() << Src;
-    ASSERT_TRUE(COff.compile(Src)) << "seed " << Seed << "\n"
-                                   << COff.diags().str() << Src;
-
-    RunState Ref; // threads=1, interp, fuse=off: the baseline.
-    bool HaveRef = false;
-    runtime::CycleLedger OnLedger{};
-    bool HaveOnLedger = false;
-    for (unsigned Threads : {1u, 8u}) {
-      for (peac::EngineKind Engine :
-           {peac::EngineKind::Interp, peac::EngineKind::Compiled}) {
-        RunState Off = runCompiled(COff, M, Threads, Engine);
-        RunState On = runCompiled(COn, M, Threads, Engine);
-        // fuse=on vs fuse=off: identical observable state.
-        EXPECT_TRUE(sameFields(On, Off))
-            << "seed " << Seed << " threads " << Threads << "\n"
-            << Src;
-        EXPECT_EQ(On.Output, Off.Output) << "seed " << Seed;
-        // Within one fuse setting, host knobs may not move a cycle.
-        if (!HaveRef) {
-          Ref = Off;
-          HaveRef = true;
-        } else {
-          EXPECT_TRUE(sameFields(Off, Ref)) << "seed " << Seed;
-          EXPECT_TRUE(sameLedger(Off.Ledger, Ref.Ledger)) << "seed " << Seed;
-        }
-        if (!HaveOnLedger) {
-          OnLedger = On.Ledger;
-          HaveOnLedger = true;
-        } else {
-          EXPECT_TRUE(sameLedger(On.Ledger, OnLedger)) << "seed " << Seed;
-        }
-      }
-    }
-  }
+  // Generated programs mix everything fusion must handle or refuse:
+  // single-use temp chains, multi-use temps, dead temps, masked updates,
+  // strided sections, shift-fed temps and temps read under a shift.
+  for (unsigned Seed = 1; Seed <= 8; ++Seed)
+    EXPECT_EQ(invariance::checkGenerated(
+                  Seed, fuseOnAndOff({{"-pes=16", "-comm=sync"}})),
+              "");
 }
 
 TEST(FusionEquivalence, TempChainSweMatchesAcrossEngines) {
-  // The benchmark workload itself, end to end at a small size: output
-  // identical between fuse settings, with the fused compile measurably
-  // smaller.
-  cm2::CostModel M;
-  std::string Src = driver::sweTempsSource(32, 2);
-  driver::CompileOptions OOn =
-      driver::CompileOptions::forProfile(driver::Profile::F90Y, M);
-  driver::CompileOptions OOff = OOn;
-  OOff.Transforms.Fusion = false;
-  observe::MetricsRegistry Metrics;
-  driver::Compilation COn(OOn), COff(OOff);
-  COn.setObservability(nullptr, &Metrics);
-  ASSERT_TRUE(COn.compile(Src)) << COn.diags().str();
-  ASSERT_TRUE(COff.compile(Src)) << COff.diags().str();
-  EXPECT_GT(Metrics.value("fuse.temps_eliminated"), 0.0);
-
-  for (peac::EngineKind Engine :
-       {peac::EngineKind::Interp, peac::EngineKind::Compiled}) {
-    RunState On = runCompiled(COn, M, 1, Engine, {"u", "v", "p"});
-    RunState Off = runCompiled(COff, M, 1, Engine, {"u", "v", "p"});
-    EXPECT_TRUE(sameFields(On, Off));
-    EXPECT_EQ(On.Output, Off.Output);
-    // The fused program does strictly less node work.
-    EXPECT_LT(On.Ledger.NodeCycles, Off.Ledger.NodeCycles);
-  }
+  // The benchmark workload itself, end to end at a small size on the
+  // stock machine: output identical between fuse settings, with the
+  // fused compile measurably smaller.
+  invariance::Result R = invariance::check(driver::sweTempsSource(32, 2),
+                                           fuseOnAndOff({{"-comm=sync"}}));
+  ASSERT_EQ(R.Divergence, "");
+  const invariance::Record &On = R.Runs[0], &Off = R.Runs[1];
+  EXPECT_GT(On.metric("fuse.temps_eliminated"), 0.0);
+  // The fused program does strictly less node work.
+  EXPECT_LT(On.Report.Ledger.NodeCycles, Off.Report.Ledger.NodeCycles);
 }
 
 TEST(FusionEquivalence, NormalizedTracesInvariantAcrossThreads) {
   // Within one fuse setting, the (wall-normalized) trace and the metrics
-  // export are pure functions of the simulated machine: -threads must
-  // not change a byte of either.
-  cm2::CostModel M;
-  M.NumPEs = 16;
-  std::string Src = driver::sweTempsSource(16, 2);
-  driver::Compilation C(
-      driver::CompileOptions::forProfile(driver::Profile::F90Y, M));
-  ASSERT_TRUE(C.compile(Src)) << C.diags().str();
-
-  auto TracedRun = [&](unsigned Threads, std::string &TraceJson,
-                       std::string &MetricsText) {
-    observe::TraceRecorder Trace;
-    observe::MetricsRegistry Metrics;
-    driver::ExecutionOptions EO;
-    EO.Threads = Threads;
-    // The interpreting engine sidesteps the process-wide routine cache,
-    // whose hit/miss history would otherwise differ between the runs.
-    EO.Engine = peac::EngineKind::Interp;
-    EO.Trace = &Trace;
-    EO.Metrics = &Metrics;
-    driver::Execution Exec(M, EO);
-    auto Report = Exec.run(C.artifacts().Compiled.Program);
-    ASSERT_TRUE(Report.has_value()) << Exec.diags().str();
-    TraceJson = Trace.exportJson(/*NormalizeWall=*/true);
-    MetricsText = Metrics.exportText();
-  };
-  std::string T1, M1, T8, M8;
-  TracedRun(1, T1, M1);
-  TracedRun(8, T8, M8);
-  EXPECT_EQ(T1, T8);
-  EXPECT_EQ(M1, M8);
+  // export are pure functions of the simulated machine: -threads and
+  // -exec must not change a byte of either.
+  invariance::Matrix M;
+  M.Base = {{"-pes=16", "-comm=sync"}};
+  invariance::Result R = invariance::check(driver::sweTempsSource(16, 2), M);
+  EXPECT_EQ(R.Divergence, "");
+  EXPECT_NE(R.Runs[0].Trace.find("\"cat\":\"peac\""), std::string::npos);
 }
 
 } // namespace

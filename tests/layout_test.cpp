@@ -17,9 +17,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
 #include "driver/Workloads.h"
 #include "host/Printer.h"
+#include "invariance/Generator.h"
 #include "layout/Layout.h"
 #include "nir/NIRContext.h"
 #include "nir/Printer.h"
@@ -28,11 +28,8 @@
 #include "runtime/Checkpoint.h"
 
 #include <cstdio>
-#include <map>
 #include <memory>
-#include <random>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -41,11 +38,8 @@ using namespace f90y::driver;
 
 namespace {
 
-cm2::CostModel machine() {
-  cm2::CostModel C;
-  C.NumPEs = 64;
-  return C;
-}
+/// The paper's strict comm model on a 64-PE machine.
+const invariance::Leg Base{{"-pes=64", "-comm=sync"}};
 
 // ---------------------------------------------------------------------------
 // LayoutDescriptor
@@ -104,9 +98,9 @@ TEST(LayoutDescriptor, NormalizeAndEquality) {
 std::unique_ptr<Compilation> compileWithLayout(const std::string &Src,
                                                bool Infer,
                                                observe::MetricsRegistry *M) {
-  CompileOptions Opts = CompileOptions::forProfile(Profile::F90Y, machine());
-  Opts.Transforms.Layout = Infer;
-  auto C = std::make_unique<Compilation>(Opts);
+  auto C = std::make_unique<Compilation>(
+      (Base + invariance::Leg{{Infer ? "-layout=infer" : "-layout=canonical"}})
+          .compileOptions());
   if (M)
     C->setObservability(nullptr, M);
   EXPECT_TRUE(C->compile(Src)) << C->diags().str();
@@ -174,30 +168,13 @@ TEST(LayoutInfer, PinnedWorkloadsStayCanonical) {
   }
 }
 
-/// Reads \p Name element by element in logical order through the
-/// runtime's layout-aware path, so realigned and canonical runs produce
-/// comparable vectors.
-std::vector<double> logicalField(Execution &Exec, const std::string &Name) {
-  std::vector<double> Out;
-  int Handle = Exec.executor().fieldHandle(Name);
-  if (Handle < 0)
-    return Out;
-  const runtime::PeArray &Got = Exec.runtime().field(Handle);
-  std::vector<int64_t> Pos(Got.Geo->Extents.size(), 0);
-  bool Done = Got.Geo->totalElements() == 0;
-  while (!Done) {
-    Out.push_back(Exec.runtime().readElement(Handle, Pos));
-    size_t K = Pos.size();
-    Done = true;
-    while (K-- > 0) {
-      if (++Pos[K] < Got.Geo->Extents[K]) {
-        Done = false;
-        break;
-      }
-      Pos[K] = 0;
-    }
-  }
-  return Out;
+/// -layout=infer against -layout=canonical under the Model contract.
+invariance::Matrix inferAndCanonical() {
+  invariance::Matrix M;
+  M.Base = Base;
+  M.Model = {invariance::Leg{}, invariance::Leg{{"-layout=canonical"}}};
+  M.Host = false;
+  return M;
 }
 
 TEST(LayoutInfer, ResidualShiftKeepsPhysicalDistance) {
@@ -221,131 +198,41 @@ TEST(LayoutInfer, ResidualShiftKeepsPhysicalDistance) {
   EXPECT_NE(L.find("realigned(logical="), std::string::npos) << L;
 
   // The residual leg still computes exactly the canonical chain.
-  auto Canon = compileWithLayout(Src, false, nullptr);
-  Execution EI(machine()), EC(machine());
-  auto RI = EI.run(C->artifacts().Compiled.Program);
-  auto RC = EC.run(Canon->artifacts().Compiled.Program);
-  ASSERT_TRUE(RI && RC) << EI.diags().str() << EC.diags().str();
-  EXPECT_EQ(RI->Output, RC->Output);
-  for (const char *F : {"b", "c", "e"})
-    EXPECT_EQ(logicalField(EI, F), logicalField(EC, F)) << F << "\n" << L;
+  EXPECT_EQ(invariance::check(Src, inferAndCanonical()).Divergence, "") << L;
 }
 
 // ---------------------------------------------------------------------------
 // Infer-vs-canonical equivalence sweep
 // ---------------------------------------------------------------------------
 
-/// One seeded random neighbor-field program: a home field updated from a
-/// chain of shifted copies. Depending on the drawn shifts the solver
-/// localizes everything, leaves residual exchanges, or freezes the chain
-/// canonical - all must be bit-identical to the canonical pipeline.
-std::string randomProgram(std::mt19937 &Rng,
-                          std::vector<std::string> &Fields) {
-  std::uniform_int_distribution<int> ShiftDist(-2, 2);
-  std::uniform_int_distribution<int> AxisDist(1, 2);
-  std::uniform_int_distribution<int> LenDist(1, 3);
-  int Links = LenDist(Rng);
-  std::string Src = "program rnd\n"
-                    "integer, parameter :: n = 8\n"
-                    "real a(n,n)\n";
-  Fields = {"a"};
-  for (int I = 0; I < Links; ++I) {
-    Src += "real s" + std::to_string(I) + "(n,n)\n";
-    Fields.push_back("s" + std::to_string(I));
-  }
-  Src += "integer i, j, t\n"
-         "forall (i=1:n, j=1:n) a(i,j) = real(i*j)\n"
-         "do t = 1, 2\n";
-  std::string Prev = "a";
-  for (int I = 0; I < Links; ++I) {
-    int S = ShiftDist(Rng);
-    if (S == 0)
-      S = 1;
-    Src += "  s" + std::to_string(I) + " = cshift(" + Prev + ", " +
-           std::to_string(S) + ", " + std::to_string(AxisDist(Rng)) + ")\n";
-    Prev = "s" + std::to_string(I);
-  }
-  Src += "  a = 0.5*a + 0.25*" + Prev + "\n";
-  Src += "end do\n"
-         "print *, 'sum:', sum(a)\n"
-         "end program rnd\n";
-  return Src;
-}
-
 TEST(LayoutEquivalence, RandomizedInferVsCanonical) {
-  std::mt19937 Rng(0xf90u);
-  for (int Trial = 0; Trial < 12; ++Trial) {
-    std::vector<std::string> Fields;
-    std::string Src = randomProgram(Rng, Fields);
-    auto Infer = compileWithLayout(Src, true, nullptr);
-    auto Canon = compileWithLayout(Src, false, nullptr);
-    // Every other trial runs under recoverable injected faults: retries
-    // must not observe placement either.
-    ExecutionOptions EO;
-    if (Trial % 2) {
-      std::string Error;
-      ASSERT_TRUE(support::FaultSpec::parse("corrupt:0.01,pe-trap:0.005",
-                                            EO.Faults, Error))
-          << Error;
-      EO.FaultSeed = 11 + Trial;
-    }
-    Execution EI(machine(), EO), EC(machine(), EO);
-    auto RI = EI.run(Infer->artifacts().Compiled.Program);
-    auto RC = EC.run(Canon->artifacts().Compiled.Program);
-    ASSERT_TRUE(RI && RC)
-        << "trial " << Trial << "\n"
-        << Src << EI.diags().str() << EC.diags().str();
-    EXPECT_EQ(RI->Output, RC->Output) << "trial " << Trial << "\n" << Src;
-    for (const std::string &F : Fields)
-      EXPECT_EQ(logicalField(EI, F), logicalField(EC, F))
-          << "trial " << Trial << " field " << F << "\n"
-          << Src;
-  }
+  // Generated programs: depending on the drawn shifts the solver
+  // localizes a chain of shifted copies, leaves residual exchanges, or
+  // freezes it canonical - all bit-identical to the canonical pipeline,
+  // and so under recoverable injected faults: retries must not observe
+  // placement either.
+  invariance::Matrix M = inferAndCanonical();
+  const invariance::Leg Faults{{"-faults=corrupt:0.01,pe-trap:0.005",
+                                "-fault-seed=11"}};
+  M.Model.push_back(Faults);
+  M.Model.push_back(M.Model[1] + Faults);
+  for (unsigned Seed = 100; Seed < 112; ++Seed)
+    EXPECT_EQ(invariance::checkGenerated(Seed, M), "");
 }
 
 TEST(LayoutEquivalence, MisalignedSweFullMatrix) {
   // The full compile-time x run-time matrix: layout crossed with fusion
-  // at compile time, threads x engine x comm at run time. Every leg must
-  // agree with the fused canonical baseline in output and logical-order
-  // field memory.
-  const std::string Src = misalignedSweSource(16, 3);
-  const std::vector<std::string> Fields = {"u", "v", "p", "pe", "fe", "q"};
-  std::map<std::string, std::unique_ptr<Compilation>> Legs;
-  for (bool Infer : {true, false})
-    for (bool Fuse : {true, false}) {
-      CompileOptions Opts =
-          CompileOptions::forProfile(Profile::F90Y, machine());
-      Opts.Transforms.Layout = Infer;
-      Opts.Transforms.Fusion = Fuse;
-      auto C = std::make_unique<Compilation>(Opts);
-      ASSERT_TRUE(C->compile(Src)) << C->diags().str();
-      Legs[std::string(Infer ? "infer" : "canonical") + "/" +
-           (Fuse ? "fuse" : "nofuse")] = std::move(C);
-    }
-  for (unsigned Threads : {1u, 4u}) {
-    for (peac::EngineKind Engine :
-         {peac::EngineKind::Interp, peac::EngineKind::Compiled}) {
-      for (bool Overlap : {false, true}) {
-        ExecutionOptions EO;
-        EO.Threads = Threads;
-        EO.Engine = Engine;
-        EO.OverlapComm = Overlap;
-        Execution Ref(machine(), EO);
-        auto RefRep = Ref.run(Legs["canonical/fuse"]->artifacts()
-                                  .Compiled.Program);
-        ASSERT_TRUE(RefRep) << Ref.diags().str();
-        for (auto &[Name, C] : Legs) {
-          SCOPED_TRACE(Name);
-          Execution E(machine(), EO);
-          auto R = E.run(C->artifacts().Compiled.Program);
-          ASSERT_TRUE(R) << E.diags().str();
-          EXPECT_EQ(R->Output, RefRep->Output);
-          for (const std::string &F : Fields)
-            EXPECT_EQ(logicalField(E, F), logicalField(Ref, F)) << F;
-        }
-      }
-    }
-  }
+  // and the two unscheduled comm models (sync, and runtime overlap), each
+  // leg at threads x engine. Every leg must agree with the first in output
+  // and logical-order field memory.
+  invariance::Matrix M;
+  M.Base = Base;
+  M.Model.clear();
+  for (const char *Comm : {"-comm=sync", invariance::UnscheduledOverlap})
+    for (const char *Layout : {"-layout=infer", "-layout=canonical"})
+      for (const char *Fuse : {"-fuse=on", "-fuse=off"})
+        M.Model.push_back({{Comm, Layout, Fuse}});
+  EXPECT_EQ(invariance::check(misalignedSweSource(16, 3), M).Divergence, "");
 }
 
 // ---------------------------------------------------------------------------
@@ -359,69 +246,44 @@ std::string tempPath(const std::string &Leaf) {
          TI->name() + "_" + Leaf;
 }
 
-/// Runs \p Program to completion once to learn its statement count, then
-/// re-runs with every-step checkpoints and the statement watchdog set to
-/// half (the in-process stand-in for a mid-run crash, as in
-/// checkpoint_test). Returns the checkpoint path; asserts the killed run
-/// committed at least one checkpoint.
-std::string killMidRun(const host::HostProgram &Program) {
-  observe::MetricsRegistry Metrics;
-  ExecutionOptions Base;
-  Base.Metrics = &Metrics;
-  Execution Full(machine(), Base);
-  EXPECT_TRUE(Full.run(Program).has_value()) << Full.diags().str();
-  uint64_t Total = static_cast<uint64_t>(Metrics.value("exec.statements"));
-  EXPECT_GT(Total, 4u);
-
-  std::string Path = tempPath("ck");
-  std::remove(Path.c_str());
-  ExecutionOptions Write;
-  Write.Checkpoint.Path = Path;
-  Write.MaxSteps = Total / 2;
-  Execution Killed(machine(), Write);
-  EXPECT_FALSE(Killed.run(Program).has_value());
-  EXPECT_GE(Killed.checkpoint()->writesCompleted(), 1u)
-      << Killed.diags().str();
-  return Path;
-}
-
 TEST(LayoutCheckpoint, DescriptorsSurviveRestore) {
   // Kill a realigned run at a step boundary and resume: the restored run
-  // must be bit-identical to an uninterrupted one.
-  auto C = compileWithLayout(misalignedSweSource(8, 6), true, nullptr);
-  Execution Full(machine());
-  auto FullRep = Full.run(C->artifacts().Compiled.Program);
-  ASSERT_TRUE(FullRep) << Full.diags().str();
-
-  std::string Path = killMidRun(C->artifacts().Compiled.Program);
-
-  ExecutionOptions Resume;
-  Resume.Checkpoint.RestorePath = Path;
-  Execution Resumed(machine(), Resume);
-  auto ResumedRep = Resumed.run(C->artifacts().Compiled.Program);
-  ASSERT_TRUE(ResumedRep) << Resumed.diags().str();
-  EXPECT_FALSE(Resumed.restoreFailed());
-  EXPECT_EQ(ResumedRep->Output, FullRep->Output);
-  for (const char *F : {"p", "pe", "fe"})
-    EXPECT_EQ(logicalField(Resumed, F), logicalField(Full, F)) << F;
-  std::remove(Path.c_str());
+  // must be bit-identical to an uninterrupted one, at every host leg.
+  invariance::Matrix M;
+  M.Base = Base;
+  invariance::Result R = invariance::check(misalignedSweSource(8, 6), M);
+  EXPECT_EQ(R.Divergence, "");
+  EXPECT_EQ(R.Restored, invariance::hostLegs().size());
 }
 
 TEST(LayoutCheckpoint, MismatchedLayoutRejected) {
-  // A checkpoint written under -layout=infer refuses to restore into a
-  // -layout=canonical run of the same program (and names the cause).
-  auto Infer = compileWithLayout(misalignedSweSource(8, 6), true, nullptr);
-  auto Canon = compileWithLayout(misalignedSweSource(8, 6), false, nullptr);
-  std::string Path = killMidRun(Infer->artifacts().Compiled.Program);
+  // A checkpoint written under -layout=infer by a run killed halfway
+  // refuses to restore into a -layout=canonical run of the same program
+  // (and names the cause).
+  const std::string Src = misalignedSweSource(8, 6);
+  const uint64_t Statements = static_cast<uint64_t>(
+      invariance::run(Src, Base, /*Traced=*/true).metric("exec.statements"));
+  ASSERT_GT(Statements, 4u);
+  runtime::ckpt::Options Write;
+  Write.Path = tempPath("ck");
+  auto RemoveGenerations = [&] {
+    for (const char *Suffix : {"", ".1", ".2"})
+      std::remove((Write.Path + Suffix).c_str());
+  };
+  RemoveGenerations();
+  const invariance::Leg Kill{{"-max-steps=" + std::to_string(Statements / 2)}};
+  invariance::Record Killed = invariance::run(Src, Base + Kill, false, Write);
+  EXPECT_FALSE(Killed.Ok);
+  EXPECT_GE(Killed.CheckpointsWritten, 1u) << Killed.Diags;
 
-  ExecutionOptions Resume;
-  Resume.Checkpoint.RestorePath = Path;
-  Execution Resumed(machine(), Resume);
-  EXPECT_FALSE(Resumed.run(Canon->artifacts().Compiled.Program));
-  EXPECT_TRUE(Resumed.restoreFailed()) << Resumed.diags().str();
-  EXPECT_NE(Resumed.diags().str().find("layout"), std::string::npos)
-      << Resumed.diags().str();
-  std::remove(Path.c_str());
+  runtime::ckpt::Options Resume;
+  Resume.RestorePath = Write.Path;
+  invariance::Record Resumed = invariance::run(
+      Src, Base + invariance::Leg{{"-layout=canonical"}}, false, Resume);
+  EXPECT_FALSE(Resumed.Ok);
+  EXPECT_TRUE(Resumed.RestoreFailed) << Resumed.Diags;
+  EXPECT_NE(Resumed.Diags.find("layout"), std::string::npos) << Resumed.Diags;
+  RemoveGenerations();
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "invariance/Invariance.h"
 #include "observe/Json.h"
 #include "observe/Metrics.h"
 #include "observe/Trace.h"
@@ -278,62 +278,20 @@ TEST(ObserveTrace, ClearResetsEverything) {
 
 namespace {
 
+/// What the cycle-span tiling test reads from one traced compile and run.
 struct TracedRun {
-  std::string NormalizedTrace;
-  std::string MetricsText;
-  std::string Output;
   double LedgerTotal = 0;
   double CycleSpanSum = 0;
   bool SawComm = false, SawPeac = false;
 };
 
-/// Drops `peac.engine.*` lines from a metrics export. The routine-cache
-/// hit/miss counters reflect host-side cache history (a run may hit on
-/// routines a previous run in the same process compiled), so comparisons
-/// of metric content *across runs* normalize them away; everything else
-/// in the export describes the simulated machine and must match exactly.
-std::string stripEngineMetrics(const std::string &Text) {
-  std::string Out;
-  size_t Pos = 0;
-  while (Pos < Text.size()) {
-    size_t End = Text.find('\n', Pos);
-    if (End == std::string::npos)
-      End = Text.size();
-    else
-      ++End;
-    std::string Line = Text.substr(Pos, End - Pos);
-    if (Line.rfind("peac.engine.", 0) != 0)
-      Out += Line;
-    Pos = End;
-  }
-  return Out;
-}
-
-TracedRun runTraced(const std::string &Source, unsigned Threads) {
+TracedRun runTraced(const std::string &Source) {
   TracedRun Out;
-  TraceRecorder Trace;
-  MetricsRegistry Metrics;
-  cm2::CostModel Machine;
-  driver::Compilation C(
-      driver::CompileOptions::forProfile(driver::Profile::F90Y, Machine));
-  C.setObservability(&Trace, &Metrics);
-  EXPECT_TRUE(C.compile(Source)) << C.diags().str();
-  driver::ExecutionOptions EOpts;
-  EOpts.Threads = Threads;
-  EOpts.Trace = &Trace;
-  EOpts.Metrics = &Metrics;
-  driver::Execution Exec(Machine, EOpts);
-  auto Report = Exec.run(C.artifacts().Compiled.Program);
-  EXPECT_TRUE(Report.has_value()) << Exec.diags().str();
-  if (!Report)
-    return Out;
-  Out.Output = Report->Output;
-  Out.LedgerTotal = Report->Ledger.total();
-  Out.NormalizedTrace = Trace.exportJson(/*NormalizeWall=*/true);
-  Out.MetricsText = stripEngineMetrics(Metrics.exportText());
-
+  invariance::Record R = invariance::run(Source, {{"-threads=1"}}, true);
+  EXPECT_TRUE(R.Ok) << R.Diags;
+  Out.LedgerTotal = R.Report.Ledger.total();
   json::Value V;
-  for (const json::Value *E : traceEvents(Out.NormalizedTrace, V)) {
+  for (const json::Value *E : traceEvents(R.Trace, V)) {
     if (E->numOr("pid", 0) != 2 || E->strOr("ph", "") != "X")
       continue;
     Out.CycleSpanSum += E->numOr("dur", 0);
@@ -358,7 +316,7 @@ const char *kTracedProgram = "program p\n"
 } // namespace
 
 TEST(ObserveEndToEnd, CycleSpansReconcileWithLedger) {
-  TracedRun R = runTraced(kTracedProgram, 1);
+  TracedRun R = runTraced(kTracedProgram);
   ASSERT_GT(R.LedgerTotal, 0.0);
   // The tiling invariant: cycle-domain span durations sum to the ledger
   // total (what f90y-trace reconciles against -stats).
@@ -368,40 +326,18 @@ TEST(ObserveEndToEnd, CycleSpansReconcileWithLedger) {
 }
 
 TEST(ObserveEndToEnd, TraceAndMetricsDeterministicAcrossThreads) {
-  TracedRun Serial = runTraced(kTracedProgram, 1);
-  TracedRun Wide = runTraced(kTracedProgram, 8);
-  EXPECT_EQ(Serial.Output, Wide.Output);
-  EXPECT_EQ(Serial.LedgerTotal, Wide.LedgerTotal);
-  EXPECT_EQ(Serial.NormalizedTrace, Wide.NormalizedTrace);
-  EXPECT_EQ(Serial.MetricsText, Wide.MetricsText);
+  // Every host leg exports byte-identical (wall-normalized) trace and
+  // metrics content, compile included, under either comm model.
+  invariance::Matrix M;
+  M.Model = {invariance::Leg{}, invariance::Leg{{"-comm=sync"}}};
+  EXPECT_EQ(invariance::check(kTracedProgram, M).Divergence, "");
 }
 
 TEST(ObserveEndToEnd, TracingDoesNotPerturbTheSimulation) {
-  cm2::CostModel Machine;
-  auto Run = [&](bool Traced) {
-    TraceRecorder Trace;
-    MetricsRegistry Metrics;
-    driver::Compilation C(
-        driver::CompileOptions::forProfile(driver::Profile::F90Y, Machine));
-    if (Traced)
-      C.setObservability(&Trace, &Metrics);
-    EXPECT_TRUE(C.compile(kTracedProgram)) << C.diags().str();
-    driver::ExecutionOptions EOpts;
-    EOpts.Threads = 2;
-    if (Traced) {
-      EOpts.Trace = &Trace;
-      EOpts.Metrics = &Metrics;
-    }
-    driver::Execution Exec(Machine, EOpts);
-    auto Report = Exec.run(C.artifacts().Compiled.Program);
-    EXPECT_TRUE(Report.has_value()) << Exec.diags().str();
-    return Report ? std::make_pair(Report->Output, Report->Ledger.total())
-                  : std::make_pair(std::string(), 0.0);
-  };
-  auto Plain = Run(false);
-  auto Traced = Run(true);
-  EXPECT_EQ(Plain.first, Traced.first);
-  EXPECT_EQ(Plain.second, Traced.second);
+  const invariance::Leg L{{"-threads=2"}};
+  EXPECT_EQ(invariance::diffHost(invariance::run(kTracedProgram, L),
+                                 invariance::run(kTracedProgram, L, true)),
+            "");
 }
 
 TEST(ObserveEndToEnd, RunReportJsonIsValid) {

@@ -9,83 +9,27 @@
 /// run at --threads=8 must produce the exact output and cycle ledger of
 /// the --threads=1 serial run. Chunk decomposition depends only on
 /// problem size, and per-chunk partials are combined in chunk order, so
-/// this holds bitwise, not just approximately.
+/// this holds bitwise, not just approximately. The invariance harness
+/// checks it under f90yc's default and the sync comm model.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
+#include "invariance/Invariance.h"
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
-
-using namespace f90y;
-using namespace f90y::driver;
+using namespace f90y::invariance;
 
 namespace {
-
-std::string readProgram(const std::string &Name) {
-  std::string Path = std::string(F90Y_SOURCE_DIR) + "/examples/programs/" +
-                     Name;
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
-
-cm2::CostModel machine() {
-  cm2::CostModel C;
-  C.NumPEs = 256; // Enough PEs that every op spans many chunks.
-  return C;
-}
-
-struct RunResult {
-  std::string Output;
-  runtime::CycleLedger Ledger;
-};
-
-RunResult runWith(const host::HostProgram &Program, unsigned Threads,
-                  peac::EngineKind Engine) {
-  ExecutionOptions EOpts;
-  EOpts.Threads = Threads;
-  EOpts.Engine = Engine;
-  Execution Exec(machine(), EOpts);
-  auto Report = Exec.run(Program);
-  EXPECT_TRUE(Report.has_value()) << Exec.diags().str();
-  RunResult R;
-  if (Report) {
-    R.Output = Report->Output;
-    R.Ledger = Report->Ledger;
-  }
-  return R;
-}
-
-void expectSame(const RunResult &Serial, const RunResult &Other) {
-  EXPECT_EQ(Serial.Output, Other.Output);
-  EXPECT_EQ(Serial.Ledger.NodeCycles, Other.Ledger.NodeCycles);
-  EXPECT_EQ(Serial.Ledger.CallCycles, Other.Ledger.CallCycles);
-  EXPECT_EQ(Serial.Ledger.CommCycles, Other.Ledger.CommCycles);
-  EXPECT_EQ(Serial.Ledger.HostCycles, Other.Ledger.HostCycles);
-  EXPECT_EQ(Serial.Ledger.OverlappedCycles, Other.Ledger.OverlappedCycles);
-  EXPECT_EQ(Serial.Ledger.Flops, Other.Ledger.Flops);
-}
 
 class ParallelExecTest : public ::testing::TestWithParam<const char *> {};
 
 TEST_P(ParallelExecTest, ThreadCountAndEngineDoNotChangeResults) {
-  CompileOptions Opts = CompileOptions::forProfile(Profile::F90Y, machine());
-  Compilation C(Opts);
-  ASSERT_TRUE(C.compile(readProgram(GetParam()))) << C.diags().str();
-  const host::HostProgram &Program = C.artifacts().Compiled.Program;
-
-  // Reference: serial interpreter. Every thread count x engine combination
-  // must reproduce it bitwise.
-  RunResult Serial = runWith(Program, 1, peac::EngineKind::Interp);
-  expectSame(Serial, runWith(Program, 8, peac::EngineKind::Interp));
-  expectSame(Serial, runWith(Program, 1, peac::EngineKind::Compiled));
-  expectSame(Serial, runWith(Program, 8, peac::EngineKind::Compiled));
+  // Enough PEs that every op spans many chunks.
+  Matrix M;
+  M.Base = {{"-pes=256"}};
+  M.Model = {Leg{}, Leg{{"-comm=sync"}}};
+  EXPECT_EQ(check(sampleProgram(GetParam()), M).Divergence, "");
 }
 
 INSTANTIATE_TEST_SUITE_P(SamplePrograms, ParallelExecTest,

@@ -11,28 +11,15 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
 #include "interp/Interpreter.h"
+#include "invariance/Invariance.h"
 
 #include <gtest/gtest.h>
-
-#include <fstream>
-#include <sstream>
 
 using namespace f90y;
 using namespace f90y::driver;
 
 namespace {
-
-std::string readProgram(const std::string &Name) {
-  std::string Path = std::string(F90Y_SOURCE_DIR) + "/examples/programs/" +
-                     Name;
-  std::ifstream In(Path);
-  EXPECT_TRUE(In.good()) << "cannot open " << Path;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return Buf.str();
-}
 
 cm2::CostModel small() {
   cm2::CostModel C;
@@ -43,7 +30,7 @@ cm2::CostModel small() {
 std::string runProgram(const std::string &Name) {
   CompileOptions Opts = CompileOptions::forProfile(Profile::F90Y, small());
   Compilation C(Opts);
-  EXPECT_TRUE(C.compile(readProgram(Name))) << C.diags().str();
+  EXPECT_TRUE(C.compile(invariance::sampleProgram(Name))) << C.diags().str();
   if (C.diags().hasErrors())
     return "";
   Execution Exec(small());
@@ -87,7 +74,7 @@ TEST(SamplePrograms, AllMatchReferenceInterpreter) {
     SCOPED_TRACE(Name);
     CompileOptions Opts = CompileOptions::forProfile(Profile::F90Y, small());
     Compilation C(Opts);
-    ASSERT_TRUE(C.compile(readProgram(Name))) << C.diags().str();
+    ASSERT_TRUE(C.compile(invariance::sampleProgram(Name))) << C.diags().str();
     DiagnosticEngine IDiags;
     interp::Interpreter Interp(IDiags);
     ASSERT_TRUE(Interp.run(C.artifacts().RawNIR)) << IDiags.str();

@@ -10,14 +10,14 @@
 ///    machine sizes;
 ///  - shift algebra on the runtime (cshift inverse, composition,
 ///    full-cycle identity) across dims, distances, and machine sizes;
-///  - the compile-and-run-equals-interpret property over a generated
-///    family of data-parallel programs, across profiles and machines;
+///  - the compile-and-run-equals-interpret property over the invariance
+///    harness's generated programs, across profiles and machines;
 ///  - transformation idempotence (optimizing twice = optimizing once).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "driver/Driver.h"
-#include "interp/Interpreter.h"
+#include "invariance/Generator.h"
 #include "nir/Equality.h"
 #include "nir/Printer.h"
 #include "runtime/CmRuntime.h"
@@ -173,44 +173,6 @@ INSTANTIATE_TEST_SUITE_P(
 // Compile-and-run equals interpret, over a generated program family
 //===--------------------------------------------------------------------===//
 
-/// A deterministic generated program: a sequence of whole-array updates
-/// over two shapes with shifts, masks, reductions, and a serial loop,
-/// whose exact mix is selected by the seed.
-std::string generatedProgram(unsigned Seed) {
-  unsigned S = Seed;
-  auto Next = [&S]() {
-    S = S * 1103515245u + 12345u;
-    return (S >> 16) & 0x7fff;
-  };
-  std::string Src = "program gen\n"
-                    "real a(12,12), b(12,12), c(12,12)\n"
-                    "real v(12), s\n"
-                    "integer i, j, t\n"
-                    "forall (i=1:12, j=1:12) a(i,j) = real(i) + "
-                    "0.125*real(j)\n"
-                    "forall (i=1:12, j=1:12) b(i,j) = real(i*j)*0.01\n"
-                    "v = 1.0\n";
-  const char *Stmts[] = {
-      "c = a*b + 0.5\n",
-      "c = cshift(a, 1, 1) - cshift(b, -1, 2)\n",
-      "a = merge(a, b, a > b)\n",
-      "b = abs(a - b) + 0.25*c\n",
-      "s = sum(a)\n",
-      "c = a / (1.0 + abs(b))\n",
-      "where (a > b)\n  c = a\nelsewhere\n  c = b\nend where\n",
-      "a = a + cshift(c, 2, 1)*0.1\n",
-      "v = 0.5*v + 1.0\n",
-      "b = max(a, min(b, c))\n",
-      "do t=1,3\n  a = a*0.9 + 0.1*b\nend do\n",
-      "c(1:12:2,:) = a(1:12:2,:)\n",
-  };
-  unsigned Count = 4 + Next() % 5;
-  for (unsigned K = 0; K < Count; ++K)
-    Src += Stmts[Next() % (sizeof(Stmts) / sizeof(Stmts[0]))];
-  Src += "end\n";
-  return Src;
-}
-
 struct DiffCase {
   unsigned Seed;
   Profile P;
@@ -228,50 +190,13 @@ class CompiledEqualsInterpreted
 
 TEST_P(CompiledEqualsInterpreted, OnGeneratedPrograms) {
   const DiffCase &C = GetParam();
-  std::string Src = generatedProgram(C.Seed);
-  cm2::CostModel Machine;
-  Machine.NumPEs = C.PEs;
-  CompileOptions Opts = CompileOptions::forProfile(C.P, Machine);
-  Compilation Comp(Opts);
-  ASSERT_TRUE(Comp.compile(Src)) << Comp.diags().str() << "\n" << Src;
-
-  DiagnosticEngine IDiags;
-  interp::Interpreter Interp(IDiags);
-  ASSERT_TRUE(Interp.run(Comp.artifacts().RawNIR)) << IDiags.str();
-
-  Execution Exec(Machine);
-  auto Report = Exec.run(Comp.artifacts().Compiled.Program);
-  ASSERT_TRUE(Report.has_value()) << Exec.diags().str() << "\n" << Src;
-
-  for (const char *Name : {"a", "b", "c", "v"}) {
-    const interp::ArrayStorage *Ref = Interp.getArray(Name);
-    ASSERT_NE(Ref, nullptr);
-    int Handle = Exec.executor().fieldHandle(Name);
-    // A single-use temporary may have been fused away entirely; its value
-    // is then folded into (and checked through) its consumer.
-    if (Handle < 0)
-      continue;
-    const PeArray &Got = Exec.runtime().field(Handle);
-    std::vector<int64_t> Pos(Ref->Extents.size(), 0);
-    bool Done = false;
-    while (!Done) {
-      int64_t PE, Off;
-      Got.Geo->locate(Pos, PE, Off);
-      ASSERT_NEAR(Got.peBase(PE)[Off],
-                  Ref->Data[Ref->linearIndex(Pos)].asReal(), 1e-9)
-          << Name << " seed " << C.Seed << "\n"
-          << Src;
-      size_t K = Pos.size();
-      Done = true;
-      while (K-- > 0) {
-        if (++Pos[K] < Ref->Extents[K].size()) {
-          Done = false;
-          break;
-        }
-        Pos[K] = 0;
-      }
-    }
-  }
+  const char *Profiles[] = {"f90y", "cmf", "naive"}; // Enum order.
+  invariance::Matrix M;
+  M.Base = {{std::string("-profile=") + Profiles[static_cast<int>(C.P)],
+             "-pes=" + std::to_string(C.PEs), "-comm=sync"}};
+  M.Host = false;
+  M.Oracle = 1e-9;
+  EXPECT_EQ(invariance::checkGenerated(C.Seed, M), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -296,7 +221,7 @@ INSTANTIATE_TEST_SUITE_P(
 class TransformIdempotence : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(TransformIdempotence, OptimizeTwiceEqualsOnce) {
-  std::string Src = generatedProgram(GetParam());
+  std::string Src = invariance::generate(GetParam()).source();
   Compilation C(CompileOptions::forProfile(Profile::F90Y));
   ASSERT_TRUE(C.compile(Src)) << C.diags().str();
   DiagnosticEngine Diags;

@@ -11,8 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
-#include "interp/Interpreter.h"
+#include "invariance/Invariance.h"
 #include "runtime/CmRuntime.h"
 
 #include <gtest/gtest.h>
@@ -28,47 +27,25 @@ cm2::CostModel small() {
   return C;
 }
 
-double machineElem(Execution &Exec, const std::string &Name,
-                   std::vector<int64_t> ZeroCoord) {
-  int H = Exec.executor().fieldHandle(Name);
-  EXPECT_GE(H, 0);
-  return Exec.runtime().readElement(H, ZeroCoord);
-}
-
+/// Runs a program on 16 PEs; machineElem reads the machine's result and
+/// expectAgreesWithInterp checks an array against the NIR interpreter.
 class ReduceDimTest : public ::testing::Test {
 protected:
-  DiagnosticEngine IDiags;
-  interp::Interpreter Interp{IDiags};
-  std::optional<Execution> Exec;
-  Compilation C{CompileOptions::forProfile(Profile::F90Y, small())};
+  std::string Src;
+  invariance::Record R;
 
-  void runBoth(const std::string &Src) {
-    ASSERT_TRUE(C.compile(Src)) << C.diags().str();
-    ASSERT_TRUE(Interp.run(C.artifacts().RawNIR)) << IDiags.str();
-    Exec.emplace(small());
-    ASSERT_TRUE(Exec->run(C.artifacts().Compiled.Program).has_value())
-        << Exec->diags().str();
+  void runBoth(const std::string &Source) {
+    Src = Source;
+    R = invariance::run(Src, {{"-pes=16", "-comm=sync"}});
+    ASSERT_TRUE(R.Ok) << R.Diags;
+  }
+
+  double machineElem(const std::string &Name, std::vector<int64_t> Pos) {
+    return R.Fields.at(Name).at(Pos);
   }
 
   void expectAgreesWithInterp(const std::string &Name) {
-    const interp::ArrayStorage *Ref = Interp.getArray(Name);
-    ASSERT_NE(Ref, nullptr) << Name;
-    std::vector<int64_t> Pos(Ref->Extents.size(), 0);
-    bool Done = false;
-    while (!Done) {
-      EXPECT_NEAR(machineElem(*Exec, Name, Pos),
-                  Ref->Data[Ref->linearIndex(Pos)].asReal(), 1e-9)
-          << Name;
-      size_t K = Pos.size();
-      Done = true;
-      while (K-- > 0) {
-        if (++Pos[K] < Ref->Extents[K].size()) {
-          Done = false;
-          break;
-        }
-        Pos[K] = 0;
-      }
-    }
+    EXPECT_EQ(invariance::diffOracle(R, Src, {Name}), "");
   }
 };
 
@@ -81,8 +58,8 @@ TEST_F(ReduceDimTest, RowSumsAlongDim2) {
           "r = sum(a, 2)\n"
           "end\n");
   // Row i: sum_j (10i + j) = 60i + 21.
-  EXPECT_DOUBLE_EQ(machineElem(*Exec, "r", {0}), 81);
-  EXPECT_DOUBLE_EQ(machineElem(*Exec, "r", {3}), 261);
+  EXPECT_DOUBLE_EQ(machineElem("r", {0}), 81);
+  EXPECT_DOUBLE_EQ(machineElem("r", {3}), 261);
   expectAgreesWithInterp("r");
 }
 
@@ -95,8 +72,8 @@ TEST_F(ReduceDimTest, ColumnSumsAlongDim1) {
           "c = sum(a, dim=1)\n"
           "end\n");
   // Column j: sum_i (10i + j) = 100 + 4j.
-  EXPECT_DOUBLE_EQ(machineElem(*Exec, "c", {0}), 104);
-  EXPECT_DOUBLE_EQ(machineElem(*Exec, "c", {5}), 124);
+  EXPECT_DOUBLE_EQ(machineElem("c", {0}), 104);
+  EXPECT_DOUBLE_EQ(machineElem("c", {5}), 124);
   expectAgreesWithInterp("c");
 }
 
@@ -134,8 +111,8 @@ TEST_F(ReduceDimTest, Rank3ReducesToRank2) {
           "r = sum(a, 2)\n"
           "end\n");
   // (i,k): sum_j (i + 10j + 100k) = 4i + 100 + 400k.
-  EXPECT_DOUBLE_EQ(machineElem(*Exec, "r", {0, 0}), 504);
-  EXPECT_DOUBLE_EQ(machineElem(*Exec, "r", {2, 4}), 2112);
+  EXPECT_DOUBLE_EQ(machineElem("r", {0, 0}), 504);
+  EXPECT_DOUBLE_EQ(machineElem("r", {2, 4}), 2112);
   expectAgreesWithInterp("r");
 }
 
@@ -145,10 +122,7 @@ TEST_F(ReduceDimTest, ChargesCommunicationCycles) {
           "a = 1.5\n"
           "r = sum(a, 1)\n"
           "end\n");
-  Execution E2(small());
-  auto Report = E2.run(C.artifacts().Compiled.Program);
-  ASSERT_TRUE(Report.has_value());
-  EXPECT_GT(Report->Ledger.CommCycles, 0.0);
+  EXPECT_GT(R.Report.Ledger.CommCycles, 0.0);
 }
 
 TEST_F(ReduceDimTest, RejectsShapeMismatch) {

@@ -4,8 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
-#include "interp/Interpreter.h"
+#include "invariance/Invariance.h"
 
 #include <gtest/gtest.h>
 
@@ -20,46 +19,25 @@ cm2::CostModel small() {
   return C;
 }
 
+/// Runs a program on 16 PEs; at reads the machine's result and agrees
+/// checks an array against the NIR interpreter.
 class SpreadTest : public ::testing::Test {
 protected:
-  DiagnosticEngine IDiags;
-  interp::Interpreter Interp{IDiags};
-  std::optional<Execution> Exec;
-  Compilation C{CompileOptions::forProfile(Profile::F90Y, small())};
+  std::string Src;
+  invariance::Record R;
 
-  void runBoth(const std::string &Src) {
-    ASSERT_TRUE(C.compile(Src)) << C.diags().str();
-    ASSERT_TRUE(Interp.run(C.artifacts().RawNIR)) << IDiags.str();
-    Exec.emplace(small());
-    ASSERT_TRUE(Exec->run(C.artifacts().Compiled.Program).has_value())
-        << Exec->diags().str();
+  void runBoth(const std::string &Source) {
+    Src = Source;
+    R = invariance::run(Src, {{"-pes=16", "-comm=sync"}});
+    ASSERT_TRUE(R.Ok) << R.Diags;
   }
 
   double at(const std::string &Name, std::vector<int64_t> Pos) {
-    int H = Exec->executor().fieldHandle(Name);
-    EXPECT_GE(H, 0);
-    return Exec->runtime().readElement(H, Pos);
+    return R.Fields.at(Name).at(Pos);
   }
 
   void agrees(const std::string &Name) {
-    const interp::ArrayStorage *Ref = Interp.getArray(Name);
-    ASSERT_NE(Ref, nullptr) << Name;
-    std::vector<int64_t> Pos(Ref->Extents.size(), 0);
-    bool Done = false;
-    while (!Done) {
-      EXPECT_NEAR(at(Name, Pos), Ref->Data[Ref->linearIndex(Pos)].asReal(),
-                  1e-9)
-          << Name;
-      size_t K = Pos.size();
-      Done = true;
-      while (K-- > 0) {
-        if (++Pos[K] < Ref->Extents[K].size()) {
-          Done = false;
-          break;
-        }
-        Pos[K] = 0;
-      }
-    }
+    EXPECT_EQ(invariance::diffOracle(R, Src, {Name}), "");
   }
 };
 
