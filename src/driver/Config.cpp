@@ -6,6 +6,8 @@
 
 #include "driver/Config.h"
 
+#include "support/StringUtil.h"
+
 #include <algorithm>
 #include <charconv>
 
@@ -67,15 +69,6 @@ bool choose(std::string_view Values, std::string_view Text, uint64_t &Index) {
       return false;
     Values.remove_prefix(Bar + 1);
   }
-}
-
-/// Joins \p Parts by appending; GCC 12 misreads `"text" + std::string`
-/// as an overlapping copy (-Wrestrict).
-std::string cat(std::initializer_list<std::string_view> Parts) {
-  std::string S;
-  for (std::string_view P : Parts)
-    S.append(P);
-  return S;
 }
 
 /// Spells a JSON number as a flag carries it (fixed notation: 64, never

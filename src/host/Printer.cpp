@@ -47,7 +47,7 @@ std::string sections(const std::vector<runtime::CmRuntime::SectionDim> &S) {
     Parts.push_back(std::to_string(D.Start) + ":+" +
                     std::to_string(D.Count) + ":" +
                     std::to_string(D.Stride));
-  return "[" + join(Parts, ", ") + "]";
+  return cat({"[", join(Parts, ", "), "]"});
 }
 
 class Printer {
@@ -85,7 +85,7 @@ private:
         if (!F.Offsets.empty()) {
           Layout = " layout{off=";
           for (size_t D = 0; D < F.Offsets.size(); ++D)
-            Layout += (D ? "," : "") + std::to_string(F.Offsets[D]);
+            Layout.append(D ? "," : "").append(std::to_string(F.Offsets[D]));
           Layout += "}";
         }
         line(Depth, "alloc    " + F.Name + " : " + dims(F.Extents) + " " +

@@ -116,10 +116,10 @@ struct LayoutDescriptor {
   std::string str() const {
     std::string Out = "axes=";
     for (size_t D = 0; D < AxisMap.size(); ++D)
-      Out += (D ? "," : "") + std::to_string(AxisMap[D]);
+      Out.append(D ? "," : "").append(std::to_string(AxisMap[D]));
     Out += ";off=";
     for (size_t D = 0; D < Offsets.size(); ++D)
-      Out += (D ? "," : "") + std::to_string(Offsets[D]);
+      Out.append(D ? "," : "").append(std::to_string(Offsets[D]));
     Out += ";rep=";
     Out += Replicated ? '1' : '0';
     return Out;

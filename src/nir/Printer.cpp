@@ -63,7 +63,7 @@ std::string nir::printFieldAction(const FieldAction *F) {
       }
       std::string P = std::to_string(T.Lo) + ":" + std::to_string(T.Hi);
       if (T.Stride != 1)
-        P += ":" + std::to_string(T.Stride);
+        P.append(":").append(std::to_string(T.Stride));
       Parts.push_back(P);
     }
     return "section[" + join(Parts, ", ") + "]";

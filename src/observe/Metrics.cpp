@@ -158,7 +158,7 @@ std::string MetricsRegistry::exportJson() const {
     if (!FirstMetric)
       Out += ',';
     FirstMetric = false;
-    Out += "\n" + json::quote(Name) + ":{\"type\":";
+    Out.append("\n").append(json::quote(Name)).append(":{\"type\":");
     switch (M.K) {
     case Kind::Counter:
       Out += "\"counter\",\"value\":" + json::number(M.Count);
@@ -179,7 +179,8 @@ std::string MetricsRegistry::exportJson() const {
         if (!First)
           Out += ',';
         First = false;
-        Out += "\"" + std::to_string(B) + "\":" + json::number(M.Buckets[B]);
+        Out.append("\"").append(std::to_string(B)).append("\":").append(
+            json::number(M.Buckets[B]));
       }
       Out += '}';
       break;

@@ -136,7 +136,7 @@ std::string Operand::str() const {
   case Kind::SReg:
     return "aS" + std::to_string(Reg);
   case Kind::Imm:
-    return "#" + formatDouble(Imm);
+    return cat({"#", formatDouble(Imm)});
   case Kind::Mem: {
     std::string S = "[aP" + std::to_string(Reg);
     S += Offset >= 0 ? "+" : "";

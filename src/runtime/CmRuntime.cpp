@@ -49,14 +49,34 @@ RtResult<int> CmRuntime::tryAllocField(const Geometry *Geo, ElemKind Kind) {
   PeArray A;
   A.Geo = Geo;
   A.Kind = Kind;
-  try {
-    A.Data.assign(Elems, 0.0);
-  } catch (const std::bad_alloc &) {
-    return RtStatus::fault(RtCode::OutOfMemory,
-                           "host allocation of " + std::to_string(Elems) +
-                               " elements failed for geometry " +
-                               Geo->signature());
+  const int64_t Size = static_cast<int64_t>(Elems);
+  if (auto Spare = Spares.find(Elems); Spare != Spares.end()) {
+    A.Data = std::move(Spare->second);
+    Spares.erase(Spare);
+    Heap.Spare -= Size;
+    std::fill(A.Data.begin(), A.Data.end(), 0.0);
+  } else {
+    // Keep live + spare storage under the high-water mark this allocation
+    // leaves, so the heap never holds more than its live fields once did.
+    while (!Spares.empty() &&
+           Heap.Live + Size + Heap.Spare >
+               std::max(Heap.HighWater, Heap.Live + Size)) {
+      auto Largest = std::prev(Spares.end());
+      Heap.Spare -= static_cast<int64_t>(Largest->first);
+      Spares.erase(Largest);
+    }
+    try {
+      A.Data.assign(Elems, 0.0);
+    } catch (const std::bad_alloc &) {
+      return RtStatus::fault(RtCode::OutOfMemory,
+                             "host allocation of " + std::to_string(Elems) +
+                                 " elements failed for geometry " +
+                                 Geo->signature());
+    }
+    ++Heap.FreshAllocs;
   }
+  Heap.Live += Size;
+  Heap.HighWater = std::max(Heap.HighWater, Heap.Live);
   int Handle = NextHandle++;
   Fields[Handle] = std::move(A);
   return Handle;
@@ -75,7 +95,13 @@ int CmRuntime::allocField(const Geometry *Geo, ElemKind Kind) {
 }
 
 void CmRuntime::freeField(int Handle) {
-  Fields.erase(Handle);
+  if (auto It = Fields.find(Handle); It != Fields.end()) {
+    std::vector<double> &Data = It->second.Data;
+    Heap.Live -= static_cast<int64_t>(Data.size());
+    Heap.Spare += static_cast<int64_t>(Data.size());
+    Spares.emplace(Data.size(), std::move(Data));
+    Fields.erase(It);
+  }
   // The coordinate-field cache hands out plain field handles; drop any
   // entry for this handle so a later coordField for the same geometry
   // rebuilds instead of returning a handle that trips field()'s assert.
@@ -240,14 +266,19 @@ int CmRuntime::coordField(const Geometry *Geo, unsigned Dim) {
   int Handle = allocField(Geo, ElemKind::Int);
   PeArray &A = field(Handle);
   const size_t Axis = Dim - 1;
-  const int64_t Along = Axis + 1 == Geo->rank(); // Runs advance along Axis.
+  // Slots advance along Axis when it is the last dimension, rows when it
+  // is the second-last.
+  const int64_t Along = Axis + 1 == Geo->rank(), Down = Axis + 2 == Geo->rank();
   // Padding positions keep the fresh field's zeros; they never feed
   // active results.
   const RegionWalk W{Region(*Geo), Region(*Geo), {}};
   W.forEachRun(0, Geo->GridPEs, [&](const Run &R) {
-    double *Out = A.peBase(R.DstPE) + R.DstOff;
-    for (int64_t I = 0; I < R.Len; ++I)
-      Out[I] = static_cast<double>(R.Pos[Axis] + Along * I + Geo->Los[Axis]);
+    for (int64_t Row = 0; Row < R.Rows; ++Row) {
+      double *Out = A.peBase(R.DstPE) + R.DstOff + Row * R.DstRow;
+      const int64_t First = R.Pos[Axis] + Down * Row + Geo->Los[Axis];
+      for (int64_t I = 0; I < R.Len; ++I)
+        Out[I] = static_cast<double>(First + Along * I);
+    }
   });
   CoordFields[Key] = Handle;
   return Handle;
@@ -317,8 +348,8 @@ struct Moved {
   }
 };
 
-/// Folds the runs of \p W into one T per chunk of destination PEs, in walk
-/// order, and combines the chunks in chunk order (the ThreadPool
+/// Folds the blocks of \p W into one T per chunk of destination PEs, in
+/// walk order, and combines the chunks in chunk order (the ThreadPool
 /// determinism contract), so every thread count gives the same T.
 template <typename T, typename OnRunFn, typename CombineFn>
 T walkChunks(support::ThreadPool *Pool, const RegionWalk &W, OnRunFn OnRun,
@@ -333,30 +364,36 @@ T walkChunks(support::ThreadPool *Pool, const RegionWalk &W, OnRunFn OnRun,
       Combine);
 }
 
-/// Copies every run of \p W from \p S into \p D (zero for boundary fill),
-/// truncating under \p Truncate, and counts what moved. A remote run of
-/// length L costs L times its PEs' hop distance along \p HopDim, if set.
+/// Copies every block of \p W from \p S into \p D (zero for boundary
+/// fill), truncating under \p Truncate, and counts what moved. A remote
+/// block of E elements costs E times its PEs' hop distance along
+/// \p HopDim, if set.
 Moved moveRuns(support::ThreadPool *Pool, const RegionWalk &W, PeArray &D,
                const PeArray &S, int HopDim = -1, bool Truncate = false) {
   return walkChunks<Moved>(
       Pool, W,
       [&](Moved &M, const Run &R) {
-        double *Out = D.peBase(R.DstPE) + R.DstOff;
-        if (R.Fill) {
-          for (int64_t I = 0; I < R.Len; ++I)
-            Out[I * R.DstStep] = 0.0;
-          M.Local += R.Len;
-          return;
+        const int64_t Elems = R.Len * R.Rows;
+        for (int64_t Row = 0; Row < R.Rows; ++Row) {
+          double *Out = D.peBase(R.DstPE) + R.DstOff + Row * R.DstRow;
+          if (R.Fill) {
+            for (int64_t I = 0; I < R.Len; ++I)
+              Out[I * R.DstStep] = 0.0;
+            continue;
+          }
+          const double *In = S.peBase(R.SrcPE) + R.SrcOff + Row * R.SrcRow;
+          if (R.DstStep == 1 && R.SrcStep == 0 && !Truncate)
+            std::fill_n(Out, R.Len, *In); // One source slot fans out.
+          else
+            for (int64_t I = 0; I < R.Len; ++I) {
+              double V = In[I * R.SrcStep];
+              Out[I * R.DstStep] = Truncate ? std::trunc(V) : V;
+            }
         }
-        const double *In = S.peBase(R.SrcPE) + R.SrcOff;
-        for (int64_t I = 0; I < R.Len; ++I) {
-          double V = In[I * R.SrcStep];
-          Out[I * R.DstStep] = Truncate ? std::trunc(V) : V;
-        }
-        if (R.SrcPE == R.DstPE)
-          M.Local += R.Len;
+        if (R.Fill || R.SrcPE == R.DstPE)
+          M.Local += Elems;
         else if (HopDim >= 0)
-          M.Hops += R.Len * W.dst().hopDistance(R.DstPE, R.SrcPE,
+          M.Hops += Elems * W.dst().hopDistance(R.DstPE, R.SrcPE,
                                                 static_cast<size_t>(HopDim));
       },
       [](Moved &Acc, const Moved &M) { Acc += M; });
@@ -548,9 +585,11 @@ RtResult<double> CmRuntime::tryReduce(ReduceOp Op, int Src) {
     Fold Total = walkChunks<Fold>(
         Pool, W,
         [&](Fold &F, const Run &R) {
-          const double *In = S.peBase(R.DstPE) + R.DstOff;
-          for (int64_t I = 0; I < R.Len; ++I)
-            F.add(Op, In[I]);
+          for (int64_t Row = 0; Row < R.Rows; ++Row) {
+            const double *In = S.peBase(R.DstPE) + R.DstOff + Row * R.DstRow;
+            for (int64_t I = 0; I < R.Len; ++I)
+              F.add(Op, In[I]);
+          }
         },
         [&](Fold &Acc, const Fold &P) {
           if (P.Seen) // Fold in a later chunk's partial.
@@ -582,7 +621,7 @@ RtStatus CmRuntime::reduceAlongDim(ReduceOp Op, int Dst, int Src,
   size_t Axis = static_cast<size_t>(Dim - 1);
   F90Y_CHECK(Axis < SG.rank() && DG.rank() + 1 == SG.rank(),
              "reduceAlongDim rank mismatch");
-  // A run's sources are its elements' source lines at coordinate 0 of the
+  // A block's sources are its elements' source lines at coordinate 0 of the
   // reduced axis; Line[K] is the storage step from there to coordinate K.
   std::vector<int> From;
   for (size_t J = 0, Out = 0; J < SG.rank(); ++J)
@@ -600,14 +639,17 @@ RtStatus CmRuntime::reduceAlongDim(ReduceOp Op, int Dst, int Src,
     support::parallelChunks(
         Pool, DG.GridPEs, [&](int64_t, int64_t Begin, int64_t End) {
           W.forEachRun(Begin, End, [&](const Run &R) {
-            const double *In = S.peBase(R.SrcPE) + R.SrcOff;
-            double *Out = D.peBase(R.DstPE) + R.DstOff;
-            for (int64_t I = 0; I < R.Len; ++I) {
-              Fold F;
-              for (int64_t Step : Line)
-                F.add(Op, In[I * R.SrcStep + Step]);
-              double V = F.result(Op);
-              Out[I * R.DstStep] = D.Kind == ElemKind::Int ? std::trunc(V) : V;
+            for (int64_t Row = 0; Row < R.Rows; ++Row) {
+              const double *In = S.peBase(R.SrcPE) + R.SrcOff + Row * R.SrcRow;
+              double *Out = D.peBase(R.DstPE) + R.DstOff + Row * R.DstRow;
+              for (int64_t I = 0; I < R.Len; ++I) {
+                Fold F;
+                for (int64_t Step : Line)
+                  F.add(Op, In[I * R.SrcStep + Step]);
+                double V = F.result(Op);
+                Out[I * R.DstStep] =
+                    D.Kind == ElemKind::Int ? std::trunc(V) : V;
+              }
             }
           });
         });
@@ -654,29 +696,32 @@ RtStatus CmRuntime::spreadAlongDim(int Dst, int Src, unsigned Dim) {
 RtResult<std::string> CmRuntime::tryRenderField(int Handle) {
   const PeArray &A = field(Handle);
   const Geometry &Geo = *A.Geo;
-  // Row-major over logical coordinates: walk a one-PE copy of the shape,
-  // whose logical element x reads slot (x + LayoutOffsets) modulo the
-  // extents. Every element read crosses the router, so the whole render
-  // retries as one faultable op.
-  const Geometry Rows = Geometry::layout(Geo.Extents, Geo.Los, 1, 1);
-  RegionWalk W(Region(Rows), Region(Geo), {}, A.LayoutOffsets);
+  // Gather into a one-PE copy of the shape, whose slots are the logical
+  // elements in row-major order: logical element x reads slot
+  // (x + LayoutOffsets) modulo the extents and lands at its own walk
+  // position, so the text never depends on the walk's visiting order.
+  // Every element read crosses the router, so the whole render retries
+  // as one faultable op.
+  const Geometry OnePE = Geometry::layout(Geo.Extents, Geo.Los, 1, 1);
+  RegionWalk W(Region(OnePE), Region(Geo), {}, A.LayoutOffsets);
+  PeArray Flat;
+  Flat.Geo = &OnePE;
+  Flat.Data.resize(static_cast<size_t>(OnePE.PaddedSubgrid));
   std::string Out;
   RtStatus St =
       runFaultableComm(FaultKind::RouterDrop, "field render", {}, [&] {
+        moveRuns(nullptr, W, Flat, A);
         Out.clear();
-        W.forEachRun(0, 1, [&](const Run &R) {
-          for (int64_t I = 0; I < R.Len; ++I) {
-            double V = A.peBase(R.SrcPE)[R.SrcOff + I * R.SrcStep];
-            if (!Out.empty())
-              Out += ' ';
-            if (A.Kind == ElemKind::Int)
-              Out += std::to_string(static_cast<int64_t>(V));
-            else if (A.Kind == ElemKind::Bool)
-              Out += V != 0 ? "T" : "F";
-            else
-              Out += formatDouble(V);
-          }
-        });
+        for (double V : Flat.Data) {
+          if (!Out.empty())
+            Out += ' ';
+          if (A.Kind == ElemKind::Int)
+            Out += std::to_string(static_cast<int64_t>(V));
+          else if (A.Kind == ElemKind::Bool)
+            Out += V != 0 ? "T" : "F";
+          else
+            Out += formatDouble(V);
+        }
         noteSweep(Geo, Geo.totalElements(), /*Hops=*/0);
         Ledger.CommCycles +=
             Costs.RouterPerElem * static_cast<double>(Geo.totalElements());

@@ -115,8 +115,15 @@ enum class ReduceOp { Sum, Product, Max, Min, Count, Any, All };
 
 /// The runtime system instance owned by one program execution.
 ///
+/// The parallel heap keeps the storage of freed fields and hands it, zeroed,
+/// to the next allocation of the same element count, so a statement's
+/// temporaries stop costing fresh host memory after the first time step.
+/// Live plus spare storage never exceeds the live high-water mark: an
+/// allocation that finds no spare of its size releases spares first. The
+/// spares belong to this runtime and die with it.
+///
 /// Every communication op is a RegionWalk (runtime/RegionWalk.h): data moves
-/// and ledger counts accrue one run of a destination PE's subgrid at a
+/// and ledger counts accrue one block of a destination PE's subgrid at a
 /// time, never per element. When a host thread pool is attached, chunks of
 /// destination PEs (source PEs for a full reduction) walk concurrently and
 /// their exact integer counts or partial folds combine in chunk order
@@ -181,16 +188,32 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Allocates a zero-filled field; returns its handle, or a fault on
-  /// simulated (injected or genuine host) heap exhaustion.
+  /// simulated (injected or genuine host) heap exhaustion. The storage is
+  /// a freed field's of the same element count when one is spare, zeroed
+  /// padding included, so the field is bit-identical to a fresh one;
+  /// otherwise spares are released until live plus spare storage, this
+  /// field included, fits under the live high-water mark, and the storage
+  /// is fresh.
   support::RtResult<int> tryAllocField(const Geometry *Geo, ElemKind Kind);
   /// Infallible convenience wrapper: aborts via F90Y_CHECK on allocation
   /// failure. Test and benchmark scaffolding that never runs with an OOM
   /// injector uses this form.
   int allocField(const Geometry *Geo, ElemKind Kind);
-  /// Releases \p Handle. Any coordinate-field cache entry for it is
-  /// dropped too, so a later coordField for the same geometry rebuilds
-  /// instead of returning a dangling handle.
+  /// Releases \p Handle, keeping its storage as a spare. Any
+  /// coordinate-field cache entry for it is dropped too, so a later
+  /// coordField for the same geometry rebuilds instead of returning a
+  /// dangling handle.
   void freeField(int Handle);
+
+  /// Heap occupancy, in elements of field storage.
+  struct HeapStats {
+    int64_t Live = 0;         ///< Held by live fields.
+    int64_t Spare = 0;        ///< Kept from freed fields for reuse.
+    int64_t HighWater = 0;    ///< The most Live has ever been.
+    uint64_t FreshAllocs = 0; ///< Allocations that took fresh storage.
+  };
+  const HeapStats &heapStats() const { return Heap; }
+
   PeArray &field(int Handle);
   const PeArray &field(int Handle) const;
   /// True when \p Handle names a live field.
@@ -354,6 +377,9 @@ private:
   uint64_t NextCommToken = 1;
   std::map<std::string, std::unique_ptr<Geometry>> Geometries;
   std::map<int, PeArray> Fields;
+  /// Storage of freed fields, by element count.
+  std::multimap<size_t, std::vector<double>> Spares;
+  HeapStats Heap;
   std::map<std::string, int> CoordFields; ///< geometry-signature + dim.
   int NextHandle = 1;
 

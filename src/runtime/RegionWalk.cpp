@@ -1,4 +1,4 @@
-//===- runtime/RegionWalk.cpp - Run-at-a-time region walks ----------------===//
+//===- runtime/RegionWalk.cpp - Block-at-a-time region walks --------------===//
 //
 // Part of the Fortran-90-Y reproduction. MIT license.
 //
@@ -9,6 +9,7 @@
 #include "support/RtStatus.h"
 
 #include <algorithm>
+#include <limits>
 #include <tuple>
 
 using namespace f90y;
@@ -16,7 +17,7 @@ using namespace f90y::runtime;
 
 namespace {
 
-/// Ceiling of A / B for B > 0 (runs mostly step by one).
+/// Ceiling of A / B for B > 0 (blocks mostly step by one).
 int64_t ceilDiv(int64_t A, int64_t B) {
   return B == 1 ? A : A / B + (A % B > 0);
 }
@@ -35,6 +36,29 @@ void positionsIn(SectionDim S, int64_t BLo, int64_t BHi, int64_t &Lo,
   }
   Lo = std::max<int64_t>(0, ceilDiv(BLo - S.Start, S.Stride));
   Hi = std::min(S.Count, ceilDiv(BHi - S.Start, S.Stride));
+}
+
+constexpr int64_t Unbounded = std::numeric_limits<int64_t>::max();
+
+/// How many steps of \p Step from a coordinate \p Y outside [0, N) stay
+/// outside: all of them unless the steps head back in.
+int64_t fillSteps(int64_t Y, int64_t Step, int64_t N) {
+  if (Step > 0 && Y < 0)
+    return ceilDiv(-Y, Step);
+  if (Step < 0 && Y >= N)
+    return ceilDiv(Y - N + 1, -Step);
+  return Unbounded;
+}
+
+/// How many steps of \p Step from a coordinate \p In slots into its
+/// source block, with \p Room slots from it to the block's (or the
+/// array's) end, stay in the block.
+int64_t blockSteps(int64_t In, int64_t Room, int64_t Step) {
+  if (Step > 0)
+    return ceilDiv(Room, Step);
+  if (Step < 0)
+    return In / -Step + 1;
+  return Unbounded;
 }
 
 } // namespace
@@ -83,34 +107,33 @@ void RegionWalk::source(const std::vector<int64_t> &P, int64_t Left,
   const int Last = static_cast<int>(P.size()) - 1;
   R.Len = Left;
   R.Fill = false;
-  R.SrcPE = R.SrcOff = R.SrcStep = 0;
+  R.SrcPE = R.SrcOff = R.SrcStep = R.SrcRow = 0;
   for (size_t J = 0; J < Src.Dims.size(); ++J) {
     const SectionDim &S = Src.Dims[J];
     const int F = From[J];
-    const int64_t N = SG.Extents[J];
+    const int64_t N = SG.Extents[J], Sub = SG.Sub[J];
+    // The coordinate's step along a block's slots and down its rows.
     const int64_t Step = F == Last ? S.Stride : 0;
+    const int64_t RowStep = F >= 0 && F + 1 == Last ? S.Stride : 0;
     int64_t Y = S.Start + (F < 0 ? 0 : S.Stride * P[static_cast<size_t>(F)]) +
                 Shift[J];
     if (!EndOff && (Y < 0 || Y >= N))
       Y = (Y % N + N) % N;
     if (Y < 0 || Y >= N) { // Fill until the coordinate comes back in.
       R.Fill = true;
-      if (Step > 0 && Y < 0)
-        R.Len = std::min(R.Len, ceilDiv(-Y, Step));
-      else if (Step < 0 && Y >= N)
-        R.Len = std::min(R.Len, ceilDiv(Y - N + 1, -Step));
+      R.Len = std::min(R.Len, fillSteps(Y, Step, N));
+      R.Rows = std::min(R.Rows, fillSteps(Y, RowStep, N));
       continue;
     }
     // Stay inside the source block that holds Y.
-    const int64_t Block = Y / SG.Sub[J], In = Y % SG.Sub[J];
-    if (Step > 0)
-      R.Len = std::min(
-          R.Len, ceilDiv(std::min((Block + 1) * SG.Sub[J], N) - Y, Step));
-    else if (Step < 0)
-      R.Len = std::min(R.Len, In / -Step + 1);
+    const int64_t Block = Y / Sub, In = Y % Sub;
+    const int64_t Room = std::min(Sub - In, N - Y);
+    R.Len = std::min(R.Len, blockSteps(In, Room, Step));
+    R.Rows = std::min(R.Rows, blockSteps(In, Room, RowStep));
     R.SrcPE += Block * SG.PEStride[J];
     R.SrcOff += In * SG.OffStride[J];
     R.SrcStep += Step * SG.OffStride[J];
+    R.SrcRow += RowStep * SG.OffStride[J];
   }
 }
 
@@ -122,6 +145,7 @@ void RegionWalk::forEachRun(int64_t BeginPE, int64_t EndPE,
   Run R;
   R.Pos = P.data();
   R.DstStep = Dst.Dims[Last].Stride;
+  R.DstRow = Last ? Dst.Dims[Last - 1].Stride * DG.OffStride[Last - 1] : 0;
   for (R.DstPE = BeginPE; R.DstPE < EndPE; ++R.DstPE) {
     // The region's positions inside this PE's block, per dimension.
     bool Empty = false;
@@ -135,20 +159,25 @@ void RegionWalk::forEachRun(int64_t BeginPE, int64_t EndPE,
       continue;
     std::copy(Lo.begin(), Lo.end(), P.begin());
     for (bool More = true; More;) {
-      int64_t RowOff = 0;
+      // One band: the PE's rows left along the second-last dimension,
+      // as many as its first block's sources allow, cut into blocks
+      // along the last.
+      int64_t BandOff = 0;
       for (size_t D = 0; D < Rank; ++D)
-        RowOff += (Dst.Dims[D].Start + Dst.Dims[D].Stride * P[D]) %
-                  DG.Sub[D] * DG.OffStride[D];
-      for (R.DstOff = RowOff; P[Last] < Hi[Last];
+        BandOff += (Dst.Dims[D].Start + Dst.Dims[D].Stride * P[D]) %
+                   DG.Sub[D] * DG.OffStride[D];
+      R.Rows = Last ? Hi[Last - 1] - P[Last - 1] : 1;
+      for (R.DstOff = BandOff; P[Last] < Hi[Last];
            P[Last] += R.Len, R.DstOff += R.Len * R.DstStep) {
         source(P, Hi[Last] - P[Last], R);
         Fn(R);
       }
-      // Next row: step the outer dimensions' odometer; D wraps past 0
-      // once every row is done.
+      // Next band: step the second-last dimension past the band's rows,
+      // then the outer dimensions' odometer; D wraps past 0 once every
+      // band is done.
       P[Last] = Lo[Last];
       size_t D = Last;
-      while (D-- > 0 && ++P[D] == Hi[D])
+      for (int64_t By = R.Rows; D-- > 0 && (P[D] += By) == Hi[D]; By = 1)
         P[D] = Lo[D];
       More = D < Last;
     }

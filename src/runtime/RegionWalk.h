@@ -1,4 +1,4 @@
-//===- runtime/RegionWalk.h - Run-at-a-time region walks ----------*- C++ -*-===//
+//===- runtime/RegionWalk.h - Block-at-a-time region walks ------*- C++ -*-===//
 //
 // Part of the Fortran-90-Y reproduction. MIT license.
 //
@@ -6,13 +6,14 @@
 ///
 /// \file
 /// The one data-movement primitive under every grid-comm op. A walk
-/// visits a destination region one run at a time: a run is a stretch of
-/// one destination PE's subgrid whose sources are evenly spaced slots of
-/// one source PE's subgrid, or else boundary fill. This is the NEWS model
-/// of the CM runtime (paper Section 5.2), where a shift moves whole
-/// sub-block edges between neighbouring PEs: a comm op moves its data and
-/// counts its local elements, fills and wire hops once per run, never
-/// once per element.
+/// visits a destination region one block at a time: a block is a
+/// rectangle of one destination PE's subgrid, some slots along the last
+/// dimension by some rows of the second-last, whose sources are evenly
+/// spaced slots and rows of one source PE's subgrid, or else boundary
+/// fill. This is the NEWS model of the CM runtime (paper Section 5.2),
+/// where a shift moves whole sub-blocks between neighbouring PEs: a comm
+/// op moves its data and counts its local elements, fills and wire hops
+/// once per block, never once per element.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,22 +47,28 @@ struct Region {
   Region(const Geometry &G, std::vector<SectionDim> Dims);
 };
 
-/// One run of a walk: Len destination slots DstOff + i * DstStep of PE
-/// DstPE whose sources are the slots SrcOff + i * SrcStep of PE SrcPE, or,
-/// when Fill is set, lie past the source array's edge.
+/// One block of a walk: Rows rows of Len destination slots of PE DstPE,
+/// slot i of row r at DstOff + r * DstRow + i * DstStep, whose sources are
+/// the slots SrcOff + r * SrcRow + i * SrcStep of PE SrcPE or, when Fill is
+/// set, lie past the source array's edge. Rows steps the second-last walk
+/// dimension (a rank-1 walk has one row per block); visit a block row by
+/// row.
 struct Run {
-  int64_t DstPE = 0, DstOff = 0, DstStep = 0;
-  int64_t SrcPE = 0, SrcOff = 0, SrcStep = 0;
-  int64_t Len = 0;
+  int64_t DstPE = 0, DstOff = 0, DstStep = 0, DstRow = 0;
+  int64_t SrcPE = 0, SrcOff = 0, SrcStep = 0, SrcRow = 0;
+  int64_t Len = 0, Rows = 1;
   bool Fill = false;
-  const int64_t *Pos = nullptr; ///< Walk position of the run's first slot.
+  const int64_t *Pos = nullptr; ///< Walk position of the block's first slot.
 };
 
-/// Visits a destination region one run at a time, PE by PE and, within a
-/// PE, in row-major position order (increasing offsets for a whole
-/// array). The walk position p ranges over the destination region's
-/// counts; source dimension j sits at Start[j] + Stride[j] * p[From[j]],
-/// or at Start[j] when From[j] < 0, displaced by Shift[j].
+/// Visits a destination region one block at a time, PE by PE. Within a
+/// PE the walk goes band by band, a band being the rows of one block, in
+/// row-major position order; within a band, block by block along the last
+/// dimension. An identity walk has one block per PE, whose rows are
+/// visited in row-major order. The walk position p ranges over the
+/// destination region's counts; source dimension j sits at
+/// Start[j] + Stride[j] * p[From[j]], or at Start[j] when From[j] < 0,
+/// displaced by Shift[j].
 ///
 /// Construction checks that each source dimension has the count of the
 /// walk dimension it follows (a Region checks that it lies inside its
@@ -75,7 +82,7 @@ public:
 
   const Geometry &dst() const { return *Dst.Geo; }
 
-  /// Calls \p Fn for every run in destination PEs [BeginPE, EndPE).
+  /// Calls \p Fn for every block in destination PEs [BeginPE, EndPE).
   void forEachRun(int64_t BeginPE, int64_t EndPE,
                   const std::function<void(const Run &)> &Fn) const;
 
@@ -85,8 +92,12 @@ private:
   std::vector<int64_t> Shift;
   bool EndOff = false;
 
-  /// Fills \p R's source and length for the run starting at \p P, at most
-  /// \p Left slots long.
+  /// Fills \p R's source for the block starting at \p P and bounds its
+  /// Len to at most \p Left and its Rows to at most R.Rows, so that every
+  /// slot keeps its source block or stays fill. The source dimensions that
+  /// follow the second-last walk dimension bound Rows; they do not move
+  /// along a band, so Rows, bounded at the band's first block, holds for
+  /// the whole band.
   void source(const std::vector<int64_t> &P, int64_t Left, Run &R) const;
 };
 

@@ -10,6 +10,7 @@
 #include "observe/Metrics.h"
 #include "observe/Trace.h"
 #include "support/FileIO.h"
+#include "support/StringUtil.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
@@ -164,21 +165,18 @@ JobRecord runOne(const JobSpec &S, const ServeOptions &O) {
 } // namespace
 
 std::string JobRecord::jsonl() const {
-  std::string Out = "{";
-  Out += js::quote("id") + ":" + js::quote(Id);
-  Out += "," + js::quote("status") + ":" + js::quote(jobStatusName(Status));
-  Out += "," + js::quote("attempts") +
-         ":" + js::number(static_cast<uint64_t>(Attempts));
-  Out += "," + js::quote("compile") + ":" + js::quote(Compile);
-  Out += "," + js::quote("cycles") +
-         ":" + js::number(HasReport ? Report.Ledger.total() : 0.0);
-  Out += "," + js::quote("flops") +
-         ":" + js::number(HasReport ? Report.Ledger.Flops : uint64_t(0));
-  Out += "," + js::quote("output_bytes") +
-         ":" + js::number(static_cast<uint64_t>(Output.size()));
-  Out += "," + js::quote("error") + ":" + js::quote(Error);
-  Out += "}";
-  return Out;
+  return cat({"{", js::quote("id"), ":", js::quote(Id),
+              ",", js::quote("status"), ":", js::quote(jobStatusName(Status)),
+              ",", js::quote("attempts"), ":",
+              js::number(static_cast<uint64_t>(Attempts)),
+              ",", js::quote("compile"), ":", js::quote(Compile),
+              ",", js::quote("cycles"), ":",
+              js::number(HasReport ? Report.Ledger.total() : 0.0),
+              ",", js::quote("flops"), ":",
+              js::number(HasReport ? Report.Ledger.Flops : uint64_t(0)),
+              ",", js::quote("output_bytes"), ":",
+              js::number(static_cast<uint64_t>(Output.size())),
+              ",", js::quote("error"), ":", js::quote(Error), "}"});
 }
 
 std::string BatchResult::resultsJsonl() const {

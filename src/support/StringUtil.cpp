@@ -40,6 +40,13 @@ std::string f90y::join(const std::vector<std::string> &Parts,
   return Out;
 }
 
+std::string f90y::cat(std::initializer_list<std::string_view> Parts) {
+  std::string Out;
+  for (std::string_view P : Parts)
+    Out.append(P);
+  return Out;
+}
+
 std::string f90y::formatDouble(double V) {
   char Buf[64];
   // %.17g round-trips but is noisy; try shorter representations first.

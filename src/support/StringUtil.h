@@ -13,6 +13,7 @@
 #ifndef F90Y_SUPPORT_STRINGUTIL_H
 #define F90Y_SUPPORT_STRINGUTIL_H
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,11 @@ std::string toUpper(std::string_view S);
 
 /// Joins \p Parts with \p Sep.
 std::string join(const std::vector<std::string> &Parts, std::string_view Sep);
+
+/// Concatenates \p Parts by appending. Build text with this rather than
+/// `"text" + std::string`, which GCC 12 misreads as an overlapping copy
+/// (-Wrestrict).
+std::string cat(std::initializer_list<std::string_view> Parts);
 
 /// Formats a double with enough precision to round-trip, trimming trailing
 /// zeros ("2.5", "0.125", "1e+20").

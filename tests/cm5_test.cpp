@@ -17,6 +17,7 @@
 #include "driver/Driver.h"
 #include "driver/Workloads.h"
 #include "invariance/Invariance.h"
+#include "support/StringUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -64,8 +65,8 @@ TEST(Cm5Test, SixteenRegistersReduceSpills) {
            "(64)\n";
   }
   for (int I = 1; I <= 10; ++I) {
-    Src += "a" + std::to_string(I) + " = 1.0\n";
-    Src += "b" + std::to_string(I) + " = 2.0\n";
+    Src += cat({"a", std::to_string(I), " = 1.0\n"});
+    Src += cat({"b", std::to_string(I), " = 2.0\n"});
     Expr += "(a" + std::to_string(I) + " + b" + std::to_string(I) + ")";
     if (I != 10)
       Expr += " * (";

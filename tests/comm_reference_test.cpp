@@ -16,6 +16,7 @@
 
 #include "observe/Metrics.h"
 #include "runtime/CmRuntime.h"
+#include "runtime/RegionWalk.h"
 #include "support/StringUtil.h"
 #include "support/ThreadPool.h"
 
@@ -386,9 +387,18 @@ struct Shape {
   unsigned PEs;
 };
 
-/// Ragged shapes of rank 1-3: {9} over 8 PEs has Sub 2 and PEs 5-7 empty.
+/// Shapes of rank 1-3, most of them ragged: {9} over 8 PEs has Sub 2 and
+/// PEs 5-7 empty. From {12, 8} on, subgrids have several rows of several
+/// slots, so a walk block spans rows of the second-last dimension and a
+/// band ends where a source block does: {12, 8} has 3x4 subgrids,
+/// {13, 10} 4x5 with a one-row last band, {6, 9, 10} and {5, 7, 9} are
+/// 3x5x5 and ragged 5x4x5, and {40, 36} over 256 PEs spans many chunks
+/// with some PEs empty.
 const std::vector<Shape> RaggedShapes = {
-    {{9}, 8}, {{3}, 8}, {{5, 7}, 8}, {{2, 11}, 16}, {{3, 5, 4}, 8}};
+    {{9}, 8},         {{3}, 8},          {{5, 7}, 8},
+    {{2, 11}, 16},    {{3, 5, 4}, 8},    {{12, 8}, 8},
+    {{13, 10}, 8},    {{6, 9, 10}, 8},   {{5, 7, 9}, 4},
+    {{40, 36}, 256}};
 
 std::vector<int64_t> shiftsFor(int64_t Sub, int64_t N) {
   std::vector<int64_t> Out;
@@ -506,7 +516,8 @@ TEST(CommReference, MultiShiftWithAliasedClause) {
 
 TEST(CommReference, RaggedTransposes) {
   const std::vector<Shape> Shapes = {
-      {{5, 7}, 8}, {{9, 3}, 8}, {{2, 11}, 16}, {{1, 6}, 8}, {{6, 13}, 32}};
+      {{5, 7}, 8},   {{9, 3}, 8},   {{2, 11}, 16},  {{1, 6}, 8},
+      {{6, 13}, 32}, {{12, 8}, 8},  {{13, 10}, 8},  {{40, 36}, 256}};
   for (const Shape &Sh : Shapes)
     for (unsigned Threads : {1u, 4u}) {
       SCOPED_TRACE(describe(Sh.Extents));
@@ -530,8 +541,13 @@ TEST(CommReference, RaggedTransposes) {
 }
 
 TEST(CommReference, SpreadAlongEachDim) {
+  // {8} and {2, 4} over 8 PEs hold one element per PE, so spreading them
+  // into {12, 8} or {8, 12} along dim 1 or 2, or into {2, 4, 6},
+  // {2, 6, 4} and {6, 2, 4}, makes blocks one slot wide or one row deep.
   const std::vector<Shape> Shapes = {
-      {{9, 5}, 8}, {{2, 11}, 16}, {{3, 5, 4}, 8}, {{7, 1, 3}, 8}};
+      {{9, 5}, 8},   {{2, 11}, 16},   {{3, 5, 4}, 8},  {{7, 1, 3}, 8},
+      {{12, 8}, 8},  {{8, 12}, 8},    {{2, 4, 6}, 8},  {{2, 6, 4}, 8},
+      {{6, 2, 4}, 8}, {{6, 9, 10}, 8}};
   for (const Shape &Sh : Shapes)
     for (unsigned Dim = 1; Dim <= Sh.Extents.size(); ++Dim)
       for (unsigned Threads : {1u, 4u}) {
@@ -554,7 +570,8 @@ const ReduceOp AllOps[] = {ReduceOp::Sum,   ReduceOp::Product,
 
 TEST(CommReference, ReduceAlongEachDimWithEveryOp) {
   const std::vector<Shape> Shapes = {
-      {{5, 7}, 8}, {{9, 3}, 8}, {{2, 11}, 16}, {{3, 5, 4}, 8}};
+      {{5, 7}, 8},  {{9, 3}, 8},     {{2, 11}, 16},  {{3, 5, 4}, 8},
+      {{12, 8}, 8}, {{6, 9, 10}, 8}, {{40, 36}, 256}};
   for (const Shape &Sh : Shapes)
     for (unsigned Dim = 1; Dim <= Sh.Extents.size(); ++Dim)
       for (ReduceOp Op : AllOps)
@@ -575,11 +592,9 @@ TEST(CommReference, ReduceAlongEachDimWithEveryOp) {
 }
 
 TEST(CommReference, FullReductionsWithEveryOp) {
-  const std::vector<Shape> Shapes = {{{9}, 8},
-                                     {{5, 7}, 8},
-                                     {{3, 5, 4}, 8},
-                                     {{37, 9}, 128},
-                                     {{300}, 2048}};
+  const std::vector<Shape> Shapes = {
+      {{9}, 8},         {{5, 7}, 8},     {{3, 5, 4}, 8},  {{37, 9}, 128},
+      {{300}, 2048},    {{13, 10}, 8},   {{6, 9, 10}, 8}, {{40, 36}, 256}};
   for (const Shape &Sh : Shapes)
     for (ReduceOp Op : AllOps)
       for (unsigned Threads : {1u, 4u}) {
@@ -629,6 +644,33 @@ TEST(CommReference, SectionCopiesWithNegativeStridesAndOverlap) {
        {{0, 2, 3}, {6, -3, 3}},
        {{6, -1, 3}, {0, 2, 3}},
        ElemKind::Int},
+      // Over 8 PEs {12, 8} has 3x4 subgrids, {16, 12} 4x6 and {6, 9, 10}
+      // 3x5x5: a destination band of three (or five) rows reads source
+      // rows, at stride 2 or -1, that cross a source block partway.
+      {{12, 8}, {16, 12}, 8, {{0, 1, 6}, {0, 1, 8}}, {{1, 2, 6}, {2, 1, 8}}},
+      {{12, 8},
+       {16, 12},
+       8,
+       {{0, 1, 12}, {1, 1, 6}},
+       {{15, -1, 12}, {11, -2, 6}}},
+      {{12, 8},
+       {16, 12},
+       8,
+       {{11, -1, 12}, {7, -1, 8}},
+       {{2, 1, 12}, {3, 1, 8}}},
+      {{12, 8}, {}, 8, {{0, 1, 12}, {0, 1, 8}}, {{11, -1, 12}, {7, -1, 8}}},
+      {{12, 8}, {}, 8, {{1, 2, 6}, {0, 2, 4}}, {{0, 2, 6}, {1, 2, 4}}},
+      {{6, 9, 10},
+       {},
+       8,
+       {{0, 1, 3}, {0, 1, 5}, {0, 2, 5}},
+       {{3, 1, 3}, {7, -1, 5}, {1, 2, 5}}},
+      {{6, 9, 10},
+       {5, 7, 9},
+       8,
+       {{2, 1, 2}, {1, 2, 4}, {9, -1, 9}},
+       {{0, 3, 2}, {6, -2, 4}, {0, 1, 9}},
+       ElemKind::Int},
   };
   for (const Case &C : Cases)
     for (unsigned Threads : {1u, 4u}) {
@@ -649,10 +691,16 @@ TEST(CommReference, RenderThroughLayoutOffsets) {
     ElemKind Kind;
     std::vector<int64_t> Offsets; ///< Empty: canonical placement.
   };
+  // From {12, 8} on, each row of the one-PE walk crosses several source
+  // blocks and wraps around the array's edge.
   const std::vector<Case> Cases = {{{9}, ElemKind::Real, {}},
                                    {{9}, ElemKind::Bool, {-3}},
                                    {{5, 7}, ElemKind::Real, {2, -1}},
-                                   {{3, 5, 4}, ElemKind::Int, {1, 0, 3}}};
+                                   {{3, 5, 4}, ElemKind::Int, {1, 0, 3}},
+                                   {{12, 8}, ElemKind::Real, {1, 3}},
+                                   {{13, 10}, ElemKind::Int, {-5, 7}},
+                                   {{6, 9, 10}, ElemKind::Real, {2, 4, -1}},
+                                   {{5, 7, 9}, ElemKind::Bool, {0, 3, 5}}};
   for (const Case &C : Cases)
     for (unsigned Threads : {1u, 4u}) {
       SCOPED_TRACE(describe(C.Extents));
@@ -675,7 +723,12 @@ TEST(CommReference, RenderThroughLayoutOffsets) {
 
 TEST(CommReference, CoordFieldsOnRaggedGeometries) {
   const std::vector<std::pair<Shape, std::vector<int64_t>>> Cases = {
-      {{{9}, 8}, {-4}}, {{{5, 7}, 8}, {0, -2}}, {{{3, 5, 4}, 8}, {1, 1, 3}}};
+      {{{9}, 8}, {-4}},
+      {{{5, 7}, 8}, {0, -2}},
+      {{{3, 5, 4}, 8}, {1, 1, 3}},
+      {{{13, 10}, 8}, {-2, 5}},
+      {{{6, 9, 10}, 8}, {0, -3, 2}},
+      {{{40, 36}, 256}, {1, 1}}};
   for (const auto &[Sh, Los] : Cases)
     for (unsigned Dim = 1; Dim <= Sh.Extents.size(); ++Dim) {
       Rig R(Sh.PEs, 1);
@@ -693,6 +746,128 @@ TEST(CommReference, CoordFieldsOnRaggedGeometries) {
           << describe(Sh.Extents) << " dim " << Dim;
       EXPECT_EQ(R.RT.ledger().total(), 0.0);
     }
+}
+
+/// Walks \p Dst from \p Src over every destination PE and checks that the
+/// walk visits each slot of \p Dst exactly once and no other slot, and
+/// that each slot's source is the one its walk position p names: source
+/// dimension j at Src[j].Start + Src[j].Stride * p[From[j]] + Shift[j],
+/// wrapped, or fill past the edge under \p EndOff.
+void expectEachSlotOnce(const Region &Dst, const Region &Src,
+                        std::vector<int> From,
+                        std::vector<int64_t> Shift = {},
+                        bool EndOff = false) {
+  const RegionWalk W(Dst, Src, From, Shift, EndOff);
+  const Geometry &DG = *Dst.Geo, &SG = *Src.Geo;
+  const size_t Rank = Dst.Dims.size();
+  for (size_t J = From.size(); J < Src.Dims.size(); ++J)
+    From.push_back(static_cast<int>(J)); // Empty: the identity.
+  Shift.resize(Src.Dims.size(), 0);
+  std::vector<int> Visits(static_cast<size_t>(DG.GridPEs * DG.PaddedSubgrid));
+  int64_t Blocks = 0, Mismatches = 0;
+  W.forEachRun(0, DG.GridPEs, [&](const Run &R) {
+    ++Blocks;
+    EXPECT_GE(R.Len, 1);
+    EXPECT_GE(R.Rows, 1);
+    std::vector<int64_t> P(R.Pos, R.Pos + Rank);
+    for (int64_t Row = 0; Row < R.Rows; ++Row)
+      for (int64_t I = 0; I < R.Len; ++I) {
+        std::vector<int64_t> Q = P;
+        Q[Rank - 1] += I;
+        if (Rank > 1)
+          Q[Rank - 2] += Row;
+        ++Visits[static_cast<size_t>(R.DstPE * DG.PaddedSubgrid + R.DstOff +
+                                     Row * R.DstRow + I * R.DstStep)];
+        std::vector<int64_t> Y(Src.Dims.size());
+        bool Fill = false;
+        for (size_t J = 0; J < Y.size(); ++J) {
+          const SectionDim &S = Src.Dims[J];
+          const int64_t N = SG.Extents[J];
+          Y[J] = S.Start +
+                 (From[J] < 0 ? 0
+                              : S.Stride * Q[static_cast<size_t>(From[J])]) +
+                 Shift[J];
+          if (!EndOff)
+            Y[J] = (Y[J] % N + N) % N;
+          Fill |= Y[J] < 0 || Y[J] >= N;
+        }
+        if (Fill || R.Fill) {
+          Mismatches += Fill != R.Fill;
+          continue;
+        }
+        int64_t PE, Off;
+        SG.locate(Y, PE, Off);
+        Mismatches += PE != R.SrcPE ||
+                      Off != R.SrcOff + Row * R.SrcRow + I * R.SrcStep;
+      }
+  });
+  EXPECT_EQ(Mismatches, 0);
+  // The region's own slots, each once; everything else untouched.
+  std::vector<int> Want(Visits.size(), 0);
+  std::vector<int64_t> Counts, P(Rank, 0), X(Rank);
+  int64_t Total = 1;
+  for (const SectionDim &D : Dst.Dims) {
+    Counts.push_back(D.Count);
+    Total *= D.Count;
+  }
+  if (Total > 0)
+    do {
+      for (size_t D = 0; D < Rank; ++D)
+        X[D] = Dst.Dims[D].Start + Dst.Dims[D].Stride * P[D];
+      int64_t PE, Off;
+      DG.locate(X, PE, Off);
+      ++Want[static_cast<size_t>(PE * DG.PaddedSubgrid + Off)];
+    } while (next(P, Counts));
+  EXPECT_EQ(Visits, Want);
+  EXPECT_LE(Blocks, Total);
+}
+
+TEST(CommReference, WalksVisitEachRegionSlotOnce) {
+  for (const Shape &Sh : RaggedShapes) {
+    SCOPED_TRACE(describe(Sh.Extents));
+    const Geometry G = Geometry::layout(Sh.Extents, {}, Sh.PEs, 4);
+    const size_t Rank = Sh.Extents.size();
+    const Region Whole(G);
+    // Identity and shifts along every dimension, circular and end-off.
+    for (size_t D = 0; D < Rank; ++D)
+      for (int64_t By : {int64_t(0), int64_t(1), -G.Sub[D] - 1,
+                         Sh.Extents[D] - 1})
+        for (bool EndOff : {false, true}) {
+          std::vector<int64_t> Shift(Rank, 0);
+          Shift[D] = By;
+          expectEachSlotOnce(Whole, Whole, {}, Shift, EndOff);
+        }
+    // Reduce-dim's map: each source dimension but one follows a walk
+    // dimension; spread's: the walk has one dimension more.
+    for (size_t Axis = 0; Axis < Rank && Rank > 1; ++Axis) {
+      std::vector<int64_t> Less = Sh.Extents;
+      Less.erase(Less.begin() + static_cast<std::ptrdiff_t>(Axis));
+      const Geometry LG = Geometry::layout(Less, {}, Sh.PEs, 4);
+      std::vector<int> Reduce, Spread;
+      for (size_t J = 0, Out = 0; J < Rank; ++J)
+        Reduce.push_back(J == Axis ? -1 : static_cast<int>(Out++));
+      for (size_t J = 0; J + 1 < Rank; ++J)
+        Spread.push_back(static_cast<int>(J < Axis ? J : J + 1));
+      expectEachSlotOnce(Region(LG), Whole, Reduce);
+      expectEachSlotOnce(Whole, Region(LG), Spread);
+    }
+    if (Rank == 2) { // Transpose.
+      const Geometry TG = Geometry::layout({Sh.Extents[1], Sh.Extents[0]},
+                                           {}, Sh.PEs, 4);
+      expectEachSlotOnce(Region(TG), Whole, {1, 0});
+    }
+    // Sections of stride 2 and -1, and the one-PE render walk.
+    std::vector<SectionDim> Fwd, Back;
+    for (int64_t N : Sh.Extents) {
+      Fwd.push_back({N % 2, 2, N / 2});
+      Back.push_back({N / 2 - 1, -1, N / 2});
+    }
+    expectEachSlotOnce(Region(G, Fwd), Region(G, Back), {});
+    expectEachSlotOnce(Region(G, Back), Region(G, Fwd), {});
+    const Geometry Flat = Geometry::layout(Sh.Extents, {}, 1, 1);
+    expectEachSlotOnce(Region(Flat), Whole, {},
+                       std::vector<int64_t>(Rank, 3));
+  }
 }
 
 } // namespace

@@ -4,12 +4,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "driver/Config.h"
+#include "driver/Workloads.h"
 #include "runtime/CmRuntime.h"
 #include "runtime/Geometry.h"
 #include "support/FaultInjector.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
 
 using namespace f90y;
 using namespace f90y::runtime;
@@ -488,6 +493,78 @@ TEST_F(RuntimeTest, SectionCopyStridedOverlapKeepsVectorSemantics) {
   EXPECT_DOUBLE_EQ(at(H, {5}), 4);
   EXPECT_DOUBLE_EQ(at(H, {7}), 6);
   EXPECT_DOUBLE_EQ(at(H, {2}), 2); // Untouched odd positions... even src.
+}
+
+TEST(FieldHeap, RecycledStorageReadsLikeAFreshField) {
+  cm2::CostModel Costs = machineWith(8);
+  CmRuntime RT(Costs);
+  // {5, 7} over 8 PEs leaves block padding at the array's edge and
+  // vector-width padding in every subgrid.
+  const Geometry *G = RT.getGeometry({5, 7}, {1, 1});
+  int H = RT.allocField(G, ElemKind::Real);
+  std::vector<double> &Dirty = RT.field(H).Data;
+  ASSERT_GT(Dirty.size(), static_cast<size_t>(G->totalElements()));
+  const size_t Slots = Dirty.size();
+  for (size_t I = 0; I < Slots; ++I)
+    Dirty[I] = I % 3 == 0 ? -0.0 : I % 3 == 1 ? std::nan("") : 1.5 * I;
+  RT.freeField(H);
+  const uint64_t Fresh = RT.heapStats().FreshAllocs;
+  int Again = RT.allocField(G, ElemKind::Int);
+  EXPECT_EQ(RT.heapStats().FreshAllocs, Fresh); // The freed storage.
+  const std::vector<double> &Data = RT.field(Again).Data;
+  ASSERT_EQ(Data.size(), Slots);
+  for (size_t I = 0; I < Data.size(); ++I)
+    EXPECT_EQ(std::bit_cast<uint64_t>(Data[I]), 0u) << "slot " << I;
+}
+
+/// Fresh allocations of f90yc's default run of SWE at 32x32.
+uint64_t sweFreshAllocs(int64_t Steps) {
+  driver::Config Cfg;
+  Cfg.Threads = 1;
+  driver::Compilation C(Cfg.compileOptions());
+  EXPECT_TRUE(C.compile(driver::sweSource(32, Steps))) << C.diags().str();
+  driver::Execution E(Cfg.machine(), Cfg.executionOptions());
+  EXPECT_TRUE(E.run(C.artifacts().Compiled.Program).has_value());
+  return E.runtime().heapStats().FreshAllocs;
+}
+
+TEST(FieldHeap, TimeStepsReuseTheFirstStepsStorage) {
+  const uint64_t TwoSteps = sweFreshAllocs(2);
+  EXPECT_GT(TwoSteps, 0u);
+  EXPECT_EQ(sweFreshAllocs(6), TwoSteps);
+}
+
+TEST(FieldHeap, LivePlusSpareNeverExceedsTheLiveHighWaterMark) {
+  cm2::CostModel Costs = machineWith(8);
+  CmRuntime RT(Costs);
+  const Geometry *Sizes[] = {RT.getGeometry({64, 64}, {1, 1}),
+                             RT.getGeometry({40}, {1}),
+                             RT.getGeometry({5, 7}, {1, 1})};
+  std::vector<int> Live;
+  int64_t Peak = 0, Held = 0;
+  uint64_t Allocs = 0, State = 12345;
+  for (int Step = 0; Step < 400; ++Step) {
+    State = State * 6364136223846793005u + 1442695040888963407u;
+    const unsigned Draw = static_cast<unsigned>(State >> 33);
+    if (Live.empty() || Draw % 5 < 3) {
+      const Geometry *G = Sizes[Draw / 5 % 3];
+      Live.push_back(RT.allocField(G, ElemKind::Real));
+      Held += G->GridPEs * G->PaddedSubgrid;
+      ++Allocs;
+    } else {
+      const size_t Victim = Draw / 5 % Live.size();
+      Held -= static_cast<int64_t>(RT.field(Live[Victim]).Data.size());
+      RT.freeField(Live[Victim]);
+      Live.erase(Live.begin() + static_cast<std::ptrdiff_t>(Victim));
+    }
+    Peak = std::max(Peak, Held);
+    const CmRuntime::HeapStats &S = RT.heapStats();
+    ASSERT_EQ(S.Live, Held) << "step " << Step;
+    ASSERT_EQ(S.HighWater, Peak) << "step " << Step;
+    ASSERT_LE(S.Live + S.Spare, S.HighWater) << "step " << Step;
+  }
+  // Frees and allocations interleave, so some storage came back.
+  EXPECT_LT(RT.heapStats().FreshAllocs, Allocs);
 }
 
 } // namespace
