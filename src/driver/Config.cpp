@@ -7,6 +7,7 @@
 #include "driver/Config.h"
 
 #include "support/StringUtil.h"
+#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <charconv>
@@ -28,7 +29,8 @@ const Knob Table[] = {
     {"pes", KnobKind::Count, "N", "simulated PEs (2048; CM/5: 1024)",
      [](Config &C, const KnobValue &V) { C.Pes = unsigned(V.Num); }},
     {"threads", KnobKind::Count, "N", "host threads (all; serve jobs: 1)",
-     [](Config &C, const KnobValue &V) { C.Threads = unsigned(V.Num); }},
+     [](Config &C, const KnobValue &V) { C.Threads = unsigned(V.Num); },
+     support::ThreadPool::MaxThreads},
     {"exec", KnobKind::Choice, "interp|compiled", "PEAC executor (compiled)",
      [](Config &C, const KnobValue &V) { C.Engine = peac::EngineKind(V.Num); }},
     {"comm", KnobKind::Choice, "overlap|sync",
@@ -96,8 +98,8 @@ bool set(Config &C, const Knob &K, std::string_view What,
   case KnobKind::Count:
   case KnobKind::Number: {
     const bool Count = K.Kind == KnobKind::Count;
-    Ok = parseNumber(What, Text, Count, Count ? UINT32_MAX : UINT64_MAX, V.Num,
-                     Error);
+    const uint64_t Max = K.Max ? K.Max : Count ? UINT32_MAX : UINT64_MAX;
+    Ok = parseNumber(What, Text, Count, Max, V.Num, Error);
     break;
   }
   case KnobKind::Faults:

@@ -35,7 +35,9 @@ struct Config {
   Profile Prof = Profile::F90Y;
   bool Cm5 = false;     ///< Start from the CM/5 machine description.
   unsigned Pes = 0;     ///< Simulated PEs (0: the machine's own count).
-  unsigned Threads = 0; ///< Host sweep threads (0: all hardware threads).
+  /// Host sweep threads (0: all hardware threads; at most
+  /// support::ThreadPool::MaxThreads).
+  unsigned Threads = 0;
   peac::EngineKind Engine = peac::EngineKind::Compiled;
   /// Schedule and overlap communication. Unset: the profile's, which is
   /// overlap for f90y and the paper's sync for cmf and naive.
@@ -77,6 +79,7 @@ struct Knob {
   const char *Values; ///< Choice: "a|b|c"; otherwise the usage placeholder.
   const char *Help;
   void (*Set)(Config &C, const KnobValue &V);
+  uint64_t Max = 0; ///< Count, Number: the largest value (0: the kind's).
 };
 
 /// Every row, in usage order.

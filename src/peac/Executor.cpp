@@ -7,12 +7,12 @@
 #include "peac/Executor.h"
 
 #include "observe/Metrics.h"
+#include "peac/Kernels.h"
 #include "support/FaultInjector.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 
 using namespace f90y;
 using namespace f90y::peac;
@@ -61,76 +61,15 @@ struct PEState {
   }
 };
 
-/// Applies one opcode to already-read lane values. The division family
-/// (FDivV, FModV) follows IEEE-754 on every computed lane: x/0 is +/-Inf,
-/// 0/0 is NaN, and fmod(x, 0) is NaN. Tail padding lanes may compute such
-/// values from uninitialized padding, but runPE masks their stores, so
-/// they never reach subgrid memory.
+/// Applies one opcode to already-read lane values through evalLane
+/// (peac/Kernels.h), the one lane definition the compiled engine's kernels
+/// share. Tail padding lanes may compute Inf or NaN from uninitialized
+/// padding, but runPE masks their stores, so they never reach subgrid
+/// memory.
 double applyOp(Opcode Op, double A, double B, double C) {
-  switch (Op) {
-  case Opcode::FLodV:
-  case Opcode::FMovV:
-    return A;
-  case Opcode::FAddV:
-    return A + B;
-  case Opcode::FSubV:
-    return A - B;
-  case Opcode::FMulV:
-    return A * B;
-  case Opcode::FDivV:
-    return A / B;
-  case Opcode::FMinV:
-    return A < B ? A : B;
-  case Opcode::FMaxV:
-    return A > B ? A : B;
-  case Opcode::FModV:
-    return std::fmod(A, B);
-  case Opcode::FPowV:
-    return std::pow(A, B);
-  case Opcode::FMAddV:
-    return A * B + C;
-  case Opcode::FNegV:
-    return -A;
-  case Opcode::FAbsV:
-    return std::fabs(A);
-  case Opcode::FSqrtV:
-    return std::sqrt(A);
-  case Opcode::FSinV:
-    return std::sin(A);
-  case Opcode::FCosV:
-    return std::cos(A);
-  case Opcode::FTanV:
-    return std::tan(A);
-  case Opcode::FExpV:
-    return std::exp(A);
-  case Opcode::FLogV:
-    return std::log(A);
-  case Opcode::FTrncV:
-    return std::trunc(A);
-  case Opcode::FNotV:
-    return A != 0 ? 0.0 : 1.0;
-  case Opcode::FCmpEqV:
-    return A == B ? 1.0 : 0.0;
-  case Opcode::FCmpNeV:
-    return A != B ? 1.0 : 0.0;
-  case Opcode::FCmpLtV:
-    return A < B ? 1.0 : 0.0;
-  case Opcode::FCmpLeV:
-    return A <= B ? 1.0 : 0.0;
-  case Opcode::FCmpGtV:
-    return A > B ? 1.0 : 0.0;
-  case Opcode::FCmpGeV:
-    return A >= B ? 1.0 : 0.0;
-  case Opcode::FAndV:
-    return (A != 0 && B != 0) ? 1.0 : 0.0;
-  case Opcode::FOrV:
-    return (A != 0 || B != 0) ? 1.0 : 0.0;
-  case Opcode::FSelV:
-    return A != 0 ? B : C;
-  case Opcode::FStrV:
-    return A;
-  }
-  return 0;
+  return engine::forOpcode<double>(Op, [&](auto K) {
+    return engine::evalLane<decltype(K)::value>(A, B, C);
+  });
 }
 
 /// Runs the routine over one PE's subgrid. The last vector iteration

@@ -14,14 +14,28 @@
 /// resolves its operands to rows of Pitch lanes (a switch per operand per
 /// strip, not per lane) and evaluates the strip in one stride-free loop.
 ///
+/// Each kernel is compiled once per host vector unit: on x86-64 under
+/// GCC, `target_clones` emits an AVX-512F, an AVX2 and a baseline clone
+/// plus a resolver, and the loader binds every kernel to the widest unit
+/// the CPU reports. Nothing selects a clone but the CPU's features.
+///
 /// Semantics are the reference interpreter's (peac/Executor.cpp), bit for
-/// bit, for the routines and bindings the engine's legality check admits:
-/// evalLane mirrors applyOp, missing sources read as 0, and IEEE-754
-/// division holds on every lane. The check guarantees that a lane only
-/// ever reads what the same lane wrote (registers and spill slots are
-/// written before they are read, and written memory is addressed at
-/// offset 0, stride 1), so a destination may alias a source only lane for
-/// lane and every kernel writes in place.
+/// bit, for the routines and bindings the engine's legality check admits,
+/// on every clone. Both executors evaluate a lane through one definition,
+/// evalLane: missing sources read as 0, IEEE-754 division holds on every
+/// lane, and an op the compiler may commute yields its first NaN operand,
+/// quieted. Two pins keep every clone on that definition: the build turns
+/// off floating-point contraction for all of src/ (an AVX-512F or FMA
+/// clone would otherwise fuse FMAddV's multiply and add into one
+/// rounding), and a kernel of a commuting op tests its strip's operands
+/// for NaN once, so its vector loop only ever runs where operand order
+/// cannot show.
+///
+/// The legality check guarantees that a lane only ever reads what the
+/// same lane wrote (registers and spill slots are written before they are
+/// read, and written memory is addressed at offset 0, stride 1), so a
+/// destination may alias a source only lane for lane and every kernel
+/// writes in place.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,9 +44,11 @@
 
 #include "peac/Peac.h"
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 
 namespace f90y {
 namespace peac {
@@ -81,9 +97,11 @@ inline const double *zeroRow() {
 
 /// Resolves source slot \p Slot to a row of the strip's lanes. Register
 /// and broadcast rows and unit-stride memory resolve to existing storage;
-/// only a strided memory read gathers, into the slot's gather row.
-inline const double *source(const OperandRef &O, const Strip &S,
-                            unsigned Slot) {
+/// only a strided memory read gathers, into the slot's gather row. Always
+/// inlined, as is destination: GCC calls them out of line from a kernel's
+/// ISA clones otherwise, which a short strip pays for on every op.
+[[gnu::always_inline]] inline const double *
+source(const OperandRef &O, const Strip &S, unsigned Slot) {
   switch (O.F) {
   case OperandRef::Form::Reg:
     return S.Regs + O.Index * S.Pitch;
@@ -105,16 +123,19 @@ inline const double *source(const OperandRef &O, const Strip &S,
 
 /// The row a destination is written through. Translation admits memory
 /// destinations at offset 0, stride 1 only.
-inline double *destination(const OperandRef &D, const Strip &S) {
+[[gnu::always_inline]] inline double *destination(const OperandRef &D,
+                                                  const Strip &S) {
   if (D.F == OperandRef::Form::Reg)
     return S.Regs + D.Index * S.Pitch;
   return S.Bases[D.Index] + S.First;
 }
 
-/// One lane of \p Op. Must mirror the interpreter's applyOp exactly,
-/// including the non-total min/max orderings and IEEE division.
+/// The arithmetic of one lane of \p Op, IEEE-754 throughout: division by
+/// zero gives +/-Inf or NaN, and min and max keep their non-total
+/// orderings. For a commuting op it is exact only without NaN operands
+/// (see evalLane).
 template <Opcode Op>
-inline double evalLane(double A, double B, double C) {
+inline double arithLane(double A, double B, double C) {
   if constexpr (Op == Opcode::FLodV || Op == Opcode::FMovV ||
                 Op == Opcode::FStrV)
     return A;
@@ -178,6 +199,38 @@ inline double evalLane(double A, double B, double C) {
     return 0;
 }
 
+/// The ops whose operands the host compiler may swap: x + y as y + x, and
+/// the add of a * b + c as c + a * b. The hardware returns its first NaN
+/// operand, so two NaN operands give different results in different
+/// orders. Without a NaN operand the order cannot show: a NaN computed
+/// from numbers is always the default NaN.
+template <Opcode Op>
+constexpr bool Commutes =
+    Op == Opcode::FAddV || Op == Opcode::FMulV || Op == Opcode::FMAddV;
+
+/// \p X with its quiet bit set, as the hardware passes a NaN operand on.
+inline double quieted(double X) {
+  return std::bit_cast<double>(std::bit_cast<uint64_t>(X) |
+                               (uint64_t{1} << 51));
+}
+
+/// One lane of \p Op: the one definition both executors evaluate (the
+/// interpreter's applyOp switches over it). A commuting op yields its
+/// first NaN operand in program order, quieted; every other lane is
+/// arithLane.
+template <Opcode Op>
+inline double evalLane(double A, double B, double C) {
+  if constexpr (Commutes<Op>) {
+    if (std::isnan(A))
+      return quieted(A);
+    if (std::isnan(B))
+      return quieted(B);
+    if (Op == Opcode::FMAddV && std::isnan(C))
+      return quieted(C);
+  }
+  return arithLane<Op>(A, B, C);
+}
+
 struct CompiledOp;
 using KernelFn = void (*)(const CompiledOp &, const Strip &);
 
@@ -189,18 +242,56 @@ struct CompiledOp {
   OperandRef Dst;
 };
 
+/// Whether a commuting op's operand rows hold a NaN in the strip's lanes.
+/// Absent sources read the zero row, which holds none.
+template <Opcode Op>
+bool nanOperand(const double *A, const double *B, const double *C,
+                unsigned Lanes) {
+  uint64_t Any = 0; // An integer OR, which the vectorizer reduces.
+  for (unsigned Lane = 0; Lane < Lanes; ++Lane)
+    Any |= std::isunordered(A[Lane], B[Lane]) |
+           (Op == Opcode::FMAddV && std::isnan(C[Lane]));
+  return Any != 0;
+}
+
+/// evalLane over a strip where a commuting op meets a NaN operand. Such
+/// strips are rare, so the loop stays out of line and out of the kernel
+/// clones' hot code.
+template <Opcode Op>
+[[gnu::cold, gnu::noinline]] void evalStrip(const double *A, const double *B,
+                                            const double *C, double *Out,
+                                            unsigned Lanes) {
+  for (unsigned Lane = 0; Lane < Lanes; ++Lane)
+    Out[Lane] = evalLane<Op>(A[Lane], B[Lane], C[Lane]);
+}
+
+/// The kernels' clone list: one clone per x86-64 vector unit under GCC,
+/// picked by the CPU's features at load time; one plain kernel elsewhere.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+#define F90Y_STRIP_CLONES [[gnu::target_clones("avx512f", "avx2", "default")]]
+#else
+#define F90Y_STRIP_CLONES
+#endif
+
 /// The opcode x arity kernel: resolve the NSrcs present sources (absent
 /// ones read the zero row, as in the interpreter) and evaluate every lane
-/// of the strip in place.
+/// of the strip in place. Lanes are arithLane unless a commuting op meets
+/// a NaN operand in the strip; that strip runs evalLane's NaN rule.
 template <Opcode Op, unsigned NSrcs>
-void kernel(const CompiledOp &I, const Strip &S) {
+F90Y_STRIP_CLONES void kernel(const CompiledOp &I, const Strip &S) {
   const double *A = NSrcs > 0 ? source(I.Srcs[0], S, 0) : zeroRow();
   const double *B = NSrcs > 1 ? source(I.Srcs[1], S, 1) : zeroRow();
   const double *C = NSrcs > 2 ? source(I.Srcs[2], S, 2) : zeroRow();
   double *Out = destination(I.Dst, S);
+  if constexpr (Commutes<Op>) {
+    if (nanOperand<Op>(A, B, C, S.Lanes))
+      return evalStrip<Op>(A, B, C, Out, S.Lanes);
+  }
   for (unsigned Lane = 0; Lane < S.Lanes; ++Lane)
-    Out[Lane] = evalLane<Op>(A[Lane], B[Lane], C[Lane]);
+    Out[Lane] = arithLane<Op>(A[Lane], B[Lane], C[Lane]);
 }
+
+#undef F90Y_STRIP_CLONES
 
 template <Opcode Op>
 KernelFn kernelForArity(unsigned NSrcs) {
@@ -210,46 +301,56 @@ KernelFn kernelForArity(unsigned NSrcs) {
   return Table[NSrcs > 3 ? 3 : NSrcs];
 }
 
+/// Calls \p F with std::integral_constant<Opcode, Op> for the runtime
+/// opcode \p Op: the one opcode list the kernels and the interpreter's
+/// lanes are instantiated over. A value outside the enum gives R{}.
+template <typename R, typename Fn>
+R forOpcode(Opcode Op, Fn &&F) {
+  switch (Op) {
+#define F90Y_PEAC_OPCODE_CASE(OP)                                            \
+  case Opcode::OP:                                                           \
+    return F(std::integral_constant<Opcode, Opcode::OP>{});
+    F90Y_PEAC_OPCODE_CASE(FLodV)
+    F90Y_PEAC_OPCODE_CASE(FStrV)
+    F90Y_PEAC_OPCODE_CASE(FMovV)
+    F90Y_PEAC_OPCODE_CASE(FAddV)
+    F90Y_PEAC_OPCODE_CASE(FSubV)
+    F90Y_PEAC_OPCODE_CASE(FMulV)
+    F90Y_PEAC_OPCODE_CASE(FDivV)
+    F90Y_PEAC_OPCODE_CASE(FMinV)
+    F90Y_PEAC_OPCODE_CASE(FMaxV)
+    F90Y_PEAC_OPCODE_CASE(FModV)
+    F90Y_PEAC_OPCODE_CASE(FPowV)
+    F90Y_PEAC_OPCODE_CASE(FMAddV)
+    F90Y_PEAC_OPCODE_CASE(FNegV)
+    F90Y_PEAC_OPCODE_CASE(FAbsV)
+    F90Y_PEAC_OPCODE_CASE(FSqrtV)
+    F90Y_PEAC_OPCODE_CASE(FSinV)
+    F90Y_PEAC_OPCODE_CASE(FCosV)
+    F90Y_PEAC_OPCODE_CASE(FTanV)
+    F90Y_PEAC_OPCODE_CASE(FExpV)
+    F90Y_PEAC_OPCODE_CASE(FLogV)
+    F90Y_PEAC_OPCODE_CASE(FTrncV)
+    F90Y_PEAC_OPCODE_CASE(FNotV)
+    F90Y_PEAC_OPCODE_CASE(FCmpEqV)
+    F90Y_PEAC_OPCODE_CASE(FCmpNeV)
+    F90Y_PEAC_OPCODE_CASE(FCmpLtV)
+    F90Y_PEAC_OPCODE_CASE(FCmpLeV)
+    F90Y_PEAC_OPCODE_CASE(FCmpGtV)
+    F90Y_PEAC_OPCODE_CASE(FCmpGeV)
+    F90Y_PEAC_OPCODE_CASE(FAndV)
+    F90Y_PEAC_OPCODE_CASE(FOrV)
+    F90Y_PEAC_OPCODE_CASE(FSelV)
+#undef F90Y_PEAC_OPCODE_CASE
+  }
+  return R{};
+}
+
 /// The kernel for one instruction, by opcode and actual source count.
 inline KernelFn lookupKernel(Opcode Op, unsigned NSrcs) {
-  switch (Op) {
-#define F90Y_PEAC_KERNEL_CASE(OP)                                            \
-  case Opcode::OP:                                                           \
-    return kernelForArity<Opcode::OP>(NSrcs);
-    F90Y_PEAC_KERNEL_CASE(FLodV)
-    F90Y_PEAC_KERNEL_CASE(FStrV)
-    F90Y_PEAC_KERNEL_CASE(FMovV)
-    F90Y_PEAC_KERNEL_CASE(FAddV)
-    F90Y_PEAC_KERNEL_CASE(FSubV)
-    F90Y_PEAC_KERNEL_CASE(FMulV)
-    F90Y_PEAC_KERNEL_CASE(FDivV)
-    F90Y_PEAC_KERNEL_CASE(FMinV)
-    F90Y_PEAC_KERNEL_CASE(FMaxV)
-    F90Y_PEAC_KERNEL_CASE(FModV)
-    F90Y_PEAC_KERNEL_CASE(FPowV)
-    F90Y_PEAC_KERNEL_CASE(FMAddV)
-    F90Y_PEAC_KERNEL_CASE(FNegV)
-    F90Y_PEAC_KERNEL_CASE(FAbsV)
-    F90Y_PEAC_KERNEL_CASE(FSqrtV)
-    F90Y_PEAC_KERNEL_CASE(FSinV)
-    F90Y_PEAC_KERNEL_CASE(FCosV)
-    F90Y_PEAC_KERNEL_CASE(FTanV)
-    F90Y_PEAC_KERNEL_CASE(FExpV)
-    F90Y_PEAC_KERNEL_CASE(FLogV)
-    F90Y_PEAC_KERNEL_CASE(FTrncV)
-    F90Y_PEAC_KERNEL_CASE(FNotV)
-    F90Y_PEAC_KERNEL_CASE(FCmpEqV)
-    F90Y_PEAC_KERNEL_CASE(FCmpNeV)
-    F90Y_PEAC_KERNEL_CASE(FCmpLtV)
-    F90Y_PEAC_KERNEL_CASE(FCmpLeV)
-    F90Y_PEAC_KERNEL_CASE(FCmpGtV)
-    F90Y_PEAC_KERNEL_CASE(FCmpGeV)
-    F90Y_PEAC_KERNEL_CASE(FAndV)
-    F90Y_PEAC_KERNEL_CASE(FOrV)
-    F90Y_PEAC_KERNEL_CASE(FSelV)
-#undef F90Y_PEAC_KERNEL_CASE
-  }
-  return nullptr;
+  return forOpcode<KernelFn>(Op, [NSrcs](auto K) {
+    return kernelForArity<decltype(K)::value>(NSrcs);
+  });
 }
 
 } // namespace engine

@@ -336,3 +336,13 @@ BatchResult serve::runBatch(std::vector<JobSpec> Jobs,
   }
   return B;
 }
+
+bool serve::parseWorkers(std::string_view Text, unsigned &Workers,
+                         std::string &Error) {
+  uint64_t N = 0;
+  if (!driver::parseNumber("-workers", Text, 1, support::ThreadPool::MaxThreads,
+                           N, Error))
+    return false;
+  Workers = static_cast<unsigned>(N);
+  return true;
+}

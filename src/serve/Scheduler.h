@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace f90y {
@@ -43,8 +44,9 @@ namespace serve {
 
 /// Batch-level configuration of one runBatch call.
 struct ServeOptions {
-  /// Concurrent job workers (0: all hardware threads). Records are
-  /// byte-identical at every setting.
+  /// Concurrent job workers (0: all hardware threads; at most
+  /// support::ThreadPool::MaxThreads). Records are byte-identical at
+  /// every setting.
   unsigned Workers = 0;
   /// Admission bound: jobs past this many are rejected (0: unlimited).
   size_t QueueLimit = 0;
@@ -93,6 +95,11 @@ struct BatchResult {
 /// Runs \p Jobs under \p Opts. Never fails as a whole: every job ends as
 /// exactly one record.
 BatchResult runBatch(std::vector<JobSpec> Jobs, const ServeOptions &Opts);
+
+/// Parses f90y-serve's -workers value into \p Workers: a positive count of
+/// at most support::ThreadPool::MaxThreads, the threads knob's bound.
+bool parseWorkers(std::string_view Text, unsigned &Workers,
+                  std::string &Error);
 
 } // namespace serve
 } // namespace f90y

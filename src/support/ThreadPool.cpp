@@ -19,6 +19,8 @@ namespace {
 /// reductions depend on the decomposition, so this must never be derived
 /// from the thread count or the machine the host happens to run on.
 constexpr int64_t TargetChunks = 64;
+static_assert(ThreadPool::MaxThreads == TargetChunks,
+              "a pool runs no more threads than a job has chunks");
 
 } // namespace
 
@@ -32,12 +34,12 @@ int64_t ThreadPool::numChunks(int64_t N) {
 }
 
 unsigned ThreadPool::defaultThreads() {
-  unsigned N = std::thread::hardware_concurrency();
-  return N == 0 ? 1 : N;
+  return std::clamp(std::thread::hardware_concurrency(), 1u, MaxThreads);
 }
 
 ThreadPool::ThreadPool(unsigned Threads)
-    : NumThreads(Threads == 0 ? defaultThreads() : Threads) {
+    : NumThreads(Threads == 0 ? defaultThreads()
+                              : std::min(Threads, MaxThreads)) {
   // The caller participates, so spawn one fewer worker than the total.
   for (unsigned I = 1; I < NumThreads; ++I)
     Workers.emplace_back([this] { workerLoop(); });

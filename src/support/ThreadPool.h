@@ -48,8 +48,13 @@ namespace support {
 /// job handed to them.
 class ThreadPool {
 public:
+  /// The most threads a pool runs. A job splits into at most 64 chunks
+  /// (chunkSize), so a 65th thread would never get one. The f90yc
+  /// `-threads` knob and f90y-serve's `-workers` reject larger counts.
+  static constexpr unsigned MaxThreads = 64;
+
   /// \p Threads host workers (the caller counts as one and participates);
-  /// 0 means all hardware threads.
+  /// 0 means all hardware threads. Either is capped at MaxThreads.
   explicit ThreadPool(unsigned Threads = 0);
   ~ThreadPool();
 
@@ -76,7 +81,7 @@ public:
   static int64_t chunkSize(int64_t N);
   static int64_t numChunks(int64_t N);
 
-  /// Worker count substituted for Threads == 0 (>= 1).
+  /// Worker count substituted for Threads == 0 (1 to MaxThreads).
   static unsigned defaultThreads();
 
 private:

@@ -32,7 +32,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 
@@ -282,9 +285,12 @@ TEST(ExecEngineEquivalence, RandomRoutinesMatchInterpreterBitForBit) {
 /// register and spill slot is written before it is read, written pointers
 /// are addressed at offset 0 and stride 1, read-only ones at offsets 0-2
 /// and strides 0-2, and pointer 1 is sometimes bound to pointer 0's
-/// buffer. Extents of 1-600 elements make strips cross the 256-lane cap
-/// and end short of a whole vector iteration.
-RandomCase makeStripCase(std::mt19937_64 &Rng, const cm2::CostModel &Costs) {
+/// buffer. Extents of 1-600 elements (or \p Extent) make strips cross the
+/// 256-lane cap and end short of a whole vector iteration. Buffer values
+/// are mostly U(-8, 8), with zeros and the specials +/-0, +/-Inf and
+/// quiet NaNs of both signs.
+RandomCase makeStripCase(std::mt19937_64 &Rng, const cm2::CostModel &Costs,
+                         int64_t Extent = 0) {
   auto Pick = [&](int Lo, int Hi) {
     return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
   };
@@ -295,7 +301,7 @@ RandomCase makeStripCase(std::mt19937_64 &Rng, const cm2::CostModel &Costs) {
   C.R.NumScalarArgs = 2;
   C.R.NumSpillSlots = static_cast<unsigned>(Pick(0, 2));
   C.NumPEs = static_cast<unsigned>(Pick(1, 4));
-  C.SubgridElems = Pick(1, 600);
+  C.SubgridElems = Extent ? Extent : Pick(1, 600);
   // Read-only operands reach element 2 + 2 * (padded - 1): the
   // interpreter reads its padding lanes too. PE slices never overlap.
   const int64_t Width = Costs.VectorWidth;
@@ -320,10 +326,15 @@ RandomCase makeStripCase(std::mt19937_64 &Rng, const cm2::CostModel &Costs) {
                                                 : NumBuffers++);
 
   std::uniform_real_distribution<double> Val(-8.0, 8.0);
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Specials[] = {0.0, -0.0, Inf, -Inf, NaN, -NaN};
   for (unsigned B = 0; B < NumBuffers; ++B) {
     std::vector<double> Buf(static_cast<size_t>(C.NumPEs) * C.PEStride);
-    for (double &V : Buf)
-      V = Pick(0, 5) == 0 ? 0.0 : Val(Rng);
+    for (double &V : Buf) {
+      const int Kind = Pick(0, 11);
+      V = Kind < 2 ? 0.0 : Kind == 2 ? Specials[Pick(0, 5)] : Val(Rng);
+    }
     C.Buffers.push_back(std::move(Buf));
   }
   C.Scalars = {Val(Rng), Pick(0, 2) == 0 ? 0.0 : Val(Rng)};
@@ -415,17 +426,33 @@ TEST(StripPath, GeneratedRoutinesMatchInterpreterBitForBit) {
   std::mt19937_64 Rng(0x57121b5);
   support::ThreadPool Pool(8);
   RoutineCache Cache;
-  bool CrossedCap = false, Aliased = false;
-  for (int Case = 0; Case < 80; ++Case) {
-    RandomCase C = makeStripCase(Rng, Costs);
+  // 80 drawn extents, then fixed ones: every extent up to 17 (strips
+  // shorter than one 512-bit vector run only a kernel's scalar tail, the
+  // rest one or two vectors and a tail), and each power of two +/-1 up to
+  // the 256-lane cap.
+  std::vector<int64_t> Extents(80, 0);
+  for (int64_t E = 1; E <= 17; ++E)
+    Extents.push_back(E);
+  for (int64_t E : {32, 64, 128, 256})
+    for (int64_t Delta : {-1, 0, 1})
+      Extents.push_back(E + Delta);
+  bool CrossedCap = false, Aliased = false, SawNaN = false;
+  for (size_t Case = 0; Case < Extents.size(); ++Case) {
+    RandomCase C = makeStripCase(Rng, Costs, Extents[Case]);
     ASSERT_TRUE(takesStripPath(C)) << "case " << Case << "\n" << C.R.str();
     CrossedCap |= C.SubgridElems > 256;
     Aliased |= C.PtrBuf[1] == C.PtrBuf[0];
+    for (const std::vector<double> &Buf : C.Buffers)
+      SawNaN |= std::any_of(Buf.begin(), Buf.end(),
+                            [](double V) { return std::isnan(V); });
     expectCompiledMatchesInterp(C, Costs, Pool, Cache,
-                                "case " + std::to_string(Case));
+                                "case " + std::to_string(Case) + " (" +
+                                    std::to_string(C.SubgridElems) +
+                                    " elements)");
   }
   EXPECT_TRUE(CrossedCap);
   EXPECT_TRUE(Aliased);
+  EXPECT_TRUE(SawNaN);
 }
 
 TEST(ExecEngineEquivalence, ManyPEsSpanMultipleChunks) {
@@ -490,6 +517,75 @@ Instruction storeTo(Operand Src, Operand Dst) {
   I.HasMemDst = true;
   I.MemDst = Dst;
   return I;
+}
+
+/// One op over \p Lanes elements of one PE: pointers 0-2 hold its
+/// operands \p A, \p B and \p C in every lane (padding included, which
+/// the interpreter reads), and the op's result is stored to pointer 3.
+RandomCase laneCase(Opcode Op, double A, double B, double C, int64_t Lanes) {
+  const int64_t Width = cm2::CostModel().VectorWidth;
+  RandomCase Case;
+  Case.R.Name = "lanes";
+  Case.R.NumPtrArgs = 4;
+  Instruction I =
+      op(Op, {Operand::mem(0), Operand::mem(1), Operand::mem(2)}, 0);
+  I.Srcs.resize(canonicalArity(Op));
+  Case.R.Body = {I, storeTo(Operand::vreg(0), Operand::mem(3))};
+  Case.SubgridElems = Lanes;
+  Case.PEStride = static_cast<size_t>((Lanes + Width - 1) / Width * Width);
+  Case.PtrBuf = {0, 1, 2, 3};
+  for (double V : {A, B, C, 0.0})
+    Case.Buffers.emplace_back(Case.PEStride, V);
+  return Case;
+}
+
+uint64_t bitsOf(double V) { return std::bit_cast<uint64_t>(V); }
+
+/// Expects \p Op on (\p A, \p B, \p C) to store \p Want in every lane,
+/// bit for bit, under the interpreter and the compiled engine, at each
+/// of \p LaneCounts.
+void expectLanes(Opcode Op, double A, double B, double C, double Want,
+                 std::initializer_list<int64_t> LaneCounts) {
+  cm2::CostModel Costs;
+  RoutineCache Cache;
+  for (int64_t Lanes : LaneCounts) {
+    RandomCase Case = laneCase(Op, A, B, C, Lanes);
+    ASSERT_TRUE(takesStripPath(Case));
+    const std::string What = std::string(opcodeName(Op)) + " at " +
+                             std::to_string(Lanes) + " lanes";
+    for (EngineKind Kind : {EngineKind::Interp, EngineKind::Compiled}) {
+      RunOut Got = runCase(Case, Costs, Kind, nullptr, &Cache);
+      const char *Engine = Kind == EngineKind::Interp ? "interp" : "compiled";
+      for (int64_t Lane = 0; Lane < Lanes; ++Lane)
+        ASSERT_EQ(bitsOf(Got.Mem[3][static_cast<size_t>(Lane)]), bitsOf(Want))
+            << What << ", " << Engine << ", lane " << Lane;
+    }
+  }
+}
+
+TEST(StripPath, FMAddVRoundsTheProductAndTheSum) {
+  // (1 + 2^-30)(1 - 2^-30) = 1 - 2^-60 rounds to 1, and 1 - 1 is +0. A
+  // fused multiply-add rounds once and gives -2^-60.
+  const double A = 1 + std::ldexp(1.0, -30), B = 1 - std::ldexp(1.0, -30);
+  expectLanes(Opcode::FMAddV, A, B, -1.0, 0.0, {1, 8, 256});
+}
+
+TEST(StripPath, CommutingOpsYieldTheFirstNaNOperand) {
+  // The hardware returns the first NaN operand of its instruction, and the
+  // host compiler may swap a commuting op's operands; evalLane pins the
+  // first in program order, quieted, on every lane count and clone.
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Inf = std::numeric_limits<double>::infinity();
+  const std::initializer_list<int64_t> Lanes = {1, 2, 3, 5, 7, 9, 17, 64};
+  for (double First : {NaN, -NaN}) {
+    const double Second = -First;
+    expectLanes(Opcode::FAddV, First, Second, 0.0, First, Lanes);
+    expectLanes(Opcode::FMulV, First, Second, 0.0, First, Lanes);
+    expectLanes(Opcode::FMAddV, First, Second, 1.0, First, Lanes);
+    expectLanes(Opcode::FMAddV, 2.0, First, Second, First, Lanes);
+    // 0 * Inf is the default NaN, but the first NaN operand is c.
+    expectLanes(Opcode::FMAddV, 0.0, Inf, First, First, Lanes);
+  }
 }
 
 /// Expects \p C to be refused the strip path and to match the

@@ -16,11 +16,14 @@
 #include "driver/Config.h"
 #include "driver/Workloads.h"
 #include "serve/ArtifactCache.h"
+#include "serve/Scheduler.h"
 #include "serve/Serve.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 using namespace f90y;
 using namespace f90y::driver;
@@ -126,37 +129,72 @@ TEST(Options, FlagAndManifestKeyAgreeOnEveryRow) {
 
 TEST(Options, EveryRowRejectsABadValueOnBothSurfaces) {
   for (const Knob &K : knobs()) {
-    std::string BadFlag, BadJson;
+    // Bad values as flag text and as manifest JSON.
+    std::vector<std::pair<std::string, std::string>> Bad;
     switch (K.Kind) {
     case KnobKind::Choice:
-      BadFlag = flagOf(K, "bogus");
-      BadJson = "\"bogus\"";
+      Bad.push_back({"bogus", "\"bogus\""});
       break;
     case KnobKind::Switch:
-      BadFlag = std::string("-") + K.Name + "=yes";
-      BadJson = "\"yes\"";
+      Bad.push_back({"yes", "\"yes\""});
       break;
     case KnobKind::Count:
-      BadFlag = flagOf(K, "0");
-      BadJson = "0";
+      Bad.push_back({"0", "0"});
       break;
     case KnobKind::Number:
-      BadFlag = flagOf(K, "-1");
-      BadJson = "-1";
+      Bad.push_back({"-1", "-1"});
       break;
     case KnobKind::Faults:
-      BadFlag = flagOf(K, "bogus:0.5");
-      BadJson = "\"bogus:0.5\"";
+      Bad.push_back({"bogus:0.5", "\"bogus:0.5\""});
       break;
     }
-    Config C;
-    std::string Error;
-    EXPECT_FALSE(applyFlag(C, BadFlag, Error)) << BadFlag;
-    EXPECT_NE(Error.find(K.Name), std::string::npos) << Error;
-    serve::JobSpec Job = jobWith(keyOf(K), BadJson);
-    EXPECT_FALSE(Job.Valid) << keyOf(K) << ": " << BadJson;
-    EXPECT_NE(Job.ParseError.find(keyOf(K)), std::string::npos)
-        << Job.ParseError;
+    // A bounded row also rejects one past its bound. Only parsed: an
+    // over-bound thread count is never run.
+    if (K.Max)
+      Bad.push_back({std::to_string(K.Max + 1), std::to_string(K.Max + 1)});
+    for (const auto &[Text, Json] : Bad) {
+      const std::string BadFlag = std::string("-") + K.Name + "=" + Text;
+      Config C;
+      std::string Error;
+      EXPECT_FALSE(applyFlag(C, BadFlag, Error)) << BadFlag;
+      EXPECT_NE(Error.find(K.Name), std::string::npos) << Error;
+      serve::JobSpec Job = jobWith(keyOf(K), Json);
+      EXPECT_FALSE(Job.Valid) << keyOf(K) << ": " << Json;
+      EXPECT_NE(Job.ParseError.find(keyOf(K)), std::string::npos)
+          << Job.ParseError;
+      if (K.Max) {
+        const std::string Bound =
+            "(at most " + std::to_string(K.Max) + ")";
+        EXPECT_NE(Error.find(Bound), std::string::npos) << Error;
+        EXPECT_NE(Job.ParseError.find(Bound), std::string::npos)
+            << Job.ParseError;
+      }
+    }
+  }
+}
+
+TEST(Options, ThreadCountsStopAtThePoolBound) {
+  // The threads row and f90y-serve's -workers share ThreadPool's bound.
+  const unsigned Max = support::ThreadPool::MaxThreads;
+  bool Bounded = false;
+  for (const Knob &K : knobs())
+    Bounded |= std::string(K.Name) == "threads" && K.Max == Max;
+  EXPECT_TRUE(Bounded);
+
+  unsigned Workers = 0;
+  std::string Error;
+  EXPECT_TRUE(serve::parseWorkers(std::to_string(Max), Workers, Error))
+      << Error;
+  EXPECT_EQ(Workers, Max);
+  for (const std::string &Text :
+       std::vector<std::string>{"0", std::to_string(Max + 1), "100000"}) {
+    Workers = 7;
+    EXPECT_FALSE(serve::parseWorkers(Text, Workers, Error)) << Text;
+    EXPECT_EQ(Workers, 7u) << Text;
+    EXPECT_NE(Error.find("'-workers'"), std::string::npos) << Error;
+    EXPECT_NE(Error.find("(at most " + std::to_string(Max) + ")"),
+              std::string::npos)
+        << Error;
   }
 }
 

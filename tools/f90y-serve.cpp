@@ -14,8 +14,9 @@
 ///                    line; '#' comments and blank lines skipped; relative
 ///                    "source_path" entries resolve against the manifest's
 ///                    directory)
-///   -workers=N       concurrent job workers (default: all hardware
-///                    threads; results are byte-identical at any N)
+///   -workers=N       concurrent job workers, at most 64 (default: all
+///                    hardware threads; results are byte-identical at any
+///                    N)
 ///   -out=DIR         write per-job artifacts (<id>.out, <id>.stats.json
 ///                    on success, <id>.err on failure) and the batch
 ///                    results.jsonl into DIR (created if missing)
@@ -81,10 +82,7 @@ int main(int argc, char **argv) {
         return 2;
       }
     } else if (Arg.rfind("-workers=", 0) == 0) {
-      uint64_t Workers = 0;
-      Ok = driver::parseNumber("-workers", Arg.substr(9), 1, UINT32_MAX,
-                               Workers, Error);
-      Opts.Workers = static_cast<unsigned>(Workers);
+      Ok = serve::parseWorkers(Arg.substr(9), Opts.Workers, Error);
     } else if (Arg.rfind("-out=", 0) == 0) {
       OutDir = Arg.substr(5);
       if (OutDir.empty()) {
