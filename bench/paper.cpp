@@ -1,15 +1,16 @@
-//===- bench/paper.cpp - the paper's experiments E1-E9 as one table -------===//
+//===- bench/paper.cpp - the paper's experiments as one table -------------===//
 //
 // Part of the Fortran-90-Y reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Every number EXPERIMENTS.md reports for experiments E1-E9. A row names
-/// a program, the driver::Config it compiles and runs under, and at most
-/// one CompileOptions field it turns off; each column reads one quantity
-/// of the compile or the run. Simulated cycles are deterministic, so
-/// EXPERIMENTS.md holds each table verbatim as the expected output.
+/// Every number EXPERIMENTS.md reports for experiments E1-E9, E11 and
+/// E12. A row names a program, the driver::Config it compiles and runs
+/// under, and at most one CompileOptions field it turns off; each column
+/// reads one quantity of the compile or the run. Simulated cycles are
+/// deterministic, so EXPERIMENTS.md holds each table verbatim as the
+/// expected output.
 ///
 ///   paper [E1 ...]              print the tables (all by default)
 ///   paper -check=DOC E1 ...     exit 1 unless each table is the first one
@@ -25,6 +26,7 @@
 #include "baselines/Fieldwise.h"
 #include "driver/Config.h"
 #include "driver/Workloads.h"
+#include "observe/Metrics.h"
 #include "support/FileIO.h"
 #include "transform/Transforms.h"
 
@@ -77,7 +79,10 @@ struct Sample {
   double Gflops = 0;                                  ///< Useful flops.
   double CallShare = 0, NodeShare = 0, CommShare = 0; ///< % of Cycles.
   double CommPerElement = 0;                          ///< Runtime rows.
-  double Routines = 0, ScalarArgs = 0;
+  double Routines = 0, ScalarArgs = 0, BodyInstrs = 0, NodeCycles = 0;
+  /// The compile's fuse.* and layout.* gauges.
+  double TempsEliminated = 0, MovesFused = 0, BytesSaved = 0;
+  double FieldsRealigned = 0, MovesLocalized = 0, CommCyclesSaved = 0;
   /// Phases of the lowered NIR, and of the transformed NIR.
   double LoweredSections = 0, Sections = 0, Computations = 0, HostMoves = 0;
   /// The routine that divides: Figure 12's statement.
@@ -96,6 +101,7 @@ struct Column {
 
 const Column Cycles{"simulated cycles", &Sample::Cycles};
 const Column CommCycles{"comm cycles", &Sample::CommCycles};
+const Column NodeCycles{"node cycles", &Sample::NodeCycles};
 const Column CallCycles{"PEAC call cycles", &Sample::CallCycles};
 const Column Overlapped{"overlapped cycles", &Sample::OverlappedCycles};
 const Column Gflops{"GFLOPS", &Sample::Gflops, "%.2f"};
@@ -105,6 +111,18 @@ const Column CommShare{"comm share", &Sample::CommShare, "%.1f%%"};
 const Column PerElement{"cycles / element", &Sample::CommPerElement, "%.4f"};
 const Column Routines{"PEAC routines", &Sample::Routines, "%.0f"};
 const Column ScalarArgs{"scalar (IFIFO) args", &Sample::ScalarArgs, "%.0f"};
+const Column BodyInstrs{"PEAC body instructions", &Sample::BodyInstrs,
+                        "%.0f"};
+const Column TempsEliminated{"temps eliminated", &Sample::TempsEliminated,
+                             "%.0f"};
+const Column MovesFused{"moves fused", &Sample::MovesFused, "%.0f"};
+const Column BytesSaved{"bytes saved / step", &Sample::BytesSaved, "%.0f"};
+const Column FieldsRealigned{"fields realigned", &Sample::FieldsRealigned,
+                             "%.0f"};
+const Column MovesLocalized{"comm moves localized", &Sample::MovesLocalized,
+                            "%.0f"};
+const Column CommCyclesSaved{"est. comm cycles saved / step",
+                             &Sample::CommCyclesSaved, "%.0f"};
 const Column LoweredSections{"section moves, lowered",
                              &Sample::LoweredSections, "%.0f"};
 const Column Sections{"section moves, transformed", &Sample::Sections,
@@ -366,6 +384,47 @@ std::vector<Experiment> experiments() {
                 expect(S[0].Output == S[1].Output,
                        "both models print the same output");
        }});
+
+  // E11 and E12 flip one compile-time switch of F90y.
+  const std::string Temps = sweTempsSource(192, 4);
+  All.push_back(
+      {"E11", "configuration",
+       {Routines, BodyInstrs, NodeCycles, CommCycles, TempsEliminated,
+        MovesFused, BytesSaved},
+       {{.Label = "`-fuse=off`", .Src = Temps,
+         .Cfg = {.OverlapComm = false, .Fuse = false}},
+        {.Label = "`-fuse=on` (default)", .Src = Temps, .Cfg = F90y}},
+       [](const Samples &S) {
+         return expect(S[1].BodyInstrs < S[0].BodyInstrs &&
+                           S[1].NodeCycles < S[0].NodeCycles,
+                       "fusion saves PEAC instructions and node cycles") +
+                expect(S[1].TempsEliminated > 0 && S[1].MovesFused > 0,
+                       "fusion eliminates temporaries") +
+                expect(S[0].Output == S[1].Output,
+                       "both print the same output");
+       }});
+
+  const std::string Misaligned = misalignedSweSource(128, 4);
+  All.push_back(
+      {"E12", "program, configuration",
+       {Routines, BodyInstrs, NodeCycles, CommCycles, FieldsRealigned,
+        MovesLocalized, CommCyclesSaved},
+       {{.Label = "neighbor-field SWE, `-layout=canonical`", .Src = Misaligned,
+         .Cfg = {.OverlapComm = false, .Layout = false}},
+        {.Label = "neighbor-field SWE, `-layout=infer` (default)",
+         .Src = Misaligned, .Cfg = F90y},
+        {.Label = "stock SWE 64×64×1, `-layout=infer` (control)",
+         .Src = sweSource(64, 1), .Cfg = F90y}},
+       [](const Samples &S) {
+         return expect(S[1].CommCycles <= 0.75 * S[0].CommCycles,
+                       "inference cuts at least 25% of the comm cycles") +
+                expect(S[1].FieldsRealigned > 0 && S[1].MovesLocalized > 0,
+                       "inference realigns the neighbor fields") +
+                expect(S[2].FieldsRealigned == 0 && S[2].MovesLocalized == 0,
+                       "inference leaves the stock SWE canonical") +
+                expect(S[0].Output == S[1].Output,
+                       "both layouts print the same output");
+       }});
   return All;
 }
 
@@ -375,7 +434,8 @@ std::vector<Experiment> experiments() {
 }
 
 /// Reads the compile's quantities into \p S.
-void readCompile(const Artifacts &A, const cm2::CostModel &M, Sample &S) {
+void readCompile(const Artifacts &A, const observe::MetricsRegistry &Gauges,
+                 const cm2::CostModel &M, Sample &S) {
   S.LoweredSections = transform::countPhases(A.RawNIR).CommunicationPhases;
   const transform::PhaseStats P = transform::countPhases(A.OptimizedNIR);
   S.Sections = P.CommunicationPhases;
@@ -385,6 +445,7 @@ void readCompile(const Artifacts &A, const cm2::CostModel &M, Sample &S) {
   const peac::Routine *Largest = nullptr;
   for (const peac::Routine &R : A.Compiled.Program.Routines) {
     S.ScalarArgs += R.NumScalarArgs;
+    S.BodyInstrs += R.bodyInstructionCount();
     if (std::any_of(R.Body.begin(), R.Body.end(), [](const auto &I) {
           return I.Op == peac::Opcode::FDivV;
         })) {
@@ -399,6 +460,12 @@ void readCompile(const Artifacts &A, const cm2::CostModel &M, Sample &S) {
     S.Spills = Largest->NumSpillSlots;
     S.LargestCycles = Largest->cyclesPerIteration(M);
   }
+  S.TempsEliminated = Gauges.value("fuse.temps_eliminated");
+  S.MovesFused = Gauges.value("fuse.moves_fused");
+  S.BytesSaved = Gauges.value("fuse.bytes_saved");
+  S.FieldsRealigned = Gauges.value("layout.fields_realigned");
+  S.MovesLocalized = Gauges.value("layout.comm_moves_localized");
+  S.CommCyclesSaved = Gauges.value("layout.comm_cycles_saved");
 }
 
 Sample measure(const Row &R) {
@@ -421,10 +488,12 @@ Sample measure(const Row &R) {
     if (R.Off)
       R.Off(Opts) = false;
     Compilation C(std::move(Opts));
+    observe::MetricsRegistry Gauges;
+    C.setObservability(nullptr, &Gauges);
     if (!C.compile(R.Src))
       die(R.Label, C.diags().str());
     const Artifacts &A = C.artifacts();
-    readCompile(A, M, S);
+    readCompile(A, Gauges, M, S);
     if (R.Fieldwise) {
       bool Timeable = true;
       S.Cycles = baselines::fieldwiseCycles(A.RawNIR, M, Timeable);
@@ -442,6 +511,7 @@ Sample measure(const Row &R) {
   if (!R.Fieldwise)
     S.Cycles = L.total();
   S.CommCycles = L.CommCycles;
+  S.NodeCycles = L.NodeCycles;
   S.CallCycles = L.CallCycles;
   S.OverlappedCycles = L.OverlappedCycles;
   S.Gflops = usefulFlops(R.Src) / M.seconds(S.Cycles) / 1e9;

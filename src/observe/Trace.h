@@ -32,8 +32,8 @@
 /// -stats).
 ///
 /// A null TraceRecorder* is the disabled fast path everywhere: callers
-/// guard each record with one pointer test and the simulation stays bit-
-/// identical to an un-instrumented build (bench_trace_overhead).
+/// guard each record with one pointer test, and a traced run stays bit-
+/// identical to an untraced one (every invariance check compares them).
 ///
 //===----------------------------------------------------------------------===//
 

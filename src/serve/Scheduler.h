@@ -55,7 +55,7 @@ struct ServeOptions {
   /// writes nothing; the directory must already exist.
   std::string OutDir;
   /// Shared compilation store (null: every job compiles privately - the
-  /// cold path benchmarked by bench_serve_throughput).
+  /// cold leg of the serve ratio in tests/wall_test.cpp).
   ArtifactCache *Cache = nullptr;
   /// Batch observability: serve.* metrics and one wall span per job, all
   /// recorded on the coordinator thread in manifest order so exports are

@@ -439,6 +439,8 @@ TEST_F(CheckpointDamageTest, CheckpointEveryNWritesEveryNth) {
   Record Full = runStepped(WriteOpts);
   ASSERT_TRUE(Full.Ok) << Full.Diags;
   EXPECT_EQ(Full.CheckpointsWritten, 2u);
+  // Writes happen on the host between steps: the simulation is untouched.
+  EXPECT_EQ(diffHost(runStepped(), Full), "");
   removeGenerations(Path);
 }
 

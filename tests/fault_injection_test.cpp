@@ -192,6 +192,16 @@ TEST(FaultInjectionTest, NoFaultSpecAttachesNoInjector) {
   EXPECT_EQ(Report->Faults.totalInjected(), 0u);
 }
 
+TEST(FaultInjectionTest, NeverFiringInjectorLeavesTheRunBitIdentical) {
+  // At the smallest positive probability an injector is attached, so
+  // every gate and dispatch probe runs, but none ever fires: the run must
+  // be the injector-free one bit for bit.
+  const Record Probed = run(
+      faultyProgram(), Base + Leg{{"-faults=router-drop:5e-324,"
+                                   "grid-timeout:5e-324"}});
+  EXPECT_EQ(diffHost(run(faultyProgram(), Base), Probed), "");
+}
+
 TEST(FaultInjectionTest, RecoverableSchedulePreservesProgramResults) {
   // Recovery is invisible to the program: identical output and data...
   Result R = cleanVersusFaulty(faults(recoverableSpec(), 1));

@@ -293,11 +293,12 @@ TEST(FusionEquivalence, RandomProgramsMatchAcrossTheExecutionMatrix) {
 }
 
 TEST(FusionEquivalence, TempChainSweMatchesAcrossEngines) {
-  // The benchmark workload itself, end to end at a small size on the
-  // stock machine: output identical between fuse settings, with the
-  // fused compile measurably smaller.
-  invariance::Result R = invariance::check(driver::sweTempsSource(32, 2),
-                                           fuseOnAndOff({{"-comm=sync"}}));
+  // E11's workload end to end at a small size on the stock machine:
+  // output identical between fuse settings at every comm x faults leg,
+  // each leg at every host leg, with the fused compile measurably smaller.
+  invariance::Result R =
+      invariance::check(driver::sweTempsSource(32, 2),
+                        invariance::switchMatrix("-fuse=on", "-fuse=off"));
   ASSERT_EQ(R.Divergence, "");
   const invariance::Record &On = R.Runs[0], &Off = R.Runs[1];
   EXPECT_GT(On.metric("fuse.temps_eliminated"), 0.0);

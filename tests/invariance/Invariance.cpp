@@ -488,6 +488,17 @@ std::string invariance::diffOracle(const Record &R, const std::string &Src,
 // The matrix
 //===----------------------------------------------------------------------===//
 
+Matrix invariance::switchMatrix(const char *On, const char *Off) {
+  Matrix M;
+  M.Model.clear();
+  for (const char *Comm : {"-comm=sync", UnscheduledOverlap})
+    for (const char *Faults :
+         {"-faults=", "-faults=corrupt:0.01,pe-trap:0.005"})
+      for (const char *Switch : {On, Off})
+        M.Model.push_back({{Comm, Faults, "-fault-seed=7", Switch}});
+  return M;
+}
+
 Result invariance::check(const std::string &Src, const Matrix &M) {
   Result Res;
   const std::vector<Leg> Hosts = M.Host ? hostLegs() : std::vector<Leg>{{}};

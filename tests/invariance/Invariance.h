@@ -5,11 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One statement of the determinism contract, shared by the tests and the
-/// benchmarks. A leg is a driver::Config spelled as f90yc flags, so a
-/// failing leg prints as the command line that reproduces it. Every knob
-/// of driver::knobs() has one row in axes(), which fixes what a change of
-/// that knob may change:
+/// One statement of the determinism contract, shared by the tests. A leg
+/// is a driver::Config spelled as f90yc flags, so a failing leg prints as
+/// the command line that reproduces it. Every knob of driver::knobs() has
+/// one row in axes(), which fixes what a change of that knob may change:
 ///
 ///  - Host (threads, exec): nothing. Output, raw field storage (padding
 ///    included), every CycleLedger and FaultCounters field, and the
@@ -149,6 +148,12 @@ struct Matrix {
   std::optional<double> Oracle;
   std::vector<std::string> Names; ///< What the oracle compares.
 };
+
+/// The matrix of a compile-time switch: \p On and \p Off under the sync
+/// and the unscheduled-overlap comm models, fault-free and under
+/// recoverable faults (seed 7), each leg compared with the first under the
+/// Model contract and crossed with hostLegs() under the Host contract.
+Matrix switchMatrix(const char *On, const char *Off);
 
 struct Result {
   /// The first divergence, "" when none. Its first line names the check

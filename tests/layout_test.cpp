@@ -221,17 +221,16 @@ TEST(LayoutEquivalence, RandomizedInferVsCanonical) {
 }
 
 TEST(LayoutEquivalence, MisalignedSweFullMatrix) {
-  // The full compile-time x run-time matrix: layout crossed with fusion
-  // and the two unscheduled comm models (sync, and runtime overlap), each
-  // leg at threads x engine. Every leg must agree with the first in output
-  // and logical-order field memory.
-  invariance::Matrix M;
+  // E12's workload under the full compile-time x run-time matrix: layout
+  // crossed with fusion, the two unscheduled comm models (sync, and
+  // runtime overlap) and recoverable faults, each leg at threads x engine.
+  // Every leg must agree with the first in output and logical-order field
+  // memory.
+  invariance::Matrix M =
+      invariance::switchMatrix("-layout=infer", "-layout=canonical");
   M.Base = Base;
-  M.Model.clear();
-  for (const char *Comm : {"-comm=sync", invariance::UnscheduledOverlap})
-    for (const char *Layout : {"-layout=infer", "-layout=canonical"})
-      for (const char *Fuse : {"-fuse=on", "-fuse=off"})
-        M.Model.push_back({{Comm, Layout, Fuse}});
+  for (size_t I = 0, N = M.Model.size(); I < N; ++I)
+    M.Model.push_back(M.Model[I] + invariance::Leg{{"-fuse=off"}});
   EXPECT_EQ(invariance::check(misalignedSweSource(16, 3), M).Divergence, "");
 }
 

@@ -412,6 +412,13 @@ TEST(RunBatch, NullCacheCompilesPrivately) {
   EXPECT_STREQ(B.Records[1].Compile, "private");
   EXPECT_EQ(B.CacheHits, 0u);
   EXPECT_EQ(B.CacheMisses, 0u);
+  // The cache is unobservable in results: with the compile classification
+  // set aside, a shared-cache batch writes the same records.
+  ArtifactCache Cache;
+  BatchResult Shared = runMixed(4, &Cache, nullptr, nullptr);
+  for (JobRecord &R : Shared.Records)
+    R.Compile = "private";
+  EXPECT_EQ(B.resultsJsonl(), Shared.resultsJsonl());
 }
 
 TEST(RunBatch, AdmissionControlShedsExcessJobs) {
