@@ -6,7 +6,6 @@
 
 #include "backend/Backend.h"
 
-#include "lower/Lowering.h"
 #include "nir/Printer.h"
 #include "observe/Metrics.h"
 #include "observe/Trace.h"
@@ -191,29 +190,14 @@ FECompiler::compileCommClause(const N::MoveClause &C) {
         F && !F->getArgs().empty()
             ? dyn_cast<N::AVarValue>(F->getArgs()[0])
             : nullptr;
-    if (!F || !lower::isReductionIntrinsic(F->getCallee()) || !Arg ||
+    if (!F || !N::isReductionIntrinsic(F->getCallee()) || !Arg ||
         !isa<N::EverywhereAction>(Arg->getAction())) {
       error("unsupported scalar communication pattern: " +
             N::printValue(C.Src));
       return nullptr;
     }
-    runtime::ReduceOp Op;
-    const std::string &Name = F->getCallee();
-    if (Name == "sum")
-      Op = runtime::ReduceOp::Sum;
-    else if (Name == "product")
-      Op = runtime::ReduceOp::Product;
-    else if (Name == "maxval")
-      Op = runtime::ReduceOp::Max;
-    else if (Name == "minval")
-      Op = runtime::ReduceOp::Min;
-    else if (Name == "count")
-      Op = runtime::ReduceOp::Count;
-    else if (Name == "any")
-      Op = runtime::ReduceOp::Any;
-    else
-      Op = runtime::ReduceOp::All;
-    return std::make_unique<ReduceStmt>(SV->getId(), Op, Arg->getId());
+    return std::make_unique<ReduceStmt>(
+        SV->getId(), host::reduceOpOf(F->getCallee()), Arg->getId());
   }
 
   const auto *DstAV = dyn_cast<N::AVarValue>(C.Dst);
@@ -225,7 +209,7 @@ FECompiler::compileCommClause(const N::MoveClause &C) {
   // Shift: dst everywhere, src FCNCALL(cshift|eoshift, [AVAR, s, d]);
   // or a partial reduction FCNCALL(red, [AVAR, dim]).
   if (const auto *F = dyn_cast<N::FcnCallValue>(C.Src)) {
-    if (lower::isReductionIntrinsic(F->getCallee()) &&
+    if (N::isReductionIntrinsic(F->getCallee()) &&
         F->getArgs().size() == 2) {
       const auto *Arg = dyn_cast<N::AVarValue>(F->getArgs()[0]);
       const auto *Dm = dyn_cast<N::ScalarConstValue>(F->getArgs()[1]);
@@ -235,24 +219,8 @@ FECompiler::compileCommClause(const N::MoveClause &C) {
               N::printValue(C.Src));
         return nullptr;
       }
-      runtime::ReduceOp Op;
-      const std::string &Name = F->getCallee();
-      if (Name == "sum")
-        Op = runtime::ReduceOp::Sum;
-      else if (Name == "product")
-        Op = runtime::ReduceOp::Product;
-      else if (Name == "maxval")
-        Op = runtime::ReduceOp::Max;
-      else if (Name == "minval")
-        Op = runtime::ReduceOp::Min;
-      else if (Name == "count")
-        Op = runtime::ReduceOp::Count;
-      else if (Name == "any")
-        Op = runtime::ReduceOp::Any;
-      else
-        Op = runtime::ReduceOp::All;
       return std::make_unique<ReduceDimStmt>(
-          DstAV->getId(), Op, Arg->getId(),
+          DstAV->getId(), host::reduceOpOf(F->getCallee()), Arg->getId(),
           static_cast<unsigned>(Dm->getInt()));
     }
     if (F->getCallee() == "cshift" || F->getCallee() == "eoshift") {

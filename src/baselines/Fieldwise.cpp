@@ -7,7 +7,6 @@
 #include "baselines/Fieldwise.h"
 
 #include "interp/Interpreter.h"
-#include "lower/Lowering.h"
 #include "nir/TypeInfer.h"
 
 #include <cmath>
@@ -121,7 +120,7 @@ private:
                           Costs.RouterPerElem * vpFactor(Elements) * 8);
         return;
       }
-      if (lower::isReductionIntrinsic(Name)) {
+      if (N::isReductionIntrinsic(Name)) {
         Cycles += Mult * (Costs.FieldwiseOpOverhead +
                           elementalCost(true) * vpFactor(Elements) +
                           16 * Costs.ReduceStepCycles);

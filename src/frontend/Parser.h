@@ -43,7 +43,6 @@ public:
 private:
   std::optional<ast::SubroutineUnit> parseSubroutine();
   void parseSpecificationPart(std::vector<ast::EntityDecl> &Decls);
-  std::vector<const ast::Stmt *> parseUnitBody();
 
   std::vector<Token> Tokens;
   ast::ASTContext &Ctx;

@@ -6,7 +6,6 @@
 
 #include "host/HostExecutor.h"
 
-#include "lower/Lowering.h"
 #include "nir/Printer.h"
 #include "observe/Metrics.h"
 #include "observe/Trace.h"
@@ -175,7 +174,7 @@ RtVal HostExecutor::evalScalar(const N::Value *V) {
   case N::Value::Kind::FcnCall: {
     const auto *F = cast<N::FcnCallValue>(V);
     const std::string &Name = F->getCallee();
-    if (lower::isReductionIntrinsic(Name)) {
+    if (N::isReductionIntrinsic(Name)) {
       const auto *AV = dyn_cast<N::AVarValue>(F->getArgs()[0]);
       if (!AV || !isa<N::EverywhereAction>(AV->getAction())) {
         error("host reduction over a non-canonical argument");
@@ -186,22 +185,7 @@ RtVal HostExecutor::evalScalar(const N::Value *V) {
         error("host reduction over unallocated array '" + AV->getId() + "'");
         return RtVal::makeInt(0);
       }
-      runtime::ReduceOp Op;
-      if (Name == "sum")
-        Op = runtime::ReduceOp::Sum;
-      else if (Name == "product")
-        Op = runtime::ReduceOp::Product;
-      else if (Name == "maxval")
-        Op = runtime::ReduceOp::Max;
-      else if (Name == "minval")
-        Op = runtime::ReduceOp::Min;
-      else if (Name == "count")
-        Op = runtime::ReduceOp::Count;
-      else if (Name == "any")
-        Op = runtime::ReduceOp::Any;
-      else
-        Op = runtime::ReduceOp::All;
-      support::RtResult<double> Red = RT.tryReduce(Op, Handle);
+      support::RtResult<double> Red = RT.tryReduce(reduceOpOf(Name), Handle);
       if (!checkComm(Red.status()))
         return RtVal::makeInt(0);
       double R = Red.value();

@@ -59,10 +59,6 @@ public:
     Restore = std::move(S);
   }
 
-  /// Completed outermost-loop iterations of the last run (continues from
-  /// the checkpoint's count on a restored run).
-  uint64_t stepIndex() const { return StepIndex; }
-
   /// Enables the Section 5.3.2 extension model: communication may proceed
   /// concurrently with subsequent PEAC computation that touches none of
   /// the fields in flight. Hidden cycles accumulate in the ledger's

@@ -310,6 +310,35 @@ private:
   std::string Dst, Src;
 };
 
+/// The reduction intrinsics (nir::isReductionIntrinsic) and the runtime
+/// fold each one runs: the back end and the host executor map names to
+/// folds through it, and host listings print the names back.
+struct ReduceOpName {
+  const char *Name;
+  runtime::ReduceOp Op;
+};
+inline constexpr ReduceOpName ReduceOpNames[] = {
+    {"sum", runtime::ReduceOp::Sum},    {"product", runtime::ReduceOp::Product},
+    {"maxval", runtime::ReduceOp::Max}, {"minval", runtime::ReduceOp::Min},
+    {"count", runtime::ReduceOp::Count}, {"any", runtime::ReduceOp::Any},
+    {"all", runtime::ReduceOp::All}};
+
+/// The fold of reduction intrinsic \p Name.
+inline runtime::ReduceOp reduceOpOf(const std::string &Name) {
+  for (const ReduceOpName &R : ReduceOpNames)
+    if (Name == R.Name)
+      return R.Op;
+  return runtime::ReduceOp::All;
+}
+
+/// The intrinsic name of \p Op.
+inline const char *reduceOpName(runtime::ReduceOp Op) {
+  for (const ReduceOpName &R : ReduceOpNames)
+    if (Op == R.Op)
+      return R.Name;
+  return "?";
+}
+
 class ReduceStmt : public HostStmt {
 public:
   ReduceStmt(std::string DstScalar, runtime::ReduceOp Op, std::string Src)

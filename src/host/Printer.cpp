@@ -177,62 +177,15 @@ private:
     }
     case HostStmt::Kind::Reduce: {
       const auto *R = cast<ReduceStmt>(S);
-      const char *Op = "?";
-      switch (R->op()) {
-      case runtime::ReduceOp::Sum:
-        Op = "sum";
-        break;
-      case runtime::ReduceOp::Product:
-        Op = "product";
-        break;
-      case runtime::ReduceOp::Max:
-        Op = "maxval";
-        break;
-      case runtime::ReduceOp::Min:
-        Op = "minval";
-        break;
-      case runtime::ReduceOp::Count:
-        Op = "count";
-        break;
-      case runtime::ReduceOp::Any:
-        Op = "any";
-        break;
-      case runtime::ReduceOp::All:
-        Op = "all";
-        break;
-      }
-      line(Depth, "cm_reduce " + R->dstScalar() + " <- " + Op + "(" +
-                      R->src() + ")");
+      line(Depth, "cm_reduce " + R->dstScalar() + " <- " +
+                      reduceOpName(R->op()) + "(" + R->src() + ")");
       return;
     }
     case HostStmt::Kind::ReduceDim: {
       const auto *R = cast<ReduceDimStmt>(S);
-      const char *Op = "?";
-      switch (R->op()) {
-      case runtime::ReduceOp::Sum:
-        Op = "sum";
-        break;
-      case runtime::ReduceOp::Product:
-        Op = "product";
-        break;
-      case runtime::ReduceOp::Max:
-        Op = "maxval";
-        break;
-      case runtime::ReduceOp::Min:
-        Op = "minval";
-        break;
-      case runtime::ReduceOp::Count:
-        Op = "count";
-        break;
-      case runtime::ReduceOp::Any:
-        Op = "any";
-        break;
-      case runtime::ReduceOp::All:
-        Op = "all";
-        break;
-      }
-      line(Depth, "cm_reduce " + R->dst() + " <- " + Op + "(" + R->src() +
-                      ", dim=" + std::to_string(R->dim()) + ")");
+      line(Depth, "cm_reduce " + R->dst() + " <- " + reduceOpName(R->op()) +
+                      "(" + R->src() + ", dim=" + std::to_string(R->dim()) +
+                      ")");
       return;
     }
     case HostStmt::Kind::Spread: {

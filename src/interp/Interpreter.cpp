@@ -6,7 +6,6 @@
 
 #include "interp/Interpreter.h"
 
-#include "lower/Lowering.h"
 #include "nir/Printer.h"
 
 #include <algorithm>
@@ -457,7 +456,7 @@ std::vector<int64_t> Interpreter::fieldCounts(const N::Value *V) {
   }
   case N::Value::Kind::FcnCall: {
     const auto *F = cast<N::FcnCallValue>(V);
-    if (lower::isReductionIntrinsic(F->getCallee())) {
+    if (N::isReductionIntrinsic(F->getCallee())) {
       if (F->getArgs().size() == 2) {
         // Partial reduction: the argument's counts minus the dim.
         std::vector<int64_t> C = fieldCounts(F->getArgs()[0]);
@@ -704,7 +703,7 @@ RtVal Interpreter::evalElem(const N::Value *V, const std::vector<int64_t> &Pos,
   case N::Value::Kind::FcnCall: {
     const auto *F = cast<N::FcnCallValue>(V);
     const std::string &Name = F->getCallee();
-    if (lower::isReductionIntrinsic(Name)) {
+    if (N::isReductionIntrinsic(Name)) {
       if (F->getArgs().size() == 2) {
         // Partial reduction at result position Pos: accumulate over the
         // reduced dimension of the argument's space.

@@ -51,7 +51,6 @@ struct RtVal {
   }
 
   bool isInt() const { return K == Kind::Int; }
-  bool isReal() const { return K == Kind::Real; }
   bool isBool() const { return K == Kind::Bool; }
 
   double asReal() const {

@@ -19,15 +19,6 @@ namespace N = f90y::nir;
 
 namespace {
 
-/// Communication/reduction intrinsic names (the extract-comm canonical
-/// set; kept in sync with nir/Verifier.cpp).
-bool isCommOrReductionName(const std::string &Name) {
-  return Name == "cshift" || Name == "eoshift" || Name == "transpose" ||
-         Name == "spread" || Name == "sum" || Name == "product" ||
-         Name == "maxval" || Name == "minval" || Name == "count" ||
-         Name == "any" || Name == "all";
-}
-
 /// Trip-count guess for loops whose extent the builder cannot resolve.
 constexpr double UnknownTripCount = 16.0;
 
@@ -150,7 +141,7 @@ private:
       return containsCommCall(cast<N::UnaryValue>(V)->getOperand());
     case N::Value::Kind::FcnCall: {
       const auto *F = cast<N::FcnCallValue>(V);
-      if (isCommOrReductionName(F->getCallee()))
+      if (N::isCommOrReductionIntrinsic(F->getCallee()))
         return true;
       for (const N::Value *A : F->getArgs())
         if (containsCommCall(A))
@@ -185,7 +176,7 @@ private:
 
   void visitClause(const N::MoveClause &C, double TripMult) {
     const auto *F = dyn_cast<N::FcnCallValue>(C.Src);
-    if (F && isCommOrReductionName(F->getCallee())) {
+    if (F && N::isCommOrReductionIntrinsic(F->getCallee())) {
       // The one pattern worth an edge: an unmasked whole-field constant
       // circular shift. Everything else iterates storage in an order a
       // rotation would change (or fills edges / reassociates FP), so its

@@ -8,7 +8,7 @@
 
 #include "layout/AlignmentGraph.h"
 #include "layout/AlignmentSolver.h"
-#include "nir/NIRContext.h"
+#include "nir/Rewrite.h"
 
 using namespace f90y;
 using namespace f90y::layout;
@@ -16,16 +16,13 @@ namespace N = f90y::nir;
 
 namespace {
 
-class Materializer {
+class Materializer : public N::ImpRewriter {
 public:
   Materializer(N::NIRContext &Ctx, const AlignmentGraph &G,
                const SolveResult &Solved, LayoutStats &Stats)
-      : Ctx(Ctx), G(G), Solved(Solved), Stats(Stats) {}
-
-  const N::Imp *rewrite(const N::Imp *I) { return rewriteImp(I); }
+      : ImpRewriter(Ctx), G(G), Solved(Solved), Stats(Stats) {}
 
 private:
-  N::NIRContext &Ctx;
   const AlignmentGraph &G;
   const SolveResult &Solved;
   LayoutStats &Stats;
@@ -42,27 +39,22 @@ private:
     return C && C->isBool() && C->getBool();
   }
 
-  const N::Decl *rewriteDecl(const N::Decl *D, bool &Changed) {
+  const N::Decl *rewriteDecl(const N::Decl *D) {
     switch (D->getKind()) {
     case N::Decl::Kind::Simple: {
       const auto *SD = cast<N::SimpleDecl>(D);
       const LayoutDescriptor *L = layoutOf(SD->getId());
       if (!L || L->isCanonical() || SD->getLayout() == *L)
         return D;
-      Changed = true;
       return Ctx.getDecl(SD->getId(), SD->getType(), *L);
     }
     case N::Decl::Kind::Set: {
       const auto *Set = cast<N::DeclSet>(D);
-      bool Any = false;
       std::vector<const N::Decl *> Subs;
       Subs.reserve(Set->getDecls().size());
       for (const N::Decl *Sub : Set->getDecls())
-        Subs.push_back(rewriteDecl(Sub, Any));
-      if (!Any)
-        return D;
-      Changed = true;
-      return Ctx.getDeclSet(std::move(Subs));
+        Subs.push_back(rewriteDecl(Sub));
+      return Subs == Set->getDecls() ? D : Ctx.getDeclSet(std::move(Subs));
     }
     case N::Decl::Kind::Initialized:
       return D; // Initialized fields are pinned canonical.
@@ -128,87 +120,17 @@ private:
     return Out;
   }
 
-  const N::Imp *rewriteImp(const N::Imp *I) {
-    if (!I)
-      return I;
-    switch (I->getKind()) {
-    case N::Imp::Kind::Program: {
-      const auto *P = cast<N::ProgramImp>(I);
-      const N::Imp *Body = rewriteImp(P->getBody());
-      return Body == P->getBody() ? I : Ctx.getProgram(P->getName(), Body);
-    }
-    case N::Imp::Kind::Sequentially: {
-      const auto *S = cast<N::SequentiallyImp>(I);
-      bool Any = false;
-      std::vector<const N::Imp *> Actions;
-      Actions.reserve(S->getActions().size());
-      for (const N::Imp *A : S->getActions()) {
-        const N::Imp *R = rewriteImp(A);
-        Any |= R != A;
-        Actions.push_back(R);
-      }
-      return Any ? Ctx.getSequentially(std::move(Actions)) : I;
-    }
-    case N::Imp::Kind::Concurrently: {
-      const auto *S = cast<N::ConcurrentlyImp>(I);
-      bool Any = false;
-      std::vector<const N::Imp *> Actions;
-      Actions.reserve(S->getActions().size());
-      for (const N::Imp *A : S->getActions()) {
-        const N::Imp *R = rewriteImp(A);
-        Any |= R != A;
-        Actions.push_back(R);
-      }
-      return Any ? Ctx.getConcurrently(std::move(Actions)) : I;
-    }
-    case N::Imp::Kind::Move: {
-      const auto *M = cast<N::MoveImp>(I);
-      bool Any = false;
-      std::vector<N::MoveClause> Clauses;
-      Clauses.reserve(M->getClauses().size());
-      for (const N::MoveClause &C : M->getClauses())
-        Clauses.push_back(rewriteClause(C, Any));
-      return Any ? Ctx.getMove(std::move(Clauses)) : I;
-    }
-    case N::Imp::Kind::IfThenElse: {
-      const auto *If = cast<N::IfThenElseImp>(I);
-      const N::Imp *T = rewriteImp(If->getThen());
-      const N::Imp *E = rewriteImp(If->getElse());
-      return (T == If->getThen() && E == If->getElse())
-                 ? I
-                 : Ctx.getIfThenElse(If->getCond(), T, E);
-    }
-    case N::Imp::Kind::While: {
-      const auto *W = cast<N::WhileImp>(I);
-      const N::Imp *Body = rewriteImp(W->getBody());
-      return Body == W->getBody() ? I : Ctx.getWhile(W->getCond(), Body);
-    }
-    case N::Imp::Kind::WithDecl: {
-      const auto *WD = cast<N::WithDeclImp>(I);
-      bool DeclChanged = false;
-      const N::Decl *D = rewriteDecl(WD->getDecl(), DeclChanged);
-      const N::Imp *Body = rewriteImp(WD->getBody());
-      return (!DeclChanged && Body == WD->getBody())
-                 ? I
-                 : Ctx.getWithDecl(D, Body);
-    }
-    case N::Imp::Kind::WithDomain: {
-      const auto *WD = cast<N::WithDomainImp>(I);
-      const N::Imp *Body = rewriteImp(WD->getBody());
-      return Body == WD->getBody()
-                 ? I
-                 : Ctx.getWithDomain(WD->getName(), WD->getShape(), Body);
-    }
-    case N::Imp::Kind::Skip:
-    case N::Imp::Kind::Call:
-      return I;
-    case N::Imp::Kind::Do: {
-      const auto *D = cast<N::DoImp>(I);
-      const N::Imp *Body = rewriteImp(D->getBody());
-      return Body == D->getBody() ? I : Ctx.getDo(D->getIterSpace(), Body);
-    }
-    }
-    return I;
+  const N::Decl *decl(const N::WithDeclImp *W) override {
+    return rewriteDecl(W->getDecl());
+  }
+
+  const N::Imp *move(const N::MoveImp *M) override {
+    bool Any = false;
+    std::vector<N::MoveClause> Clauses;
+    Clauses.reserve(M->getClauses().size());
+    for (const N::MoveClause &C : M->getClauses())
+      Clauses.push_back(rewriteClause(C, Any));
+    return Any ? Ctx.getMove(std::move(Clauses)) : M;
   }
 };
 

@@ -20,17 +20,6 @@ using namespace f90y::frontend;
 using namespace f90y::frontend::ast;
 namespace N = f90y::nir;
 
-bool lower::isCommIntrinsic(const std::string &Name) {
-  return Name == "cshift" || Name == "eoshift" || Name == "transpose" ||
-         Name == "spread";
-}
-
-bool lower::isReductionIntrinsic(const std::string &Name) {
-  return Name == "sum" || Name == "product" || Name == "maxval" ||
-         Name == "minval" || Name == "count" || Name == "any" ||
-         Name == "all";
-}
-
 namespace {
 
 /// True when \p V contains a subscripted array read whose indices depend
@@ -1129,7 +1118,7 @@ std::optional<LoweredExpr> LoweringImpl::lowerCall(const CallExpr *E,
   }
 
   // Reductions: array -> scalar, or array + dim -> rank-reduced array.
-  if (isReductionIntrinsic(Name)) {
+  if (N::isReductionIntrinsic(Name)) {
     auto Args = positional({"array", "dim"});
     if (!Args)
       return std::nullopt;

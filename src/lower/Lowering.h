@@ -40,11 +40,6 @@ struct LoweredProgram {
   const nir::ProgramImp *Program = nullptr;
 };
 
-/// Names of the communication / reduction intrinsics that survive lowering
-/// as FCNCALLs for the back end to map onto CM runtime calls.
-bool isCommIntrinsic(const std::string &Name);
-bool isReductionIntrinsic(const std::string &Name);
-
 /// Lowers \p Unit to NIR. Returns std::nullopt (with diagnostics) on type,
 /// shape, or restriction errors.
 std::optional<LoweredProgram> lowerProgram(const frontend::ast::ProgramUnit &Unit,

@@ -8,8 +8,7 @@
 /// Structural equality over NIR terms. NIR nodes are immutable trees with a
 /// canonical printed form (nir/Printer.h), so two terms are structurally
 /// equal exactly when their printed forms coincide; these helpers are thin
-/// wrappers over the printer. Used by transformations (e.g. recognizing a
-/// reusable mask in Figure 10 blocking) and by tests.
+/// wrappers over the printer. Only tests use them.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,22 +26,6 @@ inline bool valuesEqual(const Value *A, const Value *B) {
   if (!A || !B)
     return false;
   return printValue(A) == printValue(B);
-}
-
-inline bool shapesEqual(const Shape *A, const Shape *B) {
-  if (A == B)
-    return true;
-  if (!A || !B)
-    return false;
-  return printShape(A) == printShape(B);
-}
-
-inline bool typesEqual(const Type *A, const Type *B) {
-  if (A == B)
-    return true;
-  if (!A || !B)
-    return false;
-  return printType(A) == printType(B);
 }
 
 inline bool impsEqual(const Imp *A, const Imp *B) {

@@ -55,8 +55,6 @@ public:
   };
 
   Kind getKind() const { return K; }
-  SourceLocation getLoc() const { return Loc; }
-  void setLoc(SourceLocation L) { Loc = L; }
 
   virtual ~Imp() = default;
 
@@ -65,7 +63,6 @@ protected:
 
 private:
   const Kind K;
-  SourceLocation Loc;
 };
 
 /// PROGRAM(I): the top-level action of a compiled procedural unit.

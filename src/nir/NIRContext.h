@@ -8,7 +8,8 @@
 /// NIRContext owns every node of a NIR program (shapes, types, field
 /// actions, values, declarations, imperatives) and provides the factory
 /// methods used by the lowering phase and by NIR-to-NIR transformations.
-/// Nodes are immutable once built; transformations construct new nodes.
+/// Nodes are immutable once built; transformations construct new nodes for
+/// what they change and share the rest (nir/Rewrite.h).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -92,3 +92,14 @@ bool nir::isComparison(BinaryOp Op) {
 bool nir::isLogicalOp(BinaryOp Op) {
   return Op == BinaryOp::And || Op == BinaryOp::Or;
 }
+
+bool nir::isCommIntrinsic(const std::string &Name) {
+  return Name == "cshift" || Name == "eoshift" || Name == "transpose" ||
+         Name == "spread";
+}
+
+bool nir::isReductionIntrinsic(const std::string &Name) {
+  return Name == "sum" || Name == "product" || Name == "maxval" ||
+         Name == "minval" || Name == "count" || Name == "any" ||
+         Name == "all";
+}

@@ -32,7 +32,6 @@
 
 #include "nir/Type.h"
 #include "support/Casting.h"
-#include "support/SourceLocation.h"
 
 #include <cstdint>
 #include <string>
@@ -193,8 +192,6 @@ public:
   };
 
   Kind getKind() const { return K; }
-  SourceLocation getLoc() const { return Loc; }
-  void setLoc(SourceLocation L) { Loc = L; }
 
   virtual ~Value() = default;
 
@@ -203,7 +200,6 @@ protected:
 
 private:
   const Kind K;
-  SourceLocation Loc;
 };
 
 /// BINARY(op, lhs, rhs).
@@ -261,10 +257,8 @@ public:
       : Value(Kind::ScalarConst), Ty(Ty), V(V) {}
 
   const Type *getType() const { return Ty; }
-  const Payload &getPayload() const { return V; }
 
   bool isInt() const { return std::holds_alternative<int64_t>(V); }
-  bool isFloat() const { return std::holds_alternative<double>(V); }
   bool isBool() const { return std::holds_alternative<bool>(V); }
 
   int64_t getInt() const { return std::get<int64_t>(V); }
@@ -307,9 +301,9 @@ private:
 };
 
 /// FCNCALL(id, args): call to a primitive function. After lowering, the only
-/// surviving FCNCALLs are the communication / reduction intrinsics
-/// ("cshift", "eoshift", "sum", "maxval", "minval", "transpose", "spread"),
-/// which the back end replaces with CM runtime library calls.
+/// surviving FCNCALLs are the elemental "merge" and the communication and
+/// reduction intrinsics below, which the back end replaces with CM runtime
+/// library calls.
 class FcnCallValue : public Value {
 public:
   FcnCallValue(std::string Callee, std::vector<const Value *> Args)
@@ -325,6 +319,16 @@ private:
   std::string Callee;
   std::vector<const Value *> Args;
 };
+
+/// The communication intrinsics: "cshift", "eoshift", "transpose" and
+/// "spread".
+bool isCommIntrinsic(const std::string &Name);
+/// The reduction intrinsics: "sum", "product", "maxval", "minval", "count",
+/// "any" and "all".
+bool isReductionIntrinsic(const std::string &Name);
+inline bool isCommOrReductionIntrinsic(const std::string &Name) {
+  return isCommIntrinsic(Name) || isReductionIntrinsic(Name);
+}
 
 /// AVAR(id, F): reference to array storage bound to `id`, restricted through
 /// field action F.

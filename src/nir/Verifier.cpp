@@ -15,16 +15,6 @@ using namespace f90y::nir;
 
 namespace {
 
-/// Communication/reduction intrinsic names, duplicated from lower (the NIR
-/// library sits below lower in the link order). Kept in sync by
-/// nir_verifier_test.
-bool isCommOrReductionName(const std::string &Name) {
-  return Name == "cshift" || Name == "eoshift" || Name == "transpose" ||
-         Name == "spread" || Name == "sum" || Name == "product" ||
-         Name == "maxval" || Name == "minval" || Name == "count" ||
-         Name == "any" || Name == "all";
-}
-
 class VerifierImpl {
 public:
   explicit VerifierImpl(DiagnosticEngine &Diags,
@@ -109,7 +99,7 @@ private:
   /// post-condition, DESIGN.md Section 12).
   void checkLayoutClause(const MoveClause &C) {
     const auto *F = dyn_cast<FcnCallValue>(C.Src);
-    if (F && isCommOrReductionName(F->getCallee())) {
+    if (F && isCommOrReductionIntrinsic(F->getCallee())) {
       const auto *DstAV = dyn_cast<AVarValue>(C.Dst);
       const auto *SrcAV = F->getArgs().empty()
                               ? nullptr
@@ -216,7 +206,7 @@ private:
       return;
     case Value::Kind::FcnCall: {
       const auto *F = cast<FcnCallValue>(V);
-      if (isCommOrReductionName(F->getCallee()))
+      if (isCommOrReductionIntrinsic(F->getCallee()))
         error(std::string("communication intrinsic '") + F->getCallee() +
               "' nested inside a " + Where +
               " (fusion across a communication boundary?)");
@@ -245,7 +235,7 @@ private:
   void checkCanonicalClause(const MoveClause &C) {
     checkNoCommCall(C.Guard, "MOVE guard");
     if (const auto *F = dyn_cast<FcnCallValue>(C.Src);
-        F && isCommOrReductionName(F->getCallee())) {
+        F && isCommOrReductionIntrinsic(F->getCallee())) {
       for (const Value *A : F->getArgs())
         checkNoCommCall(A, "communication operand");
     } else {

@@ -69,7 +69,6 @@ struct ExecResult {
   /// the faulting one have already stored results, so the caller must
   /// roll its pointer arguments back before replaying the dispatch.
   support::RtStatus Status;
-  double totalCycles() const { return NodeCycles + CallCycles; }
 };
 
 /// Runs \p R functionally over every PE and returns the cycle account.

@@ -244,13 +244,6 @@ double Routine::cyclesPerIteration(const cm2::CostModel &Costs) const {
   return Total + Costs.LoopOverheadCycles;
 }
 
-uint64_t Routine::flopsPerIteration(const cm2::CostModel &Costs) const {
-  uint64_t Flops = 0;
-  for (const Instruction &I : Body)
-    Flops += flopsPerElement(I.Op) * Costs.VectorWidth;
-  return Flops;
-}
-
 std::string Routine::str() const {
   std::string S = Name + "_\n";
   for (const Instruction &I : Body) {

@@ -196,10 +196,6 @@ struct Routine {
   /// the max over fused instructions; spill traffic is already explicit as
   /// loads/stores of spill slots, charged at the published pair cost).
   double cyclesPerIteration(const cm2::CostModel &Costs) const;
-
-  /// Per-element flops executed by one iteration, divided by vector width
-  /// gives flops; this returns flops for the 4 lanes of one iteration.
-  uint64_t flopsPerIteration(const cm2::CostModel &Costs) const;
 };
 
 /// Cycle cost of a single instruction (its full slot cost when unfused).

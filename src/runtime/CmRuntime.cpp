@@ -741,21 +741,13 @@ std::string CmRuntime::renderField(int Handle) {
 // Split-phase communication (-comm=overlap)
 //===----------------------------------------------------------------------===//
 
-uint64_t CmRuntime::commIssue(double Cycles, const std::vector<int> &Handles) {
+void CmRuntime::commIssue(double Cycles, const std::vector<int> &Handles) {
   // The data network serializes with itself: there is a single in-flight
   // slot, so issuing a new exchange retires any previous one without
   // further credit (whatever it could hide has already been noted).
-  Pending.Token = NextCommToken++;
   Pending.Remaining = Cycles;
   Pending.Handles = Handles;
   Ledger.HostCycles += Costs.CommIssueCycles;
-  return Pending.Token;
-}
-
-void CmRuntime::commWait(uint64_t Token) {
-  // Waiting on a stale token is a no-op: a later issue already retired it.
-  if (Pending.Token == Token)
-    Pending = InFlightComm();
 }
 
 void CmRuntime::commWaitAll() { Pending = InFlightComm(); }

@@ -151,7 +151,6 @@ public:
   /// The host worker pool used for destination-parallel sweeps (null:
   /// inline serial execution with the identical chunk decomposition).
   support::ThreadPool *threadPool() const { return Pool; }
-  void setThreadPool(support::ThreadPool *P) { Pool = P; }
 
   /// The fault injector consulted at every injection point (null: the
   /// zero-fault fast path, identical to the pre-injection runtime).
@@ -320,14 +319,9 @@ public:
   // The data network serializes with itself, so issuing a new exchange
   // retires any earlier one without credit (single in-flight slot).
 
-  /// Registers an exchange of \p Cycles touching \p Handles as in flight;
-  /// returns its wait token. Charges CommIssueCycles of front-end
-  /// bookkeeping to HostCycles.
-  uint64_t commIssue(double Cycles, const std::vector<int> &Handles);
-  /// Serializes on \p Token: the exchange (if still in flight) completes
-  /// with whatever cycles it has left exposed. Unknown/retired tokens are
-  /// a no-op.
-  void commWait(uint64_t Token);
+  /// Registers an exchange of \p Cycles touching \p Handles as in flight.
+  /// Charges CommIssueCycles of front-end bookkeeping to HostCycles.
+  void commIssue(double Cycles, const std::vector<int> &Handles);
   /// Serializes on everything in flight.
   void commWaitAll();
   /// Reports \p Cycles of node computation touching \p Handles. If the
@@ -336,14 +330,11 @@ public:
   /// the credit is returned); a dependent computation serializes and
   /// earns nothing.
   double noteCompute(double Cycles, const std::vector<int> &Handles);
-  /// True while an exchange is registered in flight.
-  bool commInFlight() const { return Pending.Remaining > 0; }
 
   /// Split-phase state inspection and reinstatement, used by the
   /// checkpoint subsystem: a checkpoint taken between statements may find
   /// an exchange still in flight, and a bit-identical resume must
-  /// re-register exactly the remaining overlap opportunity (the token is
-  /// internal and freshly issued on restore).
+  /// re-register exactly the remaining overlap opportunity.
   double pendingCommRemaining() const { return Pending.Remaining; }
   const std::vector<int> &pendingCommHandles() const {
     return Pending.Handles;
@@ -351,7 +342,6 @@ public:
   void restorePendingComm(double Remaining, std::vector<int> Handles) {
     Pending.Remaining = Remaining;
     Pending.Handles = std::move(Handles);
-    Pending.Token = Remaining > 0 ? NextCommToken++ : 0;
   }
 
 private:
@@ -369,12 +359,10 @@ private:
   CycleLedger Ledger;
   /// The (single-slot) split-phase exchange still in flight.
   struct InFlightComm {
-    uint64_t Token = 0;
     double Remaining = 0;
     std::vector<int> Handles;
   };
   InFlightComm Pending;
-  uint64_t NextCommToken = 1;
   std::map<std::string, std::unique_ptr<Geometry>> Geometries;
   std::map<int, PeArray> Fields;
   /// Storage of freed fields, by element count.

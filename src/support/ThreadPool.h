@@ -61,8 +61,6 @@ public:
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  unsigned numThreads() const { return NumThreads; }
-
   /// Attaches a trace recorder: every top-level parallelChunks job is
   /// recorded as one wall-domain span on the calling (host) thread, so
   /// the event stream stays deterministic at any thread count. Null

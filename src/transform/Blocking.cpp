@@ -19,6 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "nir/Rewrite.h"
 #include "nir/TypeInfer.h"
 #include "transform/Effects.h"
 #include "transform/Phases.h"
@@ -30,14 +31,11 @@ namespace N = f90y::nir;
 
 namespace {
 
-class BlockingPass {
+class BlockingPass : public N::ImpRewriter {
 public:
-  explicit BlockingPass(N::NIRContext &Ctx) : Ctx(Ctx) {}
-
-  const N::Imp *run(const N::Imp *Root) { return rewriteImp(Root); }
+  explicit BlockingPass(N::NIRContext &Ctx) : ImpRewriter(Ctx) {}
 
 private:
-  N::NIRContext &Ctx;
   N::ElemTypeInference Types;
 
   struct Item {
@@ -60,10 +58,10 @@ private:
     return It;
   }
 
-  const N::Imp *rewriteSequentially(const N::SequentiallyImp *S) {
+  const N::Imp *sequentially(const N::SequentiallyImp *S) override {
     std::vector<Item> R;
     for (const N::Imp *A : S->getActions()) {
-      Item X = makeItem(rewriteImp(A));
+      Item X = makeItem(rewrite(A));
       if (!X.IsComp) {
         R.push_back(std::move(X));
         continue;
@@ -114,52 +112,12 @@ private:
 
     if (Out.size() == 1)
       return Out[0];
-    return Ctx.getSequentially(Out);
+    return sequence(S, std::move(Out));
   }
 
-  const N::Imp *rewriteImp(const N::Imp *I) {
-    switch (I->getKind()) {
-    case N::Imp::Kind::Program: {
-      const auto *P = cast<N::ProgramImp>(I);
-      return Ctx.getProgram(P->getName(), rewriteImp(P->getBody()));
-    }
-    case N::Imp::Kind::Sequentially:
-      return rewriteSequentially(cast<N::SequentiallyImp>(I));
-    case N::Imp::Kind::Concurrently: {
-      std::vector<const N::Imp *> Actions;
-      for (const N::Imp *A : cast<N::ConcurrentlyImp>(I)->getActions())
-        Actions.push_back(rewriteImp(A));
-      return Ctx.getConcurrently(Actions);
-    }
-    case N::Imp::Kind::Move:
-    case N::Imp::Kind::Skip:
-    case N::Imp::Kind::Call:
-      return I;
-    case N::Imp::Kind::IfThenElse: {
-      const auto *If = cast<N::IfThenElseImp>(I);
-      return Ctx.getIfThenElse(If->getCond(), rewriteImp(If->getThen()),
-                               rewriteImp(If->getElse()));
-    }
-    case N::Imp::Kind::While: {
-      const auto *W = cast<N::WhileImp>(I);
-      return Ctx.getWhile(W->getCond(), rewriteImp(W->getBody()));
-    }
-    case N::Imp::Kind::WithDecl: {
-      const auto *WD = cast<N::WithDeclImp>(I);
-      Types.addDecl(WD->getDecl());
-      return Ctx.getWithDecl(WD->getDecl(), rewriteImp(WD->getBody()));
-    }
-    case N::Imp::Kind::WithDomain: {
-      const auto *WD = cast<N::WithDomainImp>(I);
-      return Ctx.getWithDomain(WD->getName(), WD->getShape(),
-                               rewriteImp(WD->getBody()));
-    }
-    case N::Imp::Kind::Do: {
-      const auto *D = cast<N::DoImp>(I);
-      return Ctx.getDo(D->getIterSpace(), rewriteImp(D->getBody()));
-    }
-    }
-    return I;
+  const N::Decl *decl(const N::WithDeclImp *W) override {
+    Types.addDecl(W->getDecl());
+    return W->getDecl();
   }
 };
 
@@ -167,5 +125,5 @@ private:
 
 const N::Imp *transform::blockDomains(const N::Imp *Root, N::NIRContext &Ctx,
                                       DiagnosticEngine &) {
-  return BlockingPass(Ctx).run(Root);
+  return BlockingPass(Ctx).rewrite(Root);
 }

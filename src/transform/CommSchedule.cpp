@@ -30,7 +30,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "nir/TypeInfer.h"
+#include "nir/Rewrite.h"
 #include "transform/Effects.h"
 #include "transform/Phases.h"
 #include "transform/Transforms.h"
@@ -78,14 +78,11 @@ bool matchShiftClause(const N::MoveClause &C, ShiftClause &Out) {
   return true;
 }
 
-class CommSchedulePass {
+class CommSchedulePass : public N::ImpRewriter {
 public:
-  explicit CommSchedulePass(N::NIRContext &Ctx) : Ctx(Ctx) {}
-
-  const N::Imp *run(const N::Imp *Root) { return rewriteImp(Root); }
+  explicit CommSchedulePass(N::NIRContext &Ctx) : ImpRewriter(Ctx) {}
 
 private:
-  N::NIRContext &Ctx;
 
   struct Item {
     const N::Imp *Action;
@@ -132,13 +129,13 @@ private:
     return true;
   }
 
-  const N::Imp *rewriteSequentially(const N::SequentiallyImp *S) {
+  const N::Imp *sequentially(const N::SequentiallyImp *S) override {
     // Hoist: each communication MOVE migrates upward past every already
     // placed action it is independent of, so the maximum run of
     // computation sits between the exchange and its first consumer.
     std::vector<Item> R;
     for (const N::Imp *A : S->getActions()) {
-      Item X = makeItem(rewriteImp(A));
+      Item X = makeItem(rewrite(A));
       if (!X.IsComm) {
         R.push_back(std::move(X));
         continue;
@@ -175,51 +172,7 @@ private:
 
     if (Out.size() == 1)
       return Out[0];
-    return Ctx.getSequentially(Out);
-  }
-
-  const N::Imp *rewriteImp(const N::Imp *I) {
-    switch (I->getKind()) {
-    case N::Imp::Kind::Program: {
-      const auto *P = cast<N::ProgramImp>(I);
-      return Ctx.getProgram(P->getName(), rewriteImp(P->getBody()));
-    }
-    case N::Imp::Kind::Sequentially:
-      return rewriteSequentially(cast<N::SequentiallyImp>(I));
-    case N::Imp::Kind::Concurrently: {
-      std::vector<const N::Imp *> Actions;
-      for (const N::Imp *A : cast<N::ConcurrentlyImp>(I)->getActions())
-        Actions.push_back(rewriteImp(A));
-      return Ctx.getConcurrently(Actions);
-    }
-    case N::Imp::Kind::Move:
-    case N::Imp::Kind::Skip:
-    case N::Imp::Kind::Call:
-      return I;
-    case N::Imp::Kind::IfThenElse: {
-      const auto *If = cast<N::IfThenElseImp>(I);
-      return Ctx.getIfThenElse(If->getCond(), rewriteImp(If->getThen()),
-                               rewriteImp(If->getElse()));
-    }
-    case N::Imp::Kind::While: {
-      const auto *W = cast<N::WhileImp>(I);
-      return Ctx.getWhile(W->getCond(), rewriteImp(W->getBody()));
-    }
-    case N::Imp::Kind::WithDecl: {
-      const auto *WD = cast<N::WithDeclImp>(I);
-      return Ctx.getWithDecl(WD->getDecl(), rewriteImp(WD->getBody()));
-    }
-    case N::Imp::Kind::WithDomain: {
-      const auto *WD = cast<N::WithDomainImp>(I);
-      return Ctx.getWithDomain(WD->getName(), WD->getShape(),
-                               rewriteImp(WD->getBody()));
-    }
-    case N::Imp::Kind::Do: {
-      const auto *D = cast<N::DoImp>(I);
-      return Ctx.getDo(D->getIterSpace(), rewriteImp(D->getBody()));
-    }
-    }
-    return I;
+    return sequence(S, std::move(Out));
   }
 };
 
@@ -227,5 +180,5 @@ private:
 
 const N::Imp *transform::commSchedule(const N::Imp *Root, N::NIRContext &Ctx,
                                       DiagnosticEngine &) {
-  return CommSchedulePass(Ctx).run(Root);
+  return CommSchedulePass(Ctx).rewrite(Root);
 }

@@ -18,7 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "lower/Lowering.h"
+#include "nir/Rewrite.h"
 #include "nir/TypeInfer.h"
 #include "transform/Phases.h"
 #include "transform/Transforms.h"
@@ -29,15 +29,12 @@ namespace N = f90y::nir;
 
 namespace {
 
-class ExtractCommPass {
+class ExtractCommPass : public N::ImpRewriter {
 public:
   ExtractCommPass(N::NIRContext &Ctx, DiagnosticEngine &Diags)
-      : Ctx(Ctx), Diags(Diags) {}
-
-  const N::Imp *run(const N::Imp *Root) { return rewriteImp(Root); }
+      : ImpRewriter(Ctx), Diags(Diags) {}
 
 private:
-  N::NIRContext &Ctx;
   DiagnosticEngine &Diags;
   N::ElemTypeInference Types;
   unsigned TmpCounter = 0;
@@ -126,6 +123,15 @@ private:
     return Ctx.getSVar(T);
   }
 
+  /// \p F with \p Arg as its first argument (\p F itself when unchanged).
+  const N::Value *withFirstArg(const N::FcnCallValue *F, const N::Value *Arg) {
+    if (Arg == F->getArgs()[0])
+      return F;
+    std::vector<const N::Value *> Args = F->getArgs();
+    Args[0] = Arg;
+    return Ctx.getFcnCall(F->getCallee(), std::move(Args));
+  }
+
   /// Rewrites \p V, hoisting comm/reduction calls. \p StmtDomain is the
   /// domain of the enclosing statement (used for transpose results).
   /// \p AtTop is true when V is the entire clause source (a bare comm or
@@ -150,7 +156,7 @@ private:
       const auto *F = cast<N::FcnCallValue>(V);
       const std::string &Name = F->getCallee();
 
-      if (lower::isCommIntrinsic(Name)) {
+      if (N::isCommIntrinsic(Name)) {
         if (containsSection(F->getArgs()[0])) {
           Diags.error(SourceLocation(),
                       "communication intrinsic over an array section is "
@@ -162,9 +168,7 @@ private:
         std::string ArgDomain = domainOfFieldExpr(Arg);
         if (!isBareEverywhereAVar(Arg))
           Arg = hoistField(Arg, ArgDomain.empty() ? StmtDomain : ArgDomain);
-        std::vector<const N::Value *> Args = F->getArgs();
-        Args[0] = Arg;
-        const N::Value *Call = Ctx.getFcnCall(Name, Args);
+        const N::Value *Call = withFirstArg(F, Arg);
         if (AtTop)
           return Call; // Already a canonical communication MOVE.
         // Shape-preserving shifts keep the argument's domain; transpose
@@ -179,17 +183,15 @@ private:
                                                      : ResultDomain);
       }
 
-      if (lower::isReductionIntrinsic(Name)) {
+      if (N::isReductionIntrinsic(Name)) {
         const N::Value *Arg = rewriteValue(F->getArgs()[0], StmtDomain,
                                            false);
         if (!isBareEverywhereAVar(Arg))
           Arg = hoistField(Arg, domainOfFieldExpr(Arg));
-        std::vector<const N::Value *> Args = F->getArgs();
-        Args[0] = Arg;
-        const N::Value *Call = Ctx.getFcnCall(Name, Args);
+        const N::Value *Call = withFirstArg(F, Arg);
         if (AtTop)
           return Call; // Canonical reduction MOVE.
-        if (Args.size() == 2) {
+        if (F->getArgs().size() == 2) {
           // Partial reduction: the result is a field over the statement
           // domain (shapechecking guaranteed conformance).
           return hoistField(Call, StmtDomain);
@@ -240,9 +242,24 @@ private:
     return "";
   }
 
-  const N::Imp *rewriteMove(const N::MoveImp *M) {
+  /// \p Stmt behind the moves into the temporaries hoisted out of it.
+  const N::Imp *withTemps(const N::Imp *Stmt) {
+    if (TempDecls.empty())
+      return Stmt;
+    PreActions.push_back(Stmt);
+    const N::Imp *Result = Ctx.getWithDecl(Ctx.getDeclSet(TempDecls),
+                                           Ctx.getSequentially(PreActions));
     TempDecls.clear();
     PreActions.clear();
+    return Result;
+  }
+
+  const N::Decl *decl(const N::WithDeclImp *W) override {
+    Types.addDecl(W->getDecl());
+    return W->getDecl();
+  }
+
+  const N::Imp *move(const N::MoveImp *M) override {
     std::vector<N::MoveClause> Clauses;
     bool Changed = false;
     for (const N::MoveClause &C : M->getClauses()) {
@@ -260,21 +277,10 @@ private:
       Changed |= NC.Src != C.Src;
       Clauses.push_back(NC);
     }
-    const N::Imp *NewMove = Changed ? Ctx.getMove(Clauses) : M;
-    if (TempDecls.empty())
-      return NewMove;
-    std::vector<const N::Imp *> Seq = PreActions;
-    Seq.push_back(NewMove);
-    const N::Imp *Result = Ctx.getWithDecl(Ctx.getDeclSet(TempDecls),
-                                           Ctx.getSequentially(Seq));
-    TempDecls.clear();
-    PreActions.clear();
-    return Result;
+    return withTemps(Changed ? Ctx.getMove(Clauses) : M);
   }
 
-  const N::Imp *rewriteCall(const N::CallImp *C) {
-    TempDecls.clear();
-    PreActions.clear();
+  const N::Imp *call(const N::CallImp *C) override {
     std::vector<const N::Value *> Args;
     bool Changed = false;
     for (const N::Value *A : C->getArgs()) {
@@ -282,87 +288,7 @@ private:
       Changed |= NA != A;
       Args.push_back(NA);
     }
-    const N::Imp *NewCall =
-        Changed ? Ctx.getCall(C->getCallee(), Args) : C;
-    if (TempDecls.empty())
-      return NewCall;
-    std::vector<const N::Imp *> Seq = PreActions;
-    Seq.push_back(NewCall);
-    const N::Imp *Result = Ctx.getWithDecl(Ctx.getDeclSet(TempDecls),
-                                           Ctx.getSequentially(Seq));
-    TempDecls.clear();
-    PreActions.clear();
-    return Result;
-  }
-
-  const N::Imp *rewriteImp(const N::Imp *I) {
-    switch (I->getKind()) {
-    case N::Imp::Kind::Program: {
-      const auto *P = cast<N::ProgramImp>(I);
-      const N::Imp *B = rewriteImp(P->getBody());
-      return B == P->getBody() ? I : Ctx.getProgram(P->getName(), B);
-    }
-    case N::Imp::Kind::Sequentially: {
-      const auto *S = cast<N::SequentiallyImp>(I);
-      std::vector<const N::Imp *> Actions;
-      bool Changed = false;
-      for (const N::Imp *A : S->getActions()) {
-        const N::Imp *NA = rewriteImp(A);
-        Changed |= NA != A;
-        Actions.push_back(NA);
-      }
-      return Changed ? Ctx.getSequentially(Actions) : I;
-    }
-    case N::Imp::Kind::Concurrently: {
-      const auto *S = cast<N::ConcurrentlyImp>(I);
-      std::vector<const N::Imp *> Actions;
-      bool Changed = false;
-      for (const N::Imp *A : S->getActions()) {
-        const N::Imp *NA = rewriteImp(A);
-        Changed |= NA != A;
-        Actions.push_back(NA);
-      }
-      return Changed ? Ctx.getConcurrently(Actions) : I;
-    }
-    case N::Imp::Kind::Move:
-      return rewriteMove(cast<N::MoveImp>(I));
-    case N::Imp::Kind::IfThenElse: {
-      const auto *If = cast<N::IfThenElseImp>(I);
-      const N::Imp *T = rewriteImp(If->getThen());
-      const N::Imp *E = rewriteImp(If->getElse());
-      if (T == If->getThen() && E == If->getElse())
-        return I;
-      return Ctx.getIfThenElse(If->getCond(), T, E);
-    }
-    case N::Imp::Kind::While: {
-      const auto *W = cast<N::WhileImp>(I);
-      const N::Imp *B = rewriteImp(W->getBody());
-      return B == W->getBody() ? I : Ctx.getWhile(W->getCond(), B);
-    }
-    case N::Imp::Kind::WithDecl: {
-      const auto *WD = cast<N::WithDeclImp>(I);
-      Types.addDecl(WD->getDecl());
-      const N::Imp *B = rewriteImp(WD->getBody());
-      return B == WD->getBody() ? I : Ctx.getWithDecl(WD->getDecl(), B);
-    }
-    case N::Imp::Kind::WithDomain: {
-      const auto *WD = cast<N::WithDomainImp>(I);
-      const N::Imp *B = rewriteImp(WD->getBody());
-      if (B == WD->getBody())
-        return I;
-      return Ctx.getWithDomain(WD->getName(), WD->getShape(), B);
-    }
-    case N::Imp::Kind::Skip:
-      return I;
-    case N::Imp::Kind::Do: {
-      const auto *D = cast<N::DoImp>(I);
-      const N::Imp *B = rewriteImp(D->getBody());
-      return B == D->getBody() ? I : Ctx.getDo(D->getIterSpace(), B);
-    }
-    case N::Imp::Kind::Call:
-      return rewriteCall(cast<N::CallImp>(I));
-    }
-    return I;
+    return withTemps(Changed ? Ctx.getCall(C->getCallee(), Args) : C);
   }
 };
 
@@ -370,5 +296,5 @@ private:
 
 const N::Imp *transform::extractComm(const N::Imp *Root, N::NIRContext &Ctx,
                                      DiagnosticEngine &Diags) {
-  return ExtractCommPass(Ctx, Diags).run(Root);
+  return ExtractCommPass(Ctx, Diags).rewrite(Root);
 }

@@ -39,6 +39,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "nir/Rewrite.h"
 #include "nir/Shape.h"
 #include "nir/TypeInfer.h"
 #include "transform/Effects.h"
@@ -111,80 +112,54 @@ void countValueReads(const N::Value *V, UseCounts &C) {
   }
 }
 
-void countImp(const N::Imp *I, UseCounts &C) {
-  if (!I)
-    return;
-  switch (I->getKind()) {
-  case N::Imp::Kind::Program:
-    countImp(cast<N::ProgramImp>(I)->getBody(), C);
-    return;
-  case N::Imp::Kind::Sequentially:
-    for (const N::Imp *A : cast<N::SequentiallyImp>(I)->getActions())
-      countImp(A, C);
-    return;
-  case N::Imp::Kind::Concurrently:
-    for (const N::Imp *A : cast<N::ConcurrentlyImp>(I)->getActions())
-      countImp(A, C);
-    return;
-  case N::Imp::Kind::Move:
-    for (const N::MoveClause &Cl : cast<N::MoveImp>(I)->getClauses()) {
-      countValueReads(Cl.Guard, C);
-      countValueReads(Cl.Src, C);
-      if (const auto *AV = dyn_cast<N::AVarValue>(Cl.Dst)) {
-        ++C.Writes[AV->getId()];
-        if (const auto *Sub = dyn_cast<N::SubscriptAction>(AV->getAction()))
-          for (const N::Value *Idx : Sub->getIndices())
-            countValueReads(Idx, C);
-      } else if (const auto *SV = dyn_cast<N::SVarValue>(Cl.Dst)) {
-        ++C.Writes[SV->getId()];
+void countImp(const N::Imp *Root, UseCounts &C) {
+  N::forEachImp(Root, [&](const N::Imp *I) {
+    switch (I->getKind()) {
+    case N::Imp::Kind::Move:
+      for (const N::MoveClause &Cl : cast<N::MoveImp>(I)->getClauses()) {
+        countValueReads(Cl.Guard, C);
+        countValueReads(Cl.Src, C);
+        if (const auto *AV = dyn_cast<N::AVarValue>(Cl.Dst)) {
+          ++C.Writes[AV->getId()];
+          if (const auto *Sub = dyn_cast<N::SubscriptAction>(AV->getAction()))
+            for (const N::Value *Idx : Sub->getIndices())
+              countValueReads(Idx, C);
+        } else if (const auto *SV = dyn_cast<N::SVarValue>(Cl.Dst)) {
+          ++C.Writes[SV->getId()];
+        }
       }
-    }
-    return;
-  case N::Imp::Kind::IfThenElse: {
-    const auto *If = cast<N::IfThenElseImp>(I);
-    countValueReads(If->getCond(), C);
-    countImp(If->getThen(), C);
-    countImp(If->getElse(), C);
-    return;
-  }
-  case N::Imp::Kind::While: {
-    const auto *W = cast<N::WhileImp>(I);
-    countValueReads(W->getCond(), C);
-    countImp(W->getBody(), C);
-    return;
-  }
-  case N::Imp::Kind::WithDecl: {
-    const auto *WD = cast<N::WithDeclImp>(I);
-    N::forEachBinding(WD->getDecl(), [&](const std::string &Id, const N::Type *,
-                                         const N::Value *Init) {
-      ++C.Decls[Id];
-      if (Init) {
-        ++C.Writes[Id];
-        countValueReads(Init, C);
+      return;
+    case N::Imp::Kind::IfThenElse:
+      countValueReads(cast<N::IfThenElseImp>(I)->getCond(), C);
+      return;
+    case N::Imp::Kind::While:
+      countValueReads(cast<N::WhileImp>(I)->getCond(), C);
+      return;
+    case N::Imp::Kind::WithDecl:
+      N::forEachBinding(cast<N::WithDeclImp>(I)->getDecl(),
+                        [&](const std::string &Id, const N::Type *,
+                            const N::Value *Init) {
+                          ++C.Decls[Id];
+                          if (Init) {
+                            ++C.Writes[Id];
+                            countValueReads(Init, C);
+                          }
+                        });
+      return;
+    case N::Imp::Kind::Call:
+      // COPY_OUT convention: host calls may read and write their arguments.
+      for (const N::Value *A : cast<N::CallImp>(I)->getArgs()) {
+        countValueReads(A, C);
+        if (const auto *AV = dyn_cast<N::AVarValue>(A))
+          ++C.Writes[AV->getId()];
+        else if (const auto *SV = dyn_cast<N::SVarValue>(A))
+          ++C.Writes[SV->getId()];
       }
-    });
-    countImp(WD->getBody(), C);
-    return;
-  }
-  case N::Imp::Kind::WithDomain:
-    countImp(cast<N::WithDomainImp>(I)->getBody(), C);
-    return;
-  case N::Imp::Kind::Skip:
-    return;
-  case N::Imp::Kind::Do:
-    countImp(cast<N::DoImp>(I)->getBody(), C);
-    return;
-  case N::Imp::Kind::Call:
-    // COPY_OUT convention: host calls may read and write their arguments.
-    for (const N::Value *A : cast<N::CallImp>(I)->getArgs()) {
-      countValueReads(A, C);
-      if (const auto *AV = dyn_cast<N::AVarValue>(A))
-        ++C.Writes[AV->getId()];
-      else if (const auto *SV = dyn_cast<N::SVarValue>(A))
-        ++C.Writes[SV->getId()];
+      return;
+    default:
+      return;
     }
-    return;
-  }
+  });
 }
 
 bool isTrueGuard(const N::Value *G) {
@@ -248,18 +223,15 @@ ReadSite locateRead(const N::Value *V, const std::string &Temp,
   return ReadSite::Absent;
 }
 
-class FusionPass {
+class FusionPass : public N::ImpRewriter {
 public:
   FusionPass(N::NIRContext &Ctx, const UseCounts &Counts)
-      : Ctx(Ctx), Counts(Counts) {}
-
-  const N::Imp *run(const N::Imp *Root) { return rewriteImp(Root); }
+      : ImpRewriter(Ctx), Counts(Counts) {}
 
   const std::set<std::string> &eliminated() const { return Eliminated; }
   const FusionStats &stats() const { return Stats; }
 
 private:
-  N::NIRContext &Ctx;
   const UseCounts &Counts;
   N::ElemTypeInference Types;
   N::DomainEnv Domains;
@@ -309,46 +281,6 @@ private:
       if (!isa<N::MoveImp>(A))
         return false;
     return true;
-  }
-
-  /// Replaces the unique AVAR(Temp, everywhere) read in \p V with \p Repl,
-  /// sharing every unchanged subtree.
-  const N::Value *substitute(const N::Value *V, const std::string &Temp,
-                             const N::Value *Repl) {
-    switch (V->getKind()) {
-    case N::Value::Kind::Binary: {
-      const auto *B = cast<N::BinaryValue>(V);
-      const N::Value *L = substitute(B->getLHS(), Temp, Repl);
-      const N::Value *R = substitute(B->getRHS(), Temp, Repl);
-      if (L == B->getLHS() && R == B->getRHS())
-        return V;
-      return Ctx.getBinary(B->getOp(), L, R);
-    }
-    case N::Value::Kind::Unary: {
-      const auto *U = cast<N::UnaryValue>(V);
-      const N::Value *Op = substitute(U->getOperand(), Temp, Repl);
-      return Op == U->getOperand() ? V : Ctx.getUnary(U->getOp(), Op);
-    }
-    case N::Value::Kind::FcnCall: {
-      const auto *F = cast<N::FcnCallValue>(V);
-      std::vector<const N::Value *> Args;
-      bool Changed = false;
-      for (const N::Value *A : F->getArgs()) {
-        const N::Value *NA = substitute(A, Temp, Repl);
-        Changed |= NA != A;
-        Args.push_back(NA);
-      }
-      return Changed ? Ctx.getFcnCall(F->getCallee(), Args) : V;
-    }
-    case N::Value::Kind::AVar: {
-      const auto *AV = cast<N::AVarValue>(V);
-      if (AV->getId() == Temp && isa<N::EverywhereAction>(AV->getAction()))
-        return Repl;
-      return V;
-    }
-    default:
-      return V;
-    }
   }
 
   /// Static memory-traffic estimate for one eliminated temporary: a full
@@ -426,8 +358,13 @@ private:
           }
 
         std::vector<N::MoveClause> Clauses = CM->getClauses();
-        Clauses[static_cast<size_t>(ClauseIdx)].Src = substitute(
-            Clauses[static_cast<size_t>(ClauseIdx)].Src, Temp, P.Src);
+        // Replace the unique AVAR(Temp, everywhere) read.
+        const N::Value *&Src = Clauses[static_cast<size_t>(ClauseIdx)].Src;
+        Src = N::mapAVars(Src, Ctx, [&](const N::AVarValue *AV) {
+          bool Read = AV->getId() == Temp &&
+                      isa<N::EverywhereAction>(AV->getAction());
+          return Read ? P.Src : AV;
+        });
         bool WasAbsorbed = Cand.Absorbed;
         Item Fused = makeItem(Ctx.getMove(Clauses));
         Fused.Absorbed = true;
@@ -465,11 +402,11 @@ private:
     return false;
   }
 
-  const N::Imp *rewriteSequentially(const N::SequentiallyImp *S) {
+  const N::Imp *sequentially(const N::SequentiallyImp *S) override {
     std::vector<const N::Imp *> Plain;
     Plain.reserve(S->getActions().size());
     for (const N::Imp *A : S->getActions())
-      Plain.push_back(rewriteImp(A));
+      Plain.push_back(rewrite(A));
 
     // Flatten: splice the move-only WITH_DECL wrappers extract-comm put
     // around single statements, so producers and consumers from different
@@ -502,7 +439,7 @@ private:
     // Nothing fused: keep the block structurally unchanged (the splice
     // above was only a view for the analysis).
     if (!Changed)
-      return Ctx.getSequentially(Plain);
+      return sequence(S, std::move(Plain));
 
     std::vector<const N::Imp *> Out;
     Out.reserve(Items.size());
@@ -518,91 +455,44 @@ private:
     return Ctx.getWithDecl(D, Body);
   }
 
-  const N::Imp *rewriteImp(const N::Imp *I) {
-    switch (I->getKind()) {
-    case N::Imp::Kind::Program: {
-      const auto *P = cast<N::ProgramImp>(I);
-      return Ctx.getProgram(P->getName(), rewriteImp(P->getBody()));
-    }
-    case N::Imp::Kind::Sequentially:
-      return rewriteSequentially(cast<N::SequentiallyImp>(I));
-    case N::Imp::Kind::Concurrently: {
-      std::vector<const N::Imp *> Actions;
-      for (const N::Imp *A : cast<N::ConcurrentlyImp>(I)->getActions())
-        Actions.push_back(rewriteImp(A));
-      return Ctx.getConcurrently(Actions);
-    }
-    case N::Imp::Kind::Move:
-    case N::Imp::Kind::Skip:
-    case N::Imp::Kind::Call:
-      return I;
-    case N::Imp::Kind::IfThenElse: {
-      const auto *If = cast<N::IfThenElseImp>(I);
-      return Ctx.getIfThenElse(If->getCond(), rewriteImp(If->getThen()),
-                               rewriteImp(If->getElse()));
-    }
-    case N::Imp::Kind::While: {
-      const auto *W = cast<N::WhileImp>(I);
-      return Ctx.getWhile(W->getCond(), rewriteImp(W->getBody()));
-    }
-    case N::Imp::Kind::WithDecl: {
-      const auto *WD = cast<N::WithDeclImp>(I);
-      Types.addDecl(WD->getDecl());
-      return Ctx.getWithDecl(WD->getDecl(), rewriteImp(WD->getBody()));
-    }
-    case N::Imp::Kind::WithDomain: {
-      const auto *WD = cast<N::WithDomainImp>(I);
-      const N::Shape *Old = Domains.bind(WD->getName(), WD->getShape());
-      const N::Imp *Body = rewriteImp(WD->getBody());
-      Domains.restore(WD->getName(), Old);
-      return Ctx.getWithDomain(WD->getName(), WD->getShape(), Body);
-    }
-    case N::Imp::Kind::Do: {
-      const auto *D = cast<N::DoImp>(I);
-      return Ctx.getDo(D->getIterSpace(), rewriteImp(D->getBody()));
-    }
-    }
-    return I;
+  const N::Decl *decl(const N::WithDeclImp *W) override {
+    Types.addDecl(W->getDecl());
+    return W->getDecl();
+  }
+
+  const N::Imp *withDomain(const N::WithDomainImp *W) override {
+    const N::Shape *Old = Domains.bind(W->getName(), W->getShape());
+    const N::Imp *Result = ImpRewriter::withDomain(W);
+    Domains.restore(W->getName(), Old);
+    return Result;
   }
 };
 
 /// Deletes the declarations of eliminated temporaries (their one store and
 /// one load are gone, so the binding is dead and its allocation with it).
-class DeclPruner {
+class DeclPruner : public N::ImpRewriter {
 public:
   DeclPruner(N::NIRContext &Ctx, const std::set<std::string> &Dead)
-      : Ctx(Ctx), Dead(Dead) {}
-
-  const N::Imp *run(const N::Imp *I) { return rewriteImp(I); }
+      : ImpRewriter(Ctx), Dead(Dead) {}
 
 private:
-  N::NIRContext &Ctx;
   const std::set<std::string> &Dead;
 
   /// Returns \p D with dead bindings removed, or null when none survive.
-  const N::Decl *filterDecl(const N::Decl *D, bool &Changed) {
+  const N::Decl *filterDecl(const N::Decl *D) {
     switch (D->getKind()) {
     case N::Decl::Kind::Simple:
-      if (Dead.count(cast<N::SimpleDecl>(D)->getId())) {
-        Changed = true;
-        return nullptr;
-      }
-      return D;
+      return Dead.count(cast<N::SimpleDecl>(D)->getId()) ? nullptr : D;
     case N::Decl::Kind::Initialized:
-      if (Dead.count(cast<N::InitializedDecl>(D)->getId())) {
-        Changed = true;
-        return nullptr;
-      }
-      return D;
+      return Dead.count(cast<N::InitializedDecl>(D)->getId()) ? nullptr : D;
     case N::Decl::Kind::Set: {
+      const auto &Decls = cast<N::DeclSet>(D)->getDecls();
       std::vector<const N::Decl *> Kept;
-      bool Sub = false;
-      for (const N::Decl *Child : cast<N::DeclSet>(D)->getDecls())
-        if (const N::Decl *F = filterDecl(Child, Sub))
+      for (const N::Decl *Child : Decls)
+        if (const N::Decl *F = filterDecl(Child))
           Kept.push_back(F);
-      if (!Sub)
+      if (Kept == Decls)
         return D;
-      Changed = true;
       if (Kept.empty())
         return nullptr;
       return Kept.size() == 1 ? Kept[0] : Ctx.getDeclSet(Kept);
@@ -611,57 +501,8 @@ private:
     return D;
   }
 
-  const N::Imp *rewriteImp(const N::Imp *I) {
-    switch (I->getKind()) {
-    case N::Imp::Kind::Program: {
-      const auto *P = cast<N::ProgramImp>(I);
-      return Ctx.getProgram(P->getName(), rewriteImp(P->getBody()));
-    }
-    case N::Imp::Kind::Sequentially: {
-      std::vector<const N::Imp *> Actions;
-      for (const N::Imp *A : cast<N::SequentiallyImp>(I)->getActions())
-        Actions.push_back(rewriteImp(A));
-      return Ctx.getSequentially(Actions);
-    }
-    case N::Imp::Kind::Concurrently: {
-      std::vector<const N::Imp *> Actions;
-      for (const N::Imp *A : cast<N::ConcurrentlyImp>(I)->getActions())
-        Actions.push_back(rewriteImp(A));
-      return Ctx.getConcurrently(Actions);
-    }
-    case N::Imp::Kind::Move:
-    case N::Imp::Kind::Skip:
-    case N::Imp::Kind::Call:
-      return I;
-    case N::Imp::Kind::IfThenElse: {
-      const auto *If = cast<N::IfThenElseImp>(I);
-      return Ctx.getIfThenElse(If->getCond(), rewriteImp(If->getThen()),
-                               rewriteImp(If->getElse()));
-    }
-    case N::Imp::Kind::While: {
-      const auto *W = cast<N::WhileImp>(I);
-      return Ctx.getWhile(W->getCond(), rewriteImp(W->getBody()));
-    }
-    case N::Imp::Kind::WithDecl: {
-      const auto *WD = cast<N::WithDeclImp>(I);
-      bool Changed = false;
-      const N::Decl *D = filterDecl(WD->getDecl(), Changed);
-      const N::Imp *Body = rewriteImp(WD->getBody());
-      if (!D)
-        return Body;
-      return Ctx.getWithDecl(D, Body);
-    }
-    case N::Imp::Kind::WithDomain: {
-      const auto *WD = cast<N::WithDomainImp>(I);
-      return Ctx.getWithDomain(WD->getName(), WD->getShape(),
-                               rewriteImp(WD->getBody()));
-    }
-    case N::Imp::Kind::Do: {
-      const auto *D = cast<N::DoImp>(I);
-      return Ctx.getDo(D->getIterSpace(), rewriteImp(D->getBody()));
-    }
-    }
-    return I;
+  const N::Decl *decl(const N::WithDeclImp *W) override {
+    return filterDecl(W->getDecl());
   }
 };
 
@@ -674,9 +515,9 @@ const N::Imp *transform::fuseElementwise(const N::Imp *Root,
   UseCounts Counts;
   countImp(Root, Counts);
   FusionPass Pass(Ctx, Counts);
-  const N::Imp *Result = Pass.run(Root);
+  const N::Imp *Result = Pass.rewrite(Root);
   if (!Pass.eliminated().empty())
-    Result = DeclPruner(Ctx, Pass.eliminated()).run(Result);
+    Result = DeclPruner(Ctx, Pass.eliminated()).rewrite(Result);
   if (Stats)
     *Stats = Pass.stats();
   return Result;

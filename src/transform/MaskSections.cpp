@@ -23,6 +23,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "nir/Rewrite.h"
 #include "nir/TypeInfer.h"
 #include "transform/Phases.h"
 #include "transform/Transforms.h"
@@ -33,14 +34,11 @@ namespace N = f90y::nir;
 
 namespace {
 
-class MaskSectionsPass {
+class MaskSectionsPass : public N::ImpRewriter {
 public:
-  MaskSectionsPass(N::NIRContext &Ctx) : Ctx(Ctx) {}
-
-  const N::Imp *run(const N::Imp *Root) { return rewriteImp(Root); }
+  explicit MaskSectionsPass(N::NIRContext &Ctx) : ImpRewriter(Ctx) {}
 
 private:
-  N::NIRContext &Ctx;
   N::ElemTypeInference Types;
 
   /// Collects the triplets of every sectioned AVAR in \p V into \p Out;
@@ -74,38 +72,6 @@ private:
     }
     default:
       return true;
-    }
-  }
-
-  /// Rewrites every sectioned AVAR whose triplets equal \p Triplets to an
-  /// everywhere AVAR.
-  const N::Value *sectionsToEverywhere(const N::Value *V) {
-    switch (V->getKind()) {
-    case N::Value::Kind::Binary: {
-      const auto *B = cast<N::BinaryValue>(V);
-      return Ctx.getBinary(B->getOp(), sectionsToEverywhere(B->getLHS()),
-                           sectionsToEverywhere(B->getRHS()));
-    }
-    case N::Value::Kind::Unary: {
-      const auto *U = cast<N::UnaryValue>(V);
-      return Ctx.getUnary(U->getOp(),
-                          sectionsToEverywhere(U->getOperand()));
-    }
-    case N::Value::Kind::AVar: {
-      const auto *AV = cast<N::AVarValue>(V);
-      if (isa<N::SectionAction>(AV->getAction()))
-        return Ctx.getAVar(AV->getId(), Ctx.getEverywhere());
-      return V;
-    }
-    case N::Value::Kind::FcnCall: {
-      const auto *F = cast<N::FcnCallValue>(V);
-      std::vector<const N::Value *> Args;
-      for (const N::Value *A : F->getArgs())
-        Args.push_back(sectionsToEverywhere(A));
-      return Ctx.getFcnCall(F->getCallee(), Args);
-    }
-    default:
-      return V;
     }
   }
 
@@ -197,65 +163,26 @@ private:
     }
 
     C.Guard = Guard ? Guard : Ctx.getTrue();
-    C.Src = sectionsToEverywhere(C.Src);
+    C.Src = N::mapAVars(C.Src, Ctx, [&](const N::AVarValue *AV) {
+      return isa<N::SectionAction>(AV->getAction())
+                 ? Ctx.getAVar(AV->getId(), Ctx.getEverywhere())
+                 : AV;
+    });
     C.Dst = Ctx.getAVar(DstAV->getId(), Ctx.getEverywhere());
     return true;
   }
 
-  const N::Imp *rewriteImp(const N::Imp *I) {
-    switch (I->getKind()) {
-    case N::Imp::Kind::Program: {
-      const auto *P = cast<N::ProgramImp>(I);
-      return Ctx.getProgram(P->getName(), rewriteImp(P->getBody()));
-    }
-    case N::Imp::Kind::Sequentially: {
-      std::vector<const N::Imp *> Actions;
-      for (const N::Imp *A : cast<N::SequentiallyImp>(I)->getActions())
-        Actions.push_back(rewriteImp(A));
-      return Ctx.getSequentially(Actions);
-    }
-    case N::Imp::Kind::Concurrently: {
-      std::vector<const N::Imp *> Actions;
-      for (const N::Imp *A : cast<N::ConcurrentlyImp>(I)->getActions())
-        Actions.push_back(rewriteImp(A));
-      return Ctx.getConcurrently(Actions);
-    }
-    case N::Imp::Kind::Move: {
-      std::vector<N::MoveClause> Clauses =
-          cast<N::MoveImp>(I)->getClauses();
-      bool Changed = false;
-      for (N::MoveClause &C : Clauses)
-        Changed |= tryMaskClause(C);
-      return Changed ? Ctx.getMove(Clauses) : I;
-    }
-    case N::Imp::Kind::IfThenElse: {
-      const auto *If = cast<N::IfThenElseImp>(I);
-      return Ctx.getIfThenElse(If->getCond(), rewriteImp(If->getThen()),
-                               rewriteImp(If->getElse()));
-    }
-    case N::Imp::Kind::While: {
-      const auto *W = cast<N::WhileImp>(I);
-      return Ctx.getWhile(W->getCond(), rewriteImp(W->getBody()));
-    }
-    case N::Imp::Kind::WithDecl: {
-      const auto *WD = cast<N::WithDeclImp>(I);
-      Types.addDecl(WD->getDecl());
-      return Ctx.getWithDecl(WD->getDecl(), rewriteImp(WD->getBody()));
-    }
-    case N::Imp::Kind::WithDomain: {
-      const auto *WD = cast<N::WithDomainImp>(I);
-      return Ctx.getWithDomain(WD->getName(), WD->getShape(),
-                               rewriteImp(WD->getBody()));
-    }
-    case N::Imp::Kind::Skip:
-    case N::Imp::Kind::Call:
-      return I;
-    case N::Imp::Kind::Do: {
-      const auto *D = cast<N::DoImp>(I);
-      return Ctx.getDo(D->getIterSpace(), rewriteImp(D->getBody()));
-    }
-    }
-    return I;
+  const N::Decl *decl(const N::WithDeclImp *W) override {
+    Types.addDecl(W->getDecl());
+    return W->getDecl();
+  }
+
+  const N::Imp *move(const N::MoveImp *M) override {
+    std::vector<N::MoveClause> Clauses = M->getClauses();
+    bool Changed = false;
+    for (N::MoveClause &C : Clauses)
+      Changed |= tryMaskClause(C);
+    return Changed ? Ctx.getMove(Clauses) : M;
   }
 };
 
@@ -263,5 +190,5 @@ private:
 
 const N::Imp *transform::maskSections(const N::Imp *Root, N::NIRContext &Ctx,
                                       DiagnosticEngine &) {
-  return MaskSectionsPass(Ctx).run(Root);
+  return MaskSectionsPass(Ctx).rewrite(Root);
 }

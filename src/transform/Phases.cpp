@@ -6,7 +6,6 @@
 
 #include "transform/Phases.h"
 
-#include "lower/Lowering.h"
 
 using namespace f90y;
 using namespace f90y::transform;
@@ -22,8 +21,7 @@ bool transform::containsCommCall(const N::Value *V) {
     return containsCommCall(cast<N::UnaryValue>(V)->getOperand());
   case N::Value::Kind::FcnCall: {
     const auto *F = cast<N::FcnCallValue>(V);
-    if (lower::isCommIntrinsic(F->getCallee()) ||
-        lower::isReductionIntrinsic(F->getCallee()))
+    if (N::isCommOrReductionIntrinsic(F->getCallee()))
       return true;
     for (const N::Value *A : F->getArgs())
       if (containsCommCall(A))

@@ -7,6 +7,7 @@
 #include "transform/Transforms.h"
 
 #include "layout/Materialize.h"
+#include "nir/Rewrite.h"
 #include "nir/Verifier.h"
 #include "observe/Metrics.h"
 #include "observe/Trace.h"
@@ -107,23 +108,16 @@ const N::ProgramImp *transform::optimize(const N::ProgramImp *Program,
   return Result;
 }
 
-static void countIn(const N::Imp *I, PhaseStats &Stats) {
-  if (!I)
-    return;
-  switch (I->getKind()) {
-  case N::Imp::Kind::Program:
-    countIn(cast<N::ProgramImp>(I)->getBody(), Stats);
-    return;
-  case N::Imp::Kind::Sequentially:
-    for (const N::Imp *A : cast<N::SequentiallyImp>(I)->getActions())
-      countIn(A, Stats);
-    return;
-  case N::Imp::Kind::Concurrently:
-    for (const N::Imp *A : cast<N::ConcurrentlyImp>(I)->getActions())
-      countIn(A, Stats);
-    return;
-  case N::Imp::Kind::Move: {
-    const auto *M = cast<N::MoveImp>(I);
+PhaseStats transform::countPhases(const N::Imp *Root) {
+  PhaseStats Stats;
+  if (!Root)
+    return Stats;
+  N::forEachImp(Root, [&](const N::Imp *I) {
+    if (isa<N::CallImp>(I))
+      ++Stats.HostScalarPhases;
+    const auto *M = dyn_cast<N::MoveImp>(I);
+    if (!M)
+      return;
     Stats.MoveClauses += M->getClauses().size();
     switch (classifyAction(M)) {
     case PhaseKind::Computation:
@@ -138,36 +132,6 @@ static void countIn(const N::Imp *I, PhaseStats &Stats) {
     case PhaseKind::Structured:
       break;
     }
-    return;
-  }
-  case N::Imp::Kind::IfThenElse: {
-    const auto *If = cast<N::IfThenElseImp>(I);
-    countIn(If->getThen(), Stats);
-    countIn(If->getElse(), Stats);
-    return;
-  }
-  case N::Imp::Kind::While:
-    countIn(cast<N::WhileImp>(I)->getBody(), Stats);
-    return;
-  case N::Imp::Kind::WithDecl:
-    countIn(cast<N::WithDeclImp>(I)->getBody(), Stats);
-    return;
-  case N::Imp::Kind::WithDomain:
-    countIn(cast<N::WithDomainImp>(I)->getBody(), Stats);
-    return;
-  case N::Imp::Kind::Skip:
-    return;
-  case N::Imp::Kind::Do:
-    countIn(cast<N::DoImp>(I)->getBody(), Stats);
-    return;
-  case N::Imp::Kind::Call:
-    ++Stats.HostScalarPhases;
-    return;
-  }
-}
-
-PhaseStats transform::countPhases(const N::Imp *Root) {
-  PhaseStats Stats;
-  countIn(Root, Stats);
+  });
   return Stats;
 }

@@ -107,7 +107,8 @@ struct FusionStats {
   uint64_t BytesSaved = 0;
 };
 
-/// Individual passes (each returns a new imperative tree).
+/// Individual passes. Each is an nir::ImpRewriter: it returns \p Root
+/// itself when it changes nothing and shares every subtree it leaves alone.
 const nir::Imp *extractComm(const nir::Imp *Root, nir::NIRContext &Ctx,
                             DiagnosticEngine &Diags);
 const nir::Imp *maskSections(const nir::Imp *Root, nir::NIRContext &Ctx,
