@@ -6,6 +6,7 @@
 
 #include "backend/Backend.h"
 
+#include "nir/Clause.h"
 #include "nir/Printer.h"
 #include "observe/Metrics.h"
 #include "observe/Trace.h"
@@ -106,6 +107,19 @@ private:
     return std::make_unique<SeqStmt>(std::move(V));
   }
 
+  /// The runtime call of one shift exchange (a single shift, or the
+  /// clauses of nir::matchExchange).
+  static std::unique_ptr<HostStmt>
+  shiftStmt(const std::vector<N::ShiftClause> &Shifts) {
+    std::vector<ShiftStmt::Clause> Clauses;
+    for (const N::ShiftClause &S : Shifts)
+      Clauses.push_back({S.Dst->getId(), S.Shift, S.Logical});
+    const N::ShiftClause &First = Shifts.front();
+    return std::make_unique<ShiftStmt>(First.Src->getId(),
+                                       static_cast<unsigned>(First.Dim),
+                                       First.EndOff, std::move(Clauses));
+  }
+
   std::unique_ptr<HostStmt> compileImp(const N::Imp *I);
   std::unique_ptr<HostStmt> compileMove(const N::MoveImp *M);
   std::unique_ptr<HostStmt> compileComputationMove(const N::MoveImp *M);
@@ -175,13 +189,12 @@ FECompiler::compileComputationMove(const N::MoveImp *M) {
 
 std::unique_ptr<HostStmt>
 FECompiler::compileCommClause(const N::MoveClause &C) {
-  const auto *GuardConst = dyn_cast_or_null<N::ScalarConstValue>(C.Guard);
-  bool Unguarded = !C.Guard || (GuardConst && GuardConst->isBool() &&
-                                GuardConst->getBool());
-  if (!Unguarded) {
+  if (!N::isTrueGuard(C.Guard)) {
     error("masked communication is not supported by the CM runtime model");
     return nullptr;
   }
+  if (std::optional<N::ShiftClause> S = N::matchShift(C))
+    return shiftStmt({*S});
 
   // Reduction: dst SVar, src FCNCALL(red, [AVAR everywhere]).
   if (const auto *SV = dyn_cast<N::SVarValue>(C.Dst)) {
@@ -206,8 +219,7 @@ FECompiler::compileCommClause(const N::MoveClause &C) {
     return nullptr;
   }
 
-  // Shift: dst everywhere, src FCNCALL(cshift|eoshift, [AVAR, s, d]);
-  // or a partial reduction FCNCALL(red, [AVAR, dim]).
+  // Partial reduction: FCNCALL(red, [AVAR, dim]).
   if (const auto *F = dyn_cast<N::FcnCallValue>(C.Src)) {
     if (N::isReductionIntrinsic(F->getCallee()) &&
         F->getArgs().size() == 2) {
@@ -222,34 +234,6 @@ FECompiler::compileCommClause(const N::MoveClause &C) {
       return std::make_unique<ReduceDimStmt>(
           DstAV->getId(), host::reduceOpOf(F->getCallee()), Arg->getId(),
           static_cast<unsigned>(Dm->getInt()));
-    }
-    if (F->getCallee() == "cshift" || F->getCallee() == "eoshift") {
-      const auto *Arg = dyn_cast<N::AVarValue>(F->getArgs()[0]);
-      const auto *Sh = dyn_cast<N::ScalarConstValue>(F->getArgs()[1]);
-      const auto *Dm = dyn_cast<N::ScalarConstValue>(F->getArgs()[2]);
-      if (!Arg || !isa<N::EverywhereAction>(Arg->getAction()) || !Sh ||
-          !Dm || !isa<N::EverywhereAction>(DstAV->getAction())) {
-        error("unsupported shift pattern: " + N::printValue(C.Src));
-        return nullptr;
-      }
-      // Realigned residual exchange (layout materialization): a fourth
-      // argument carries the source-level shift; arg 1 is already the
-      // physical slot distance the runtime must move.
-      if (F->getCallee() == "cshift" && F->getArgs().size() == 4) {
-        const auto *Lg = dyn_cast<N::ScalarConstValue>(F->getArgs()[3]);
-        if (!Lg || !Lg->isInt()) {
-          error("malformed realigned cshift: " + N::printValue(C.Src));
-          return nullptr;
-        }
-        return std::make_unique<CShiftStmt>(
-            DstAV->getId(), Arg->getId(),
-            static_cast<unsigned>(Dm->getInt()), Sh->getInt(),
-            Lg->getInt(), /*EndOff=*/false);
-      }
-      return std::make_unique<CShiftStmt>(
-          DstAV->getId(), Arg->getId(),
-          static_cast<unsigned>(Dm->getInt()), Sh->getInt(),
-          F->getCallee() == "eoshift");
     }
     if (F->getCallee() == "transpose") {
       const auto *Arg = dyn_cast<N::AVarValue>(F->getArgs()[0]);
@@ -272,7 +256,7 @@ FECompiler::compileCommClause(const N::MoveClause &C) {
           DstAV->getId(), Arg->getId(),
           static_cast<unsigned>(Dm->getInt()));
     }
-    error("unsupported communication primitive '" + F->getCallee() + "'");
+    error("unsupported communication pattern: " + N::printValue(C.Src));
     return nullptr;
   }
 
@@ -296,10 +280,7 @@ FECompiler::compileCommClause(const N::MoveClause &C) {
 
 std::unique_ptr<HostStmt>
 FECompiler::compileHostClause(const N::MoveClause &C) {
-  const N::Value *Guard = C.Guard;
-  if (const auto *GC = dyn_cast_or_null<N::ScalarConstValue>(Guard))
-    if (GC->isBool() && GC->getBool())
-      Guard = nullptr;
+  const N::Value *Guard = N::isTrueGuard(C.Guard) ? nullptr : C.Guard;
   if (const auto *SV = dyn_cast<N::SVarValue>(C.Dst))
     return std::make_unique<ScalarAssignStmt>(SV->getId(), C.Src, Guard);
   const auto *AV = cast<N::AVarValue>(C.Dst);
@@ -308,57 +289,17 @@ FECompiler::compileHostClause(const N::MoveClause &C) {
                                            C.Src, Guard);
 }
 
-/// Fuses runs of adjacent shift statements of the same source field along
-/// the same axis (same cshift/eoshift flavor) into one MultiShiftStmt:
-/// the exchange pays the grid's communication startup once. Conservative
-/// guards keep the fused exchange identical to the unfused sequence: a
-/// clause whose destination aliases the source, or repeats an earlier
-/// destination in the run, ends the run. Multi-clause communication MOVEs
-/// only arise from the comm-schedule transform, so the default pipeline
-/// is unaffected.
-static void coalesceShifts(std::vector<std::unique_ptr<HostStmt>> &Stmts) {
-  std::vector<std::unique_ptr<HostStmt>> Out;
-  size_t I = 0;
-  while (I < Stmts.size()) {
-    const auto *First = dyn_cast<CShiftStmt>(Stmts[I].get());
-    // Realigned shifts stay standalone so their physical/logical trace
-    // annotation survives (MultiShiftStmt carries no such marker).
-    if (!First || First->dst() == First->src() || First->isRealigned()) {
-      Out.push_back(std::move(Stmts[I++]));
-      continue;
-    }
-    std::vector<MultiShiftStmt::ShiftReq> Reqs;
-    Reqs.push_back({First->dst(), First->shift()});
-    size_t J = I + 1;
-    for (; J < Stmts.size(); ++J) {
-      const auto *Next = dyn_cast<CShiftStmt>(Stmts[J].get());
-      if (!Next || Next->src() != First->src() ||
-          Next->dim() != First->dim() ||
-          Next->isEndOff() != First->isEndOff() ||
-          Next->dst() == Next->src() || Next->isRealigned())
-        break;
-      bool Repeats = false;
-      for (const MultiShiftStmt::ShiftReq &R : Reqs)
-        Repeats = Repeats || R.Dst == Next->dst();
-      if (Repeats)
-        break;
-      Reqs.push_back({Next->dst(), Next->shift()});
-    }
-    if (Reqs.size() > 1)
-      Out.push_back(std::make_unique<MultiShiftStmt>(
-          std::move(Reqs), First->src(), First->dim(), First->isEndOff()));
-    else
-      Out.push_back(std::move(Stmts[I]));
-    I = J;
-  }
-  Stmts = std::move(Out);
-}
-
 std::unique_ptr<HostStmt> FECompiler::compileMove(const N::MoveImp *M) {
   switch (transform::classifyAction(M)) {
   case transform::PhaseKind::Computation:
     return compileComputationMove(M);
   case transform::PhaseKind::Communication: {
+    // comm-schedule merges shift MOVEs only into one exchange, which runs
+    // as one runtime call.
+    if (M->getClauses().size() > 1)
+      if (std::optional<std::vector<N::ShiftClause>> X =
+              N::matchExchange(M->getClauses()))
+        return shiftStmt(*X);
     std::vector<std::unique_ptr<HostStmt>> Stmts;
     for (const N::MoveClause &C : M->getClauses()) {
       auto S = compileCommClause(C);
@@ -366,7 +307,6 @@ std::unique_ptr<HostStmt> FECompiler::compileMove(const N::MoveImp *M) {
         return nullptr;
       Stmts.push_back(std::move(S));
     }
-    coalesceShifts(Stmts);
     return seqOf(std::move(Stmts));
   }
   case transform::PhaseKind::HostScalar: {

@@ -6,6 +6,7 @@
 
 #include "backend/PECompiler.h"
 
+#include "nir/Clause.h"
 #include "nir/Printer.h"
 
 #include <algorithm>
@@ -66,13 +67,6 @@ private:
     if (!Failed)
       Diags.error(SourceLocation(), Msg);
     Failed = true;
-  }
-
-  static bool isTrueGuard(const N::Value *G) {
-    if (!G)
-      return true;
-    const auto *C = dyn_cast<N::ScalarConstValue>(G);
-    return C && C->isBool() && C->getBool();
   }
 
   //===------------------------------------------------------------------===//
@@ -482,7 +476,7 @@ void PECompilerImpl::emitClause(const N::MoveClause &C) {
   unsigned DstPtr = fieldPtr(DstAV->getId());
 
   Operand Value = Operand::imm(0);
-  if (isTrueGuard(C.Guard)) {
+  if (N::isTrueGuard(C.Guard)) {
     Value = toReg(emitValue(C.Src, true));
   } else {
     // Masked move: compute the mask, the value, and the current
@@ -744,7 +738,7 @@ void PECompilerImpl::packDualIssue(std::vector<Instruction> &Code) {
 std::optional<PEResult> PECompilerImpl::run() {
   // Pass 0: discovery (argument order and leaf use counts).
   for (const N::MoveClause &C : M->getClauses()) {
-    if (C.Guard && !isTrueGuard(C.Guard))
+    if (!N::isTrueGuard(C.Guard))
       discover(C.Guard);
     discover(C.Src);
     const auto *DstAV = dyn_cast<N::AVarValue>(C.Dst);
@@ -753,7 +747,7 @@ std::optional<PEResult> PECompilerImpl::run() {
       return std::nullopt;
     }
     fieldPtr(DstAV->getId());
-    if (C.Guard && !isTrueGuard(C.Guard))
+    if (!N::isTrueGuard(C.Guard))
       ++LeafUses["f:" + DstAV->getId()]; // Masked stores re-read the dst.
   }
   if (Failed)

@@ -413,11 +413,7 @@ void HostExecutor::exec(const HostStmt *S) {
       L.HostCycles += RT.costs().HostStatementCycles;
     }
     for (const auto &Sc : A->scalars()) {
-      RtVal V = convertFor(RtVal::makeInt(0), Sc.Kind);
-      auto Preset = PresetScalars.find(Sc.Name);
-      if (Preset != PresetScalars.end())
-        V = convertFor(Preset->second, Sc.Kind);
-      Scalars[Sc.Name] = V;
+      Scalars[Sc.Name] = convertFor(RtVal::makeInt(0), Sc.Kind);
       ScalarKinds[Sc.Name] = Sc.Kind;
     }
     exec(A->body());
@@ -486,49 +482,43 @@ void HostExecutor::exec(const HostStmt *S) {
   case HostStmt::Kind::CallPeac:
     execCallPeac(cast<CallPeacStmt>(S));
     return;
-  case HostStmt::Kind::CShift: {
-    const auto *C = cast<CShiftStmt>(S);
-    int Dst = fieldHandle(C->dst()), Src = fieldHandle(C->src());
-    if (Dst < 0 || Src < 0) {
+  case HostStmt::Kind::Shift: {
+    const auto *Sh = cast<ShiftStmt>(S);
+    int Src = fieldHandle(Sh->src());
+    bool Unallocated = Src < 0;
+    std::vector<runtime::CmRuntime::ShiftSpec> Specs;
+    for (const ShiftStmt::Clause &C : Sh->clauses()) {
+      Specs.push_back({fieldHandle(C.Dst), C.Shift});
+      Unallocated |= Specs.back().Dst < 0;
+    }
+    if (Unallocated) {
       error("shift references an unallocated array");
       return;
     }
     double Before = L.CommCycles;
-    support::RtStatus St = C->isEndOff()
-                               ? RT.eoshift(Dst, Src, C->dim(), C->shift())
-                               : RT.cshift(Dst, Src, C->dim(), C->shift());
+    support::RtStatus St;
+    if (Specs.size() != 1)
+      St = RT.multiShift(Specs, Src, Sh->dim(), Sh->isEndOff());
+    else if (Sh->isEndOff())
+      St = RT.eoshift(Specs[0].Dst, Src, Sh->dim(), Specs[0].Shift);
+    else
+      St = RT.cshift(Specs[0].Dst, Src, Sh->dim(), Specs[0].Shift);
     if (!checkComm(St))
       return;
-    if (C->isRealigned() && RT.trace())
-      RT.trace()->cycleInstant(
-          "layout-realigned", "comm", L.total(),
-          {observe::arg("dst", C->dst()), observe::arg("src", C->src()),
-           observe::arg("logical_shift", C->logicalShift()),
-           observe::arg("physical_shift", C->shift())});
-    beginPendingComm(L.CommCycles - Before, {Dst, Src});
-    return;
-  }
-  case HostStmt::Kind::MultiShift: {
-    const auto *M = cast<MultiShiftStmt>(S);
-    int Src = fieldHandle(M->src());
-    if (Src < 0) {
-      error("multi-shift references an unallocated array");
-      return;
-    }
-    std::vector<runtime::CmRuntime::ShiftSpec> Specs;
+    for (const ShiftStmt::Clause &C : Sh->clauses())
+      if (C.isRealigned() && RT.trace())
+        RT.trace()->cycleInstant(
+            "layout-realigned", "comm", L.total(),
+            {observe::arg("dst", C.Dst), observe::arg("src", Sh->src()),
+             observe::arg("logical_shift", C.Logical),
+             observe::arg("physical_shift", C.Shift)});
+    // In-flight handles, in the order checkpoints record them: {dst, src}
+    // for one clause, {src, dst...} for more.
     std::vector<int> Handles{Src};
-    for (const MultiShiftStmt::ShiftReq &R : M->shifts()) {
-      int Dst = fieldHandle(R.Dst);
-      if (Dst < 0) {
-        error("multi-shift references an unallocated array");
-        return;
-      }
-      Specs.push_back({Dst, R.Shift});
-      Handles.push_back(Dst);
-    }
-    double Before = L.CommCycles;
-    if (!checkComm(RT.multiShift(Specs, Src, M->dim(), M->isEndOff())))
-      return;
+    for (const runtime::CmRuntime::ShiftSpec &Spec : Specs)
+      Handles.push_back(Spec.Dst);
+    if (Specs.size() == 1)
+      std::swap(Handles[0], Handles[1]);
     beginPendingComm(L.CommCycles - Before, Handles);
     return;
   }

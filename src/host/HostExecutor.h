@@ -73,10 +73,7 @@ public:
   /// Field handle of a (still-allocated) array, or -1.
   int fieldHandle(const std::string &Name) const;
 
-  /// Pre-run seeds, mirroring the reference interpreter's hooks.
-  void presetScalar(const std::string &Name, interp::RtVal V) {
-    PresetScalars[Name] = V;
-  }
+  /// Pre-run array seeds, mirroring the reference interpreter's hook.
   void presetArray(const std::string &Name, std::vector<double> Values) {
     PresetArrays[Name] = std::move(Values);
   }
@@ -106,7 +103,6 @@ private:
   std::map<std::string, int> FieldHandles;
   std::map<std::string, std::vector<int64_t>> LoopCoords;
 
-  std::map<std::string, interp::RtVal> PresetScalars;
   std::map<std::string, std::vector<double>> PresetArrays;
 
   struct DeferredWrite {

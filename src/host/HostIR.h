@@ -56,8 +56,7 @@ public:
     ScalarAssign,
     ElementMove,
     CallPeac,
-    CShift,
-    MultiShift,
+    Shift,
     SectionCopy,
     Transpose,
     Reduce,
@@ -205,66 +204,39 @@ private:
   std::vector<int64_t> Los;
 };
 
-/// cshift/eoshift runtime call.
-class CShiftStmt : public HostStmt {
+/// One shift exchange through the runtime: each clause moves the same
+/// source field along the same axis with the same flavor (cshift wraps,
+/// eoshift fills) into its own destination. One clause is a cshift or
+/// eoshift call; more are one multi-shift exchange that pays the grid's
+/// communication startup once and computes what the clauses do in order
+/// (comm-schedule builds those, nir::matchExchange).
+class ShiftStmt : public HostStmt {
 public:
-  CShiftStmt(std::string Dst, std::string Src, unsigned Dim, int64_t Shift,
-             bool EndOff)
-      : HostStmt(Kind::CShift), Dst(std::move(Dst)), Src(std::move(Src)),
-        Dim(Dim), Shift(Shift), Logical(Shift), EndOff(EndOff) {}
-  /// Realigned form (layout materialization): \p Shift is the physical
-  /// slot distance actually exchanged, \p Logical the source-level shift
-  /// it implements under the solved placements.
-  CShiftStmt(std::string Dst, std::string Src, unsigned Dim, int64_t Shift,
-             int64_t Logical, bool EndOff)
-      : HostStmt(Kind::CShift), Dst(std::move(Dst)), Src(std::move(Src)),
-        Dim(Dim), Shift(Shift), Logical(Logical), EndOff(EndOff) {}
-  const std::string &dst() const { return Dst; }
-  const std::string &src() const { return Src; }
-  unsigned dim() const { return Dim; }
-  int64_t shift() const { return Shift; }
-  int64_t logicalShift() const { return Logical; }
-  bool isRealigned() const { return Logical != Shift; }
-  bool isEndOff() const { return EndOff; }
-  static bool classof(const HostStmt *S) {
-    return S->getKind() == Kind::CShift;
-  }
-
-private:
-  std::string Dst, Src;
-  unsigned Dim;
-  int64_t Shift, Logical;
-  bool EndOff;
-};
-
-/// Coalesced multi-destination shift: several cshift/eoshift clauses of
-/// the same source field along the same axis, executed as one exchange
-/// that pays the grid's communication startup once. Emitted by the
-/// comm-schedule transform; semantically identical to the unfused
-/// sequence of CShiftStmts in request order.
-class MultiShiftStmt : public HostStmt {
-public:
-  struct ShiftReq {
+  struct Clause {
     std::string Dst;
-    int64_t Shift;
+    int64_t Shift;   ///< Physical slot distance the exchange moves.
+    int64_t Logical; ///< Source-level shift; Shift unless realigned.
+    /// Layout materialization moved the clause by a different physical
+    /// distance than the source-level one.
+    bool isRealigned() const { return Logical != Shift; }
   };
-  MultiShiftStmt(std::vector<ShiftReq> Shifts, std::string Src, unsigned Dim,
-                 bool EndOff)
-      : HostStmt(Kind::MultiShift), Shifts(std::move(Shifts)),
-        Src(std::move(Src)), Dim(Dim), EndOff(EndOff) {}
-  const std::vector<ShiftReq> &shifts() const { return Shifts; }
+  ShiftStmt(std::string Src, unsigned Dim, bool EndOff,
+            std::vector<Clause> Clauses)
+      : HostStmt(Kind::Shift), Src(std::move(Src)), Dim(Dim), EndOff(EndOff),
+        Clauses(std::move(Clauses)) {}
   const std::string &src() const { return Src; }
   unsigned dim() const { return Dim; }
   bool isEndOff() const { return EndOff; }
+  const std::vector<Clause> &clauses() const { return Clauses; }
   static bool classof(const HostStmt *S) {
-    return S->getKind() == Kind::MultiShift;
+    return S->getKind() == Kind::Shift;
   }
 
 private:
-  std::vector<ShiftReq> Shifts;
   std::string Src;
   unsigned Dim;
   bool EndOff;
+  std::vector<Clause> Clauses;
 };
 
 /// Misaligned section-to-section copy through the runtime.

@@ -139,28 +139,26 @@ private:
                       join(Args, ", "));
       return;
     }
-    case HostStmt::Kind::CShift: {
-      const auto *C = cast<CShiftStmt>(S);
-      std::string Realigned =
-          C->isRealigned()
-              ? " realigned(logical=" + std::to_string(C->logicalShift()) +
-                    ")"
-              : "";
-      line(Depth, std::string("cm_shift ") + C->dst() + " <- " +
-                      (C->isEndOff() ? "eoshift" : "cshift") + "(" +
-                      C->src() + ", dim=" + std::to_string(C->dim()) +
-                      ", shift=" + std::to_string(C->shift()) + ")" +
-                      Realigned);
-      return;
-    }
-    case HostStmt::Kind::MultiShift: {
-      const auto *M = cast<MultiShiftStmt>(S);
+    case HostStmt::Kind::Shift: {
+      const auto *Sh = cast<ShiftStmt>(S);
+      std::string Flavor = Sh->isEndOff() ? "eoshift" : "cshift";
+      std::string Dim = ", dim=" + std::to_string(Sh->dim());
+      if (Sh->clauses().size() == 1) {
+        const ShiftStmt::Clause &C = Sh->clauses()[0];
+        std::string Realigned =
+            C.isRealigned()
+                ? " realigned(logical=" + std::to_string(C.Logical) + ")"
+                : "";
+        line(Depth, "cm_shift " + C.Dst + " <- " + Flavor + "(" + Sh->src() +
+                        Dim + ", shift=" + std::to_string(C.Shift) + ")" +
+                        Realigned);
+        return;
+      }
       std::vector<std::string> Reqs;
-      for (const MultiShiftStmt::ShiftReq &R : M->shifts())
-        Reqs.push_back(R.Dst + "@" + std::to_string(R.Shift));
-      line(Depth, std::string("cm_mshift ") + join(Reqs, ", ") + " <- " +
-                      (M->isEndOff() ? "eoshift" : "cshift") + "(" +
-                      M->src() + ", dim=" + std::to_string(M->dim()) + ")");
+      for (const ShiftStmt::Clause &C : Sh->clauses())
+        Reqs.push_back(C.Dst + "@" + std::to_string(C.Shift));
+      line(Depth, "cm_mshift " + join(Reqs, ", ") + " <- " + Flavor + "(" +
+                      Sh->src() + Dim + ")");
       return;
     }
     case HostStmt::Kind::SectionCopy: {

@@ -150,8 +150,7 @@ void Interpreter::execImp(const N::Imp *I) {
     // Allocate bindings; shadowing intentionally unsupported at the store
     // level in this prototype (lowering never produces it for arrays).
     forEachBinding(WD->getDecl(), [&](const std::string &Id,
-                                      const N::Type *Ty,
-                                      const N::Value *Init) {
+                                      const N::Type *Ty, const N::Value *) {
       if (const auto *FT = dyn_cast<N::DFieldType>(Ty)) {
         ArrayStorage A;
         A.ElemKind = kindOfType(FT->getUltimateElementType());
@@ -175,13 +174,7 @@ void Interpreter::execImp(const N::Imp *I) {
         Arrays[Id] = std::move(A);
         return;
       }
-      RtVal V = convertForStore(RtVal::makeInt(0), kindOfType(Ty));
-      auto Preset = PresetScalars.find(Id);
-      if (Preset != PresetScalars.end())
-        V = convertForStore(Preset->second, kindOfType(Ty));
-      else if (Init)
-        V = convertForStore(evalScalar(Init), kindOfType(Ty));
-      Scalars[Id] = V;
+      Scalars[Id] = convertForStore(RtVal::makeInt(0), kindOfType(Ty));
     });
     execImp(WD->getBody());
     return;

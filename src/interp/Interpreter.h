@@ -75,11 +75,9 @@ public:
   const ArrayStorage *getArray(const std::string &Name) const;
   std::optional<RtVal> getScalar(const std::string &Name) const;
 
-  /// Pre-run initialization hooks: values installed here override the
-  /// zero-initialization of matching declarations (used to seed inputs).
-  void presetScalar(const std::string &Name, RtVal V) {
-    PresetScalars[Name] = V;
-  }
+  /// Pre-run initialization hook: values installed here override the
+  /// zero-initialization of a matching array declaration (used to seed
+  /// inputs).
   void presetArray(const std::string &Name, std::vector<double> Values) {
     PresetArrays[Name] = std::move(Values);
   }
@@ -96,7 +94,6 @@ private:
   /// Actual coordinates of enclosing DO loops, per domain name.
   std::map<std::string, std::vector<int64_t>> LoopCoords;
 
-  std::map<std::string, RtVal> PresetScalars;
   std::map<std::string, std::vector<double>> PresetArrays;
 
   /// Pending writes while executing under a parallel DO (FORALL

@@ -7,6 +7,7 @@
 #include "layout/AlignmentGraph.h"
 
 #include "cm2/CostModel.h"
+#include "nir/Clause.h"
 #include "nir/Imperative.h"
 #include "nir/Shape.h"
 #include "nir/Type.h"
@@ -122,13 +123,6 @@ private:
     }
   }
 
-  static bool isTrueGuard(const N::Value *G) {
-    if (!G)
-      return true;
-    const auto *C = dyn_cast<N::ScalarConstValue>(G);
-    return C && C->isBool() && C->getBool();
-  }
-
   static bool containsCommCall(const N::Value *V) {
     if (!V)
       return false;
@@ -181,30 +175,21 @@ private:
       // circular shift. Everything else iterates storage in an order a
       // rotation would change (or fills edges / reassociates FP), so its
       // fields stay canonical.
-      const auto *DstAV = dyn_cast<N::AVarValue>(C.Dst);
-      const N::AVarValue *SrcAV =
-          F->getArgs().empty() ? nullptr
-                               : dyn_cast<N::AVarValue>(F->getArgs()[0]);
-      if (F->getCallee() == "cshift" && F->getArgs().size() == 3 && DstAV &&
-          SrcAV && isa<N::EverywhereAction>(DstAV->getAction()) &&
-          isa<N::EverywhereAction>(SrcAV->getAction()) && isTrueGuard(C.Guard)) {
-        const auto *Sh = dyn_cast<N::ScalarConstValue>(F->getArgs()[1]);
-        const auto *Dm = dyn_cast<N::ScalarConstValue>(F->getArgs()[2]);
-        AlignField *SF = fieldOf(SrcAV->getId());
-        AlignField *DF = fieldOf(DstAV->getId());
-        if (Sh && Sh->isInt() && Dm && Dm->isInt() && SF && DF &&
-            SF->Extents == DF->Extents && Dm->getInt() >= 1 &&
-            static_cast<size_t>(Dm->getInt()) <= SF->Extents.size()) {
-          AlignEdge E;
-          E.K = AlignEdge::Kind::Shift;
-          E.Src = SrcAV->getId();
-          E.Dst = DstAV->getId();
-          E.Axis = static_cast<unsigned>(Dm->getInt() - 1);
-          E.Shift = Sh->getInt();
-          E.Weight = TripMult * shiftCost(*SF, E.Shift);
-          G.Edges.push_back(E);
-          return;
-        }
+      std::optional<N::ShiftClause> S = N::matchShift(C);
+      AlignField *SF = S ? fieldOf(S->Src->getId()) : nullptr;
+      AlignField *DF = S ? fieldOf(S->Dst->getId()) : nullptr;
+      if (SF && DF && !S->EndOff && !S->isRealigned() &&
+          SF->Extents == DF->Extents && S->Dim >= 1 &&
+          static_cast<size_t>(S->Dim) <= SF->Extents.size()) {
+        AlignEdge E;
+        E.K = AlignEdge::Kind::Shift;
+        E.Src = S->Src->getId();
+        E.Dst = S->Dst->getId();
+        E.Axis = static_cast<unsigned>(S->Dim - 1);
+        E.Shift = S->Shift;
+        E.Weight = TripMult * shiftCost(*SF, E.Shift);
+        G.Edges.push_back(E);
+        return;
       }
       pinFieldsIn(C.Guard);
       pinFieldsIn(C.Src);
@@ -283,7 +268,7 @@ private:
       const auto *WD = cast<N::WithDeclImp>(I);
       N::forEachBinding(WD->getDecl(), [&](const std::string &Id,
                                            const N::Type *Ty,
-                                           const N::Value *Init) {
+                                           const N::Value *) {
         const auto *FT = dyn_cast<N::DFieldType>(Ty);
         if (!FT)
           return;
@@ -296,13 +281,7 @@ private:
           for (const N::ShapeExtent &SE : Ext)
             AF.Extents.push_back(SE.Hi - SE.Lo + 1);
         }
-        // Field initializers are evaluated by the canonical allocator
-        // before any realignment sweep could run.
-        if (Init)
-          AF.Pinned = true;
         G.Fields[Id] = std::move(AF);
-        if (Init)
-          pinFieldsIn(Init);
       });
       visitImp(WD->getBody(), TripMult);
       return;

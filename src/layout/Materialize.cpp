@@ -8,6 +8,7 @@
 
 #include "layout/AlignmentGraph.h"
 #include "layout/AlignmentSolver.h"
+#include "nir/Clause.h"
 #include "nir/Rewrite.h"
 
 using namespace f90y;
@@ -32,13 +33,6 @@ private:
     return It == Solved.Layouts.end() ? nullptr : &It->second;
   }
 
-  static bool isTrueGuard(const N::Value *G) {
-    if (!G)
-      return true;
-    const auto *C = dyn_cast<N::ScalarConstValue>(G);
-    return C && C->isBool() && C->getBool();
-  }
-
   const N::Decl *rewriteDecl(const N::Decl *D) {
     switch (D->getKind()) {
     case N::Decl::Kind::Simple: {
@@ -56,8 +50,6 @@ private:
         Subs.push_back(rewriteDecl(Sub));
       return Subs == Set->getDecls() ? D : Ctx.getDeclSet(std::move(Subs));
     }
-    case N::Decl::Kind::Initialized:
-      return D; // Initialized fields are pinned canonical.
     }
     return D;
   }
@@ -68,24 +60,15 @@ private:
   /// construct had its fields pinned, so its operands are canonical and
   /// the clause is already correct as written.
   N::MoveClause rewriteClause(const N::MoveClause &C, bool &Changed) {
-    const auto *F = dyn_cast<N::FcnCallValue>(C.Src);
-    if (!F || F->getCallee() != "cshift" || F->getArgs().size() != 3 ||
-        !isTrueGuard(C.Guard))
+    std::optional<N::ShiftClause> S = N::matchShift(C);
+    if (!S || S->EndOff || S->isRealigned())
       return C;
-    const auto *DstAV = dyn_cast<N::AVarValue>(C.Dst);
-    const auto *SrcAV = dyn_cast<N::AVarValue>(F->getArgs()[0]);
-    const auto *Sh = dyn_cast<N::ScalarConstValue>(F->getArgs()[1]);
-    const auto *Dm = dyn_cast<N::ScalarConstValue>(F->getArgs()[2]);
-    if (!DstAV || !SrcAV || !Sh || !Sh->isInt() || !Dm || !Dm->isInt() ||
-        !isa<N::EverywhereAction>(DstAV->getAction()) ||
-        !isa<N::EverywhereAction>(SrcAV->getAction()))
-      return C;
-    const LayoutDescriptor *SL = layoutOf(SrcAV->getId());
-    const LayoutDescriptor *DL = layoutOf(DstAV->getId());
-    auto FieldIt = G.Fields.find(SrcAV->getId());
+    const LayoutDescriptor *SL = layoutOf(S->Src->getId());
+    const LayoutDescriptor *DL = layoutOf(S->Dst->getId());
+    auto FieldIt = G.Fields.find(S->Src->getId());
     if (!SL || !DL || FieldIt == G.Fields.end())
       return C;
-    size_t Axis = static_cast<size_t>(Dm->getInt() - 1);
+    size_t Axis = static_cast<size_t>(S->Dim - 1);
     if (Axis >= FieldIt->second.Extents.size())
       return C;
     int64_t N = FieldIt->second.Extents[Axis];
@@ -94,7 +77,7 @@ private:
     // Slot-level distance: the runtime sweep reads raw slot storage, so
     // the offsets fold into the shift (DST slot y holds logical y - o_d;
     // see DESIGN.md 12.3).
-    int64_t Logical = Sh->getInt();
+    int64_t Logical = S->Logical;
     int64_t Physical =
         ((Logical + SL->offsetAt(Axis) - DL->offsetAt(Axis)) % N + N) % N;
     if (Physical > N / 2)
@@ -104,7 +87,7 @@ private:
       Changed = true;
       ++Stats.CommMovesLocalized;
       N::MoveClause Copy = C;
-      Copy.Src = F->getArgs()[0];
+      Copy.Src = S->Src;
       return Copy;
     }
     if (Physical == Logical)
@@ -114,9 +97,7 @@ private:
     // trace the realigned exchange.
     Changed = true;
     N::MoveClause Out = C;
-    Out.Src = Ctx.getFcnCall(
-        "cshift", {F->getArgs()[0], Ctx.getIntConst(Physical),
-                   F->getArgs()[2], Ctx.getIntConst(Logical)});
+    Out.Src = N::buildRealignedShift(Ctx, *S, Physical);
     return Out;
   }
 

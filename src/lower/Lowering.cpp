@@ -398,6 +398,14 @@ bool LoweringImpl::processDecls() {
       continue;
     }
 
+    if (D.Init) {
+      error(D.Loc, "initializer of '" + D.Name +
+                       "' is not supported by this prototype (only a "
+                       "PARAMETER takes a value in its declaration); "
+                       "assign it in an executable statement");
+      continue;
+    }
+
     if (!D.isArray()) {
       Info.Ty = Elem;
       Vars[D.Name] = Info;

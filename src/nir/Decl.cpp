@@ -23,11 +23,6 @@ void nir::forEachBinding(
       forEachBinding(Sub, Fn);
     return;
   }
-  case Decl::Kind::Initialized: {
-    const auto *ID = cast<InitializedDecl>(D);
-    Fn(ID->getId(), ID->getType(), ID->getInit());
-    return;
-  }
   }
 }
 
@@ -42,8 +37,6 @@ const layout::LayoutDescriptor *nir::findLayout(const Decl *D,
     for (const Decl *Sub : cast<DeclSet>(D)->getDecls())
       if (const layout::LayoutDescriptor *L = findLayout(Sub, Id))
         return L;
-    return nullptr;
-  case Decl::Kind::Initialized:
     return nullptr;
   }
   return nullptr;

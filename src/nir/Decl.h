@@ -9,10 +9,12 @@
 ///
 ///   DECL         id * T -> D        simple declaration
 ///   DECLSET      D list -> D        multiple declarations
-///   INITIALIZED  id * T * V -> D    declaration plus initial value
 ///
 /// Declarations by themselves do not define scoping; scoping is achieved by
-/// the imperative bridge operator WITH_DECL(d, I).
+/// the imperative bridge operator WITH_DECL(d, I). The paper's third form,
+/// INITIALIZED (a declaration plus initial value), has no counterpart:
+/// lowering rejects a declaration initializer other than a PARAMETER's,
+/// which folds into the constants that use it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +36,7 @@ namespace nir {
 /// Base class of the declaration domain.
 class Decl {
 public:
-  enum class Kind { Simple, Set, Initialized };
+  enum class Kind { Simple, Set };
 
   Kind getKind() const { return K; }
 
@@ -85,35 +87,15 @@ private:
   std::vector<const Decl *> Decls;
 };
 
-/// INITIALIZED(id, T, V).
-class InitializedDecl : public Decl {
-public:
-  InitializedDecl(std::string Id, const Type *Ty, const Value *Init)
-      : Decl(Kind::Initialized), Id(std::move(Id)), Ty(Ty), Init(Init) {}
-
-  const std::string &getId() const { return Id; }
-  const Type *getType() const { return Ty; }
-  const Value *getInit() const { return Init; }
-
-  static bool classof(const Decl *D) {
-    return D->getKind() == Kind::Initialized;
-  }
-
-private:
-  std::string Id;
-  const Type *Ty;
-  const Value *Init;
-};
-
-/// Visits every (id, type, optional init) binding in \p D, flattening
-/// DECLSETs, invoking \p Fn for each.
+/// Visits every binding in \p D, flattening DECLSETs, invoking \p Fn with
+/// its id and type. The third argument, the initial value, is always null:
+/// no declaration carries one.
 void forEachBinding(const Decl *D,
                     const std::function<void(const std::string &, const Type *,
                                              const Value *)> &Fn);
 
 /// Finds the layout descriptor of binding \p Id inside \p D (flattening
-/// DECLSETs), or null when \p Id is not declared there. INITIALIZED
-/// declarations are always canonical and report null.
+/// DECLSETs), or null when \p Id is not declared there.
 const layout::LayoutDescriptor *findLayout(const Decl *D,
                                            const std::string &Id);
 

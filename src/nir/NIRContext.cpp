@@ -134,12 +134,6 @@ const DeclSet *NIRContext::getDeclSet(std::vector<const Decl *> Decls) {
   return make<DeclSet>(std::move(Decls));
 }
 
-const InitializedDecl *NIRContext::getInitialized(std::string Id,
-                                                  const Type *Ty,
-                                                  const Value *Init) {
-  return make<InitializedDecl>(std::move(Id), Ty, Init);
-}
-
 const ProgramImp *NIRContext::getProgram(std::string Name, const Imp *Body) {
   return make<ProgramImp>(std::move(Name), Body);
 }

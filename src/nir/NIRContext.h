@@ -79,8 +79,6 @@ public:
   const SimpleDecl *getDecl(std::string Id, const Type *Ty,
                             layout::LayoutDescriptor Layout);
   const DeclSet *getDeclSet(std::vector<const Decl *> Decls);
-  const InitializedDecl *getInitialized(std::string Id, const Type *Ty,
-                                        const Value *Init);
 
   // Imperatives.
   const ProgramImp *getProgram(std::string Name, const Imp *Body);

@@ -140,11 +140,6 @@ std::string nir::printDecl(const Decl *D) {
       Parts.push_back(printDecl(Sub));
     return "DECLSET[" + join(Parts, ", ") + "]";
   }
-  case Decl::Kind::Initialized: {
-    const auto *ID = cast<InitializedDecl>(D);
-    return "INITIALIZED('" + ID->getId() + "', " + printType(ID->getType()) +
-           ", " + printValue(ID->getInit()) + ")";
-  }
   }
   return "<invalid-decl>";
 }

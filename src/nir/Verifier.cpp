@@ -6,6 +6,7 @@
 
 #include "nir/Verifier.h"
 
+#include "nir/Clause.h"
 #include "nir/Printer.h"
 
 #include <map>
@@ -39,13 +40,6 @@ private:
   layout::LayoutDescriptor layoutOf(const std::string &Id) {
     auto It = Layouts.find(Id);
     return It == Layouts.end() ? layout::LayoutDescriptor() : It->second;
-  }
-
-  static bool isTrueGuard(const Value *G) {
-    if (!G)
-      return true;
-    const auto *C = dyn_cast<ScalarConstValue>(G);
-    return C && C->isBool() && C->getBool();
   }
 
   /// LayoutConsistency helpers: walks \p V collecting whole-field AVAR
@@ -418,10 +412,8 @@ private:
       std::vector<std::pair<std::string, layout::LayoutDescriptor>>
           SavedLayouts;
       forEachBinding(WD->getDecl(), [&](const std::string &Id, const Type *Ty,
-                                        const Value *Init) {
+                                        const Value *) {
         checkType(Ty);
-        if (Init)
-          visitValue(Init);
         auto It = Decls.find(Id);
         Saved.emplace_back(Id, It == Decls.end() ? nullptr : It->second);
         Decls[Id] = Ty;

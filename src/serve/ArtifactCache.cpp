@@ -69,10 +69,8 @@ uint64_t ArtifactCache::fingerprint(const std::string &Source,
   // (The observability sinks are the one deliberate omission: they alter
   // what is recorded about a compilation, never its artifacts.)
   {
-    const auto &[ExtractComm, MaskSections, Fusion, Layout, Blocking,
-                 CommSchedule, LayoutCosts, Trace, Metrics] = Opts.Transforms;
-    F.u64(ExtractComm);
-    F.u64(MaskSections);
+    const auto &[Fusion, Layout, Blocking, CommSchedule, LayoutCosts, Trace,
+                 Metrics] = Opts.Transforms;
     F.u64(Fusion);
     F.u64(Layout);
     F.u64(Blocking);

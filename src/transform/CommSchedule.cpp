@@ -17,19 +17,21 @@
 ///    executor (-comm=overlap) then credits min(comm, compute) as
 ///    OverlappedCycles.
 ///
-///  - Coalescing: adjacent communication MOVEs whose clauses are all
-///    unguarded shifts of the same source field along the same axis (same
-///    cshift/eoshift flavor, pairwise-distinct destinations, none
-///    aliasing the source) merge into one multi-clause MOVE. The back end
-///    lowers it to a single multi-shift exchange that pays the grid's
-///    communication startup once instead of once per shift.
+///  - Coalescing: adjacent communication MOVEs merge into one
+///    multi-clause MOVE while their clauses together form one exchange
+///    (nir::matchExchange: shifts of one source field along one axis with
+///    one flavor, pairwise-distinct destinations, none aliasing the
+///    source). The back end lowers that MOVE to a single multi-shift
+///    exchange that pays the grid's communication startup once instead
+///    of once per shift.
 ///
 /// Both rewrites preserve program output exactly: hoisting only crosses
-/// independent actions, and coalescing's guards keep the fused exchange
-/// identical to the unfused sequence.
+/// independent actions, and the one-exchange condition keeps the fused
+/// exchange identical to the unfused sequence.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "nir/Clause.h"
 #include "nir/Rewrite.h"
 #include "transform/Effects.h"
 #include "transform/Phases.h"
@@ -42,41 +44,6 @@ using namespace f90y::transform;
 namespace N = f90y::nir;
 
 namespace {
-
-/// One unguarded shift clause, decomposed: Dst <- callee(Src, shift, dim).
-struct ShiftClause {
-  std::string Dst;
-  std::string Src;
-  std::string Callee;
-  int64_t Dim = 0;
-};
-
-/// Decomposes \p C if it is an unguarded whole-field shift of the form
-/// AVAR[everywhere] <- (cshift|eoshift)(AVAR[everywhere], const, const).
-bool matchShiftClause(const N::MoveClause &C, ShiftClause &Out) {
-  if (C.Guard) {
-    const auto *G = dyn_cast<N::ScalarConstValue>(C.Guard);
-    if (!G || !G->isBool() || !G->getBool())
-      return false;
-  }
-  const auto *DstAV = dyn_cast<N::AVarValue>(C.Dst);
-  if (!DstAV || !isa<N::EverywhereAction>(DstAV->getAction()))
-    return false;
-  const auto *F = dyn_cast<N::FcnCallValue>(C.Src);
-  if (!F || (F->getCallee() != "cshift" && F->getCallee() != "eoshift") ||
-      F->getArgs().size() != 3)
-    return false;
-  const auto *Arg = dyn_cast<N::AVarValue>(F->getArgs()[0]);
-  const auto *Sh = dyn_cast<N::ScalarConstValue>(F->getArgs()[1]);
-  const auto *Dm = dyn_cast<N::ScalarConstValue>(F->getArgs()[2]);
-  if (!Arg || !isa<N::EverywhereAction>(Arg->getAction()) || !Sh || !Dm)
-    return false;
-  Out.Dst = DstAV->getId();
-  Out.Src = Arg->getId();
-  Out.Callee = F->getCallee();
-  Out.Dim = Dm->getInt();
-  return true;
-}
 
 class CommSchedulePass : public N::ImpRewriter {
 public:
@@ -97,36 +64,6 @@ private:
     if (const auto *M = dyn_cast<N::MoveImp>(A))
       It.IsComm = classifyAction(M) == PhaseKind::Communication;
     return It;
-  }
-
-  /// True when every clause of both MOVEs is an unguarded shift of one
-  /// common source along one common axis with one common flavor, all
-  /// destinations (across both) pairwise distinct and none aliasing the
-  /// source. Under those guards the fused multi-clause MOVE is
-  /// element-for-element identical to the unfused sequence.
-  static bool coalescible(const std::vector<N::MoveClause> &A,
-                          const std::vector<N::MoveClause> &B) {
-    std::vector<ShiftClause> Shifts;
-    for (const std::vector<N::MoveClause> *Part : {&A, &B})
-      for (const N::MoveClause &C : *Part) {
-        ShiftClause S;
-        if (!matchShiftClause(C, S))
-          return false;
-        Shifts.push_back(std::move(S));
-      }
-    for (size_t I = 1; I < Shifts.size(); ++I)
-      if (Shifts[I].Src != Shifts[0].Src ||
-          Shifts[I].Callee != Shifts[0].Callee ||
-          Shifts[I].Dim != Shifts[0].Dim)
-        return false;
-    for (size_t I = 0; I < Shifts.size(); ++I) {
-      if (Shifts[I].Dst == Shifts[I].Src)
-        return false;
-      for (size_t J = I + 1; J < Shifts.size(); ++J)
-        if (Shifts[I].Dst == Shifts[J].Dst)
-          return false;
-    }
-    return true;
   }
 
   const N::Imp *sequentially(const N::SequentiallyImp *S) override {
@@ -156,15 +93,16 @@ private:
         ++I;
         continue;
       }
-      const auto *Lead = cast<N::MoveImp>(R[I].Action);
-      std::vector<N::MoveClause> Clauses = Lead->getClauses();
+      std::vector<N::MoveClause> Clauses =
+          cast<N::MoveImp>(R[I].Action)->getClauses();
       size_t J = I + 1;
-      while (J < R.size() && R[J].IsComm &&
-             coalescible(Clauses,
-                         cast<N::MoveImp>(R[J].Action)->getClauses())) {
+      for (; J < R.size() && R[J].IsComm; ++J) {
         const auto &More = cast<N::MoveImp>(R[J].Action)->getClauses();
         Clauses.insert(Clauses.end(), More.begin(), More.end());
-        ++J;
+        if (!N::matchExchange(Clauses)) {
+          Clauses.resize(Clauses.size() - More.size());
+          break;
+        }
       }
       Out.push_back(J == I + 1 ? R[I].Action : Ctx.getMove(Clauses));
       I = J;

@@ -109,14 +109,11 @@ Effects transform::effectsOf(const N::Imp *I) {
   case N::Imp::Kind::WithDecl: {
     const auto *WD = cast<N::WithDeclImp>(I);
     E = effectsOf(WD->getBody());
-    // Locally-declared names are invisible outside; remove them, but keep
-    // initializer reads.
+    // Locally-declared names are invisible outside; remove them.
     forEachBinding(WD->getDecl(), [&](const std::string &Id, const N::Type *,
-                                      const N::Value *Init) {
+                                      const N::Value *) {
       E.Reads.erase(Id);
       E.Writes.erase(Id);
-      if (Init)
-        collectReads(Init, E.Reads);
     });
     return E;
   }

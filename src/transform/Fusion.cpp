@@ -39,6 +39,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "nir/Clause.h"
 #include "nir/Rewrite.h"
 #include "nir/Shape.h"
 #include "nir/TypeInfer.h"
@@ -138,13 +139,7 @@ void countImp(const N::Imp *Root, UseCounts &C) {
     case N::Imp::Kind::WithDecl:
       N::forEachBinding(cast<N::WithDeclImp>(I)->getDecl(),
                         [&](const std::string &Id, const N::Type *,
-                            const N::Value *Init) {
-                          ++C.Decls[Id];
-                          if (Init) {
-                            ++C.Writes[Id];
-                            countValueReads(Init, C);
-                          }
-                        });
+                            const N::Value *) { ++C.Decls[Id]; });
       return;
     case N::Imp::Kind::Call:
       // COPY_OUT convention: host calls may read and write their arguments.
@@ -160,13 +155,6 @@ void countImp(const N::Imp *Root, UseCounts &C) {
       return;
     }
   });
-}
-
-bool isTrueGuard(const N::Value *G) {
-  if (!G)
-    return true;
-  const auto *SC = dyn_cast<N::ScalarConstValue>(G);
-  return SC && SC->isBool() && SC->getBool();
 }
 
 /// Classifies the lone read of \p Temp inside a consumer source tree.
@@ -260,18 +248,9 @@ private:
   }
 
   /// True for the WITH_DECL wrappers extract-comm builds around a single
-  /// statement: plain (uninitialized) declarations over a body that is a
-  /// MOVE or a sequence of MOVEs. Only those are spliced; initializers
-  /// must not be reordered and nested control stays opaque.
+  /// statement: declarations over a body that is a MOVE or a sequence of
+  /// MOVEs. Only those are spliced; nested control stays opaque.
   static bool spliceable(const N::WithDeclImp *WD) {
-    bool Plain = true;
-    N::forEachBinding(WD->getDecl(), [&](const std::string &, const N::Type *,
-                                         const N::Value *Init) {
-      if (Init)
-        Plain = false;
-    });
-    if (!Plain)
-      return false;
     if (isa<N::MoveImp>(WD->getBody()))
       return true;
     const auto *Seq = dyn_cast<N::SequentiallyImp>(WD->getBody());
@@ -307,7 +286,7 @@ private:
     if (M->getClauses().size() != 1)
       return false;
     const N::MoveClause &P = M->getClauses()[0];
-    if (!isTrueGuard(P.Guard))
+    if (!N::isTrueGuard(P.Guard))
       return false;
     const auto *Dst = dyn_cast<N::AVarValue>(P.Dst);
     if (!Dst || !isa<N::EverywhereAction>(Dst->getAction()))
@@ -483,8 +462,6 @@ private:
     switch (D->getKind()) {
     case N::Decl::Kind::Simple:
       return Dead.count(cast<N::SimpleDecl>(D)->getId()) ? nullptr : D;
-    case N::Decl::Kind::Initialized:
-      return Dead.count(cast<N::InitializedDecl>(D)->getId()) ? nullptr : D;
     case N::Decl::Kind::Set: {
       const auto &Decls = cast<N::DeclSet>(D)->getDecls();
       std::vector<const N::Decl *> Kept;

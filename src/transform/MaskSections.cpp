@@ -23,6 +23,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "nir/Clause.h"
 #include "nir/Rewrite.h"
 #include "nir/TypeInfer.h"
 #include "transform/Phases.h"
@@ -151,16 +152,10 @@ private:
     }
 
     const N::Value *Guard = C.Guard;
-    bool GuardIsTrue =
-        Guard && isa<N::ScalarConstValue>(Guard) &&
-        cast<N::ScalarConstValue>(Guard)->isBool() &&
-        cast<N::ScalarConstValue>(Guard)->getBool();
-    if (Mask) {
-      if (!Guard || GuardIsTrue)
-        Guard = Mask;
-      else
-        Guard = Ctx.getBinary(N::BinaryOp::And, Guard, Mask);
-    }
+    if (Mask)
+      Guard = N::isTrueGuard(Guard)
+                  ? Mask
+                  : Ctx.getBinary(N::BinaryOp::And, Guard, Mask);
 
     C.Guard = Guard ? Guard : Ctx.getTrue();
     C.Src = N::mapAVars(C.Src, Ctx, [&](const N::AVarValue *AV) {

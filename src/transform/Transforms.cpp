@@ -52,14 +52,12 @@ const N::ProgramImp *transform::optimize(const N::ProgramImp *Program,
                                          const TransformOptions &Opts) {
   const N::Imp *I = Program;
   unsigned ErrorsBefore = Diags.errorCount();
-  if (Opts.ExtractComm)
-    I = runPass("extract-comm", I, Opts, [&](const N::Imp *In) {
-      return extractComm(In, Ctx, Diags);
-    });
-  if (Opts.MaskSections)
-    I = runPass("mask-sections", I, Opts, [&](const N::Imp *In) {
-      return maskSections(In, Ctx, Diags);
-    });
+  I = runPass("extract-comm", I, Opts, [&](const N::Imp *In) {
+    return extractComm(In, Ctx, Diags);
+  });
+  I = runPass("mask-sections", I, Opts, [&](const N::Imp *In) {
+    return maskSections(In, Ctx, Diags);
+  });
   if (Opts.Fusion) {
     FusionStats FS;
     I = runPass("fuse", I, Opts, [&](const N::Imp *In) {
@@ -100,7 +98,7 @@ const N::ProgramImp *transform::optimize(const N::ProgramImp *Program,
     // only); the strict check catches any pass — fusion above all — that
     // would drag computation across a communication boundary.
     N::VerifyOptions VOpts;
-    VOpts.CanonicalComm = Opts.ExtractComm;
+    VOpts.CanonicalComm = true;
     VOpts.LayoutConsistency = Opts.Layout;
     if (!N::verify(Result, Diags, VOpts))
       return Program;

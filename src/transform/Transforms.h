@@ -62,10 +62,9 @@ class MetricsRegistry;
 
 namespace transform {
 
-/// Per-pass toggles (ablation benchmarks disable passes selectively).
+/// Per-pass toggles for the optional passes; extract-comm and
+/// mask-sections always run.
 struct TransformOptions {
-  bool ExtractComm = true;
-  bool MaskSections = true;
   /// Cross-statement elementwise fusion (eliminate single-use array
   /// temporaries). f90yc -fuse=off disables it.
   bool Fusion = true;

@@ -14,8 +14,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "driver/Workloads.h"
 #include "host/Printer.h"
-#include "invariance/Invariance.h"
+#include "invariance/Generator.h"
+#include "nir/Clause.h"
+#include "nir/Rewrite.h"
+#include "transform/Phases.h"
 
 #include <gtest/gtest.h>
 
@@ -74,6 +78,94 @@ TEST(CommScheduleTest, PassCoalescesShiftsIntoMultiShift) {
   // The four same-source same-axis shifts become one multi-shift exchange.
   std::string IR = hostListing(stencilSource(), Overlap);
   EXPECT_NE(IR.find("cm_mshift"), std::string::npos) << IR;
+}
+
+/// Appends the clause count of each ShiftStmt under \p S, in program
+/// order.
+void shiftStmtClauses(const host::HostStmt *S, std::vector<size_t> &Out) {
+  if (!S)
+    return;
+  switch (S->getKind()) {
+  case host::HostStmt::Kind::Seq:
+    for (const auto &Sub : cast<host::SeqStmt>(S)->stmts())
+      shiftStmtClauses(Sub.get(), Out);
+    return;
+  case host::HostStmt::Kind::AllocScope:
+    shiftStmtClauses(cast<host::AllocScopeStmt>(S)->body(), Out);
+    return;
+  case host::HostStmt::Kind::If:
+    shiftStmtClauses(cast<host::IfStmt>(S)->thenStmt(), Out);
+    shiftStmtClauses(cast<host::IfStmt>(S)->elseStmt(), Out);
+    return;
+  case host::HostStmt::Kind::While:
+    shiftStmtClauses(cast<host::WhileStmt>(S)->body(), Out);
+    return;
+  case host::HostStmt::Kind::SerialDo:
+    shiftStmtClauses(cast<host::SerialDoStmt>(S)->body(), Out);
+    return;
+  case host::HostStmt::Kind::ParallelLoop:
+    shiftStmtClauses(cast<host::ParallelLoopStmt>(S)->body(), Out);
+    return;
+  case host::HostStmt::Kind::Shift:
+    Out.push_back(cast<host::ShiftStmt>(S)->clauses().size());
+    return;
+  default:
+    return;
+  }
+}
+
+TEST(CommScheduleTest, EachShiftMoveIsOneShiftStmt) {
+  // The back end decides no coalescing of its own. comm-schedule merges
+  // communication MOVEs only into one exchange (nir::matchExchange); each
+  // such k-clause MOVE compiles to exactly one k-clause ShiftStmt, and each
+  // one-clause shift MOVE to a one-clause ShiftStmt, in program order.
+  std::vector<std::string> Sources = {
+      stencilSource(),
+      driver::sweSource(16, 2),
+      driver::sweTempsSource(16, 2),
+      driver::figure9Source(),
+      driver::figure10Source(),
+      driver::figure12Source(16),
+      driver::heatSource(16, 2),
+      driver::misalignedSweSource(16, 2)};
+  for (const char *P : {"fig10.f90", "mswe.f90", "subroutines.f90", "swe.f90"})
+    Sources.push_back(sampleProgram(P));
+  for (unsigned Seed = 0; Seed < 256; ++Seed)
+    Sources.push_back(generate(Seed).source());
+  size_t Merged = 0, Single = 0;
+  for (const std::string &Src : Sources)
+    for (const char *Profile : {"f90y", "cmf", "naive"})
+      for (const char *Comm : {"sync", "overlap"})
+        for (const char *Layout : {"infer", "canonical"}) {
+          const Leg L = Base + Leg{{std::string("-profile=") + Profile,
+                                    std::string("-comm=") + Comm,
+                                    std::string("-layout=") + Layout}};
+          std::string Error;
+          auto C = compile(Src, L, Error);
+          ASSERT_TRUE(C) << L.str() << "\n" << Error << "\n" << Src;
+          std::vector<size_t> Moves, Stmts;
+          nir::forEachImp(C->artifacts().OptimizedNIR, [&](const nir::Imp *I) {
+            const auto *M = dyn_cast<nir::MoveImp>(I);
+            if (!M || transform::classifyAction(M) !=
+                          transform::PhaseKind::Communication)
+              return;
+            const std::vector<nir::MoveClause> &Clauses = M->getClauses();
+            if (Clauses.size() > 1) {
+              EXPECT_TRUE(nir::matchExchange(Clauses)) << L.str() << "\n"
+                                                       << Src;
+              Moves.push_back(Clauses.size());
+              ++Merged;
+            } else if (nir::matchShift(Clauses[0])) {
+              Moves.push_back(1);
+              ++Single;
+            }
+          });
+          shiftStmtClauses(C->artifacts().Compiled.Program.Body.get(), Stmts);
+          EXPECT_EQ(Moves, Stmts) << L.str() << "\n" << Src;
+        }
+  // The matrix reaches both kinds.
+  EXPECT_GT(Merged, 0u);
+  EXPECT_GT(Single, 0u);
 }
 
 TEST(CommScheduleTest, SyncPipelineNeverSeesMultiShift) {

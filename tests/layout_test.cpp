@@ -24,6 +24,7 @@
 #include "nir/NIRContext.h"
 #include "nir/Printer.h"
 #include "nir/Verifier.h"
+#include "observe/Json.h"
 #include "observe/Metrics.h"
 #include "runtime/Checkpoint.h"
 
@@ -195,7 +196,34 @@ TEST(LayoutInfer, ResidualShiftKeepsPhysicalDistance) {
                     "end program resid\n";
   auto C = compileWithLayout(Src, true, nullptr);
   std::string L = host::printHostProgram(C->artifacts().Compiled.Program);
-  EXPECT_NE(L.find("realigned(logical="), std::string::npos) << L;
+  size_t Residual = 0;
+  for (size_t P = L.find("realigned(logical="); P != std::string::npos;
+       P = L.find("realigned(logical=", P + 1))
+    ++Residual;
+  EXPECT_EQ(Residual, 1u) << L;
+
+  // Traced, each residual exchange leaves one layout-realigned instant
+  // that names both distances.
+  invariance::Record R = invariance::run(
+      Src, Base + invariance::Leg{{"-layout=infer"}}, /*Traced=*/true);
+  ASSERT_TRUE(R.Ok) << R.Diags;
+  observe::json::Value Trace;
+  std::string Error;
+  ASSERT_TRUE(observe::json::parse(R.Trace, Trace, Error)) << Error;
+  ASSERT_NE(Trace.get("traceEvents"), nullptr);
+  size_t Instants = 0;
+  for (const observe::json::Value &E : Trace.get("traceEvents")->Arr) {
+    if (E.strOr("name", "") != "layout-realigned")
+      continue;
+    ++Instants;
+    const observe::json::Value *Args = E.get("args");
+    ASSERT_NE(Args, nullptr);
+    ASSERT_NE(Args->get("logical_shift"), nullptr);
+    ASSERT_NE(Args->get("physical_shift"), nullptr);
+    EXPECT_NE(Args->numOr("logical_shift", 0),
+              Args->numOr("physical_shift", 0));
+  }
+  EXPECT_EQ(Instants, Residual);
 
   // The residual leg still computes exactly the canonical chain.
   EXPECT_EQ(invariance::check(Src, inferAndCanonical()).Divergence, "") << L;

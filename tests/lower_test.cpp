@@ -338,6 +338,18 @@ TEST_F(LowerTest, RejectsAssignmentToParameter) {
   EXPECT_NE(Diags.str().find("PARAMETER"), std::string::npos);
 }
 
+TEST_F(LowerTest, RejectsDeclarationInitializer) {
+  // Only PARAMETERs take a value in their declaration; any other
+  // initializer is diagnosed by name rather than silently dropped.
+  auto LP = lowerSrc("program p\n"
+                     "real :: x = 2.5\n"
+                     "print *, x\n"
+                     "end\n");
+  EXPECT_FALSE(LP.has_value());
+  EXPECT_NE(Diags.str().find("initializer of 'x'"), std::string::npos)
+      << Diags.str();
+}
+
 TEST_F(LowerTest, RejectsAssignmentToLoopVariable) {
   auto LP = lowerSrc("program p\n"
                      "integer i\n"

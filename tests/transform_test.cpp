@@ -18,6 +18,7 @@
 #include "interp/Interpreter.h"
 #include "lower/Lowering.h"
 #include "nir/Printer.h"
+#include "nir/Verifier.h"
 #include "transform/Transforms.h"
 
 #include <gtest/gtest.h>
@@ -55,7 +56,11 @@ protected:
     ASSERT_NE(Raw, nullptr) << Diags.str();
     const N::ProgramImp *Opt = optimize(Raw, NCtx, Diags, Opts);
     ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
+    expectSameArrays(Raw, Opt, Arrays);
+  }
 
+  void expectSameArrays(const N::ProgramImp *Raw, const N::ProgramImp *Opt,
+                        const std::vector<std::string> &Arrays) {
     Interpreter IRaw(Diags), IOpt(Diags);
     ASSERT_TRUE(IRaw.run(Raw)) << Diags.str();
     ASSERT_TRUE(IOpt.run(Opt)) << Diags.str();
@@ -484,23 +489,26 @@ TEST_F(TransformTest, PreservesSemanticsWithEachPassAlone) {
                           "b(2:32:2,:) = 5*a(2:32:2,:)\n"
                           "b = b + cshift(a, 1, 1)\n"
                           "end\n";
-  {
-    SCOPED_TRACE("extract only");
-    TransformOptions O;
-    O.MaskSections = O.Blocking = false;
-    expectSemanticsPreserved(Src, {"a", "b", "c"}, O);
-  }
-  {
-    SCOPED_TRACE("mask only");
-    TransformOptions O;
-    O.ExtractComm = O.Blocking = false;
-    expectSemanticsPreserved(Src, {"a", "b", "c"}, O);
-  }
-  {
-    SCOPED_TRACE("blocking only");
-    TransformOptions O;
-    O.ExtractComm = O.MaskSections = false;
-    expectSemanticsPreserved(Src, {"a", "b", "c"}, O);
+  const N::ProgramImp *Raw = lowerSrc(Src);
+  ASSERT_NE(Raw, nullptr) << Diags.str();
+  using Pass = const N::Imp *(*)(const N::Imp *, N::NIRContext &,
+                                 DiagnosticEngine &);
+  // Only extract-comm establishes the canonical-comm post-condition.
+  const struct {
+    const char *Name;
+    Pass Run;
+    bool CanonicalComm;
+  } Legs[] = {{"extract only", extractComm, true},
+              {"mask only", maskSections, false},
+              {"blocking only", blockDomains, false}};
+  for (const auto &Leg : Legs) {
+    SCOPED_TRACE(Leg.Name);
+    const auto *Alone = dyn_cast<N::ProgramImp>(Leg.Run(Raw, NCtx, Diags));
+    ASSERT_NE(Alone, nullptr);
+    N::VerifyOptions VOpts;
+    VOpts.CanonicalComm = Leg.CanonicalComm;
+    ASSERT_TRUE(N::verify(Alone, Diags, VOpts)) << Diags.str();
+    expectSameArrays(Raw, Alone, {"a", "b", "c"});
   }
 }
 
