@@ -504,6 +504,7 @@ TEST_F(TransformTest, PreservesSemanticsWithEachPassAlone) {
   for (const auto &Leg : Legs) {
     SCOPED_TRACE(Leg.Name);
     const auto *Alone = dyn_cast<N::ProgramImp>(Leg.Run(Raw, NCtx, Diags));
+    ASSERT_FALSE(Diags.hasErrors()) << Diags.str();
     ASSERT_NE(Alone, nullptr);
     N::VerifyOptions VOpts;
     VOpts.CanonicalComm = Leg.CanonicalComm;
