@@ -91,11 +91,12 @@ private:
     return true;
   }
 
-  /// Geometry (sizes, los) of the array named \p Id, from its declared
+  /// Geometry (sizes, los) of the array \p AV reads, from its declared
   /// dfield type.
-  bool arrayGeometry(const std::string &Id, std::vector<int64_t> &Sizes,
+  bool arrayGeometry(const N::AVarValue *AV, std::vector<int64_t> &Sizes,
                      std::vector<int64_t> &Los) {
-    const auto *FT = dyn_cast_or_null<N::DFieldType>(Types.lookup(Id));
+    const auto *FT =
+        dyn_cast_or_null<N::DFieldType>(Types.lookup(AV->getSymbol()));
     if (!FT)
       return false;
     return shapeGeometry(FT->getShape(), Sizes, Los);
@@ -128,10 +129,11 @@ private:
 
   /// Expands a field action into zero-based SectionDims over the array's
   /// declared geometry.
-  bool expandSection(const std::string &Id, const N::FieldAction *F,
+  bool expandSection(const N::AVarValue *AV,
                      std::vector<runtime::CmRuntime::SectionDim> &Out) {
+    const N::FieldAction *F = AV->getAction();
     std::vector<int64_t> Sizes, Los;
-    if (!arrayGeometry(Id, Sizes, Los))
+    if (!arrayGeometry(AV, Sizes, Los))
       return false;
     Out.clear();
     if (isa<N::EverywhereAction>(F)) {
@@ -157,8 +159,8 @@ private:
 
 std::unique_ptr<HostStmt>
 FECompiler::compileComputationMove(const N::MoveImp *M) {
-  std::string Domain = transform::computationDomainOf(M, Types);
-  if (Domain.empty()) {
+  const N::Symbol *Domain = transform::computationDomainOf(M, Types);
+  if (!Domain) {
     error("cannot determine the domain of a computation phase");
     return nullptr;
   }
@@ -166,7 +168,7 @@ FECompiler::compileComputationMove(const N::MoveImp *M) {
   std::vector<int64_t> Sizes, Los;
   std::vector<bool> Serial;
   if (!S || !shapeGeometry(S, Sizes, Los, &Serial)) {
-    error("cannot resolve the shape of domain '" + Domain + "'");
+    error("cannot resolve the shape of domain '" + Domain->Name + "'");
     return nullptr;
   }
   for (bool B : Serial)
@@ -263,8 +265,7 @@ FECompiler::compileCommClause(const N::MoveClause &C) {
   // Misaligned section copy: both sides bare AVARs.
   if (const auto *SrcAV = dyn_cast<N::AVarValue>(C.Src)) {
     std::vector<runtime::CmRuntime::SectionDim> DstSec, SrcSec;
-    if (!expandSection(DstAV->getId(), DstAV->getAction(), DstSec) ||
-        !expandSection(SrcAV->getId(), SrcAV->getAction(), SrcSec)) {
+    if (!expandSection(DstAV, DstSec) || !expandSection(SrcAV, SrcSec)) {
       error("cannot expand section geometry");
       return nullptr;
     }
@@ -374,30 +375,29 @@ std::unique_ptr<HostStmt> FECompiler::compileImp(const N::Imp *I) {
     std::vector<AllocScopeStmt::FieldAlloc> Fields;
     std::vector<AllocScopeStmt::ScalarAlloc> Scalars;
     bool Bad = false;
-    forEachBinding(WD->getDecl(), [&](const std::string &Id,
-                                      const N::Type *Ty, const N::Value *) {
+    N::forEachSimpleDecl(WD->getDecl(), [&](const N::SimpleDecl *SD) {
+      const N::Type *Ty = SD->getType();
       if (const auto *FT = dyn_cast<N::DFieldType>(Ty)) {
         AllocScopeStmt::FieldAlloc F;
-        F.Name = Id;
+        F.Name = SD->getId();
         if (!shapeGeometry(FT->getShape(), F.Extents, F.Los)) {
           Bad = true;
           return;
         }
         F.Kind = elemKindOfType(FT->getUltimateElementType());
-        if (const layout::LayoutDescriptor *L =
-                N::findLayout(WD->getDecl(), Id);
-            L && !L->isCanonical()) {
-          F.AxisMap = L->AxisMap;
+        if (const layout::LayoutDescriptor &L = SD->getLayout();
+            !L.isCanonical()) {
+          F.AxisMap = L.AxisMap;
           if (F.AxisMap.empty())
             for (size_t D = 0; D < F.Extents.size(); ++D)
               F.AxisMap.push_back(static_cast<int64_t>(D));
-          F.Offsets = L->Offsets;
+          F.Offsets = L.Offsets;
           F.Offsets.resize(F.Extents.size(), 0);
         }
         Fields.push_back(std::move(F));
         return;
       }
-      Scalars.push_back({Id, elemKindOfType(Ty)});
+      Scalars.push_back({SD->getId(), elemKindOfType(Ty)});
     });
     if (Bad) {
       error("cannot resolve an array shape at allocation");
@@ -417,9 +417,9 @@ std::unique_ptr<HostStmt> FECompiler::compileImp(const N::Imp *I) {
   }
   case N::Imp::Kind::WithDomain: {
     const auto *WD = cast<N::WithDomainImp>(I);
-    const N::Shape *Old = Domains.bind(WD->getName(), WD->getShape());
+    const N::Shape *Old = Domains.bind(WD->getSymbol(), WD->getShape());
     auto Body = compileImp(WD->getBody());
-    Domains.restore(WD->getName(), Old);
+    Domains.restore(WD->getSymbol(), Old);
     return Body;
   }
   case N::Imp::Kind::Skip:

@@ -7,10 +7,9 @@
 #include "backend/PECompiler.h"
 
 #include "nir/Clause.h"
-#include "nir/Printer.h"
+#include "nir/Equality.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace f90y;
 using namespace f90y::backend;
@@ -32,36 +31,48 @@ struct VOp {
 
 class PECompilerImpl {
 public:
-  PECompilerImpl(const N::MoveImp *M, std::string StmtDomain,
+  PECompilerImpl(const N::MoveImp *M, const N::Symbol *StmtDomain,
                  const N::ElemTypeInference &Types, const PEOptions &Opts,
                  unsigned Index, DiagnosticEngine &Diags)
-      : M(M), StmtDomain(std::move(StmtDomain)), Types(Types), Opts(Opts),
-        Index(Index), Diags(Diags) {}
+      : M(M), StmtDomain(StmtDomain), Types(Types), Opts(Opts), Index(Index),
+        Diags(Diags) {}
 
   std::optional<PEResult> run();
 
 private:
   const N::MoveImp *M;
-  std::string StmtDomain;
+  const N::Symbol *StmtDomain;
   const N::ElemTypeInference &Types;
   PEOptions Opts;
   unsigned Index;
   DiagnosticEngine &Diags;
   bool Failed = false;
 
-  // Arguments.
-  std::map<std::string, unsigned> FieldPtrs;  ///< array name -> aP index.
-  std::map<unsigned, unsigned> CoordPtrs;     ///< dim -> aP index.
-  std::map<std::string, unsigned> ScalarArgs; ///< value key -> aS index.
+  /// Structural value numbers: CSE, scalar-argument and leaf-use keys.
+  N::ValueNumbering VN;
+
+  // Arguments; each table holds 1 + the slot index (0: no slot yet).
+  N::SymbolMap<unsigned> FieldPtrs;  ///< array -> aP slot.
+  std::vector<unsigned> CoordPtrs;   ///< dim -> aP slot.
+  std::vector<unsigned> ScalarArgs;  ///< value number -> aS slot.
   std::vector<host::PeacArgSpec> PtrArgSpecs, ScalarArgSpecs;
 
-  // Leaf use counts (for the chain-vs-load decision).
-  std::map<std::string, unsigned> LeafUses;
+  // Leaf use counts by value number (for the chain-vs-load decision).
+  std::vector<unsigned> LeafUses;
 
   // Virtual code.
   std::vector<VOp> VCode;
   unsigned NextVReg = 0;
-  std::map<std::string, Operand> Cache; ///< CSE: value print -> operand.
+  std::vector<int> Cache; ///< CSE: value number -> vreg (-1: none).
+  std::vector<unsigned> Cached; ///< Value numbers with a Cache entry.
+
+  /// \p Table[\p Key], grown with \p Fill as needed.
+  template <typename T>
+  static T &slot(std::vector<T> &Table, size_t Key, T Fill = T()) {
+    if (Key >= Table.size())
+      Table.resize(Key + 1, Fill);
+    return Table[Key];
+  }
 
   void error(const std::string &Msg) {
     if (!Failed)
@@ -73,45 +84,40 @@ private:
   // Operand discovery
   //===------------------------------------------------------------------===//
 
-  unsigned fieldPtr(const std::string &Name) {
-    auto It = FieldPtrs.find(Name);
-    if (It != FieldPtrs.end())
-      return It->second;
-    unsigned Idx = static_cast<unsigned>(FieldPtrs.size() +
-                                         CoordPtrs.size());
-    FieldPtrs[Name] = Idx;
-    host::PeacArgSpec Spec;
-    Spec.K = host::PeacArgSpec::Kind::FieldPtr;
-    Spec.Field = Name;
-    PtrArgSpecs.push_back(Spec);
-    return Idx;
+  unsigned fieldPtr(const N::AVarValue *AV) {
+    unsigned &Slot = FieldPtrs[AV->getSymbol()];
+    if (!Slot) {
+      host::PeacArgSpec Spec;
+      Spec.K = host::PeacArgSpec::Kind::FieldPtr;
+      Spec.Field = AV->getId();
+      PtrArgSpecs.push_back(Spec);
+      Slot = static_cast<unsigned>(PtrArgSpecs.size());
+    }
+    return Slot - 1;
   }
 
   unsigned coordPtr(unsigned Dim) {
-    auto It = CoordPtrs.find(Dim);
-    if (It != CoordPtrs.end())
-      return It->second;
-    unsigned Idx = static_cast<unsigned>(FieldPtrs.size() +
-                                         CoordPtrs.size());
-    CoordPtrs[Dim] = Idx;
-    host::PeacArgSpec Spec;
-    Spec.K = host::PeacArgSpec::Kind::CoordPtr;
-    Spec.Dim = Dim;
-    PtrArgSpecs.push_back(Spec);
-    return Idx;
+    unsigned &Slot = slot(CoordPtrs, Dim);
+    if (!Slot) {
+      host::PeacArgSpec Spec;
+      Spec.K = host::PeacArgSpec::Kind::CoordPtr;
+      Spec.Dim = Dim;
+      PtrArgSpecs.push_back(Spec);
+      Slot = static_cast<unsigned>(PtrArgSpecs.size());
+    }
+    return Slot - 1;
   }
 
-  unsigned scalarArg(const std::string &Key, const N::Value *V) {
-    auto It = ScalarArgs.find(Key);
-    if (It != ScalarArgs.end())
-      return It->second;
-    unsigned Idx = static_cast<unsigned>(ScalarArgs.size());
-    ScalarArgs[Key] = Idx;
-    host::PeacArgSpec Spec;
-    Spec.K = host::PeacArgSpec::Kind::Scalar;
-    Spec.Scalar = V;
-    ScalarArgSpecs.push_back(Spec);
-    return Idx;
+  unsigned scalarArg(const N::Value *V) {
+    unsigned &Slot = slot(ScalarArgs, VN.number(V));
+    if (!Slot) {
+      host::PeacArgSpec Spec;
+      Spec.K = host::PeacArgSpec::Kind::Scalar;
+      Spec.Scalar = V;
+      ScalarArgSpecs.push_back(Spec);
+      Slot = static_cast<unsigned>(ScalarArgSpecs.size());
+    }
+    return Slot - 1;
   }
 
   /// Counts field-leaf uses (chaining decision) and registers argument
@@ -130,13 +136,13 @@ private:
     case N::Value::Kind::AVar: {
       const auto *AV = cast<N::AVarValue>(V);
       if (isa<N::EverywhereAction>(AV->getAction())) {
-        fieldPtr(AV->getId());
-        ++LeafUses["f:" + AV->getId()];
+        fieldPtr(AV);
+        ++slot(LeafUses, VN.number(V));
         return;
       }
       if (isa<N::SubscriptAction>(AV->getAction())) {
         // A single-element read is a host-evaluated scalar argument.
-        scalarArg("v:" + N::printValue(V), V);
+        scalarArg(V);
         return;
       }
       error("array section reached the PE compiler (run the section "
@@ -144,17 +150,17 @@ private:
       return;
     }
     case N::Value::Kind::SVar:
-      scalarArg("v:" + N::printValue(V), V);
+      scalarArg(V);
       return;
     case N::Value::Kind::LocalCoord: {
       const auto *LC = cast<N::LocalCoordValue>(V);
-      if (LC->getDomain() == StmtDomain) {
+      if (LC->getSymbol() == StmtDomain) {
         coordPtr(LC->getDim());
-        ++LeafUses["c:" + std::to_string(LC->getDim())];
+        ++slot(LeafUses, VN.number(V));
         return;
       }
       // Coordinates of an enclosing serial loop: a host scalar.
-      scalarArg("v:" + N::printValue(V), V);
+      scalarArg(V);
       return;
     }
     case N::Value::Kind::FcnCall: {
@@ -202,8 +208,6 @@ private:
     return emitOp(Opcode::FMovV, {O});
   }
 
-  static bool usesMem(const Operand &O) { return O.isMem(); }
-
   /// Ensures at most one memory operand among \p Ops by materializing the
   /// later ones into registers.
   void limitMemOperands(std::vector<Operand> &Ops) {
@@ -223,35 +227,42 @@ private:
   /// \p AllowMem permits (chaining).
   Operand emitValue(const N::Value *V, bool AllowMem);
 
-  Operand emitLeafField(const std::string &Name, const std::string &UseKey,
-                        unsigned Ptr, bool AllowMem,
-                        const std::string &CacheKey) {
-    if (Opts.CSE) {
-      auto It = Cache.find(CacheKey);
-      if (It != Cache.end())
-        return It->second;
-    }
-    bool ChainIt =
-        Opts.Chaining && AllowMem && LeafUses[UseKey] == 1;
-    (void)Name;
+  /// The cached register of value number \p Key, or -1.
+  int cached(unsigned Key) const {
+    return Key < Cache.size() ? Cache[Key] : -1;
+  }
+
+  void cache(unsigned Key, Operand R) {
+    int &Reg = slot(Cache, Key, -1);
+    if (Reg < 0)
+      Cached.push_back(Key);
+    Reg = static_cast<int>(R.Reg);
+  }
+
+  /// Loads the field or coordinate leaf \p Leaf from pointer slot \p Ptr.
+  Operand emitLeafField(const N::Value *Leaf, unsigned Ptr, bool AllowMem) {
+    unsigned Key = VN.number(Leaf);
+    if (Opts.CSE && cached(Key) >= 0)
+      return Operand::vreg(static_cast<unsigned>(Cache[Key]));
+    bool ChainIt = Opts.Chaining && AllowMem && slot(LeafUses, Key) == 1;
     if (ChainIt)
       return Operand::mem(Ptr);
     Operand R = emitOp(Opcode::FLodV, {Operand::mem(Ptr)});
     if (Opts.CSE)
-      Cache[CacheKey] = R;
+      cache(Key, R);
     return R;
   }
 
   Operand emitBinary(const N::BinaryValue *B, bool AllowMem);
 
-  void invalidateCache(const std::string &ArrayName) {
-    std::string Needle = "'" + ArrayName + "'";
-    for (auto It = Cache.begin(); It != Cache.end();) {
-      if (It->first.find(Needle) != std::string::npos)
-        It = Cache.erase(It);
-      else
-        ++It;
-    }
+  /// Drops the cached values that read \p Array.
+  void invalidateCache(const N::Symbol *Array) {
+    std::erase_if(Cached, [&](unsigned Key) {
+      if (!VN.mentions(Key, Array))
+        return false;
+      Cache[Key] = -1;
+      return true;
+    });
   }
 
   void emitClause(const N::MoveClause &C);
@@ -269,14 +280,12 @@ Operand PECompilerImpl::emitValue(const N::Value *V, bool AllowMem) {
   if (Failed)
     return Operand::imm(0);
 
-  std::string CacheKey;
-  if (Opts.CSE && (isa<N::BinaryValue>(V) || isa<N::UnaryValue>(V) ||
-                   isa<N::FcnCallValue>(V))) {
-    CacheKey = N::printValue(V);
-    auto It = Cache.find(CacheKey);
-    if (It != Cache.end())
-      return It->second;
-  }
+  const bool CacheIt = Opts.CSE && (isa<N::BinaryValue>(V) ||
+                                    isa<N::UnaryValue>(V) ||
+                                    isa<N::FcnCallValue>(V));
+  const unsigned Key = CacheIt ? VN.number(V) : 0;
+  if (CacheIt && cached(Key) >= 0)
+    return Operand::vreg(static_cast<unsigned>(Cache[Key]));
 
   Operand Result = Operand::imm(0);
   switch (V->getKind()) {
@@ -286,22 +295,18 @@ Operand PECompilerImpl::emitValue(const N::Value *V, bool AllowMem) {
   }
   case N::Value::Kind::SVar:
   case N::Value::Kind::StrConst:
-    return Operand::sreg(scalarArg("v:" + N::printValue(V), V));
+    return Operand::sreg(scalarArg(V));
   case N::Value::Kind::AVar: {
     const auto *AV = cast<N::AVarValue>(V);
     if (isa<N::EverywhereAction>(AV->getAction()))
-      return emitLeafField(AV->getId(), "f:" + AV->getId(),
-                           fieldPtr(AV->getId()), AllowMem,
-                           N::printValue(V));
-    return Operand::sreg(scalarArg("v:" + N::printValue(V), V));
+      return emitLeafField(V, fieldPtr(AV), AllowMem);
+    return Operand::sreg(scalarArg(V));
   }
   case N::Value::Kind::LocalCoord: {
     const auto *LC = cast<N::LocalCoordValue>(V);
-    if (LC->getDomain() == StmtDomain)
-      return emitLeafField("", "c:" + std::to_string(LC->getDim()),
-                           coordPtr(LC->getDim()), AllowMem,
-                           N::printValue(V));
-    return Operand::sreg(scalarArg("v:" + N::printValue(V), V));
+    if (LC->getSymbol() == StmtDomain)
+      return emitLeafField(V, coordPtr(LC->getDim()), AllowMem);
+    return Operand::sreg(scalarArg(V));
   }
   case N::Value::Kind::Unary: {
     const auto *U = cast<N::UnaryValue>(V);
@@ -368,8 +373,8 @@ Operand PECompilerImpl::emitValue(const N::Value *V, bool AllowMem) {
   }
   }
 
-  if (!CacheKey.empty() && Result.K == Operand::Kind::VReg)
-    Cache[CacheKey] = Result;
+  if (CacheIt && Result.K == Operand::Kind::VReg)
+    cache(Key, Result);
   return Result;
 }
 
@@ -473,7 +478,7 @@ void PECompilerImpl::emitClause(const N::MoveClause &C) {
     error("CM/PE accepts only everywhere-restricted destinations");
     return;
   }
-  unsigned DstPtr = fieldPtr(DstAV->getId());
+  unsigned DstPtr = fieldPtr(DstAV);
 
   Operand Value = Operand::imm(0);
   if (N::isTrueGuard(C.Guard)) {
@@ -500,19 +505,16 @@ void PECompilerImpl::emitClause(const N::MoveClause &C) {
   // The destination's in-memory value is now the stored register; later
   // clauses reading it can reuse the register (after invalidating stale
   // entries mentioning the array).
-  invalidateCache(DstAV->getId());
-  if (Opts.CSE) {
-    std::string Key =
-        N::printValue(C.Dst); // AVAR('name', everywhere) print form.
-    Cache[Key] = Value;
-  }
+  invalidateCache(DstAV->getSymbol());
+  if (Opts.CSE)
+    cache(VN.number(C.Dst), Value);
 }
 
 void PECompilerImpl::fuseMadds() {
   if (!Opts.MaddFusion)
     return;
   // Use counts over virtual registers.
-  std::map<unsigned, unsigned> Uses;
+  std::vector<unsigned> Uses(NextVReg);
   for (const VOp &I : VCode)
     for (const Operand &S : I.Srcs)
       if (S.K == Operand::Kind::VReg)
@@ -522,7 +524,7 @@ void PECompilerImpl::fuseMadds() {
     if (VCode[I].Op != Opcode::FMulV)
       continue;
     unsigned T = VCode[I].Dst;
-    if (Uses[T] != 1)
+    if (T >= Uses.size() || Uses[T] != 1)
       continue;
     // Find the unique consumer.
     for (size_t J = I + 1; J < VCode.size(); ++J) {
@@ -576,31 +578,27 @@ void PECompilerImpl::fuseMadds() {
 std::vector<Instruction>
 PECompilerImpl::allocateRegisters(unsigned &SpillSlots) {
   // Use positions per virtual register.
-  std::map<unsigned, std::vector<size_t>> UsePos;
+  std::vector<std::vector<size_t>> UsePos(NextVReg);
   for (size_t I = 0; I < VCode.size(); ++I)
     for (const Operand &S : VCode[I].Srcs)
       if (S.K == Operand::Kind::VReg)
         UsePos[S.Reg].push_back(I);
 
   const unsigned NumPhys = Opts.VectorRegs;
-  const unsigned NumPtrs =
-      static_cast<unsigned>(FieldPtrs.size() + CoordPtrs.size());
+  const unsigned NumPtrs = static_cast<unsigned>(PtrArgSpecs.size());
 
   struct VState {
     int Phys = -1;
     int Slot = -1; ///< Spill slot, when spilled.
     size_t NextUseIdx = 0;
   };
-  std::map<unsigned, VState> VRegs;
+  std::vector<VState> VRegs(NextVReg);
   std::vector<int> PhysHolder(NumPhys, -1); // phys -> vreg or -1.
   SpillSlots = 0;
   std::vector<Instruction> Out;
 
   auto nextUseAfter = [&](unsigned V, size_t Pos) -> size_t {
-    auto It = UsePos.find(V);
-    if (It == UsePos.end())
-      return SIZE_MAX;
-    for (size_t U : It->second)
+    for (size_t U : UsePos[V])
       if (U >= Pos)
         return U;
     return SIZE_MAX;
@@ -746,9 +744,9 @@ std::optional<PEResult> PECompilerImpl::run() {
       error("CM/PE accepts only everywhere-restricted destinations");
       return std::nullopt;
     }
-    fieldPtr(DstAV->getId());
+    fieldPtr(DstAV);
     if (!N::isTrueGuard(C.Guard))
-      ++LeafUses["f:" + DstAV->getId()]; // Masked stores re-read the dst.
+      ++slot(LeafUses, VN.number(DstAV)); // Masked stores re-read the dst.
   }
   if (Failed)
     return std::nullopt;
@@ -771,10 +769,11 @@ std::optional<PEResult> PECompilerImpl::run() {
   packDualIssue(Code);
 
   PEResult Result;
-  Result.Routine.Name = "P" + std::to_string(Index) + "vs1";
-  Result.Routine.NumPtrArgs =
-      static_cast<unsigned>(FieldPtrs.size() + CoordPtrs.size());
-  Result.Routine.NumScalarArgs = static_cast<unsigned>(ScalarArgs.size());
+  // Appended, not "P" + ...: GCC 12 warns falsely (-Wrestrict) on that.
+  Result.Routine.Name = "P";
+  Result.Routine.Name += std::to_string(Index) + "vs1";
+  Result.Routine.NumPtrArgs = static_cast<unsigned>(PtrArgSpecs.size());
+  Result.Routine.NumScalarArgs = static_cast<unsigned>(ScalarArgSpecs.size());
   Result.Routine.NumSpillSlots = SpillSlots;
   Result.Routine.Body = std::move(Code);
   Result.Args = PtrArgSpecs;
@@ -786,7 +785,7 @@ std::optional<PEResult> PECompilerImpl::run() {
 } // namespace
 
 std::optional<PEResult> backend::compileComputation(
-    const N::MoveImp *M, const std::string &StmtDomain,
+    const N::MoveImp *M, const N::Symbol *StmtDomain,
     const N::ElemTypeInference &Types, const PEOptions &Opts, unsigned Index,
     DiagnosticEngine &Diags) {
   return PECompilerImpl(M, StmtDomain, Types, Opts, Index, Diags).run();

@@ -64,7 +64,7 @@ struct PEResult {
 /// into a PEAC routine named P<Index>. Returns std::nullopt (with a
 /// diagnostic) when M violates the CM/PE input restrictions.
 std::optional<PEResult>
-compileComputation(const nir::MoveImp *M, const std::string &StmtDomain,
+compileComputation(const nir::MoveImp *M, const nir::Symbol *StmtDomain,
                    const nir::ElemTypeInference &Types,
                    const PEOptions &Opts, unsigned Index,
                    DiagnosticEngine &Diags);

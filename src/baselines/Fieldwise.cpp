@@ -141,7 +141,7 @@ private:
     if (!AV)
       return 1;
     const auto *FT =
-        dyn_cast_or_null<N::DFieldType>(Types.lookup(AV->getId()));
+        dyn_cast_or_null<N::DFieldType>(Types.lookup(AV->getSymbol()));
     if (!FT)
       return 1;
     if (const auto *Sec = dyn_cast<N::SectionAction>(AV->getAction())) {
@@ -212,9 +212,9 @@ private:
       return;
     case N::Imp::Kind::WithDomain: {
       const auto *WD = cast<N::WithDomainImp>(I);
-      const N::Shape *Old = Domains.bind(WD->getName(), WD->getShape());
+      const N::Shape *Old = Domains.bind(WD->getSymbol(), WD->getShape());
       visit(WD->getBody(), Mult);
-      Domains.restore(WD->getName(), Old);
+      Domains.restore(WD->getSymbol(), Old);
       return;
     }
     case N::Imp::Kind::Skip:

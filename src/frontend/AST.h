@@ -446,18 +446,18 @@ struct SourceFile {
 class ASTContext {
 public:
   template <typename T, typename... Args> const T *make(Args &&...As) {
-    auto Node = std::make_unique<T>(std::forward<Args>(As)...);
-    const T *Raw = Node.get();
-    Nodes.push_back(std::make_unique<Holder<T>>(std::move(Node)));
+    auto H = std::make_unique<Holder<T>>(std::forward<Args>(As)...);
+    const T *Raw = &H->Node;
+    Nodes.push_back(std::move(H));
     return Raw;
   }
 
   template <typename T, typename... Args>
   const T *makeAt(SourceLocation Loc, Args &&...As) {
-    auto Node = std::make_unique<T>(std::forward<Args>(As)...);
-    Node->setLoc(Loc);
-    const T *Raw = Node.get();
-    Nodes.push_back(std::make_unique<Holder<T>>(std::move(Node)));
+    auto H = std::make_unique<Holder<T>>(std::forward<Args>(As)...);
+    H->Node.setLoc(Loc);
+    const T *Raw = &H->Node;
+    Nodes.push_back(std::move(H));
     return Raw;
   }
 
@@ -466,8 +466,9 @@ private:
     virtual ~AnyNode() = default;
   };
   template <typename T> struct Holder final : AnyNode {
-    explicit Holder(std::unique_ptr<T> P) : P(std::move(P)) {}
-    std::unique_ptr<T> P;
+    template <typename... Args>
+    explicit Holder(Args &&...As) : Node(std::forward<Args>(As)...) {}
+    T Node;
   };
 
   std::vector<std::unique_ptr<AnyNode>> Nodes;

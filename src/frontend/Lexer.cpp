@@ -8,8 +8,9 @@
 
 #include "support/StringUtil.h"
 
+#include <algorithm>
 #include <cctype>
-#include <map>
+#include <string_view>
 
 using namespace f90y;
 using namespace f90y::frontend;
@@ -187,8 +188,9 @@ void Lexer::skipHorizontalSpaceAndComments() {
   }
 }
 
-static const std::map<std::string, TokenKind> &keywordTable() {
-  static const std::map<std::string, TokenKind> Table = {
+/// The keyword spelled \p Text (lower case), or Identifier.
+static TokenKind keywordKind(std::string_view Text) {
+  static constexpr std::pair<std::string_view, TokenKind> Keywords[] = {
       {"program", TokenKind::KwProgram},
       {"end", TokenKind::KwEnd},
       {"integer", TokenKind::KwInteger},
@@ -215,21 +217,21 @@ static const std::map<std::string, TokenKind> &keywordTable() {
       {"print", TokenKind::KwPrint},
       {"call", TokenKind::KwCall},
       {"subroutine", TokenKind::KwSubroutine}};
-  return Table;
+  for (const auto &[Spelling, Kind] : Keywords)
+    if (Spelling == Text)
+      return Kind;
+  return TokenKind::Identifier;
 }
 
 Token Lexer::lexIdentifierOrKeyword() {
   SourceLocation Start = loc();
-  std::string Text;
-  while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
-                      peek() == '_'))
-    Text.push_back(advance());
-  Text = toLower(Text);
   Token T;
   T.Loc = Start;
-  auto It = keywordTable().find(Text);
-  T.Kind = It == keywordTable().end() ? TokenKind::Identifier : It->second;
-  T.Text = Text;
+  while (!atEnd() && (std::isalnum(static_cast<unsigned char>(peek())) ||
+                      peek() == '_'))
+    T.Text.push_back(static_cast<char>(
+        std::tolower(static_cast<unsigned char>(advance()))));
+  T.Kind = keywordKind(T.Text);
   return T;
 }
 
@@ -304,15 +306,16 @@ Token Lexer::lexDotted() {
     return T;
   }
   advance(); // consume trailing '.'
-  static const std::map<std::string, TokenKind> Dotted = {
+  static constexpr std::pair<std::string_view, TokenKind> Dotted[] = {
       {"and", TokenKind::DotAnd},   {"or", TokenKind::DotOr},
       {"not", TokenKind::DotNot},   {"eqv", TokenKind::DotEqv},
       {"true", TokenKind::DotTrue}, {"false", TokenKind::DotFalse},
       {"eq", TokenKind::EqEq},      {"ne", TokenKind::SlashEq},
       {"lt", TokenKind::Less},      {"le", TokenKind::LessEq},
       {"gt", TokenKind::Greater},   {"ge", TokenKind::GreaterEq}};
-  auto It = Dotted.find(Word);
-  if (It == Dotted.end()) {
+  const auto *It = std::find_if(std::begin(Dotted), std::end(Dotted),
+                                [&](const auto &E) { return E.first == Word; });
+  if (It == std::end(Dotted)) {
     Diags.error(Start, "unknown dotted operator '." + Word + ".'");
     T.Kind = TokenKind::EndOfStatement;
     return T;
@@ -397,7 +400,7 @@ std::vector<Token> Lexer::lexAll() {
       // Not a label: an expression statement can't start with a number in
       // Fortran, but emit the literal and let the parser diagnose.
       Num.Label = PendingLabel;
-      Tokens.push_back(Num);
+      Tokens.push_back(std::move(Num));
       AtStatementStart = false;
       continue;
     }
@@ -469,7 +472,7 @@ std::vector<Token> Lexer::lexAll() {
     T.Label = PendingLabel;
     PendingLabel = 0;
     AtStatementStart = false;
-    Tokens.push_back(T);
+    Tokens.push_back(std::move(T));
   }
 
   PushEOS(loc());

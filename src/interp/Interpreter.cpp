@@ -181,9 +181,9 @@ void Interpreter::execImp(const N::Imp *I) {
   }
   case N::Imp::Kind::WithDomain: {
     const auto *WD = cast<N::WithDomainImp>(I);
-    const N::Shape *Old = Domains.bind(WD->getName(), WD->getShape());
+    const N::Shape *Old = Domains.bind(WD->getSymbol(), WD->getShape());
     execImp(WD->getBody());
-    Domains.restore(WD->getName(), Old);
+    Domains.restore(WD->getSymbol(), Old);
     return;
   }
   case N::Imp::Kind::Skip:
@@ -438,7 +438,7 @@ std::vector<int64_t> Interpreter::fieldCounts(const N::Value *V) {
   }
   case N::Value::Kind::LocalCoord: {
     const auto *LC = cast<N::LocalCoordValue>(V);
-    const N::Shape *S = Domains.lookup(LC->getDomain());
+    const N::Shape *S = Domains.lookup(LC->getSymbol());
     std::vector<N::ShapeExtent> Exts;
     if (!S || !N::shapeExtents(S, Domains, Exts))
       return {};

@@ -37,12 +37,12 @@ private:
   AlignmentGraph G;
   N::DomainEnv Domains;
 
-  AlignField *fieldOf(const std::string &Id) {
-    auto It = G.Fields.find(Id);
-    return It == G.Fields.end() ? nullptr : &It->second;
+  AlignField *fieldOf(const N::Symbol *Id) {
+    unsigned P = G.Index.lookup(Id);
+    return P ? &G.Fields[P - 1] : nullptr;
   }
 
-  void pin(const std::string &Id) {
+  void pin(const N::Symbol *Id) {
     if (AlignField *F = fieldOf(Id))
       F->Pinned = true;
   }
@@ -67,7 +67,7 @@ private:
       return;
     case N::Value::Kind::AVar: {
       const auto *AV = cast<N::AVarValue>(V);
-      pin(AV->getId());
+      pin(AV->getSymbol());
       if (const auto *Sub = dyn_cast<N::SubscriptAction>(AV->getAction()))
         for (const N::Value *Idx : Sub->getIndices())
           pinFieldsIn(Idx);
@@ -84,7 +84,8 @@ private:
   /// Collects whole-field participants of a computational expression;
   /// sets \p Irregular when the expression contains a construct that
   /// forces its fields canonical (subscript, section, coordinate value).
-  void collectParticipants(const N::Value *V, std::vector<std::string> &Out,
+  void collectParticipants(const N::Value *V,
+                           std::vector<const N::Symbol *> &Out,
                            bool &Irregular) {
     if (!V)
       return;
@@ -105,7 +106,7 @@ private:
       return;
     case N::Value::Kind::AVar: {
       const auto *AV = cast<N::AVarValue>(V);
-      Out.push_back(AV->getId());
+      Out.push_back(AV->getSymbol());
       if (!isa<N::EverywhereAction>(AV->getAction()))
         Irregular = true;
       if (const auto *Sub = dyn_cast<N::SubscriptAction>(AV->getAction()))
@@ -176,15 +177,15 @@ private:
       // rotation would change (or fills edges / reassociates FP), so its
       // fields stay canonical.
       std::optional<N::ShiftClause> S = N::matchShift(C);
-      AlignField *SF = S ? fieldOf(S->Src->getId()) : nullptr;
-      AlignField *DF = S ? fieldOf(S->Dst->getId()) : nullptr;
+      AlignField *SF = S ? fieldOf(S->Src->getSymbol()) : nullptr;
+      AlignField *DF = S ? fieldOf(S->Dst->getSymbol()) : nullptr;
       if (SF && DF && !S->EndOff && !S->isRealigned() &&
           SF->Extents == DF->Extents && S->Dim >= 1 &&
           static_cast<size_t>(S->Dim) <= SF->Extents.size()) {
         AlignEdge E;
         E.K = AlignEdge::Kind::Shift;
-        E.Src = S->Src->getId();
-        E.Dst = S->Dst->getId();
+        E.Src = S->Src->getSymbol();
+        E.Dst = S->Dst->getSymbol();
         E.Axis = static_cast<unsigned>(S->Dim - 1);
         E.Shift = S->Shift;
         E.Weight = TripMult * shiftCost(*SF, E.Shift);
@@ -200,7 +201,7 @@ private:
     // Computational clause. A comm call nested below the top level (the
     // pass ran without extract-comm) defeats the slot-wise argument, so
     // everything it touches stays canonical.
-    std::vector<std::string> Parts;
+    std::vector<const N::Symbol *> Parts;
     bool Irregular =
         containsCommCall(C.Guard) || containsCommCall(C.Src);
     collectParticipants(C.Guard, Parts, Irregular);
@@ -211,13 +212,13 @@ private:
     if (!isa<N::AVarValue>(C.Dst))
       Irregular = true; // Field read into scalar storage.
     const AlignField *Ref = fieldOf(Parts.front());
-    for (const std::string &Id : Parts) {
+    for (const N::Symbol *Id : Parts) {
       const AlignField *AF = fieldOf(Id);
       if (!AF || !Ref || AF->Extents != Ref->Extents)
         Irregular = true;
     }
     if (Irregular) {
-      for (const std::string &Id : Parts)
+      for (const N::Symbol *Id : Parts)
         pin(Id);
       return;
     }
@@ -266,14 +267,12 @@ private:
     }
     case N::Imp::Kind::WithDecl: {
       const auto *WD = cast<N::WithDeclImp>(I);
-      N::forEachBinding(WD->getDecl(), [&](const std::string &Id,
-                                           const N::Type *Ty,
-                                           const N::Value *) {
-        const auto *FT = dyn_cast<N::DFieldType>(Ty);
+      N::forEachSimpleDecl(WD->getDecl(), [&](const N::SimpleDecl *SD) {
+        const auto *FT = dyn_cast<N::DFieldType>(SD->getType());
         if (!FT)
           return;
         AlignField AF;
-        AF.Name = Id;
+        AF.Name = SD->getSymbol();
         std::vector<N::ShapeExtent> Ext;
         if (!N::shapeExtents(FT->getShape(), Domains, Ext)) {
           AF.Pinned = true;
@@ -281,16 +280,22 @@ private:
           for (const N::ShapeExtent &SE : Ext)
             AF.Extents.push_back(SE.Hi - SE.Lo + 1);
         }
-        G.Fields[Id] = std::move(AF);
+        unsigned &Slot = G.Index[AF.Name];
+        if (!Slot) {
+          G.Fields.push_back(std::move(AF));
+          Slot = static_cast<unsigned>(G.Fields.size());
+        } else {
+          G.Fields[Slot - 1] = std::move(AF);
+        }
       });
       visitImp(WD->getBody(), TripMult);
       return;
     }
     case N::Imp::Kind::WithDomain: {
       const auto *WD = cast<N::WithDomainImp>(I);
-      const N::Shape *Old = Domains.bind(WD->getName(), WD->getShape());
+      const N::Shape *Old = Domains.bind(WD->getSymbol(), WD->getShape());
       visitImp(WD->getBody(), TripMult);
-      Domains.restore(WD->getName(), Old);
+      Domains.restore(WD->getSymbol(), Old);
       return;
     }
     case N::Imp::Kind::Skip:

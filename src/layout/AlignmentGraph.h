@@ -29,9 +29,9 @@
 #ifndef F90Y_LAYOUT_ALIGNMENTGRAPH_H
 #define F90Y_LAYOUT_ALIGNMENTGRAPH_H
 
+#include "nir/Symbol.h"
+
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace f90y {
@@ -45,7 +45,7 @@ namespace layout {
 
 /// One distributed field observed by the graph builder.
 struct AlignField {
-  std::string Name;
+  const nir::Symbol *Name = nullptr;
   std::vector<int64_t> Extents;
   /// Must stay at the canonical placement (participates in a construct
   /// the offsets would break).
@@ -56,7 +56,7 @@ struct AlignField {
 struct AlignEdge {
   enum class Kind { Equality, Shift };
   Kind K = Kind::Equality;
-  std::string Src, Dst;
+  const nir::Symbol *Src = nullptr, *Dst = nullptr;
   /// Shift edges: zero-based axis and the logical CSHIFT distance; the
   /// edge is satisfied when offset(Dst) - offset(Src) == Shift*e_Axis
   /// (mod extents).
@@ -71,8 +71,15 @@ struct AlignEdge {
 
 /// The alignment graph of one NIR program.
 struct AlignmentGraph {
-  std::map<std::string, AlignField> Fields;
+  std::vector<AlignField> Fields; ///< In order of first declaration.
+  nir::SymbolMap<unsigned> Index; ///< Field -> 1 + its Fields slot.
   std::vector<AlignEdge> Edges;
+
+  /// The field \p S names, or null.
+  const AlignField *find(const nir::Symbol *S) const {
+    unsigned P = Index.lookup(S);
+    return P ? &Fields[P - 1] : nullptr;
+  }
 };
 
 /// Walks \p Root recording every distributed field, pin, and alignment

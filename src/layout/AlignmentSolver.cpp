@@ -7,6 +7,7 @@
 #include "layout/AlignmentSolver.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
@@ -75,16 +76,25 @@ private:
 
 SolveResult layout::solveAlignment(const AlignmentGraph &G) {
   SolveResult R;
+  // Name order decides the solve: union-find roots, each component's
+  // anchor, and so every descriptor follow it. Fields are visited sorted
+  // by name, never by symbol id.
   std::vector<const AlignField *> Fields;
-  std::map<std::string, size_t> Index;
-  size_t MaxRank = 1;
-  for (const auto &[Name, F] : G.Fields) {
-    Index[Name] = Fields.size();
+  for (const AlignField &F : G.Fields)
     Fields.push_back(&F);
-    MaxRank = std::max(MaxRank, F.Extents.size());
+  std::sort(Fields.begin(), Fields.end(),
+            [](const AlignField *A, const AlignField *B) {
+              return A->Name->Name < B->Name->Name;
+            });
+  nir::SymbolMap<size_t> Slot; ///< Field -> 1 + its position in Fields.
+  size_t MaxRank = 1;
+  for (size_t I = 0; I < Fields.size(); ++I) {
+    Slot[Fields[I]->Name] = I + 1;
+    MaxRank = std::max(MaxRank, Fields[I]->Extents.size());
   }
   if (Fields.empty())
     return R;
+  auto Index = [&](const nir::Symbol *S) { return Slot.lookup(S) - 1; };
 
   OffsetForest Forest(Fields.size(), MaxRank);
   const std::vector<int64_t> ZeroDelta(MaxRank, 0);
@@ -94,19 +104,18 @@ SolveResult layout::solveAlignment(const AlignmentGraph &G) {
   for (const AlignEdge &E : G.Edges) {
     if (E.K != AlignEdge::Kind::Equality)
       continue;
-    auto S = Index.find(E.Src), D = Index.find(E.Dst);
-    if (S == Index.end() || D == Index.end())
+    if (!Slot.lookup(E.Src) || !Slot.lookup(E.Dst))
       continue;
-    Forest.constrain(S->second, D->second, ZeroDelta,
-                     Fields[S->second]->Extents);
+    Forest.constrain(Index(E.Src), Index(E.Dst), ZeroDelta,
+                     Fields[Index(E.Src)]->Extents);
   }
 
   // 2. Desired shift edges, heaviest first; ties resolved on the edge's
   // full identity so the solve is independent of discovery order.
   std::vector<const AlignEdge *> ShiftEdges;
   for (const AlignEdge &E : G.Edges)
-    if (E.K == AlignEdge::Kind::Shift && Index.count(E.Src) &&
-        Index.count(E.Dst))
+    if (E.K == AlignEdge::Kind::Shift && Slot.lookup(E.Src) &&
+        Slot.lookup(E.Dst))
       ShiftEdges.push_back(&E);
   std::stable_sort(ShiftEdges.begin(), ShiftEdges.end(),
                    [](const AlignEdge *A, const AlignEdge *B) {
@@ -117,21 +126,21 @@ SolveResult layout::solveAlignment(const AlignmentGraph &G) {
                      if (A->Shift != B->Shift)
                        return A->Shift < B->Shift;
                      if (A->Src != B->Src)
-                       return A->Src < B->Src;
-                     return A->Dst < B->Dst;
+                       return A->Src->Name < B->Src->Name;
+                     return A->Dst->Name < B->Dst->Name;
                    });
   for (const AlignEdge *E : ShiftEdges) {
     std::vector<int64_t> Delta(MaxRank, 0);
     Delta[E->Axis] = E->Shift;
-    Forest.constrain(Index[E->Src], Index[E->Dst], Delta,
-                     Fields[Index[E->Src]]->Extents);
+    Forest.constrain(Index(E->Src), Index(E->Dst), Delta,
+                     Fields[Index(E->Src)]->Extents);
   }
 
   // 3. Anchor every component: pinned members at zero (conflicting pins
   // freeze the component), otherwise the lexicographically least member
-  // at zero. Iteration over Index is name-ordered, hence deterministic.
+  // at zero. Fields are name-ordered, hence deterministic.
   std::map<size_t, std::vector<size_t>> Components;
-  for (const auto &[Name, I] : Index)
+  for (size_t I = 0; I < Fields.size(); ++I)
     Components[Forest.find(I)].push_back(I);
 
   std::set<size_t> Frozen; // Component roots forced all-canonical.
@@ -175,9 +184,9 @@ SolveResult layout::solveAlignment(const AlignmentGraph &G) {
     return O;
   };
   auto Satisfied = [&](const AlignEdge *E) {
-    std::vector<int64_t> OS = OffsetOf(Index[E->Src]);
-    std::vector<int64_t> OD = OffsetOf(Index[E->Dst]);
-    const std::vector<int64_t> &Ext = Fields[Index[E->Src]]->Extents;
+    std::vector<int64_t> OS = OffsetOf(Index(E->Src));
+    std::vector<int64_t> OD = OffsetOf(Index(E->Dst));
+    const std::vector<int64_t> &Ext = Fields[Index(E->Src)]->Extents;
     for (size_t D = 0; D < Ext.size(); ++D) {
       int64_t N = Ext[D];
       int64_t Want = D == E->Axis ? E->Shift : 0;
@@ -198,28 +207,29 @@ SolveResult layout::solveAlignment(const AlignmentGraph &G) {
     for (const AlignEdge *E : ShiftEdges) {
       if (Satisfied(E))
         continue;
-      std::vector<int64_t> OS = OffsetOf(Index[E->Src]);
-      std::vector<int64_t> OD = OffsetOf(Index[E->Dst]);
+      std::vector<int64_t> OS = OffsetOf(Index(E->Src));
+      std::vector<int64_t> OD = OffsetOf(Index(E->Dst));
       bool Legal = true;
       for (size_t D = 0; D < MaxRank; ++D)
         if (D != E->Axis && OS[D] != OD[D])
           Legal = false;
       if (Legal)
         continue;
-      Changed |= Frozen.insert(Forest.find(Index[E->Src])).second;
-      Changed |= Frozen.insert(Forest.find(Index[E->Dst])).second;
+      Changed |= Frozen.insert(Forest.find(Index(E->Src))).second;
+      Changed |= Frozen.insert(Forest.find(Index(E->Dst))).second;
     }
   }
 
   // Final assignment and accounting.
-  for (const auto &[Name, I] : Index) {
+  R.Layouts.resize(G.Fields.size());
+  for (size_t I = 0; I < Fields.size(); ++I) {
     LayoutDescriptor L;
     L.Offsets = OffsetOf(I);
     L.Offsets.resize(Fields[I]->Extents.size(), 0);
     L.normalize(Fields[I]->Extents);
     if (!L.isCanonical())
       ++R.FieldsRealigned;
-    R.Layouts[Name] = std::move(L);
+    R.Layouts[static_cast<size_t>(Fields[I] - G.Fields.data())] = std::move(L);
   }
   for (const AlignEdge *E : ShiftEdges)
     if (Satisfied(E)) {

@@ -34,15 +34,12 @@
 #include "layout/AlignmentGraph.h"
 #include "layout/LayoutDescriptor.h"
 
-#include <map>
-#include <string>
-
 namespace f90y {
 namespace layout {
 
 /// Per-field descriptor assignment plus the solver's own accounting.
 struct SolveResult {
-  std::map<std::string, LayoutDescriptor> Layouts;
+  std::vector<LayoutDescriptor> Layouts; ///< Parallel to the graph's Fields.
   /// Fields whose final descriptor is non-canonical.
   unsigned FieldsRealigned = 0;
   /// Shift edges the assignment fully localizes (static count).

@@ -28,19 +28,20 @@ private:
   const SolveResult &Solved;
   LayoutStats &Stats;
 
-  const LayoutDescriptor *layoutOf(const std::string &Id) const {
-    auto It = Solved.Layouts.find(Id);
-    return It == Solved.Layouts.end() ? nullptr : &It->second;
+  /// The solved layout of \p Id, or null when it is no graph field.
+  const LayoutDescriptor *layoutOf(const N::Symbol *Id) const {
+    unsigned P = G.Index.lookup(Id);
+    return P ? &Solved.Layouts[P - 1] : nullptr;
   }
 
   const N::Decl *rewriteDecl(const N::Decl *D) {
     switch (D->getKind()) {
     case N::Decl::Kind::Simple: {
       const auto *SD = cast<N::SimpleDecl>(D);
-      const LayoutDescriptor *L = layoutOf(SD->getId());
+      const LayoutDescriptor *L = layoutOf(SD->getSymbol());
       if (!L || L->isCanonical() || SD->getLayout() == *L)
         return D;
-      return Ctx.getDecl(SD->getId(), SD->getType(), *L);
+      return Ctx.getDecl(SD->getSymbol(), SD->getType(), *L);
     }
     case N::Decl::Kind::Set: {
       const auto *Set = cast<N::DeclSet>(D);
@@ -63,15 +64,15 @@ private:
     std::optional<N::ShiftClause> S = N::matchShift(C);
     if (!S || S->EndOff || S->isRealigned())
       return C;
-    const LayoutDescriptor *SL = layoutOf(S->Src->getId());
-    const LayoutDescriptor *DL = layoutOf(S->Dst->getId());
-    auto FieldIt = G.Fields.find(S->Src->getId());
-    if (!SL || !DL || FieldIt == G.Fields.end())
+    const LayoutDescriptor *SL = layoutOf(S->Src->getSymbol());
+    const LayoutDescriptor *DL = layoutOf(S->Dst->getSymbol());
+    if (!SL || !DL)
       return C;
     size_t Axis = static_cast<size_t>(S->Dim - 1);
-    if (Axis >= FieldIt->second.Extents.size())
+    const std::vector<int64_t> &Extents = G.find(S->Src->getSymbol())->Extents;
+    if (Axis >= Extents.size())
       return C;
-    int64_t N = FieldIt->second.Extents[Axis];
+    int64_t N = Extents[Axis];
     if (N <= 0)
       return C;
     // Slot-level distance: the runtime sweep reads raw slot storage, so

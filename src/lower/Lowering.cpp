@@ -24,7 +24,7 @@ namespace {
 
 /// True when \p V contains a subscripted array read whose indices depend
 /// on coordinates of \p Domain (a gather that cannot run grid-locally).
-bool containsGather(const N::Value *V, const std::string &Domain) {
+bool containsGather(const N::Value *V, const N::Symbol *Domain) {
   switch (V->getKind()) {
   case N::Value::Kind::Binary: {
     const auto *B = cast<N::BinaryValue>(V);
@@ -41,7 +41,7 @@ bool containsGather(const N::Value *V, const std::string &Domain) {
     for (const N::Value *I : Sub->getIndices()) {
       // Any coordinate reference inside the index expressions counts.
       struct Finder {
-        const std::string &Domain;
+        const N::Symbol *Domain;
         bool find(const N::Value *V) const {
           switch (V->getKind()) {
           case N::Value::Kind::Binary: {
@@ -51,7 +51,7 @@ bool containsGather(const N::Value *V, const std::string &Domain) {
           case N::Value::Kind::Unary:
             return find(cast<N::UnaryValue>(V)->getOperand());
           case N::Value::Kind::LocalCoord:
-            return cast<N::LocalCoordValue>(V)->getDomain() == Domain;
+            return cast<N::LocalCoordValue>(V)->getSymbol() == Domain;
           default:
             return false;
           }
@@ -101,28 +101,32 @@ private:
 
   struct VarInfo {
     const N::Type *Ty = nullptr; ///< Scalar type or DFieldType.
-    std::string Domain;          ///< Domain name for arrays.
+    const N::Symbol *Domain = nullptr; ///< Domain of arrays.
     std::vector<N::ShapeExtent> Extents;
     const N::ScalarConstValue *ParamValue = nullptr;
 
-    bool isArray() const { return !Domain.empty(); }
+    bool isArray() const { return Domain != nullptr; }
     bool isParameter() const { return ParamValue != nullptr; }
   };
 
-  std::map<std::string, VarInfo> Vars;
+  N::SymbolMap<VarInfo> Vars; ///< Declared names (null Ty: undeclared).
+
+  VarInfo *findVar(const std::string &Name) {
+    VarInfo &V = Vars[Ctx.intern(Name)];
+    return V.Ty ? &V : nullptr;
+  }
+
   /// Loop variables currently in scope, mapped to their coordinate value
-  /// and (for identity-FORALL detection) the domain/dim they iterate.
-  struct LoopVarInfo {
-    const N::Value *CoordValue = nullptr;
-    std::string Domain;
-    unsigned Dim = 0;
-    bool Affine = false; ///< True when CoordValue is not the raw coordinate.
-  };
-  std::map<std::string, LoopVarInfo> LoopVars;
+  /// (null: not a loop variable).
+  N::SymbolMap<const N::Value *> LoopVars;
+
+  const N::Value *&loopVar(const std::string &Name) {
+    return LoopVars[Ctx.intern(Name)];
+  }
 
   /// Domains created for declared array shapes, keyed by extent signature.
-  std::map<std::string, std::string> DomainBySig;
-  std::vector<std::pair<std::string, const N::Shape *>> DomainOrder;
+  std::map<std::string, const N::Symbol *> DomainBySig;
+  std::vector<std::pair<const N::Symbol *, const N::Shape *>> DomainOrder;
   unsigned DomainCounter = 0;
 
   bool HadError = false;
@@ -160,7 +164,7 @@ private:
   /// Returns (creating if needed) the domain name for the given extents.
   /// Arrays with identical shapes share one domain — the basis for the
   /// domain-blocking transformation.
-  std::string domainFor(const std::vector<N::ShapeExtent> &Extents);
+  const N::Symbol *domainFor(const std::vector<N::ShapeExtent> &Extents);
 
   bool processDecls();
 
@@ -229,10 +233,9 @@ std::optional<int64_t> LoweringImpl::evalConstInt(const Expr *E) {
   if (const auto *I = dyn_cast<IntLitExpr>(E))
     return I->getValue();
   if (const auto *Id = dyn_cast<IdentExpr>(E)) {
-    auto It = Vars.find(Id->getName());
-    if (It != Vars.end() && It->second.isParameter() &&
-        It->second.ParamValue->isInt())
-      return It->second.ParamValue->getInt();
+    VarInfo *Var = findVar(Id->getName());
+    if (Var && Var->isParameter() && Var->ParamValue->isInt())
+      return Var->ParamValue->getInt();
     return std::nullopt;
   }
   if (const auto *U = dyn_cast<UnaryExpr>(E)) {
@@ -283,9 +286,9 @@ std::optional<double> LoweringImpl::evalConstReal(const Expr *E) {
   if (const auto *I = dyn_cast<IntLitExpr>(E))
     return static_cast<double>(I->getValue());
   if (const auto *Id = dyn_cast<IdentExpr>(E)) {
-    auto It = Vars.find(Id->getName());
-    if (It != Vars.end() && It->second.isParameter())
-      return It->second.ParamValue->asDouble();
+    VarInfo *Var = findVar(Id->getName());
+    if (Var && Var->isParameter())
+      return Var->ParamValue->asDouble();
     return std::nullopt;
   }
   if (const auto *U = dyn_cast<UnaryExpr>(E)) {
@@ -331,7 +334,7 @@ static std::string extentSignature(const std::vector<N::ShapeExtent> &Exts) {
   return Sig;
 }
 
-std::string
+const N::Symbol *
 LoweringImpl::domainFor(const std::vector<N::ShapeExtent> &Extents) {
   std::string Sig = extentSignature(Extents);
   auto It = DomainBySig.find(Sig);
@@ -340,9 +343,9 @@ LoweringImpl::domainFor(const std::vector<N::ShapeExtent> &Extents) {
 
   static const char *GreekNames[] = {"alpha", "beta",  "gamma", "delta",
                                      "epsilon", "zeta", "eta",  "theta"};
-  std::string Name = DomainCounter < 8
-                         ? GreekNames[DomainCounter]
-                         : "dom" + std::to_string(DomainCounter);
+  const N::Symbol *Name =
+      Ctx.intern(DomainCounter < 8 ? GreekNames[DomainCounter]
+                                   : "dom" + std::to_string(DomainCounter));
   ++DomainCounter;
 
   std::vector<const N::Shape *> Dims;
@@ -359,7 +362,7 @@ LoweringImpl::domainFor(const std::vector<N::ShapeExtent> &Extents) {
 
 bool LoweringImpl::processDecls() {
   for (const EntityDecl &D : Unit.Decls) {
-    if (Vars.count(D.Name)) {
+    if (findVar(D.Name)) {
       error(D.Loc, "duplicate declaration of '" + D.Name + "'");
       continue;
     }
@@ -394,7 +397,7 @@ bool LoweringImpl::processDecls() {
             *V, Elem->getKind() == N::Type::Kind::Float64);
       }
       Info.Ty = Elem;
-      Vars[D.Name] = Info;
+      Vars[Ctx.intern(D.Name)] = Info;
       continue;
     }
 
@@ -408,7 +411,7 @@ bool LoweringImpl::processDecls() {
 
     if (!D.isArray()) {
       Info.Ty = Elem;
-      Vars[D.Name] = Info;
+      Vars[Ctx.intern(D.Name)] = Info;
       continue;
     }
 
@@ -446,7 +449,7 @@ bool LoweringImpl::processDecls() {
     Info.Extents = Extents;
     Info.Domain = domainFor(Extents);
     Info.Ty = Ctx.getDField(Ctx.getDomainRef(Info.Domain), Elem);
-    Vars[D.Name] = Info;
+    Vars[Ctx.intern(D.Name)] = Info;
   }
   return !HadError;
 }
@@ -524,19 +527,18 @@ std::optional<LoweredExpr> LoweringImpl::lowerExpr(const Expr *E,
   case Expr::Kind::Ident: {
     const auto *Id = cast<IdentExpr>(E);
     // Loop variable?
-    auto LIt = LoopVars.find(Id->getName());
-    if (LIt != LoopVars.end()) {
+    if (const N::Value *Coord = loopVar(Id->getName())) {
       LoweredExpr LE;
-      LE.V = LIt->second.CoordValue;
+      LE.V = Coord;
       LE.ElemTy = Ctx.getInteger32();
       return LE;
     }
-    auto It = Vars.find(Id->getName());
-    if (It == Vars.end()) {
+    VarInfo *Var = findVar(Id->getName());
+    if (!Var) {
       error(E->getLoc(), "use of undeclared name '" + Id->getName() + "'");
       return std::nullopt;
     }
-    const VarInfo &Info = It->second;
+    const VarInfo &Info = *Var;
     if (Info.isParameter()) {
       LoweredExpr LE;
       LE.V = Info.ParamValue;
@@ -690,12 +692,12 @@ std::optional<LoweredExpr> LoweringImpl::lowerBinary(const BinaryExpr *E,
 
 std::optional<LoweredExpr> LoweringImpl::lowerArrayRef(const ArrayRefExpr *E,
                                                        const ExprCtx &EC) {
-  auto It = Vars.find(E->getName());
-  if (It == Vars.end() || !It->second.isArray()) {
+  VarInfo *Var = findVar(E->getName());
+  if (!Var || !Var->isArray()) {
     error(E->getLoc(), "'" + E->getName() + "' is not a declared array");
     return std::nullopt;
   }
-  const VarInfo &Info = It->second;
+  const VarInfo &Info = *Var;
   if (E->getDims().size() != Info.Extents.size()) {
     error(E->getLoc(), "rank mismatch in reference to '" + E->getName() +
                            "': " + std::to_string(E->getDims().size()) +
@@ -729,7 +731,7 @@ std::optional<LoweredExpr> LoweringImpl::lowerArrayRef(const ArrayRefExpr *E,
       bool Identity = true;
       for (size_t D = 0; D < Indices.size() && Identity; ++D) {
         const auto *LC = dyn_cast<N::LocalCoordValue>(Indices[D]);
-        Identity = LC && LC->getDomain() == Info.Domain &&
+        Identity = LC && LC->getSymbol() == Info.Domain &&
                    LC->getDim() == D + 1;
       }
       if (Identity) {
@@ -1261,18 +1263,18 @@ const N::Imp *LoweringImpl::lowerAssign(const AssignStmt *S) {
 
   // Scalar or whole-array identifier target.
   if (const auto *Id = dyn_cast<IdentExpr>(LHS)) {
-    if (LoopVars.count(Id->getName())) {
+    if (loopVar(Id->getName())) {
       error(S->getLoc(), "assignment to loop variable '" + Id->getName() +
                              "'");
       return Ctx.getSkip();
     }
-    auto It = Vars.find(Id->getName());
-    if (It == Vars.end()) {
+    VarInfo *Var = findVar(Id->getName());
+    if (!Var) {
       error(S->getLoc(), "assignment to undeclared name '" + Id->getName() +
                              "'");
       return Ctx.getSkip();
     }
-    const VarInfo &Info = It->second;
+    const VarInfo &Info = *Var;
     if (Info.isParameter()) {
       error(S->getLoc(), "assignment to PARAMETER '" + Id->getName() + "'");
       return Ctx.getSkip();
@@ -1324,12 +1326,12 @@ const N::Imp *LoweringImpl::lowerAssign(const AssignStmt *S) {
   }
 
   const auto *Ref = cast<ArrayRefExpr>(LHS);
-  auto It = Vars.find(Ref->getName());
-  if (It == Vars.end() || !It->second.isArray()) {
+  VarInfo *Var = findVar(Ref->getName());
+  if (!Var || !Var->isArray()) {
     error(S->getLoc(), "'" + Ref->getName() + "' is not a declared array");
     return Ctx.getSkip();
   }
-  const VarInfo &Info = It->second;
+  const VarInfo &Info = *Var;
   const N::Type *Elem =
       cast<N::DFieldType>(Info.Ty)->getUltimateElementType();
 
@@ -1401,7 +1403,7 @@ const N::Imp *LoweringImpl::lowerDoLoop(const DoLoopStmt *S) {
   if (Count == 0)
     return Ctx.getSkip();
 
-  std::string Dom = Ctx.freshDomainName("serial");
+  const N::Symbol *Dom = Ctx.freshDomainName("serial");
   const N::Shape *Space;
   const N::Value *VarValue;
   if (*Step == 1) {
@@ -1415,14 +1417,14 @@ const N::Imp *LoweringImpl::lowerDoLoop(const DoLoopStmt *S) {
                       Ctx.getIntConst(*Step)));
   }
 
-  if (LoopVars.count(S->getVar())) {
+  if (loopVar(S->getVar())) {
     error(S->getLoc(), "loop variable '" + S->getVar() +
                            "' reused in nested loop");
     return Ctx.getSkip();
   }
-  LoopVars[S->getVar()] = {VarValue, Dom, 1, *Step != 1};
+  loopVar(S->getVar()) = VarValue;
   const N::Imp *Body = lowerStmt(S->getBody());
-  LoopVars.erase(S->getVar());
+  loopVar(S->getVar()) = nullptr;
 
   return Ctx.getWithDomain(Dom, Space,
                            Ctx.getDo(Ctx.getDomainRef(Dom), Body));
@@ -1458,14 +1460,14 @@ const N::Imp *LoweringImpl::lowerWhere(const WhereStmt *S) {
                            "this prototype");
         continue;
       }
-      auto It = Vars.find(Id->getName());
-      if (It == Vars.end() || !It->second.isArray()) {
+      VarInfo *Var = findVar(Id->getName());
+      if (!Var || !Var->isArray()) {
         error(A->getLoc(), "WHERE assignment target '" + Id->getName() +
                                "' is not an array");
         continue;
       }
       std::vector<int64_t> Counts;
-      for (const N::ShapeExtent &X : It->second.Extents)
+      for (const N::ShapeExtent &X : Var->Extents)
         Counts.push_back(X.size());
       if (Counts != Mask->Counts) {
         error(A->getLoc(), "WHERE assignment target shape disagrees with "
@@ -1480,7 +1482,7 @@ const N::Imp *LoweringImpl::lowerWhere(const WhereStmt *S) {
         continue;
       }
       const N::Type *Elem =
-          cast<N::DFieldType>(It->second.Ty)->getUltimateElementType();
+          cast<N::DFieldType>(Var->Ty)->getUltimateElementType();
       LoweredExpr RV = convertTo(*RHS, Elem);
       if (Elem->isInteger() && RV.ElemTy->isFloating())
         RV.V = Ctx.getUnary(N::UnaryOp::FToInt, RV.V);
@@ -1504,12 +1506,12 @@ const N::Imp *LoweringImpl::lowerForall(const ForallStmt *S) {
     error(S->getLoc(), "FORALL assignment must target an array element");
     return Ctx.getSkip();
   }
-  auto It = Vars.find(Ref->getName());
-  if (It == Vars.end() || !It->second.isArray()) {
+  VarInfo *Var = findVar(Ref->getName());
+  if (!Var || !Var->isArray()) {
     error(S->getLoc(), "'" + Ref->getName() + "' is not a declared array");
     return Ctx.getSkip();
   }
-  const VarInfo &Info = It->second;
+  const VarInfo &Info = *Var;
 
   // Fold index bounds.
   struct FoldedIndex {
@@ -1549,16 +1551,15 @@ const N::Imp *LoweringImpl::lowerForall(const ForallStmt *S) {
 
   if (Identity) {
     for (size_t I = 0; I < Indices.size(); ++I)
-      LoopVars[Indices[I].Var] = {
-          Ctx.getLocalCoord(Info.Domain, static_cast<unsigned>(I + 1)),
-          Info.Domain, static_cast<unsigned>(I + 1), false};
+      loopVar(Indices[I].Var) =
+          Ctx.getLocalCoord(Info.Domain, static_cast<unsigned>(I + 1));
     ExprCtx EC;
     EC.Parallel = true;
     for (const N::ShapeExtent &X : Info.Extents)
       EC.Counts.push_back(X.size());
     auto RHS = lowerExpr(A->getRHS(), EC);
     for (const FoldedIndex &FI : Indices)
-      LoopVars.erase(FI.Var);
+      loopVar(FI.Var) = nullptr;
     if (!RHS)
       return Ctx.getSkip();
     // A remaining coordinate-dependent gather (e.g. b(j,i)) means the
@@ -1582,7 +1583,7 @@ const N::Imp *LoweringImpl::lowerForall(const ForallStmt *S) {
 
   // General path: a parallel DO over a fresh domain with a subscripted
   // store at each point.
-  std::string Dom = Ctx.freshDomainName("forall");
+  const N::Symbol *Dom = Ctx.freshDomainName("forall");
   std::vector<const N::Shape *> Dims;
   for (const FoldedIndex &FI : Indices) {
     int64_t Count = FI.Stride > 0 ? (FI.Hi - FI.Lo) / FI.Stride + 1
@@ -1606,15 +1607,14 @@ const N::Imp *LoweringImpl::lowerForall(const ForallStmt *S) {
           N::BinaryOp::Add, Ctx.getIntConst(Indices[I].Lo),
           Ctx.getBinary(N::BinaryOp::Mul, Coord,
                         Ctx.getIntConst(Indices[I].Stride)));
-    LoopVars[Indices[I].Var] = {Coord, Dom, static_cast<unsigned>(I + 1),
-                                Indices[I].Stride != 1};
+    loopVar(Indices[I].Var) = Coord;
   }
 
   ExprCtx Scalar;
   auto L = lowerArrayRef(Ref, Scalar);
   auto RHS = lowerExpr(A->getRHS(), Scalar);
   for (const FoldedIndex &FI : Indices)
-    LoopVars.erase(FI.Var);
+    loopVar(FI.Var) = nullptr;
   if (!L || !RHS)
     return Ctx.getSkip();
   if (!RHS->isScalar()) {
@@ -1664,10 +1664,10 @@ std::optional<LoweredProgram> LoweringImpl::run() {
   // WITH_DECL for every non-parameter binding.
   std::vector<const N::Decl *> Decls;
   for (const EntityDecl &D : Unit.Decls) {
-    auto It = Vars.find(D.Name);
-    if (It == Vars.end() || It->second.isParameter())
+    VarInfo *Var = findVar(D.Name);
+    if (!Var || Var->isParameter())
       continue;
-    Decls.push_back(Ctx.getDecl(D.Name, It->second.Ty));
+    Decls.push_back(Ctx.getDecl(D.Name, Var->Ty));
   }
   const N::Imp *WithDecls =
       Decls.empty() ? Body : Ctx.getWithDecl(Ctx.getDeclSet(Decls), Body);

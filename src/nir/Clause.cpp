@@ -62,14 +62,14 @@ nir::matchExchange(const std::vector<MoveClause> &Clauses) {
   std::vector<ShiftClause> Shifts;
   for (const MoveClause &C : Clauses) {
     std::optional<ShiftClause> S = matchShift(C);
-    if (!S || S->isRealigned() || S->Dst->getId() == S->Src->getId())
+    if (!S || S->isRealigned() || S->Dst->getSymbol() == S->Src->getSymbol())
       return std::nullopt;
     const ShiftClause &First = Shifts.empty() ? *S : Shifts.front();
-    if (S->Src->getId() != First.Src->getId() || S->Dim != First.Dim ||
+    if (S->Src->getSymbol() != First.Src->getSymbol() || S->Dim != First.Dim ||
         S->EndOff != First.EndOff)
       return std::nullopt;
     for (const ShiftClause &Earlier : Shifts)
-      if (Earlier.Dst->getId() == S->Dst->getId())
+      if (Earlier.Dst->getSymbol() == S->Dst->getSymbol())
         return std::nullopt;
     Shifts.push_back(*S);
   }

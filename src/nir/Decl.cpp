@@ -12,32 +12,7 @@ using namespace f90y::nir;
 void nir::forEachBinding(
     const Decl *D, const std::function<void(const std::string &, const Type *,
                                             const Value *)> &Fn) {
-  switch (D->getKind()) {
-  case Decl::Kind::Simple: {
-    const auto *SD = cast<SimpleDecl>(D);
+  forEachSimpleDecl(D, [&](const SimpleDecl *SD) {
     Fn(SD->getId(), SD->getType(), nullptr);
-    return;
-  }
-  case Decl::Kind::Set: {
-    for (const Decl *Sub : cast<DeclSet>(D)->getDecls())
-      forEachBinding(Sub, Fn);
-    return;
-  }
-  }
-}
-
-const layout::LayoutDescriptor *nir::findLayout(const Decl *D,
-                                                const std::string &Id) {
-  switch (D->getKind()) {
-  case Decl::Kind::Simple: {
-    const auto *SD = cast<SimpleDecl>(D);
-    return SD->getId() == Id ? &SD->getLayout() : nullptr;
-  }
-  case Decl::Kind::Set:
-    for (const Decl *Sub : cast<DeclSet>(D)->getDecls())
-      if (const layout::LayoutDescriptor *L = findLayout(Sub, Id))
-        return L;
-    return nullptr;
-  }
-  return nullptr;
+  });
 }

@@ -55,20 +55,18 @@ private:
 /// untouched by the layout pass keep their historical printed form.
 class SimpleDecl : public Decl {
 public:
-  SimpleDecl(std::string Id, const Type *Ty)
-      : Decl(Kind::Simple), Id(std::move(Id)), Ty(Ty) {}
-  SimpleDecl(std::string Id, const Type *Ty, layout::LayoutDescriptor L)
-      : Decl(Kind::Simple), Id(std::move(Id)), Ty(Ty),
-        Layout(std::move(L)) {}
+  SimpleDecl(const Symbol *Sym, const Type *Ty, layout::LayoutDescriptor L)
+      : Decl(Kind::Simple), Sym(Sym), Ty(Ty), Layout(std::move(L)) {}
 
-  const std::string &getId() const { return Id; }
+  const std::string &getId() const { return Sym->Name; }
+  const Symbol *getSymbol() const { return Sym; }
   const Type *getType() const { return Ty; }
   const layout::LayoutDescriptor &getLayout() const { return Layout; }
 
   static bool classof(const Decl *D) { return D->getKind() == Kind::Simple; }
 
 private:
-  std::string Id;
+  const Symbol *Sym;
   const Type *Ty;
   layout::LayoutDescriptor Layout;
 };
@@ -87,17 +85,22 @@ private:
   std::vector<const Decl *> Decls;
 };
 
+/// Visits every DECL in \p D in order, flattening DECLSETs.
+template <typename Fn> void forEachSimpleDecl(const Decl *D, Fn &&F) {
+  if (const auto *SD = dyn_cast<SimpleDecl>(D)) {
+    F(SD);
+    return;
+  }
+  for (const Decl *Sub : cast<DeclSet>(D)->getDecls())
+    forEachSimpleDecl(Sub, F);
+}
+
 /// Visits every binding in \p D, flattening DECLSETs, invoking \p Fn with
 /// its id and type. The third argument, the initial value, is always null:
 /// no declaration carries one.
 void forEachBinding(const Decl *D,
                     const std::function<void(const std::string &, const Type *,
                                              const Value *)> &Fn);
-
-/// Finds the layout descriptor of binding \p Id inside \p D (flattening
-/// DECLSETs), or null when \p Id is not declared there.
-const layout::LayoutDescriptor *findLayout(const Decl *D,
-                                           const std::string &Id);
 
 } // namespace nir
 } // namespace f90y

@@ -68,16 +68,17 @@ private:
 /// PROGRAM(I): the top-level action of a compiled procedural unit.
 class ProgramImp : public Imp {
 public:
-  ProgramImp(std::string Name, const Imp *Body)
-      : Imp(Kind::Program), Name(std::move(Name)), Body(Body) {}
+  ProgramImp(const Symbol *Name, const Imp *Body)
+      : Imp(Kind::Program), Name(Name), Body(Body) {}
 
-  const std::string &getName() const { return Name; }
+  const std::string &getName() const { return Name->Name; }
+  const Symbol *getSymbol() const { return Name; }
   const Imp *getBody() const { return Body; }
 
   static bool classof(const Imp *I) { return I->getKind() == Kind::Program; }
 
 private:
-  std::string Name;
+  const Symbol *Name;
   const Imp *Body;
 };
 
@@ -194,10 +195,11 @@ private:
 /// DOs, and local_under values can share one domain by reference.
 class WithDomainImp : public Imp {
 public:
-  WithDomainImp(std::string Name, const Shape *S, const Imp *Body)
-      : Imp(Kind::WithDomain), Name(std::move(Name)), S(S), Body(Body) {}
+  WithDomainImp(const Symbol *Name, const Shape *S, const Imp *Body)
+      : Imp(Kind::WithDomain), Name(Name), S(S), Body(Body) {}
 
-  const std::string &getName() const { return Name; }
+  const std::string &getName() const { return Name->Name; }
+  const Symbol *getSymbol() const { return Name; }
   const Shape *getShape() const { return S; }
   const Imp *getBody() const { return Body; }
 
@@ -206,7 +208,7 @@ public:
   }
 
 private:
-  std::string Name;
+  const Symbol *Name;
   const Shape *S;
   const Imp *Body;
 };
@@ -242,16 +244,17 @@ private:
 /// paper's core imperative domain.
 class CallImp : public Imp {
 public:
-  CallImp(std::string Callee, std::vector<const Value *> Args)
-      : Imp(Kind::Call), Callee(std::move(Callee)), Args(std::move(Args)) {}
+  CallImp(const Symbol *Callee, std::vector<const Value *> Args)
+      : Imp(Kind::Call), Callee(Callee), Args(std::move(Args)) {}
 
-  const std::string &getCallee() const { return Callee; }
+  const std::string &getCallee() const { return Callee->Name; }
+  const Symbol *getSymbol() const { return Callee; }
   const std::vector<const Value *> &getArgs() const { return Args; }
 
   static bool classof(const Imp *I) { return I->getKind() == Kind::Call; }
 
 private:
-  std::string Callee;
+  const Symbol *Callee;
   std::vector<const Value *> Args;
 };
 

@@ -58,8 +58,8 @@ const ProdDomShape *NIRContext::getProdDom(std::vector<const Shape *> Dims) {
   return make<ProdDomShape>(std::move(Dims));
 }
 
-const DomainRefShape *NIRContext::getDomainRef(std::string Name) {
-  return make<DomainRefShape>(std::move(Name));
+const DomainRefShape *NIRContext::getDomainRef(NameRef Name) {
+  return make<DomainRefShape>(intern(Name));
 }
 
 const SubscriptAction *
@@ -83,8 +83,8 @@ const UnaryValue *NIRContext::getUnary(UnaryOp Op, const Value *V) {
   return make<UnaryValue>(Op, V);
 }
 
-const SVarValue *NIRContext::getSVar(std::string Id) {
-  return make<SVarValue>(std::move(Id));
+const SVarValue *NIRContext::getSVar(NameRef Id) {
+  return make<SVarValue>(intern(Id));
 }
 
 const ScalarConstValue *NIRContext::getIntConst(int64_t V) {
@@ -104,38 +104,33 @@ const StrConstValue *NIRContext::getStrConst(std::string Str) {
   return make<StrConstValue>(std::move(Str));
 }
 
-const FcnCallValue *NIRContext::getFcnCall(std::string Callee,
+const FcnCallValue *NIRContext::getFcnCall(NameRef Callee,
                                            std::vector<const Value *> Args) {
-  return make<FcnCallValue>(std::move(Callee), std::move(Args));
+  return make<FcnCallValue>(intern(Callee), std::move(Args));
 }
 
-const AVarValue *NIRContext::getAVar(std::string Id,
-                                     const FieldAction *Action) {
+const AVarValue *NIRContext::getAVar(NameRef Id, const FieldAction *Action) {
   F90Y_CHECK(Action, "AVAR requires a field action");
-  return make<AVarValue>(std::move(Id), Action);
+  return make<AVarValue>(intern(Id), Action);
 }
 
-const LocalCoordValue *NIRContext::getLocalCoord(std::string Domain,
+const LocalCoordValue *NIRContext::getLocalCoord(NameRef Domain,
                                                  unsigned Dim) {
   F90Y_CHECK(Dim >= 1, "local_under dimensions are 1-based");
-  return make<LocalCoordValue>(std::move(Domain), Dim);
+  return make<LocalCoordValue>(intern(Domain), Dim);
 }
 
-const SimpleDecl *NIRContext::getDecl(std::string Id, const Type *Ty) {
-  return make<SimpleDecl>(std::move(Id), Ty);
-}
-
-const SimpleDecl *NIRContext::getDecl(std::string Id, const Type *Ty,
+const SimpleDecl *NIRContext::getDecl(NameRef Id, const Type *Ty,
                                       layout::LayoutDescriptor Layout) {
-  return make<SimpleDecl>(std::move(Id), Ty, std::move(Layout));
+  return make<SimpleDecl>(intern(Id), Ty, std::move(Layout));
 }
 
 const DeclSet *NIRContext::getDeclSet(std::vector<const Decl *> Decls) {
   return make<DeclSet>(std::move(Decls));
 }
 
-const ProgramImp *NIRContext::getProgram(std::string Name, const Imp *Body) {
-  return make<ProgramImp>(std::move(Name), Body);
+const ProgramImp *NIRContext::getProgram(NameRef Name, const Imp *Body) {
+  return make<ProgramImp>(intern(Name), Body);
 }
 
 const SequentiallyImp *
@@ -165,21 +160,20 @@ const WithDeclImp *NIRContext::getWithDecl(const Decl *D, const Imp *Body) {
   return make<WithDeclImp>(D, Body);
 }
 
-const WithDomainImp *NIRContext::getWithDomain(std::string Name,
-                                               const Shape *S,
+const WithDomainImp *NIRContext::getWithDomain(NameRef Name, const Shape *S,
                                                const Imp *Body) {
-  return make<WithDomainImp>(std::move(Name), S, Body);
+  return make<WithDomainImp>(intern(Name), S, Body);
 }
 
 const DoImp *NIRContext::getDo(const Shape *IterSpace, const Imp *Body) {
   return make<DoImp>(IterSpace, Body);
 }
 
-const CallImp *NIRContext::getCall(std::string Callee,
+const CallImp *NIRContext::getCall(NameRef Callee,
                                    std::vector<const Value *> Args) {
-  return make<CallImp>(std::move(Callee), std::move(Args));
+  return make<CallImp>(intern(Callee), std::move(Args));
 }
 
-std::string NIRContext::freshDomainName(const std::string &Prefix) {
-  return Prefix + "." + std::to_string(NextDomainId++);
+const Symbol *NIRContext::freshDomainName(const std::string &Prefix) {
+  return intern(Prefix + "." + std::to_string(NextDomainId++));
 }

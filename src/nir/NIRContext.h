@@ -9,7 +9,8 @@
 /// actions, values, declarations, imperatives) and provides the factory
 /// methods used by the lowering phase and by NIR-to-NIR transformations.
 /// Nodes are immutable once built; transformations construct new nodes for
-/// what they change and share the rest (nir/Rewrite.h).
+/// what they change and share the rest (nir/Rewrite.h). Every name a factory
+/// receives is interned once into the context's symbol table (nir/Symbol.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,10 +25,24 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace f90y {
 namespace nir {
+
+/// A factory's name argument: a spelling to intern, or a symbol already
+/// interned by the same context.
+class NameRef {
+public:
+  NameRef(const Symbol *S) : Sym(S) {}
+  template <typename Str> NameRef(const Str &N) : Spelling(N) {}
+
+private:
+  friend class NIRContext;
+  const Symbol *Sym = nullptr;
+  std::string_view Spelling;
+};
 
 /// Owns NIR nodes and uniques the scalar types. All factory methods return
 /// non-null pointers whose lifetime equals the context's.
@@ -37,6 +52,11 @@ public:
   ~NIRContext();
   NIRContext(const NIRContext &) = delete;
   NIRContext &operator=(const NIRContext &) = delete;
+
+  /// The symbol of \p N in this compilation's symbol table.
+  const Symbol *intern(NameRef N) {
+    return N.Sym ? N.Sym : Symbols.intern(N.Spelling);
+  }
 
   // Types.
   const ScalarType *getInteger32() const { return Int32Ty.get(); }
@@ -51,7 +71,7 @@ public:
   const IntervalShape *getInterval(int64_t Lo, int64_t Hi);
   const IntervalShape *getSerialInterval(int64_t Lo, int64_t Hi);
   const ProdDomShape *getProdDom(std::vector<const Shape *> Dims);
-  const DomainRefShape *getDomainRef(std::string Name);
+  const DomainRefShape *getDomainRef(NameRef Name);
 
   // Field restrictors.
   const EverywhereAction *getEverywhere() const { return Everywhere.get(); }
@@ -61,27 +81,26 @@ public:
   // Values.
   const BinaryValue *getBinary(BinaryOp Op, const Value *L, const Value *R);
   const UnaryValue *getUnary(UnaryOp Op, const Value *V);
-  const SVarValue *getSVar(std::string Id);
+  const SVarValue *getSVar(NameRef Id);
   const ScalarConstValue *getIntConst(int64_t V);
   const ScalarConstValue *getFloatConst(double V, bool Double = true);
   const ScalarConstValue *getBoolConst(bool V);
   const StrConstValue *getStrConst(std::string Str);
-  const FcnCallValue *getFcnCall(std::string Callee,
+  const FcnCallValue *getFcnCall(NameRef Callee,
                                  std::vector<const Value *> Args);
-  const AVarValue *getAVar(std::string Id, const FieldAction *Action);
-  const LocalCoordValue *getLocalCoord(std::string Domain, unsigned Dim);
+  const AVarValue *getAVar(NameRef Id, const FieldAction *Action);
+  const LocalCoordValue *getLocalCoord(NameRef Domain, unsigned Dim);
 
   /// The constant True guard used for unmasked MOVE clauses.
   const ScalarConstValue *getTrue() { return getBoolConst(true); }
 
   // Declarations.
-  const SimpleDecl *getDecl(std::string Id, const Type *Ty);
-  const SimpleDecl *getDecl(std::string Id, const Type *Ty,
-                            layout::LayoutDescriptor Layout);
+  const SimpleDecl *getDecl(NameRef Id, const Type *Ty,
+                            layout::LayoutDescriptor Layout = {});
   const DeclSet *getDeclSet(std::vector<const Decl *> Decls);
 
   // Imperatives.
-  const ProgramImp *getProgram(std::string Name, const Imp *Body);
+  const ProgramImp *getProgram(NameRef Name, const Imp *Body);
   const SequentiallyImp *getSequentially(std::vector<const Imp *> Actions);
   const ConcurrentlyImp *getConcurrently(std::vector<const Imp *> Actions);
   const MoveImp *getMove(std::vector<MoveClause> Clauses);
@@ -89,15 +108,15 @@ public:
                                      const Imp *E);
   const WhileImp *getWhile(const Value *C, const Imp *Body);
   const WithDeclImp *getWithDecl(const Decl *D, const Imp *Body);
-  const WithDomainImp *getWithDomain(std::string Name, const Shape *S,
+  const WithDomainImp *getWithDomain(NameRef Name, const Shape *S,
                                      const Imp *Body);
   const SkipImp *getSkip() const { return Skip.get(); }
   const DoImp *getDo(const Shape *IterSpace, const Imp *Body);
-  const CallImp *getCall(std::string Callee, std::vector<const Value *> Args);
+  const CallImp *getCall(NameRef Callee, std::vector<const Value *> Args);
 
   /// Returns a fresh domain name with the given prefix ("alpha.0",
   /// "alpha.1", ...); used by lowering to name implicit domains.
-  std::string freshDomainName(const std::string &Prefix);
+  const Symbol *freshDomainName(const std::string &Prefix);
 
 private:
   /// Type-erased owner so one vector can hold shapes, types, values,
@@ -106,18 +125,20 @@ private:
     virtual ~AnyNode() = default;
   };
   template <typename T> struct NodeHolder final : AnyNode {
-    explicit NodeHolder(std::unique_ptr<T> P) : P(std::move(P)) {}
-    std::unique_ptr<T> P;
+    template <typename... Args>
+    explicit NodeHolder(Args &&...As) : Node(std::forward<Args>(As)...) {}
+    T Node;
   };
 
   template <typename T, typename... Args> const T *make(Args &&...As) {
-    auto Node = std::make_unique<T>(std::forward<Args>(As)...);
-    const T *Raw = Node.get();
-    Nodes.push_back(std::make_unique<NodeHolder<T>>(std::move(Node)));
+    auto Holder = std::make_unique<NodeHolder<T>>(std::forward<Args>(As)...);
+    const T *Raw = &Holder->Node;
+    Nodes.push_back(std::move(Holder));
     return Raw;
   }
 
   std::vector<std::unique_ptr<AnyNode>> Nodes;
+  SymbolTable Symbols;
   std::unique_ptr<ScalarType> Int32Ty, Logical32Ty, Float32Ty, Float64Ty;
   std::unique_ptr<EverywhereAction> Everywhere;
   std::unique_ptr<SkipImp> Skip;

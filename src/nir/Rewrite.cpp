@@ -38,7 +38,7 @@ const Imp *ImpRewriter::withDomain(const WithDomainImp *W) {
   const Imp *Body = rewrite(W->getBody());
   return Body == W->getBody()
              ? W
-             : Ctx.getWithDomain(W->getName(), W->getShape(), Body);
+             : Ctx.getWithDomain(W->getSymbol(), W->getShape(), Body);
 }
 
 const Imp *ImpRewriter::rewrite(const Imp *I) {
@@ -46,7 +46,7 @@ const Imp *ImpRewriter::rewrite(const Imp *I) {
   case Imp::Kind::Program: {
     const auto *P = cast<ProgramImp>(I);
     const Imp *Body = rewrite(P->getBody());
-    return Body == P->getBody() ? I : Ctx.getProgram(P->getName(), Body);
+    return Body == P->getBody() ? I : Ctx.getProgram(P->getSymbol(), Body);
   }
   case Imp::Kind::Sequentially:
     return sequentially(cast<SequentiallyImp>(I));
@@ -159,7 +159,7 @@ nir::mapAVars(const Value *V, NIRContext &Ctx,
       Args.push_back(mapAVars(A, Ctx, Map));
       Changed |= Args.back() != A;
     }
-    return Changed ? Ctx.getFcnCall(F->getCallee(), std::move(Args)) : V;
+    return Changed ? Ctx.getFcnCall(F->getSymbol(), std::move(Args)) : V;
   }
   case Value::Kind::AVar:
     return Map(cast<AVarValue>(V));

@@ -16,7 +16,7 @@ const Shape *nir::resolveShape(const Shape *S, const DomainEnv &Env) {
     const auto *Ref = dyn_cast<DomainRefShape>(S);
     if (!Ref)
       return S;
-    const Shape *Next = Env.lookup(Ref->getName());
+    const Shape *Next = Env.lookup(Ref->getSymbol());
     if (!Next)
       return nullptr;
     S = Next;

@@ -23,10 +23,10 @@
 #ifndef F90Y_NIR_SHAPE_H
 #define F90Y_NIR_SHAPE_H
 
+#include "nir/Symbol.h"
 #include "support/Casting.h"
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -120,17 +120,18 @@ private:
 /// threaded by whichever analysis is walking the program (see DomainEnv).
 class DomainRefShape : public Shape {
 public:
-  explicit DomainRefShape(std::string Name)
-      : Shape(Kind::DomainRef), Name(std::move(Name)) {}
+  explicit DomainRefShape(const Symbol *Name)
+      : Shape(Kind::DomainRef), Name(Name) {}
 
-  const std::string &getName() const { return Name; }
+  const std::string &getName() const { return Name->Name; }
+  const Symbol *getSymbol() const { return Name; }
 
   static bool classof(const Shape *S) {
     return S->getKind() == Kind::DomainRef;
   }
 
 private:
-  std::string Name;
+  const Symbol *Name;
 };
 
 /// Lexical environment mapping domain names (bound by WITH_DOMAIN) to their
@@ -140,27 +141,21 @@ class DomainEnv {
 public:
   /// Binds \p Name to \p S, returning the previous binding (or null) so the
   /// caller can restore it on scope exit.
-  const Shape *bind(const std::string &Name, const Shape *S) {
+  const Shape *bind(const Symbol *Name, const Shape *S) {
     const Shape *Old = lookup(Name);
     Bindings[Name] = S;
     return Old;
   }
 
-  void restore(const std::string &Name, const Shape *Old) {
-    if (Old)
-      Bindings[Name] = Old;
-    else
-      Bindings.erase(Name);
-  }
+  void restore(const Symbol *Name, const Shape *Old) { Bindings[Name] = Old; }
 
   /// Returns the binding for \p Name, or null if unbound.
-  const Shape *lookup(const std::string &Name) const {
-    auto It = Bindings.find(Name);
-    return It == Bindings.end() ? nullptr : It->second;
+  const Shape *lookup(const Symbol *Name) const {
+    return Bindings.lookup(Name);
   }
 
 private:
-  std::map<std::string, const Shape *> Bindings;
+  SymbolMap<const Shape *> Bindings;
 };
 
 /// Follows DomainRef links through \p Env until a structural shape is

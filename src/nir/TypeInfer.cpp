@@ -12,13 +12,9 @@ using namespace f90y;
 using namespace f90y::nir;
 
 void ElemTypeInference::addDecl(const Decl *D) {
-  forEachBinding(D, [&](const std::string &Id, const Type *Ty,
-                        const Value *) { Bindings[Id] = Ty; });
-}
-
-const Type *ElemTypeInference::lookup(const std::string &Id) const {
-  auto It = Bindings.find(Id);
-  return It == Bindings.end() ? nullptr : It->second;
+  forEachSimpleDecl(D, [&](const SimpleDecl *SD) {
+    Bindings[SD->getSymbol()] = SD->getType();
+  });
 }
 
 static Type::Kind promoteKinds(Type::Kind A, Type::Kind B) {
@@ -60,7 +56,7 @@ Type::Kind ElemTypeInference::elemKindOf(const Value *V) const {
     }
   }
   case Value::Kind::SVar: {
-    const Type *Ty = lookup(cast<SVarValue>(V)->getId());
+    const Type *Ty = lookup(cast<SVarValue>(V)->getSymbol());
     return Ty ? Ty->getKind() : Type::Kind::Float32;
   }
   case Value::Kind::ScalarConst:
@@ -80,7 +76,7 @@ Type::Kind ElemTypeInference::elemKindOf(const Value *V) const {
                                 : elemKindOf(F->getArgs()[0]);
   }
   case Value::Kind::AVar: {
-    const Type *Ty = lookup(cast<AVarValue>(V)->getId());
+    const Type *Ty = lookup(cast<AVarValue>(V)->getSymbol());
     if (const auto *FT = dyn_cast_or_null<DFieldType>(Ty))
       return FT->getUltimateElementType()->getKind();
     return Type::Kind::Float32;

@@ -19,8 +19,6 @@
 #include "nir/Imperative.h"
 #include "nir/Value.h"
 
-#include <map>
-#include <string>
 
 namespace f90y {
 namespace nir {
@@ -34,12 +32,10 @@ public:
   /// names are unique).
   void addDecl(const Decl *D);
 
-  void addBinding(const std::string &Id, const Type *Ty) {
-    Bindings[Id] = Ty;
-  }
+  void addBinding(const Symbol *Id, const Type *Ty) { Bindings[Id] = Ty; }
 
   /// The declared type of \p Id (dfield type for arrays), or null.
-  const Type *lookup(const std::string &Id) const;
+  const Type *lookup(const Symbol *Id) const { return Bindings.lookup(Id); }
 
   /// Elemental scalar kind of \p V: Integer32, Logical32, Float32, or
   /// Float64. Unknown names default to Float32.
@@ -52,7 +48,7 @@ public:
   }
 
 private:
-  std::map<std::string, const Type *> Bindings;
+  SymbolMap<const Type *> Bindings;
 };
 
 } // namespace nir

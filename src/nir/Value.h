@@ -30,6 +30,7 @@
 #ifndef F90Y_NIR_VALUE_H
 #define F90Y_NIR_VALUE_H
 
+#include "nir/Symbol.h"
 #include "nir/Type.h"
 #include "support/Casting.h"
 
@@ -238,14 +239,15 @@ private:
 /// SVAR(id): reference to scalar storage.
 class SVarValue : public Value {
 public:
-  explicit SVarValue(std::string Id) : Value(Kind::SVar), Id(std::move(Id)) {}
+  explicit SVarValue(const Symbol *Sym) : Value(Kind::SVar), Sym(Sym) {}
 
-  const std::string &getId() const { return Id; }
+  const std::string &getId() const { return Sym->Name; }
+  const Symbol *getSymbol() const { return Sym; }
 
   static bool classof(const Value *V) { return V->getKind() == Kind::SVar; }
 
 private:
-  std::string Id;
+  const Symbol *Sym;
 };
 
 /// SCALAR(T, rep): a scalar constant of the given machine type.
@@ -306,17 +308,17 @@ private:
 /// library calls.
 class FcnCallValue : public Value {
 public:
-  FcnCallValue(std::string Callee, std::vector<const Value *> Args)
-      : Value(Kind::FcnCall), Callee(std::move(Callee)),
-        Args(std::move(Args)) {}
+  FcnCallValue(const Symbol *Callee, std::vector<const Value *> Args)
+      : Value(Kind::FcnCall), Callee(Callee), Args(std::move(Args)) {}
 
-  const std::string &getCallee() const { return Callee; }
+  const std::string &getCallee() const { return Callee->Name; }
+  const Symbol *getSymbol() const { return Callee; }
   const std::vector<const Value *> &getArgs() const { return Args; }
 
   static bool classof(const Value *V) { return V->getKind() == Kind::FcnCall; }
 
 private:
-  std::string Callee;
+  const Symbol *Callee;
   std::vector<const Value *> Args;
 };
 
@@ -334,16 +336,17 @@ inline bool isCommOrReductionIntrinsic(const std::string &Name) {
 /// field action F.
 class AVarValue : public Value {
 public:
-  AVarValue(std::string Id, const FieldAction *Action)
-      : Value(Kind::AVar), Id(std::move(Id)), Action(Action) {}
+  AVarValue(const Symbol *Sym, const FieldAction *Action)
+      : Value(Kind::AVar), Sym(Sym), Action(Action) {}
 
-  const std::string &getId() const { return Id; }
+  const std::string &getId() const { return Sym->Name; }
+  const Symbol *getSymbol() const { return Sym; }
   const FieldAction *getAction() const { return Action; }
 
   static bool classof(const Value *V) { return V->getKind() == Kind::AVar; }
 
 private:
-  std::string Id;
+  const Symbol *Sym;
   const FieldAction *Action;
 };
 
@@ -352,10 +355,11 @@ private:
 /// the coordinate-matrix constructor of paper Figures 7, 9, and 10.
 class LocalCoordValue : public Value {
 public:
-  LocalCoordValue(std::string Domain, unsigned Dim)
-      : Value(Kind::LocalCoord), Domain(std::move(Domain)), Dim(Dim) {}
+  LocalCoordValue(const Symbol *Domain, unsigned Dim)
+      : Value(Kind::LocalCoord), Domain(Domain), Dim(Dim) {}
 
-  const std::string &getDomain() const { return Domain; }
+  const std::string &getDomain() const { return Domain->Name; }
+  const Symbol *getSymbol() const { return Domain; }
   unsigned getDim() const { return Dim; }
 
   static bool classof(const Value *V) {
@@ -363,7 +367,7 @@ public:
   }
 
 private:
-  std::string Domain;
+  const Symbol *Domain;
   unsigned Dim;
 };
 

@@ -9,8 +9,6 @@
 #include "nir/Clause.h"
 #include "nir/Printer.h"
 
-#include <map>
-
 using namespace f90y;
 using namespace f90y::nir;
 
@@ -32,14 +30,16 @@ private:
   DiagnosticEngine &Diags;
   VerifyOptions Opts;
   DomainEnv Domains;
-  std::map<std::string, const Type *> Decls;
-  std::map<std::string, layout::LayoutDescriptor> Layouts;
+  SymbolMap<const Type *> Decls;
+  /// Non-canonical layouts in scope (null: canonical).
+  SymbolMap<const layout::LayoutDescriptor *> Layouts;
 
   void error(const std::string &Msg) { Diags.error(SourceLocation(), Msg); }
 
-  layout::LayoutDescriptor layoutOf(const std::string &Id) {
-    auto It = Layouts.find(Id);
-    return It == Layouts.end() ? layout::LayoutDescriptor() : It->second;
+  const layout::LayoutDescriptor &layoutOf(const AVarValue *AV) {
+    static const layout::LayoutDescriptor Canonical;
+    const layout::LayoutDescriptor *L = Layouts.lookup(AV->getSymbol());
+    return L ? *L : Canonical;
   }
 
   /// LayoutConsistency helpers: walks \p V collecting whole-field AVAR
@@ -70,9 +70,9 @@ private:
       const auto *AV = cast<AVarValue>(V);
       if (isa<EverywhereAction>(AV->getAction())) {
         Fields.push_back(AV);
-      } else if (!layoutOf(AV->getId()).isCanonical()) {
+      } else if (!layoutOf(AV).isCanonical()) {
         error("subscript/section access to realigned field '" + AV->getId() +
-              "' (layout " + layoutOf(AV->getId()).str() + ")");
+              "' (layout " + layoutOf(AV).str() + ")");
       }
       if (const auto *Sub = dyn_cast<SubscriptAction>(AV->getAction()))
         for (const Value *Idx : Sub->getIndices())
@@ -102,8 +102,8 @@ private:
           F->getArgs().size() >= 3) {
         // A residual shift exchange sweeps raw slot storage along one
         // axis; endpoints may disagree only on that axis's offset.
-        layout::LayoutDescriptor SL = layoutOf(SrcAV->getId());
-        layout::LayoutDescriptor DL = layoutOf(DstAV->getId());
+        layout::LayoutDescriptor SL = layoutOf(SrcAV);
+        layout::LayoutDescriptor DL = layoutOf(DstAV);
         if (!SL.identityAxes() || !DL.identityAxes() || SL.Replicated ||
             DL.Replicated) {
           error("cshift between permuted/replicated layouts ('" +
@@ -135,16 +135,16 @@ private:
       // Every other comm/reduction intrinsic iterates storage in an
       // order the offsets would change: operands and destination must be
       // canonical.
-      auto RequireCanonical = [&](const std::string &Id) {
-        if (!layoutOf(Id).isCanonical())
+      auto RequireCanonical = [&](const AVarValue *AV) {
+        if (!layoutOf(AV).isCanonical())
           error("'" + F->getCallee() + "' requires canonical operand '" +
-                Id + "' but its layout is " + layoutOf(Id).str());
+                AV->getId() + "' but its layout is " + layoutOf(AV).str());
       };
       for (const Value *A : F->getArgs())
         if (const auto *AV = dyn_cast<AVarValue>(A))
-          RequireCanonical(AV->getId());
+          RequireCanonical(AV);
       if (DstAV)
-        RequireCanonical(DstAV->getId());
+        RequireCanonical(DstAV);
       return;
     }
     // Localized exchange: an unguarded whole-field copy is the form the
@@ -157,8 +157,8 @@ private:
         isTrueGuard(C.Guard)) {
       if (const auto *DstAV = dyn_cast<AVarValue>(C.Dst);
           DstAV && isa<EverywhereAction>(DstAV->getAction())) {
-        layout::LayoutDescriptor SL = layoutOf(SrcAV->getId());
-        layout::LayoutDescriptor DL = layoutOf(DstAV->getId());
+        layout::LayoutDescriptor SL = layoutOf(SrcAV);
+        layout::LayoutDescriptor DL = layoutOf(DstAV);
         if (SL.identityAxes() && DL.identityAxes() && !SL.Replicated &&
             !DL.Replicated)
           return;
@@ -173,12 +173,12 @@ private:
     collectLayoutParticipants(C.Dst, Fields, SawCoord);
     if (Fields.empty())
       return;
-    layout::LayoutDescriptor Ref = layoutOf(Fields.front()->getId());
+    const layout::LayoutDescriptor &Ref = layoutOf(Fields.front());
     for (const AVarValue *AV : Fields)
-      if (layoutOf(AV->getId()) != Ref)
+      if (layoutOf(AV) != Ref)
         error("MOVE mixes misaligned layouts: '" +
               Fields.front()->getId() + "' is " + Ref.str() + " but '" +
-              AV->getId() + "' is " + layoutOf(AV->getId()).str());
+              AV->getId() + "' is " + layoutOf(AV).str());
     if (SawCoord && !Ref.isCanonical())
       error("coordinate-valued MOVE touches realigned field '" +
             Fields.front()->getId() + "' (layout " + Ref.str() + ")");
@@ -237,10 +237,6 @@ private:
     }
   }
 
-  const Type *lookupVar(const std::string &Id) {
-    auto It = Decls.find(Id);
-    return It == Decls.end() ? nullptr : It->second;
-  }
 
   void checkShape(const Shape *S) {
     switch (S->getKind()) {
@@ -260,7 +256,7 @@ private:
       return;
     case Shape::Kind::DomainRef: {
       const auto *Ref = cast<DomainRefShape>(S);
-      if (!Domains.lookup(Ref->getName()))
+      if (!Domains.lookup(Ref->getSymbol()))
         error("reference to unbound domain '" + Ref->getName() + "'");
       return;
     }
@@ -274,8 +270,9 @@ private:
     }
   }
 
-  void visitFieldAction(const FieldAction *F, const std::string &ArrayId) {
-    const Type *Ty = lookupVar(ArrayId);
+  void visitFieldAction(const FieldAction *F, const AVarValue *AV) {
+    const std::string &ArrayId = AV->getId();
+    const Type *Ty = Decls.lookup(AV->getSymbol());
     const auto *FieldTy = dyn_cast_or_null<DFieldType>(Ty);
     int Rank = FieldTy ? rankOf(FieldTy->getShape(), Domains) : -1;
     switch (F->getKind()) {
@@ -315,7 +312,7 @@ private:
       return;
     case Value::Kind::SVar: {
       const auto *SV = cast<SVarValue>(V);
-      const Type *Ty = lookupVar(SV->getId());
+      const Type *Ty = Decls.lookup(SV->getSymbol());
       if (!Ty)
         error("reference to undeclared scalar '" + SV->getId() + "'");
       else if (Ty->isField())
@@ -331,7 +328,7 @@ private:
       return;
     case Value::Kind::AVar: {
       const auto *AV = cast<AVarValue>(V);
-      const Type *Ty = lookupVar(AV->getId());
+      const Type *Ty = Decls.lookup(AV->getSymbol());
       if (!Ty) {
         error("reference to undeclared array '" + AV->getId() + "'");
         return;
@@ -340,12 +337,12 @@ private:
         error("AVAR '" + AV->getId() + "' refers to a scalar binding");
         return;
       }
-      visitFieldAction(AV->getAction(), AV->getId());
+      visitFieldAction(AV->getAction(), AV);
       return;
     }
     case Value::Kind::LocalCoord: {
       const auto *LC = cast<LocalCoordValue>(V);
-      const Shape *S = Domains.lookup(LC->getDomain());
+      const Shape *S = Domains.lookup(LC->getSymbol());
       if (!S) {
         error("local_under references unbound domain '" + LC->getDomain() +
               "'");
@@ -408,43 +405,33 @@ private:
     }
     case Imp::Kind::WithDecl: {
       const auto *WD = cast<WithDeclImp>(I);
-      std::vector<std::pair<std::string, const Type *>> Saved;
-      std::vector<std::pair<std::string, layout::LayoutDescriptor>>
-          SavedLayouts;
-      forEachBinding(WD->getDecl(), [&](const std::string &Id, const Type *Ty,
-                                        const Value *) {
-        checkType(Ty);
-        auto It = Decls.find(Id);
-        Saved.emplace_back(Id, It == Decls.end() ? nullptr : It->second);
-        Decls[Id] = Ty;
-        SavedLayouts.emplace_back(Id, layoutOf(Id));
-        const layout::LayoutDescriptor *L = findLayout(WD->getDecl(), Id);
-        if (L && !L->isCanonical())
-          Layouts[Id] = *L;
-        else
-          Layouts.erase(Id);
+      struct Outer {
+        const Symbol *Id;
+        const Type *Ty;
+        const layout::LayoutDescriptor *Layout;
+      };
+      std::vector<Outer> Saved;
+      forEachSimpleDecl(WD->getDecl(), [&](const SimpleDecl *SD) {
+        checkType(SD->getType());
+        const Symbol *Id = SD->getSymbol();
+        Saved.push_back({Id, Decls.lookup(Id), Layouts.lookup(Id)});
+        Decls[Id] = SD->getType();
+        Layouts[Id] =
+            SD->getLayout().isCanonical() ? nullptr : &SD->getLayout();
       });
       visitImp(WD->getBody());
       for (auto It = Saved.rbegin(); It != Saved.rend(); ++It) {
-        if (It->second)
-          Decls[It->first] = It->second;
-        else
-          Decls.erase(It->first);
-      }
-      for (auto It = SavedLayouts.rbegin(); It != SavedLayouts.rend(); ++It) {
-        if (It->second.isCanonical())
-          Layouts.erase(It->first);
-        else
-          Layouts[It->first] = It->second;
+        Decls[It->Id] = It->Ty;
+        Layouts[It->Id] = It->Layout;
       }
       return;
     }
     case Imp::Kind::WithDomain: {
       const auto *WD = cast<WithDomainImp>(I);
       checkShape(WD->getShape());
-      const Shape *Old = Domains.bind(WD->getName(), WD->getShape());
+      const Shape *Old = Domains.bind(WD->getSymbol(), WD->getShape());
       visitImp(WD->getBody());
-      Domains.restore(WD->getName(), Old);
+      Domains.restore(WD->getSymbol(), Old);
       return;
     }
     case Imp::Kind::Skip:

@@ -226,29 +226,31 @@ bool peac::stripLegal(const Routine &R, const ExecArgs *Args) {
 }
 
 //===----------------------------------------------------------------------===//
-// Structural fingerprint (FNV-1a)
+// Structural fingerprint
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-struct Fnv1a {
+/// One multiply-xorshift mix per 64-bit field. Each step is a bijection of
+/// the running state, so changing any one field changes the fingerprint.
+struct WordHash {
   uint64_t H = 1469598103934665603ull;
+  void u64(uint64_t V) {
+    H = (H ^ V) * 0x9E3779B97F4A7C15ull;
+    H ^= H >> 29;
+  }
   void bytes(const void *P, size_t N) {
-    const unsigned char *B = static_cast<const unsigned char *>(P);
-    for (size_t I = 0; I < N; ++I) {
-      H ^= B[I];
-      H *= 1099511628211ull;
+    const char *B = static_cast<const char *>(P);
+    for (size_t I = 0; I < N; I += 8) {
+      uint64_t W = 0;
+      std::memcpy(&W, B + I, std::min<size_t>(8, N - I));
+      u64(W);
     }
   }
-  void u64(uint64_t V) { bytes(&V, sizeof V); }
-  void f64(double V) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &V, sizeof Bits);
-    u64(Bits);
-  }
+  void f64(double V) { u64(std::bit_cast<uint64_t>(V)); }
 };
 
-void hashOperand(Fnv1a &F, const Operand &O) {
+void hashOperand(WordHash &F, const Operand &O) {
   F.u64(static_cast<uint64_t>(O.K));
   F.u64(O.Reg);
   F.f64(O.Imm);
@@ -257,7 +259,7 @@ void hashOperand(Fnv1a &F, const Operand &O) {
 }
 
 uint64_t fingerprint(const Routine &R) {
-  Fnv1a F;
+  WordHash F;
   F.u64(R.Name.size());
   F.bytes(R.Name.data(), R.Name.size());
   F.u64(R.NumPtrArgs);

@@ -38,31 +38,11 @@ public:
 private:
   N::ElemTypeInference Types;
 
-  struct Item {
-    const N::Imp *Action;
-    Effects Eff;
-    bool IsComp = false;
-    std::string Domain;
-  };
-
-  Item makeItem(const N::Imp *A) {
-    Item It;
-    It.Action = A;
-    It.Eff = effectsOf(A);
-    if (const auto *M = dyn_cast<N::MoveImp>(A)) {
-      if (classifyAction(M) == PhaseKind::Computation) {
-        It.Domain = computationDomainOf(M, Types);
-        It.IsComp = !It.Domain.empty();
-      }
-    }
-    return It;
-  }
-
   const N::Imp *sequentially(const N::SequentiallyImp *S) override {
-    std::vector<Item> R;
+    std::vector<PhaseItem> R;
     for (const N::Imp *A : S->getActions()) {
-      Item X = makeItem(rewrite(A));
-      if (!X.IsComp) {
+      PhaseItem X = phaseItem(rewrite(A), Types);
+      if (!X.Domain) {
         R.push_back(std::move(X));
         continue;
       }
@@ -78,7 +58,7 @@ private:
       size_t Best = R.size();
       for (size_t J = Blocker < 0 ? 0 : static_cast<size_t>(Blocker);
            J < R.size(); ++J) {
-        if (R[J].IsComp && R[J].Domain == X.Domain &&
+        if (R[J].Domain == X.Domain &&
             (static_cast<int>(J) >= Blocker)) {
           Best = J + 1;
           break;
@@ -93,7 +73,7 @@ private:
     std::vector<const N::Imp *> Out;
     size_t I = 0;
     while (I < R.size()) {
-      if (!R[I].IsComp) {
+      if (!R[I].Domain) {
         Out.push_back(R[I].Action);
         ++I;
         continue;
@@ -101,7 +81,7 @@ private:
       std::vector<N::MoveClause> Clauses =
           cast<N::MoveImp>(R[I].Action)->getClauses();
       size_t J = I + 1;
-      while (J < R.size() && R[J].IsComp && R[J].Domain == R[I].Domain) {
+      while (J < R.size() && R[J].Domain == R[I].Domain) {
         const auto &More = cast<N::MoveImp>(R[J].Action)->getClauses();
         Clauses.insert(Clauses.end(), More.begin(), More.end());
         ++J;

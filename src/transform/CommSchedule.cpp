@@ -50,30 +50,16 @@ public:
   explicit CommSchedulePass(N::NIRContext &Ctx) : ImpRewriter(Ctx) {}
 
 private:
-
-  struct Item {
-    const N::Imp *Action;
-    Effects Eff;
-    bool IsComm = false;
-  };
-
-  Item makeItem(const N::Imp *A) {
-    Item It;
-    It.Action = A;
-    It.Eff = effectsOf(A);
-    if (const auto *M = dyn_cast<N::MoveImp>(A))
-      It.IsComm = classifyAction(M) == PhaseKind::Communication;
-    return It;
-  }
+  N::ElemTypeInference NoTypes; ///< Domains are not needed here.
 
   const N::Imp *sequentially(const N::SequentiallyImp *S) override {
     // Hoist: each communication MOVE migrates upward past every already
     // placed action it is independent of, so the maximum run of
     // computation sits between the exchange and its first consumer.
-    std::vector<Item> R;
+    std::vector<PhaseItem> R;
     for (const N::Imp *A : S->getActions()) {
-      Item X = makeItem(rewrite(A));
-      if (!X.IsComm) {
+      PhaseItem X = phaseItem(rewrite(A), NoTypes);
+      if (X.Kind != PhaseKind::Communication) {
         R.push_back(std::move(X));
         continue;
       }
@@ -88,7 +74,7 @@ private:
     std::vector<const N::Imp *> Out;
     size_t I = 0;
     while (I < R.size()) {
-      if (!R[I].IsComm) {
+      if (R[I].Kind != PhaseKind::Communication) {
         Out.push_back(R[I].Action);
         ++I;
         continue;
@@ -96,7 +82,7 @@ private:
       std::vector<N::MoveClause> Clauses =
           cast<N::MoveImp>(R[I].Action)->getClauses();
       size_t J = I + 1;
-      for (; J < R.size() && R[J].IsComm; ++J) {
+      for (; J < R.size() && R[J].Kind == PhaseKind::Communication; ++J) {
         const auto &More = cast<N::MoveImp>(R[J].Action)->getClauses();
         Clauses.insert(Clauses.end(), More.begin(), More.end());
         if (!N::matchExchange(Clauses)) {

@@ -8,7 +8,8 @@
 /// Name-level read/write effect sets over NIR imperatives, the dependence
 /// foundation for the reordering/fusion (domain blocking) transformation.
 /// The analysis is conservative: any reference to a variable name counts,
-/// regardless of which elements are touched.
+/// regardless of which elements are touched. Sets are bitsets over symbol
+/// ids (nir/Symbol.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,23 +18,20 @@
 
 #include "nir/Imperative.h"
 
-#include <set>
-#include <string>
-
 namespace f90y {
 namespace transform {
 
 /// Read and write sets (variable names).
 struct Effects {
-  std::set<std::string> Reads;
-  std::set<std::string> Writes;
+  nir::SymbolSet Reads;
+  nir::SymbolSet Writes;
 };
 
 /// Collects the effects of \p I (recursively).
 Effects effectsOf(const nir::Imp *I);
 
 /// Adds the names read by \p V to \p Reads.
-void collectReads(const nir::Value *V, std::set<std::string> &Reads);
+void collectReads(const nir::Value *V, nir::SymbolSet &Reads);
 
 /// True when executing \p A then \p B is equivalent to \p B then \p A:
 /// no write of either intersects a read or write of the other.

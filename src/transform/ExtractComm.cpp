@@ -43,46 +43,46 @@ private:
   std::vector<const N::Decl *> TempDecls;
   std::vector<const N::Imp *> PreActions;
 
-  std::string freshTemp() { return "tmp" + std::to_string(TmpCounter++); }
+  const N::Symbol *freshTemp() {
+    return Ctx.intern("tmp" + std::to_string(TmpCounter++));
+  }
 
   const N::ScalarType *scalarTypeOf(N::Type::Kind K) {
     return Ctx.getScalarType(K);
   }
 
-  /// The domain name of the first everywhere AVAR (or local_under) in \p V.
-  std::string domainOfFieldExpr(const N::Value *V) {
+  /// The domain of the first everywhere AVAR (or local_under) in \p V.
+  const N::Symbol *domainOfFieldExpr(const N::Value *V) {
     switch (V->getKind()) {
     case N::Value::Kind::Binary: {
       const auto *B = cast<N::BinaryValue>(V);
-      std::string L = domainOfFieldExpr(B->getLHS());
-      return L.empty() ? domainOfFieldExpr(B->getRHS()) : L;
+      const N::Symbol *L = domainOfFieldExpr(B->getLHS());
+      return L ? L : domainOfFieldExpr(B->getRHS());
     }
     case N::Value::Kind::Unary:
       return domainOfFieldExpr(cast<N::UnaryValue>(V)->getOperand());
     case N::Value::Kind::AVar: {
       const auto *AV = cast<N::AVarValue>(V);
       if (!isa<N::EverywhereAction>(AV->getAction()))
-        return "";
+        return nullptr;
       const auto *FT =
-          dyn_cast_or_null<N::DFieldType>(Types.lookup(AV->getId()));
+          dyn_cast_or_null<N::DFieldType>(Types.lookup(AV->getSymbol()));
       if (!FT)
-        return "";
+        return nullptr;
       if (const auto *Ref = dyn_cast<N::DomainRefShape>(FT->getShape()))
-        return Ref->getName();
-      return "";
+        return Ref->getSymbol();
+      return nullptr;
     }
     case N::Value::Kind::LocalCoord:
-      return cast<N::LocalCoordValue>(V)->getDomain();
+      return cast<N::LocalCoordValue>(V)->getSymbol();
     case N::Value::Kind::FcnCall: {
-      for (const N::Value *A : cast<N::FcnCallValue>(V)->getArgs()) {
-        std::string D = domainOfFieldExpr(A);
-        if (!D.empty())
+      for (const N::Value *A : cast<N::FcnCallValue>(V)->getArgs())
+        if (const N::Symbol *D = domainOfFieldExpr(A))
           return D;
-      }
-      return "";
+      return nullptr;
     }
     default:
-      return "";
+      return nullptr;
     }
   }
 
@@ -93,14 +93,14 @@ private:
 
   /// Materializes \p V into a fresh field temporary over \p Domain and
   /// returns an everywhere reference to it.
-  const N::Value *hoistField(const N::Value *V, const std::string &Domain) {
-    if (Domain.empty()) {
+  const N::Value *hoistField(const N::Value *V, const N::Symbol *Domain) {
+    if (!Domain) {
       Diags.error(SourceLocation(),
                   "cannot determine the domain of a hoisted communication "
                   "operand");
       return V;
     }
-    std::string T = freshTemp();
+    const N::Symbol *T = freshTemp();
     N::Type::Kind K = Types.elemKindOf(V);
     const N::Type *Ty =
         Ctx.getDField(Ctx.getDomainRef(Domain), scalarTypeOf(K));
@@ -113,7 +113,7 @@ private:
 
   /// Materializes a scalar value into a fresh scalar temporary.
   const N::Value *hoistScalar(const N::Value *V) {
-    std::string T = freshTemp();
+    const N::Symbol *T = freshTemp();
     N::Type::Kind K = Types.elemKindOf(V);
     const N::Type *Ty = scalarTypeOf(K);
     TempDecls.push_back(Ctx.getDecl(T, Ty));
@@ -129,7 +129,7 @@ private:
       return F;
     std::vector<const N::Value *> Args = F->getArgs();
     Args[0] = Arg;
-    return Ctx.getFcnCall(F->getCallee(), std::move(Args));
+    return Ctx.getFcnCall(F->getSymbol(), std::move(Args));
   }
 
   /// Rewrites \p V, hoisting comm/reduction calls. \p StmtDomain is the
@@ -137,7 +137,7 @@ private:
   /// \p AtTop is true when V is the entire clause source (a bare comm or
   /// reduction at top level is already in canonical position).
   const N::Value *rewriteValue(const N::Value *V,
-                               const std::string &StmtDomain, bool AtTop) {
+                               const N::Symbol *StmtDomain, bool AtTop) {
     switch (V->getKind()) {
     case N::Value::Kind::Binary: {
       const auto *B = cast<N::BinaryValue>(V);
@@ -165,9 +165,9 @@ private:
         }
         const N::Value *Arg = rewriteValue(F->getArgs()[0], StmtDomain,
                                            false);
-        std::string ArgDomain = domainOfFieldExpr(Arg);
+        const N::Symbol *ArgDomain = domainOfFieldExpr(Arg);
         if (!isBareEverywhereAVar(Arg))
-          Arg = hoistField(Arg, ArgDomain.empty() ? StmtDomain : ArgDomain);
+          Arg = hoistField(Arg, ArgDomain ? ArgDomain : StmtDomain);
         const N::Value *Call = withFirstArg(F, Arg);
         if (AtTop)
           return Call; // Already a canonical communication MOVE.
@@ -175,12 +175,10 @@ private:
         // and spread produce values of the statement's shape.
         bool ResultHasStmtShape =
             Name == "transpose" || Name == "spread";
-        std::string ResultDomain =
-            ResultHasStmtShape
-                ? (StmtDomain.empty() ? domainOfFieldExpr(Arg) : StmtDomain)
-                : domainOfFieldExpr(Arg);
-        return hoistField(Call, ResultDomain.empty() ? StmtDomain
-                                                     : ResultDomain);
+        const N::Symbol *ResultDomain =
+            ResultHasStmtShape && StmtDomain ? StmtDomain
+                                             : domainOfFieldExpr(Arg);
+        return hoistField(Call, ResultDomain ? ResultDomain : StmtDomain);
       }
 
       if (N::isReductionIntrinsic(Name)) {
@@ -220,7 +218,7 @@ private:
           Indices.push_back(NI);
         }
         if (Changed)
-          return Ctx.getAVar(AV->getId(), Ctx.getSubscript(Indices));
+          return Ctx.getAVar(AV->getSymbol(), Ctx.getSubscript(Indices));
       }
       return V;
     }
@@ -229,17 +227,17 @@ private:
     }
   }
 
-  std::string stmtDomainOf(const N::Value *Dst) {
+  const N::Symbol *stmtDomainOf(const N::Value *Dst) {
     const auto *AV = dyn_cast<N::AVarValue>(Dst);
     if (!AV)
-      return "";
+      return nullptr;
     const auto *FT =
-        dyn_cast_or_null<N::DFieldType>(Types.lookup(AV->getId()));
+        dyn_cast_or_null<N::DFieldType>(Types.lookup(AV->getSymbol()));
     if (!FT)
-      return "";
+      return nullptr;
     if (const auto *Ref = dyn_cast<N::DomainRefShape>(FT->getShape()))
-      return Ref->getName();
-    return "";
+      return Ref->getSymbol();
+    return nullptr;
   }
 
   /// \p Stmt behind the moves into the temporaries hoisted out of it.
@@ -263,7 +261,7 @@ private:
     std::vector<N::MoveClause> Clauses;
     bool Changed = false;
     for (const N::MoveClause &C : M->getClauses()) {
-      std::string StmtDomain = stmtDomainOf(C.Dst);
+      const N::Symbol *StmtDomain = stmtDomainOf(C.Dst);
       N::MoveClause NC = C;
       if (C.Guard) {
         NC.Guard = rewriteValue(C.Guard, StmtDomain, false);
@@ -284,11 +282,11 @@ private:
     std::vector<const N::Value *> Args;
     bool Changed = false;
     for (const N::Value *A : C->getArgs()) {
-      const N::Value *NA = rewriteValue(A, "", false);
+      const N::Value *NA = rewriteValue(A, nullptr, false);
       Changed |= NA != A;
       Args.push_back(NA);
     }
-    return withTemps(Changed ? Ctx.getCall(C->getCallee(), Args) : C);
+    return withTemps(Changed ? Ctx.getCall(C->getSymbol(), Args) : C);
   }
 };
 

@@ -47,9 +47,6 @@
 #include "transform/Phases.h"
 #include "transform/Transforms.h"
 
-#include <map>
-#include <set>
-#include <string>
 #include <vector>
 
 using namespace f90y;
@@ -62,20 +59,7 @@ namespace {
 /// program. Fusion demands exactly one declaration, one write, and one
 /// read of a temporary; shadowed or re-declared names never qualify.
 struct UseCounts {
-  std::map<std::string, unsigned> Reads;
-  std::map<std::string, unsigned> Writes;
-  std::map<std::string, unsigned> Decls;
-
-  unsigned reads(const std::string &Id) const { return at(Reads, Id); }
-  unsigned writes(const std::string &Id) const { return at(Writes, Id); }
-  unsigned decls(const std::string &Id) const { return at(Decls, Id); }
-
-private:
-  static unsigned at(const std::map<std::string, unsigned> &M,
-                     const std::string &Id) {
-    auto It = M.find(Id);
-    return It == M.end() ? 0 : It->second;
-  }
+  N::SymbolMap<unsigned> Reads, Writes, Decls;
 };
 
 void countValueReads(const N::Value *V, UseCounts &C) {
@@ -92,7 +76,7 @@ void countValueReads(const N::Value *V, UseCounts &C) {
     countValueReads(cast<N::UnaryValue>(V)->getOperand(), C);
     return;
   case N::Value::Kind::SVar:
-    ++C.Reads[cast<N::SVarValue>(V)->getId()];
+    ++C.Reads[cast<N::SVarValue>(V)->getSymbol()];
     return;
   case N::Value::Kind::ScalarConst:
   case N::Value::Kind::StrConst:
@@ -104,7 +88,7 @@ void countValueReads(const N::Value *V, UseCounts &C) {
     return;
   case N::Value::Kind::AVar: {
     const auto *AV = cast<N::AVarValue>(V);
-    ++C.Reads[AV->getId()];
+    ++C.Reads[AV->getSymbol()];
     if (const auto *Sub = dyn_cast<N::SubscriptAction>(AV->getAction()))
       for (const N::Value *Idx : Sub->getIndices())
         countValueReads(Idx, C);
@@ -121,12 +105,12 @@ void countImp(const N::Imp *Root, UseCounts &C) {
         countValueReads(Cl.Guard, C);
         countValueReads(Cl.Src, C);
         if (const auto *AV = dyn_cast<N::AVarValue>(Cl.Dst)) {
-          ++C.Writes[AV->getId()];
+          ++C.Writes[AV->getSymbol()];
           if (const auto *Sub = dyn_cast<N::SubscriptAction>(AV->getAction()))
             for (const N::Value *Idx : Sub->getIndices())
               countValueReads(Idx, C);
         } else if (const auto *SV = dyn_cast<N::SVarValue>(Cl.Dst)) {
-          ++C.Writes[SV->getId()];
+          ++C.Writes[SV->getSymbol()];
         }
       }
       return;
@@ -137,18 +121,18 @@ void countImp(const N::Imp *Root, UseCounts &C) {
       countValueReads(cast<N::WhileImp>(I)->getCond(), C);
       return;
     case N::Imp::Kind::WithDecl:
-      N::forEachBinding(cast<N::WithDeclImp>(I)->getDecl(),
-                        [&](const std::string &Id, const N::Type *,
-                            const N::Value *) { ++C.Decls[Id]; });
+      N::forEachSimpleDecl(
+          cast<N::WithDeclImp>(I)->getDecl(),
+          [&](const N::SimpleDecl *SD) { ++C.Decls[SD->getSymbol()]; });
       return;
     case N::Imp::Kind::Call:
       // COPY_OUT convention: host calls may read and write their arguments.
       for (const N::Value *A : cast<N::CallImp>(I)->getArgs()) {
         countValueReads(A, C);
         if (const auto *AV = dyn_cast<N::AVarValue>(A))
-          ++C.Writes[AV->getId()];
+          ++C.Writes[AV->getSymbol()];
         else if (const auto *SV = dyn_cast<N::SVarValue>(A))
-          ++C.Writes[SV->getId()];
+          ++C.Writes[SV->getSymbol()];
       }
       return;
     default:
@@ -164,7 +148,7 @@ void countImp(const N::Imp *Root, UseCounts &C) {
 /// producer under them would change which elements are combined).
 enum class ReadSite { Absent, Fusible, Blocked };
 
-ReadSite locateRead(const N::Value *V, const std::string &Temp,
+ReadSite locateRead(const N::Value *V, const N::Symbol *Temp,
                     bool UnderCall) {
   if (!V)
     return ReadSite::Absent;
@@ -201,7 +185,7 @@ ReadSite locateRead(const N::Value *V, const std::string &Temp,
         if (S != ReadSite::Absent)
           return ReadSite::Blocked;
       }
-    if (AV->getId() != Temp)
+    if (AV->getSymbol() != Temp)
       return ReadSite::Absent;
     if (UnderCall || !isa<N::EverywhereAction>(AV->getAction()))
       return ReadSite::Blocked;
@@ -216,36 +200,22 @@ public:
   FusionPass(N::NIRContext &Ctx, const UseCounts &Counts)
       : ImpRewriter(Ctx), Counts(Counts) {}
 
-  const std::set<std::string> &eliminated() const { return Eliminated; }
+  const N::SymbolSet &eliminated() const { return Eliminated; }
   const FusionStats &stats() const { return Stats; }
 
 private:
   const UseCounts &Counts;
   N::ElemTypeInference Types;
   N::DomainEnv Domains;
-  std::set<std::string> Eliminated;
+  N::SymbolSet Eliminated;
   FusionStats Stats;
 
-  struct Item {
-    const N::Imp *Action;
-    Effects Eff;
-    bool IsComp = false;
+  struct Item : PhaseItem {
     bool Absorbed = false; ///< Already counted toward MovesFused.
-    std::string Domain;
   };
 
-  Item makeItem(const N::Imp *A) {
-    Item It;
-    It.Action = A;
-    It.Eff = effectsOf(A);
-    if (const auto *M = dyn_cast<N::MoveImp>(A)) {
-      if (classifyAction(M) == PhaseKind::Computation) {
-        It.Domain = computationDomainOf(M, Types);
-        It.IsComp = !It.Domain.empty();
-      }
-    }
-    return It;
-  }
+  Item makeItem(const N::Imp *A) { return {phaseItem(A, Types)}; }
+
 
   /// True for the WITH_DECL wrappers extract-comm builds around a single
   /// statement: declarations over a body that is a MOVE or a sequence of
@@ -264,7 +234,7 @@ private:
 
   /// Static memory-traffic estimate for one eliminated temporary: a full
   /// store of the field plus a full reload (elements x element size x 2).
-  uint64_t bytesFor(const std::string &Temp) const {
+  uint64_t bytesFor(const N::Symbol *Temp) const {
     const auto *FT = dyn_cast_or_null<N::DFieldType>(Types.lookup(Temp));
     if (!FT)
       return 0;
@@ -280,7 +250,7 @@ private:
   /// in \p Items. On success the producer is erased (the caller must not
   /// advance its index) and true is returned.
   bool tryFuseFrom(size_t I, std::vector<Item> &Items) {
-    if (!Items[I].IsComp)
+    if (!Items[I].Domain)
       return false;
     const auto *M = cast<N::MoveImp>(Items[I].Action);
     if (M->getClauses().size() != 1)
@@ -291,21 +261,21 @@ private:
     const auto *Dst = dyn_cast<N::AVarValue>(P.Dst);
     if (!Dst || !isa<N::EverywhereAction>(Dst->getAction()))
       return false;
-    const std::string &Temp = Dst->getId();
-    if (Eliminated.count(Temp))
+    const N::Symbol *Temp = Dst->getSymbol();
+    if (Eliminated.contains(Temp))
       return false;
-    if (Counts.decls(Temp) != 1 || Counts.writes(Temp) != 1 ||
-        Counts.reads(Temp) != 1)
+    if (Counts.Decls.lookup(Temp) != 1 || Counts.Writes.lookup(Temp) != 1 ||
+        Counts.Reads.lookup(Temp) != 1)
       return false;
 
-    std::set<std::string> SrcReads;
+    N::SymbolSet SrcReads;
     collectReads(P.Src, SrcReads);
 
     for (size_t J = I + 1; J < Items.size(); ++J) {
       Item &Cand = Items[J];
-      if (Cand.Eff.Reads.count(Temp)) {
+      if (Cand.Eff.Reads.contains(Temp)) {
         // The unique read. Fusible only in a same-domain computation MOVE.
-        if (!Cand.IsComp || Cand.Domain != Items[I].Domain)
+        if (Cand.Domain != Items[I].Domain)
           return false;
         const auto *CM = cast<N::MoveImp>(Cand.Action);
         int ClauseIdx = -1;
@@ -328,11 +298,11 @@ private:
         for (int K = 0; K < ClauseIdx; ++K)
           if (const auto *AV =
                   dyn_cast<N::AVarValue>(CM->getClauses()[K].Dst)) {
-            if (SrcReads.count(AV->getId()))
+            if (SrcReads.contains(AV->getSymbol()))
               return false;
           } else if (const auto *SV =
                          dyn_cast<N::SVarValue>(CM->getClauses()[K].Dst)) {
-            if (SrcReads.count(SV->getId()))
+            if (SrcReads.contains(SV->getSymbol()))
               return false;
           }
 
@@ -340,7 +310,7 @@ private:
         // Replace the unique AVAR(Temp, everywhere) read.
         const N::Value *&Src = Clauses[static_cast<size_t>(ClauseIdx)].Src;
         Src = N::mapAVars(Src, Ctx, [&](const N::AVarValue *AV) {
-          bool Read = AV->getId() == Temp &&
+          bool Read = AV->getSymbol() == Temp &&
                       isa<N::EverywhereAction>(AV->getAction());
           return Read ? P.Src : AV;
         });
@@ -374,9 +344,8 @@ private:
       // No read of the temporary here: the producer's evaluation is being
       // delayed past this action, so nothing in it may overwrite an
       // operand of the producer's RHS.
-      for (const std::string &R : SrcReads)
-        if (Cand.Eff.Writes.count(R))
-          return false;
+      if (Cand.Eff.Writes.intersects(SrcReads))
+        return false;
     }
     return false;
   }
@@ -440,9 +409,9 @@ private:
   }
 
   const N::Imp *withDomain(const N::WithDomainImp *W) override {
-    const N::Shape *Old = Domains.bind(W->getName(), W->getShape());
+    const N::Shape *Old = Domains.bind(W->getSymbol(), W->getShape());
     const N::Imp *Result = ImpRewriter::withDomain(W);
-    Domains.restore(W->getName(), Old);
+    Domains.restore(W->getSymbol(), Old);
     return Result;
   }
 };
@@ -451,17 +420,17 @@ private:
 /// one load are gone, so the binding is dead and its allocation with it).
 class DeclPruner : public N::ImpRewriter {
 public:
-  DeclPruner(N::NIRContext &Ctx, const std::set<std::string> &Dead)
+  DeclPruner(N::NIRContext &Ctx, const N::SymbolSet &Dead)
       : ImpRewriter(Ctx), Dead(Dead) {}
 
 private:
-  const std::set<std::string> &Dead;
+  const N::SymbolSet &Dead;
 
   /// Returns \p D with dead bindings removed, or null when none survive.
   const N::Decl *filterDecl(const N::Decl *D) {
     switch (D->getKind()) {
     case N::Decl::Kind::Simple:
-      return Dead.count(cast<N::SimpleDecl>(D)->getId()) ? nullptr : D;
+      return Dead.contains(cast<N::SimpleDecl>(D)->getSymbol()) ? nullptr : D;
     case N::Decl::Kind::Set: {
       const auto &Decls = cast<N::DeclSet>(D)->getDecls();
       std::vector<const N::Decl *> Kept;
@@ -493,7 +462,7 @@ const N::Imp *transform::fuseElementwise(const N::Imp *Root,
   countImp(Root, Counts);
   FusionPass Pass(Ctx, Counts);
   const N::Imp *Result = Pass.rewrite(Root);
-  if (!Pass.eliminated().empty())
+  if (Pass.stats().TempsEliminated)
     Result = DeclPruner(Ctx, Pass.eliminated()).rewrite(Result);
   if (Stats)
     *Stats = Pass.stats();

@@ -77,7 +77,7 @@ private:
   }
 
   /// Mask condition for one dimension's triplet over \p Domain.
-  const N::Value *dimMask(const std::string &Domain, unsigned Dim,
+  const N::Value *dimMask(const N::Symbol *Domain, unsigned Dim,
                           const N::SectionTriplet &T) {
     if (T.All)
       return nullptr;
@@ -134,13 +134,13 @@ private:
     // (shapecheck would have rejected them), so alignment is established.
 
     const auto *FT =
-        dyn_cast_or_null<N::DFieldType>(Types.lookup(DstAV->getId()));
+        dyn_cast_or_null<N::DFieldType>(Types.lookup(DstAV->getSymbol()));
     if (!FT)
       return false;
     const auto *Ref = dyn_cast<N::DomainRefShape>(FT->getShape());
     if (!Ref)
       return false;
-    const std::string &Domain = Ref->getName();
+    const N::Symbol *Domain = Ref->getSymbol();
 
     const N::Value *Mask = nullptr;
     for (size_t D = 0; D < DstSec->getTriplets().size(); ++D) {
@@ -160,10 +160,10 @@ private:
     C.Guard = Guard ? Guard : Ctx.getTrue();
     C.Src = N::mapAVars(C.Src, Ctx, [&](const N::AVarValue *AV) {
       return isa<N::SectionAction>(AV->getAction())
-                 ? Ctx.getAVar(AV->getId(), Ctx.getEverywhere())
+                 ? Ctx.getAVar(AV->getSymbol(), Ctx.getEverywhere())
                  : AV;
     });
-    C.Dst = Ctx.getAVar(DstAV->getId(), Ctx.getEverywhere());
+    C.Dst = Ctx.getAVar(DstAV->getSymbol(), Ctx.getEverywhere());
     return true;
   }
 

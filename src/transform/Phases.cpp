@@ -83,18 +83,30 @@ PhaseKind transform::classifyAction(const N::Imp *I) {
   return PhaseKind::Computation;
 }
 
-std::string
+const N::Symbol *
 transform::computationDomainOf(const N::MoveImp *M,
                                const N::ElemTypeInference &Types) {
   for (const N::MoveClause &C : M->getClauses()) {
     const auto *AV = dyn_cast<N::AVarValue>(C.Dst);
     if (!AV)
       continue;
-    const auto *FT = dyn_cast_or_null<N::DFieldType>(Types.lookup(AV->getId()));
+    const auto *FT =
+        dyn_cast_or_null<N::DFieldType>(Types.lookup(AV->getSymbol()));
     if (!FT)
       continue;
     if (const auto *Ref = dyn_cast<N::DomainRefShape>(FT->getShape()))
-      return Ref->getName();
+      return Ref->getSymbol();
   }
-  return "";
+  return nullptr;
+}
+
+PhaseItem transform::phaseItem(const N::Imp *A,
+                               const N::ElemTypeInference &Types) {
+  PhaseItem It;
+  It.Action = A;
+  It.Eff = effectsOf(A);
+  It.Kind = classifyAction(A);
+  if (It.Kind == PhaseKind::Computation)
+    It.Domain = computationDomainOf(cast<N::MoveImp>(A), Types);
+  return It;
 }

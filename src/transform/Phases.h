@@ -19,8 +19,7 @@
 
 #include "nir/Imperative.h"
 #include "nir/TypeInfer.h"
-
-#include <string>
+#include "transform/Effects.h"
 
 namespace f90y {
 namespace transform {
@@ -41,11 +40,23 @@ bool containsSection(const nir::Value *V);
 /// Classifies a single action appearing in a sequential composition.
 PhaseKind classifyAction(const nir::Imp *I);
 
-/// For a Computation-classified MOVE, the name of the domain the phase
-/// computes over (the declared domain of the first destination array),
-/// resolved through \p Types. Returns "" when unknown.
-std::string computationDomainOf(const nir::MoveImp *M,
-                                const nir::ElemTypeInference &Types);
+/// For a Computation-classified MOVE, the domain the phase computes over
+/// (the declared domain of the first destination array), resolved through
+/// \p Types. Returns null when unknown.
+const nir::Symbol *computationDomainOf(const nir::MoveImp *M,
+                                       const nir::ElemTypeInference &Types);
+
+/// One action of a sequential composition as the reordering passes
+/// (fusion, domain blocking, comm scheduling) see it.
+struct PhaseItem {
+  const nir::Imp *Action = nullptr;
+  Effects Eff;
+  PhaseKind Kind = PhaseKind::Structured;
+  /// A Computation MOVE's domain; null for every other action.
+  const nir::Symbol *Domain = nullptr;
+};
+
+PhaseItem phaseItem(const nir::Imp *A, const nir::ElemTypeInference &Types);
 
 } // namespace transform
 } // namespace f90y

@@ -21,6 +21,13 @@ class AnalysisTest : public ::testing::Test {
 protected:
   NIRContext Ctx;
 
+  const Symbol *sym(const char *Name) { return Ctx.intern(Name); }
+  SymbolSet set(const char *Name) {
+    SymbolSet S;
+    S.insert(sym(Name));
+    return S;
+  }
+
   const MoveImp *fieldMove(const std::string &Dst, const Value *Src,
                            const Value *Guard = nullptr) {
     return Ctx.getMove(
@@ -38,10 +45,10 @@ TEST_F(AnalysisTest, MoveEffects) {
       "b", Ctx.getBinary(BinaryOp::Add, Ctx.getAVar("a", Ctx.getEverywhere()),
                          Ctx.getSVar("n")));
   Effects E = effectsOf(M);
-  EXPECT_TRUE(E.Reads.count("a"));
-  EXPECT_TRUE(E.Reads.count("n"));
-  EXPECT_TRUE(E.Writes.count("b"));
-  EXPECT_FALSE(E.Writes.count("a"));
+  EXPECT_TRUE(E.Reads.contains(sym("a")));
+  EXPECT_TRUE(E.Reads.contains(sym("n")));
+  EXPECT_TRUE(E.Writes.contains(sym("b")));
+  EXPECT_FALSE(E.Writes.contains(sym("a")));
 }
 
 TEST_F(AnalysisTest, SubscriptIndicesAreReads) {
@@ -49,8 +56,8 @@ TEST_F(AnalysisTest, SubscriptIndicesAreReads) {
       {{Ctx.getTrue(), Ctx.getIntConst(1),
         Ctx.getAVar("c", Ctx.getSubscript({Ctx.getSVar("i")}))}});
   Effects E = effectsOf(M);
-  EXPECT_TRUE(E.Writes.count("c"));
-  EXPECT_TRUE(E.Reads.count("i"));
+  EXPECT_TRUE(E.Writes.contains(sym("c")));
+  EXPECT_TRUE(E.Reads.contains(sym("i")));
 }
 
 TEST_F(AnalysisTest, WithDeclHidesLocalNames) {
@@ -60,31 +67,31 @@ TEST_F(AnalysisTest, WithDeclHidesLocalNames) {
        Ctx.getMove(
            {{Ctx.getTrue(), Ctx.getSVar("tmp"), Ctx.getSVar("y")}})});
   Effects E = effectsOf(Ctx.getWithDecl(D, Body));
-  EXPECT_FALSE(E.Reads.count("tmp"));
-  EXPECT_FALSE(E.Writes.count("tmp"));
-  EXPECT_TRUE(E.Reads.count("x"));
-  EXPECT_TRUE(E.Writes.count("y"));
+  EXPECT_FALSE(E.Reads.contains(sym("tmp")));
+  EXPECT_FALSE(E.Writes.contains(sym("tmp")));
+  EXPECT_TRUE(E.Reads.contains(sym("x")));
+  EXPECT_TRUE(E.Writes.contains(sym("y")));
 }
 
 TEST_F(AnalysisTest, IndependenceIsSymmetricAndCorrect) {
   Effects A, B, C;
-  A.Reads = {"x"};
-  A.Writes = {"y"};
-  B.Reads = {"z"};
-  B.Writes = {"w"};
-  C.Reads = {"y"}; // Reads what A writes.
+  A.Reads = set("x");
+  A.Writes = set("y");
+  B.Reads = set("z");
+  B.Writes = set("w");
+  C.Reads = set("y"); // Reads what A writes.
   EXPECT_TRUE(independent(A, B));
   EXPECT_TRUE(independent(B, A));
   EXPECT_FALSE(independent(A, C));
   EXPECT_FALSE(independent(C, A));
   // Read-read sharing is fine.
   Effects D1, D2;
-  D1.Reads = {"k"};
-  D2.Reads = {"k"};
+  D1.Reads = set("k");
+  D2.Reads = set("k");
   EXPECT_TRUE(independent(D1, D2));
   // Write-write conflicts are not.
-  D1.Writes = {"m"};
-  D2.Writes = {"m"};
+  D1.Writes = set("m");
+  D2.Writes = set("m");
   EXPECT_FALSE(independent(D1, D2));
 }
 
@@ -107,8 +114,8 @@ TEST_F(AnalysisTest, InferenceFollowsDeclarations) {
 
 TEST_F(AnalysisTest, InferencePromotesThroughArithmetic) {
   ElemTypeInference Types;
-  Types.addBinding("k", Ctx.getInteger32());
-  Types.addBinding("x", Ctx.getFloat64());
+  Types.addBinding(sym("k"), Ctx.getInteger32());
+  Types.addBinding(sym("x"), Ctx.getFloat64());
   const Value *Mixed =
       Ctx.getBinary(BinaryOp::Add, Ctx.getSVar("k"), Ctx.getSVar("x"));
   EXPECT_EQ(Types.elemKindOf(Mixed), Type::Kind::Float64);
@@ -122,7 +129,7 @@ TEST_F(AnalysisTest, InferencePromotesThroughArithmetic) {
 
 TEST_F(AnalysisTest, PowKeepsBaseTypeAndCoordsAreInt) {
   ElemTypeInference Types;
-  Types.addBinding("x", Ctx.getFloat32());
+  Types.addBinding(sym("x"), Ctx.getFloat32());
   const Value *Pow = Ctx.getBinary(BinaryOp::Pow, Ctx.getSVar("x"),
                                    Ctx.getIntConst(2));
   EXPECT_EQ(Types.elemKindOf(Pow), Type::Kind::Float32);
@@ -132,7 +139,7 @@ TEST_F(AnalysisTest, PowKeepsBaseTypeAndCoordsAreInt) {
 
 TEST_F(AnalysisTest, ReductionAndConversionTypes) {
   ElemTypeInference Types;
-  Types.addBinding("a", Ctx.getDField(Ctx.getInterval(1, 8),
+  Types.addBinding(sym("a"), Ctx.getDField(Ctx.getInterval(1, 8),
                                       Ctx.getLogical32()));
   const Value *Any =
       Ctx.getFcnCall("any", {Ctx.getAVar("a", Ctx.getEverywhere())});
@@ -199,13 +206,13 @@ TEST_F(AnalysisTest, MergeStaysComputation) {
 
 TEST_F(AnalysisTest, ComputationDomainComesFromDeclaredDst) {
   ElemTypeInference Types;
-  Types.addBinding("b", Ctx.getDField(Ctx.getDomainRef("alpha"),
+  Types.addBinding(sym("b"), Ctx.getDField(Ctx.getDomainRef("alpha"),
                                       Ctx.getFloat32()));
   const auto *M = fieldMove("b", Ctx.getIntConst(1));
-  EXPECT_EQ(computationDomainOf(cast<MoveImp>(M), Types), "alpha");
+  EXPECT_EQ(computationDomainOf(cast<MoveImp>(M), Types), sym("alpha"));
   // Unknown destination: no domain.
   ElemTypeInference Empty;
-  EXPECT_EQ(computationDomainOf(cast<MoveImp>(M), Empty), "");
+  EXPECT_EQ(computationDomainOf(cast<MoveImp>(M), Empty), nullptr);
 }
 
 } // namespace

@@ -13,7 +13,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "backend/PECompiler.h"
 #include "driver/Driver.h"
+#include "nir/NIRContext.h"
 #include "invariance/Invariance.h"
 
 #include <gtest/gtest.h>
@@ -453,6 +455,110 @@ TEST_F(BackendTest, RejectsUnsupportedMisalignedExpression) {
                          "a(1:8) = 2.0*a(9:16)\n"
                          "end\n"));
   EXPECT_TRUE(C.diags().hasErrors());
+}
+
+//===--------------------------------------------------------------------===//
+// Common-subexpression contract of the PE compiler
+//===--------------------------------------------------------------------===//
+
+/// Compiles hand-built MOVE clauses over domain "alpha" with the node
+/// options of a profile; fields a, c, d, x, y are float_64 arrays and the
+/// scalars s and k are integer_32.
+class PECSETest : public ::testing::Test {
+protected:
+  nir::NIRContext Ctx;
+  nir::ElemTypeInference Types;
+
+  void SetUp() override {
+    const nir::Type *F =
+        Ctx.getDField(Ctx.getDomainRef("alpha"), Ctx.getFloat64());
+    for (const char *A : {"a", "c", "d", "x", "y"})
+      Types.addDecl(Ctx.getDecl(A, F));
+    Types.addDecl(Ctx.getDecl("s", Ctx.getInteger32()));
+    Types.addDecl(Ctx.getDecl("k", Ctx.getDField(Ctx.getInterval(1, 8),
+                                                  Ctx.getInteger32())));
+  }
+
+  const nir::Value *field(const std::string &Name) {
+    return Ctx.getAVar(Name, Ctx.getEverywhere());
+  }
+  const nir::Value *sub(const nir::Value *L, const nir::Value *R) {
+    return Ctx.getBinary(nir::BinaryOp::Sub, L, R);
+  }
+  nir::MoveClause clause(const std::string &Dst, const nir::Value *Src) {
+    return {Ctx.getTrue(), Src, field(Dst)};
+  }
+
+  backend::PEResult compile(Profile P, std::vector<nir::MoveClause> Clauses) {
+    DiagnosticEngine Diags;
+    std::optional<backend::PEResult> R = backend::compileComputation(
+        Ctx.getMove(std::move(Clauses)), Ctx.intern("alpha"), Types,
+        CompileOptions::forProfile(P, testMachine()).Backend.PE, 0, Diags);
+    EXPECT_TRUE(R.has_value()) << Diags.str();
+    return R ? std::move(*R) : backend::PEResult();
+  }
+
+  static unsigned count(const backend::PEResult &R, peac::Opcode Op) {
+    unsigned N = 0;
+    for (const peac::Instruction &I : R.Routine.Body)
+      N += I.Op == Op;
+    return N;
+  }
+};
+
+TEST_F(PECSETest, EqualSubtreesAtDistinctAddressesShareOneRegister) {
+  for (Profile P : {Profile::F90Y, Profile::CMFStyle, Profile::Naive}) {
+    const nir::Value *L = sub(field("a"), field("c"));
+    const nir::Value *R = sub(field("a"), field("c"));
+    ASSERT_NE(L, R);
+    backend::PEResult Out =
+        compile(P, {clause("x", Ctx.getBinary(nir::BinaryOp::Mul, L, R))});
+    EXPECT_EQ(count(Out, peac::Opcode::FSubV), P == Profile::Naive ? 2u : 1u)
+        << Out.Routine.str();
+  }
+}
+
+TEST_F(PECSETest, StoreDropsOnlyCachedValuesThatReadTheStoredArray) {
+  // x = a - c; a = d - c; y = (a - c) * (d - c): the store to a drops
+  // a - c (recomputed from the stored register) and keeps d - c.
+  backend::PEResult Out = compile(
+      Profile::F90Y,
+      {clause("x", sub(field("a"), field("c"))),
+       clause("a", sub(field("d"), field("c"))),
+       clause("y", Ctx.getBinary(nir::BinaryOp::Mul,
+                                 sub(field("a"), field("c")),
+                                 sub(field("d"), field("c"))))});
+  EXPECT_EQ(count(Out, peac::Opcode::FSubV), 3u) << Out.Routine.str();
+}
+
+TEST_F(PECSETest, EqualScalarReadsShareOneScalarArgument) {
+  for (Profile P : {Profile::F90Y, Profile::CMFStyle, Profile::Naive}) {
+    const nir::Value *K1 =
+        Ctx.getAVar("k", Ctx.getSubscript({Ctx.getIntConst(3)}));
+    const nir::Value *K2 =
+        Ctx.getAVar("k", Ctx.getSubscript({Ctx.getIntConst(3)}));
+    backend::PEResult Out = compile(
+        P, {clause("x", Ctx.getBinary(nir::BinaryOp::Mul,
+                                      sub(field("a"), Ctx.getSVar("s")),
+                                      sub(K1, Ctx.getSVar("s")))),
+            clause("y", sub(K2, field("c")))});
+    EXPECT_EQ(Out.Routine.NumScalarArgs, 2u) << Out.Routine.str();
+  }
+}
+
+TEST_F(PECSETest, ConstantsOfEqualValueAndDistinctTypeAreNotMerged) {
+  backend::PEResult Out = compile(
+      Profile::F90Y,
+      {clause("x", Ctx.getBinary(nir::BinaryOp::Mul,
+                                 sub(field("a"), Ctx.getIntConst(2)),
+                                 sub(field("a"), Ctx.getFloatConst(2.0)))),
+       clause("y", Ctx.getBinary(
+                       nir::BinaryOp::Mul,
+                       sub(field("a"), Ctx.getFloatConst(2.0, false)),
+                       sub(field("a"), Ctx.getFloatConst(2.0))))});
+  // a - 2, a - 2.0d0 and a - 2.0 are three values; the last product reuses
+  // a - 2.0d0 from the first clause.
+  EXPECT_EQ(count(Out, peac::Opcode::FSubV), 3u) << Out.Routine.str();
 }
 
 } // namespace

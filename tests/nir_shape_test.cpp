@@ -67,7 +67,7 @@ TEST_F(ShapeTest, NestedProdDomFlattens) {
 
 TEST_F(ShapeTest, DomainRefResolvesThroughEnv) {
   const Shape *Alpha = Ctx.getInterval(1, 128);
-  Env.bind("alpha", Alpha);
+  Env.bind(Ctx.intern("alpha"), Alpha);
   const Shape *Ref = Ctx.getDomainRef("alpha");
   EXPECT_EQ(resolveShape(Ref, Env), Alpha);
   EXPECT_EQ(shapeNumElements(Ref, Env), 128);
@@ -82,13 +82,13 @@ TEST_F(ShapeTest, UnboundDomainRefFailsToResolve) {
 
 TEST_F(ShapeTest, ChainedDomainRefsResolve) {
   const Shape *Alpha = Ctx.getInterval(1, 16);
-  Env.bind("alpha", Alpha);
-  Env.bind("beta", Ctx.getDomainRef("alpha"));
+  Env.bind(Ctx.intern("alpha"), Alpha);
+  Env.bind(Ctx.intern("beta"), Ctx.getDomainRef("alpha"));
   EXPECT_EQ(resolveShape(Ctx.getDomainRef("beta"), Env), Alpha);
 }
 
 TEST_F(ShapeTest, ProdDomOfRefsResolves) {
-  Env.bind("alpha", Ctx.getInterval(1, 128));
+  Env.bind(Ctx.intern("alpha"), Ctx.getInterval(1, 128));
   const Shape *Beta =
       Ctx.getProdDom({Ctx.getDomainRef("alpha"), Ctx.getInterval(1, 64)});
   EXPECT_EQ(shapeNumElements(Beta, Env), 128 * 64);
@@ -135,15 +135,15 @@ TEST_F(ShapeTest, SerialVsParallelNotIdentical) {
 TEST_F(ShapeTest, ShadowedBindingRestores) {
   const Shape *Outer = Ctx.getInterval(1, 8);
   const Shape *Inner = Ctx.getInterval(1, 4);
-  const Shape *Old = Env.bind("d", Outer);
+  const Shape *Old = Env.bind(Ctx.intern("d"), Outer);
   EXPECT_EQ(Old, nullptr);
-  const Shape *Saved = Env.bind("d", Inner);
+  const Shape *Saved = Env.bind(Ctx.intern("d"), Inner);
   EXPECT_EQ(Saved, Outer);
-  EXPECT_EQ(Env.lookup("d"), Inner);
-  Env.restore("d", Saved);
-  EXPECT_EQ(Env.lookup("d"), Outer);
-  Env.restore("d", Old);
-  EXPECT_EQ(Env.lookup("d"), nullptr);
+  EXPECT_EQ(Env.lookup(Ctx.intern("d")), Inner);
+  Env.restore(Ctx.intern("d"), Saved);
+  EXPECT_EQ(Env.lookup(Ctx.intern("d")), Outer);
+  Env.restore(Ctx.intern("d"), Old);
+  EXPECT_EQ(Env.lookup(Ctx.intern("d")), nullptr);
 }
 
 TEST_F(ShapeTest, SectionTripletCount) {
