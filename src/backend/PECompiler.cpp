@@ -8,6 +8,7 @@
 
 #include "nir/Clause.h"
 #include "nir/Equality.h"
+#include "nir/Rewrite.h"
 
 #include <algorithm>
 
@@ -121,66 +122,42 @@ private:
   }
 
   /// Counts field-leaf uses (chaining decision) and registers argument
-  /// slots in first-appearance order.
+  /// slots in first-appearance order. The walk enters arithmetic and
+  /// 'merge' only: a subscripted read is one host-evaluated scalar.
   void discover(const N::Value *V) {
-    switch (V->getKind()) {
-    case N::Value::Kind::Binary: {
-      const auto *B = cast<N::BinaryValue>(V);
-      discover(B->getLHS());
-      discover(B->getRHS());
-      return;
-    }
-    case N::Value::Kind::Unary:
-      discover(cast<N::UnaryValue>(V)->getOperand());
-      return;
-    case N::Value::Kind::AVar: {
-      const auto *AV = cast<N::AVarValue>(V);
-      if (isa<N::EverywhereAction>(AV->getAction())) {
-        fieldPtr(AV);
-        ++slot(LeafUses, VN.number(V));
-        return;
+    N::forEachValue(V, [&](const N::Value *X) {
+      if (const auto *AV = dyn_cast<N::AVarValue>(X)) {
+        if (isa<N::EverywhereAction>(AV->getAction())) {
+          fieldPtr(AV);
+          ++slot(LeafUses, VN.number(X));
+        } else if (isa<N::SubscriptAction>(AV->getAction())) {
+          scalarArg(X);
+        } else {
+          error("array section reached the PE compiler (run the section "
+                "masking transformation first)");
+        }
+        return false;
       }
-      if (isa<N::SubscriptAction>(AV->getAction())) {
-        // A single-element read is a host-evaluated scalar argument.
-        scalarArg(V);
-        return;
-      }
-      error("array section reached the PE compiler (run the section "
-            "masking transformation first)");
-      return;
-    }
-    case N::Value::Kind::SVar:
-      scalarArg(V);
-      return;
-    case N::Value::Kind::LocalCoord: {
-      const auto *LC = cast<N::LocalCoordValue>(V);
-      if (LC->getSymbol() == StmtDomain) {
-        coordPtr(LC->getDim());
-        ++slot(LeafUses, VN.number(V));
-        return;
-      }
-      // Coordinates of an enclosing serial loop: a host scalar.
-      scalarArg(V);
-      return;
-    }
-    case N::Value::Kind::FcnCall: {
-      const auto *F = cast<N::FcnCallValue>(V);
-      if (F->getCallee() != "merge") {
+      if (const auto *LC = dyn_cast<N::LocalCoordValue>(X)) {
+        if (LC->getSymbol() == StmtDomain) {
+          coordPtr(LC->getDim());
+          ++slot(LeafUses, VN.number(X));
+        } else {
+          scalarArg(X); // Coordinates of an enclosing serial loop.
+        }
+      } else if (isa<N::SVarValue>(X)) {
+        scalarArg(X);
+      } else if (isa<N::StrConstValue>(X)) {
+        error("string constant in a computation block");
+      } else if (const auto *F = dyn_cast<N::FcnCallValue>(X);
+                 F && F->getCallee() != "merge") {
         error("primitive '" + F->getCallee() +
               "' reached the PE compiler (run communication extraction "
               "first)");
-        return;
+        return false;
       }
-      for (const N::Value *A : F->getArgs())
-        discover(A);
-      return;
-    }
-    case N::Value::Kind::ScalarConst:
-      return;
-    case N::Value::Kind::StrConst:
-      error("string constant in a computation block");
-      return;
-    }
+      return true;
+    });
   }
 
   //===------------------------------------------------------------------===//

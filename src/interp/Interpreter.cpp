@@ -149,8 +149,9 @@ void Interpreter::execImp(const N::Imp *I) {
     const auto *WD = cast<N::WithDeclImp>(I);
     // Allocate bindings; shadowing intentionally unsupported at the store
     // level in this prototype (lowering never produces it for arrays).
-    forEachBinding(WD->getDecl(), [&](const std::string &Id,
-                                      const N::Type *Ty, const N::Value *) {
+    N::forEachSimpleDecl(WD->getDecl(), [&](const N::SimpleDecl *SD) {
+      const std::string &Id = SD->getId();
+      const N::Type *Ty = SD->getType();
       if (const auto *FT = dyn_cast<N::DFieldType>(Ty)) {
         ArrayStorage A;
         A.ElemKind = kindOfType(FT->getUltimateElementType());

@@ -9,6 +9,7 @@
 #include "cm2/CostModel.h"
 #include "nir/Clause.h"
 #include "nir/Imperative.h"
+#include "nir/Rewrite.h"
 #include "nir/Shape.h"
 #include "nir/Type.h"
 
@@ -49,36 +50,11 @@ private:
 
   /// Pins every AVAR field referenced anywhere under \p V.
   void pinFieldsIn(const N::Value *V) {
-    if (!V)
-      return;
-    switch (V->getKind()) {
-    case N::Value::Kind::Binary: {
-      const auto *B = cast<N::BinaryValue>(V);
-      pinFieldsIn(B->getLHS());
-      pinFieldsIn(B->getRHS());
-      return;
-    }
-    case N::Value::Kind::Unary:
-      pinFieldsIn(cast<N::UnaryValue>(V)->getOperand());
-      return;
-    case N::Value::Kind::FcnCall:
-      for (const N::Value *A : cast<N::FcnCallValue>(V)->getArgs())
-        pinFieldsIn(A);
-      return;
-    case N::Value::Kind::AVar: {
-      const auto *AV = cast<N::AVarValue>(V);
-      pin(AV->getSymbol());
-      if (const auto *Sub = dyn_cast<N::SubscriptAction>(AV->getAction()))
-        for (const N::Value *Idx : Sub->getIndices())
-          pinFieldsIn(Idx);
-      return;
-    }
-    case N::Value::Kind::SVar:
-    case N::Value::Kind::ScalarConst:
-    case N::Value::Kind::StrConst:
-    case N::Value::Kind::LocalCoord:
-      return;
-    }
+    N::forEachValue(V, [&](const N::Value *X) {
+      if (const auto *AV = dyn_cast<N::AVarValue>(X))
+        pin(AV->getSymbol());
+      return true;
+    });
   }
 
   /// Collects whole-field participants of a computational expression;
@@ -87,73 +63,14 @@ private:
   void collectParticipants(const N::Value *V,
                            std::vector<const N::Symbol *> &Out,
                            bool &Irregular) {
-    if (!V)
-      return;
-    switch (V->getKind()) {
-    case N::Value::Kind::Binary: {
-      const auto *B = cast<N::BinaryValue>(V);
-      collectParticipants(B->getLHS(), Out, Irregular);
-      collectParticipants(B->getRHS(), Out, Irregular);
-      return;
-    }
-    case N::Value::Kind::Unary:
-      collectParticipants(cast<N::UnaryValue>(V)->getOperand(), Out,
-                          Irregular);
-      return;
-    case N::Value::Kind::FcnCall:
-      for (const N::Value *A : cast<N::FcnCallValue>(V)->getArgs())
-        collectParticipants(A, Out, Irregular);
-      return;
-    case N::Value::Kind::AVar: {
-      const auto *AV = cast<N::AVarValue>(V);
-      Out.push_back(AV->getSymbol());
-      if (!isa<N::EverywhereAction>(AV->getAction()))
-        Irregular = true;
-      if (const auto *Sub = dyn_cast<N::SubscriptAction>(AV->getAction()))
-        for (const N::Value *Idx : Sub->getIndices())
-          collectParticipants(Idx, Out, Irregular);
-      return;
-    }
-    case N::Value::Kind::LocalCoord:
-      Irregular = true;
-      return;
-    case N::Value::Kind::SVar:
-    case N::Value::Kind::ScalarConst:
-    case N::Value::Kind::StrConst:
-      return;
-    }
-  }
-
-  static bool containsCommCall(const N::Value *V) {
-    if (!V)
-      return false;
-    switch (V->getKind()) {
-    case N::Value::Kind::Binary: {
-      const auto *B = cast<N::BinaryValue>(V);
-      return containsCommCall(B->getLHS()) || containsCommCall(B->getRHS());
-    }
-    case N::Value::Kind::Unary:
-      return containsCommCall(cast<N::UnaryValue>(V)->getOperand());
-    case N::Value::Kind::FcnCall: {
-      const auto *F = cast<N::FcnCallValue>(V);
-      if (N::isCommOrReductionIntrinsic(F->getCallee()))
-        return true;
-      for (const N::Value *A : F->getArgs())
-        if (containsCommCall(A))
-          return true;
-      return false;
-    }
-    case N::Value::Kind::AVar: {
-      const auto *AV = cast<N::AVarValue>(V);
-      if (const auto *Sub = dyn_cast<N::SubscriptAction>(AV->getAction()))
-        for (const N::Value *Idx : Sub->getIndices())
-          if (containsCommCall(Idx))
-            return true;
-      return false;
-    }
-    default:
-      return false;
-    }
+    N::forEachValue(V, [&](const N::Value *X) {
+      if (const auto *AV = dyn_cast<N::AVarValue>(X)) {
+        Out.push_back(AV->getSymbol());
+        Irregular |= !isa<N::EverywhereAction>(AV->getAction());
+      }
+      Irregular |= isa<N::LocalCoordValue>(X);
+      return true;
+    });
   }
 
   /// Estimated dynamic comm cycles of one CSHIFT execution over \p F.
@@ -203,7 +120,7 @@ private:
     // everything it touches stays canonical.
     std::vector<const N::Symbol *> Parts;
     bool Irregular =
-        containsCommCall(C.Guard) || containsCommCall(C.Src);
+        N::containsCommCall(C.Guard) || N::containsCommCall(C.Src);
     collectParticipants(C.Guard, Parts, Irregular);
     collectParticipants(C.Src, Parts, Irregular);
     collectParticipants(C.Dst, Parts, Irregular);

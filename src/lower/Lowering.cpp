@@ -7,6 +7,7 @@
 #include "lower/Lowering.h"
 
 #include "nir/Printer.h"
+#include "nir/Rewrite.h"
 #include "nir/Verifier.h"
 #include "support/StringUtil.h"
 
@@ -23,54 +24,24 @@ namespace N = f90y::nir;
 namespace {
 
 /// True when \p V contains a subscripted array read whose indices depend
-/// on coordinates of \p Domain (a gather that cannot run grid-locally).
+/// on coordinates of \p Domain at any depth, through nested subscripts and
+/// calls (a gather that cannot run grid-locally).
 bool containsGather(const N::Value *V, const N::Symbol *Domain) {
-  switch (V->getKind()) {
-  case N::Value::Kind::Binary: {
-    const auto *B = cast<N::BinaryValue>(V);
-    return containsGather(B->getLHS(), Domain) ||
-           containsGather(B->getRHS(), Domain);
-  }
-  case N::Value::Kind::Unary:
-    return containsGather(cast<N::UnaryValue>(V)->getOperand(), Domain);
-  case N::Value::Kind::AVar: {
-    const auto *Sub =
-        dyn_cast<N::SubscriptAction>(cast<N::AVarValue>(V)->getAction());
-    if (!Sub)
+  bool Found = false;
+  auto ReadsCoord = [&](const N::Value *X) {
+    const auto *LC = dyn_cast<N::LocalCoordValue>(X);
+    Found |= LC && LC->getSymbol() == Domain;
+    return !Found;
+  };
+  N::forEachValue(V, [&](const N::Value *X) {
+    const auto *AV = dyn_cast<N::AVarValue>(X);
+    if (AV && isa<N::SubscriptAction>(AV->getAction())) {
+      N::forEachValue(AV, ReadsCoord);
       return false;
-    for (const N::Value *I : Sub->getIndices()) {
-      // Any coordinate reference inside the index expressions counts.
-      struct Finder {
-        const N::Symbol *Domain;
-        bool find(const N::Value *V) const {
-          switch (V->getKind()) {
-          case N::Value::Kind::Binary: {
-            const auto *B = cast<N::BinaryValue>(V);
-            return find(B->getLHS()) || find(B->getRHS());
-          }
-          case N::Value::Kind::Unary:
-            return find(cast<N::UnaryValue>(V)->getOperand());
-          case N::Value::Kind::LocalCoord:
-            return cast<N::LocalCoordValue>(V)->getSymbol() == Domain;
-          default:
-            return false;
-          }
-        }
-      };
-      if (Finder{Domain}.find(I))
-        return true;
     }
-    return false;
-  }
-  case N::Value::Kind::FcnCall: {
-    for (const N::Value *A : cast<N::FcnCallValue>(V)->getArgs())
-      if (containsGather(A, Domain))
-        return true;
-    return false;
-  }
-  default:
-    return false;
-  }
+    return !Found;
+  });
+  return Found;
 }
 
 /// A lowered expression: the NIR value plus its elemental scalar type and

@@ -97,7 +97,8 @@ template <typename Fn> void forEachSimpleDecl(const Decl *D, Fn &&F) {
 
 /// Visits every binding in \p D, flattening DECLSETs, invoking \p Fn with
 /// its id and type. The third argument, the initial value, is always null:
-/// no declaration carries one.
+/// no declaration carries one. Only the benchmark harness's oracle still
+/// calls this; code under src/ uses forEachSimpleDecl.
 void forEachBinding(const Decl *D,
                     const std::function<void(const std::string &, const Type *,
                                              const Value *)> &Fn);

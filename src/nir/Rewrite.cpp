@@ -134,6 +134,16 @@ void nir::forEachImp(const Imp *Root,
   }
 }
 
+bool nir::containsCommCall(const Value *V) {
+  bool Found = false;
+  forEachValue(V, [&](const Value *X) {
+    const auto *F = dyn_cast<FcnCallValue>(X);
+    Found |= F && isCommOrReductionIntrinsic(F->getCallee());
+    return !Found;
+  });
+  return Found;
+}
+
 const Value *
 nir::mapAVars(const Value *V, NIRContext &Ctx,
               const std::function<const Value *(const AVarValue *)> &Map) {

@@ -21,7 +21,10 @@
 ///                  that track domain bindings around the body.
 ///
 /// forEachImp and mapAVars are the matching read-only visit and the
-/// value-domain substitution.
+/// value-domain substitution. forEachValue is the one read-only walk of a
+/// value tree: every fold that only reads values (effects, use counts,
+/// participants, gathers, verifier checks, PEAC argument discovery) is a
+/// visitor on it, and names no child of any value kind itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,6 +69,44 @@ private:
 /// children and siblings in order.
 void forEachImp(const Imp *Root,
                 const std::function<void(const Imp *)> &Visit);
+
+/// Calls \p Visit on \p V and, when it returns true, on V's children in
+/// order: a BINARY's lhs then rhs, a UNARY's operand, an FCNCALL's
+/// arguments, and a subscripted AVAR's indices. Parents come before their
+/// children; a visitor that returns false prunes the subtree below the
+/// node it was given. A null \p V visits nothing.
+template <typename Fn> void forEachValue(const Value *V, Fn &&Visit) {
+  if (!V || !Visit(V))
+    return;
+  switch (V->getKind()) {
+  case Value::Kind::Binary:
+    forEachValue(cast<BinaryValue>(V)->getLHS(), Visit);
+    forEachValue(cast<BinaryValue>(V)->getRHS(), Visit);
+    return;
+  case Value::Kind::Unary:
+    forEachValue(cast<UnaryValue>(V)->getOperand(), Visit);
+    return;
+  case Value::Kind::FcnCall:
+    for (const Value *A : cast<FcnCallValue>(V)->getArgs())
+      forEachValue(A, Visit);
+    return;
+  case Value::Kind::AVar:
+    if (const auto *Sub =
+            dyn_cast<SubscriptAction>(cast<AVarValue>(V)->getAction()))
+      for (const Value *I : Sub->getIndices())
+        forEachValue(I, Visit);
+    return;
+  case Value::Kind::SVar:
+  case Value::Kind::ScalarConst:
+  case Value::Kind::StrConst:
+  case Value::Kind::LocalCoord:
+    return;
+  }
+}
+
+/// True when a communication or reduction intrinsic is called anywhere
+/// under \p V, subscript indices included.
+bool containsCommCall(const Value *V);
 
 /// Replaces each AVAR in \p V by \p Map's result for it (the AVAR itself
 /// keeps it), sharing every unchanged subtree. An AVAR's subscript indices

@@ -8,6 +8,7 @@
 
 #include "nir/Clause.h"
 #include "nir/Printer.h"
+#include "nir/Rewrite.h"
 
 using namespace f90y;
 using namespace f90y::nir;
@@ -49,44 +50,17 @@ private:
   void collectLayoutParticipants(const Value *V,
                                  std::vector<const AVarValue *> &Fields,
                                  bool &SawCoord) {
-    if (!V)
-      return;
-    switch (V->getKind()) {
-    case Value::Kind::Binary: {
-      const auto *B = cast<BinaryValue>(V);
-      collectLayoutParticipants(B->getLHS(), Fields, SawCoord);
-      collectLayoutParticipants(B->getRHS(), Fields, SawCoord);
-      return;
-    }
-    case Value::Kind::Unary:
-      collectLayoutParticipants(cast<UnaryValue>(V)->getOperand(), Fields,
-                                SawCoord);
-      return;
-    case Value::Kind::FcnCall:
-      for (const Value *A : cast<FcnCallValue>(V)->getArgs())
-        collectLayoutParticipants(A, Fields, SawCoord);
-      return;
-    case Value::Kind::AVar: {
-      const auto *AV = cast<AVarValue>(V);
-      if (isa<EverywhereAction>(AV->getAction())) {
-        Fields.push_back(AV);
-      } else if (!layoutOf(AV).isCanonical()) {
-        error("subscript/section access to realigned field '" + AV->getId() +
-              "' (layout " + layoutOf(AV).str() + ")");
+    forEachValue(V, [&](const Value *X) {
+      if (const auto *AV = dyn_cast<AVarValue>(X)) {
+        if (isa<EverywhereAction>(AV->getAction()))
+          Fields.push_back(AV);
+        else if (!layoutOf(AV).isCanonical())
+          error("subscript/section access to realigned field '" +
+                AV->getId() + "' (layout " + layoutOf(AV).str() + ")");
       }
-      if (const auto *Sub = dyn_cast<SubscriptAction>(AV->getAction()))
-        for (const Value *Idx : Sub->getIndices())
-          collectLayoutParticipants(Idx, Fields, SawCoord);
-      return;
-    }
-    case Value::Kind::LocalCoord:
-      SawCoord = true;
-      return;
-    case Value::Kind::SVar:
-    case Value::Kind::ScalarConst:
-    case Value::Kind::StrConst:
-      return;
-    }
+      SawCoord |= isa<LocalCoordValue>(X);
+      return true;
+    });
   }
 
   /// LayoutConsistency invariant for one MOVE clause (the materialization
@@ -94,47 +68,34 @@ private:
   void checkLayoutClause(const MoveClause &C) {
     const auto *F = dyn_cast<FcnCallValue>(C.Src);
     if (F && isCommOrReductionIntrinsic(F->getCallee())) {
-      const auto *DstAV = dyn_cast<AVarValue>(C.Dst);
-      const auto *SrcAV = F->getArgs().empty()
-                              ? nullptr
-                              : dyn_cast<AVarValue>(F->getArgs()[0]);
-      if (F->getCallee() == "cshift" && DstAV && SrcAV &&
-          F->getArgs().size() >= 3) {
+      if (std::optional<ShiftClause> S = matchShift(C); S && !S->EndOff) {
         // A residual shift exchange sweeps raw slot storage along one
         // axis; endpoints may disagree only on that axis's offset.
-        layout::LayoutDescriptor SL = layoutOf(SrcAV);
-        layout::LayoutDescriptor DL = layoutOf(DstAV);
+        const layout::LayoutDescriptor &SL = layoutOf(S->Src);
+        const layout::LayoutDescriptor &DL = layoutOf(S->Dst);
         if (!SL.identityAxes() || !DL.identityAxes() || SL.Replicated ||
             DL.Replicated) {
           error("cshift between permuted/replicated layouts ('" +
-                SrcAV->getId() + "' -> '" + DstAV->getId() + "')");
-          return;
-        }
-        const auto *Dm =
-            dyn_cast<ScalarConstValue>(F->getArgs()[2]);
-        if (!Dm || !Dm->isInt()) {
-          if (!SL.isCanonical() || !DL.isCanonical())
-            error("cshift with non-constant dimension touches realigned "
-                  "field '" +
-                  SrcAV->getId() + "'");
+                S->Src->getId() + "' -> '" + S->Dst->getId() + "')");
           return;
         }
         size_t Rank = SL.Offsets.size() > DL.Offsets.size()
                           ? SL.Offsets.size()
                           : DL.Offsets.size();
         for (size_t A = 0; A < Rank; ++A)
-          if (A != static_cast<size_t>(Dm->getInt() - 1) &&
+          if (A != static_cast<size_t>(S->Dim - 1) &&
               SL.offsetAt(A) != DL.offsetAt(A))
-            error("cshift along dim " + std::to_string(Dm->getInt()) +
+            error("cshift along dim " + std::to_string(S->Dim) +
                   " between fields misaligned on axis " +
-                  std::to_string(A + 1) + " ('" + SrcAV->getId() + "' " +
-                  SL.str() + " -> '" + DstAV->getId() + "' " + DL.str() +
+                  std::to_string(A + 1) + " ('" + S->Src->getId() + "' " +
+                  SL.str() + " -> '" + S->Dst->getId() + "' " + DL.str() +
                   ")");
         return;
       }
-      // Every other comm/reduction intrinsic iterates storage in an
-      // order the offsets would change: operands and destination must be
-      // canonical.
+      // Every other comm/reduction intrinsic, and a cshift the shift
+      // matcher does not decompose (a non-constant dim, say), iterates
+      // storage in an order the offsets would change: operands and
+      // destination must be canonical.
       auto RequireCanonical = [&](const AVarValue *AV) {
         if (!layoutOf(AV).isCanonical())
           error("'" + F->getCallee() + "' requires canonical operand '" +
@@ -143,7 +104,7 @@ private:
       for (const Value *A : F->getArgs())
         if (const auto *AV = dyn_cast<AVarValue>(A))
           RequireCanonical(AV);
-      if (DstAV)
+      if (const auto *DstAV = dyn_cast<AVarValue>(C.Dst))
         RequireCanonical(DstAV);
       return;
     }
@@ -186,41 +147,14 @@ private:
 
   /// CanonicalComm: no communication/reduction call anywhere under \p V.
   void checkNoCommCall(const Value *V, const char *Where) {
-    if (!V)
-      return;
-    switch (V->getKind()) {
-    case Value::Kind::Binary: {
-      const auto *B = cast<BinaryValue>(V);
-      checkNoCommCall(B->getLHS(), Where);
-      checkNoCommCall(B->getRHS(), Where);
-      return;
-    }
-    case Value::Kind::Unary:
-      checkNoCommCall(cast<UnaryValue>(V)->getOperand(), Where);
-      return;
-    case Value::Kind::FcnCall: {
-      const auto *F = cast<FcnCallValue>(V);
-      if (isCommOrReductionIntrinsic(F->getCallee()))
+    forEachValue(V, [&](const Value *X) {
+      const auto *F = dyn_cast<FcnCallValue>(X);
+      if (F && isCommOrReductionIntrinsic(F->getCallee()))
         error(std::string("communication intrinsic '") + F->getCallee() +
               "' nested inside a " + Where +
               " (fusion across a communication boundary?)");
-      for (const Value *A : F->getArgs())
-        checkNoCommCall(A, Where);
-      return;
-    }
-    case Value::Kind::AVar: {
-      const auto *AV = cast<AVarValue>(V);
-      if (const auto *Sub = dyn_cast<SubscriptAction>(AV->getAction()))
-        for (const Value *Idx : Sub->getIndices())
-          checkNoCommCall(Idx, Where);
-      return;
-    }
-    case Value::Kind::SVar:
-    case Value::Kind::ScalarConst:
-    case Value::Kind::StrConst:
-    case Value::Kind::LocalCoord:
-      return;
-    }
+      return true;
+    });
   }
 
   /// CanonicalComm invariant for one MOVE clause: a comm/reduction call is
@@ -236,7 +170,6 @@ private:
       checkNoCommCall(C.Src, "computational expression");
     }
   }
-
 
   void checkShape(const Shape *S) {
     switch (S->getKind()) {
@@ -270,7 +203,8 @@ private:
     }
   }
 
-  void visitFieldAction(const FieldAction *F, const AVarValue *AV) {
+  /// Checks that restrictor \p F of \p AV has one entry per dimension.
+  void checkFieldAction(const FieldAction *F, const AVarValue *AV) {
     const std::string &ArrayId = AV->getId();
     const Type *Ty = Decls.lookup(AV->getSymbol());
     const auto *FieldTy = dyn_cast_or_null<DFieldType>(Ty);
@@ -284,8 +218,6 @@ private:
         error("subscript of '" + ArrayId + "' has " +
               std::to_string(Indices.size()) + " indices but rank is " +
               std::to_string(Rank));
-      for (const Value *V : Indices)
-        visitValue(V);
       return;
     }
     case FieldAction::Kind::Section: {
@@ -299,64 +231,41 @@ private:
     }
   }
 
+  /// Checks every name and coordinate under \p V against the scopes; an
+  /// AVAR that names no field hides its subscript indices.
   void visitValue(const Value *V) {
-    switch (V->getKind()) {
-    case Value::Kind::Binary: {
-      const auto *B = cast<BinaryValue>(V);
-      visitValue(B->getLHS());
-      visitValue(B->getRHS());
-      return;
-    }
-    case Value::Kind::Unary:
-      visitValue(cast<UnaryValue>(V)->getOperand());
-      return;
-    case Value::Kind::SVar: {
-      const auto *SV = cast<SVarValue>(V);
-      const Type *Ty = Decls.lookup(SV->getSymbol());
-      if (!Ty)
-        error("reference to undeclared scalar '" + SV->getId() + "'");
-      else if (Ty->isField())
-        error("SVAR '" + SV->getId() + "' refers to a dfield binding");
-      return;
-    }
-    case Value::Kind::ScalarConst:
-    case Value::Kind::StrConst:
-      return;
-    case Value::Kind::FcnCall:
-      for (const Value *A : cast<FcnCallValue>(V)->getArgs())
-        visitValue(A);
-      return;
-    case Value::Kind::AVar: {
-      const auto *AV = cast<AVarValue>(V);
-      const Type *Ty = Decls.lookup(AV->getSymbol());
-      if (!Ty) {
-        error("reference to undeclared array '" + AV->getId() + "'");
-        return;
+    forEachValue(V, [&](const Value *X) {
+      if (const auto *SV = dyn_cast<SVarValue>(X)) {
+        const Type *Ty = Decls.lookup(SV->getSymbol());
+        if (!Ty)
+          error("reference to undeclared scalar '" + SV->getId() + "'");
+        else if (Ty->isField())
+          error("SVAR '" + SV->getId() + "' refers to a dfield binding");
+      } else if (const auto *AV = dyn_cast<AVarValue>(X)) {
+        const Type *Ty = Decls.lookup(AV->getSymbol());
+        if (!Ty) {
+          error("reference to undeclared array '" + AV->getId() + "'");
+          return false;
+        }
+        if (!Ty->isField()) {
+          error("AVAR '" + AV->getId() + "' refers to a scalar binding");
+          return false;
+        }
+        checkFieldAction(AV->getAction(), AV);
+      } else if (const auto *LC = dyn_cast<LocalCoordValue>(X)) {
+        const Shape *S = Domains.lookup(LC->getSymbol());
+        int Rank = S ? rankOf(S, Domains) : -1;
+        if (!S)
+          error("local_under references unbound domain '" + LC->getDomain() +
+                "'");
+        else if (Rank >= 0 &&
+                 (LC->getDim() < 1 || static_cast<int>(LC->getDim()) > Rank))
+          error("local_under dimension " + std::to_string(LC->getDim()) +
+                " out of range for domain '" + LC->getDomain() +
+                "' of rank " + std::to_string(Rank));
       }
-      if (!Ty->isField()) {
-        error("AVAR '" + AV->getId() + "' refers to a scalar binding");
-        return;
-      }
-      visitFieldAction(AV->getAction(), AV);
-      return;
-    }
-    case Value::Kind::LocalCoord: {
-      const auto *LC = cast<LocalCoordValue>(V);
-      const Shape *S = Domains.lookup(LC->getSymbol());
-      if (!S) {
-        error("local_under references unbound domain '" + LC->getDomain() +
-              "'");
-        return;
-      }
-      int Rank = rankOf(S, Domains);
-      if (Rank >= 0 &&
-          (LC->getDim() < 1 || static_cast<int>(LC->getDim()) > Rank))
-        error("local_under dimension " + std::to_string(LC->getDim()) +
-              " out of range for domain '" + LC->getDomain() + "' of rank " +
-              std::to_string(Rank));
-      return;
-    }
-    }
+      return true;
+    });
   }
 
   void visitImp(const Imp *I) {
@@ -378,8 +287,7 @@ private:
           checkCanonicalClause(C);
         if (Opts.LayoutConsistency)
           checkLayoutClause(C);
-        if (C.Guard)
-          visitValue(C.Guard);
+        visitValue(C.Guard);
         visitValue(C.Src);
         if (!isa<SVarValue>(C.Dst) && !isa<AVarValue>(C.Dst)) {
           error("MOVE destination must be an SVAR or AVAR, got " +

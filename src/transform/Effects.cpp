@@ -6,41 +6,20 @@
 
 #include "transform/Effects.h"
 
+#include "nir/Rewrite.h"
+
 using namespace f90y;
 using namespace f90y::transform;
 namespace N = f90y::nir;
 
 void transform::collectReads(const N::Value *V, N::SymbolSet &Reads) {
-  switch (V->getKind()) {
-  case N::Value::Kind::Binary: {
-    const auto *B = cast<N::BinaryValue>(V);
-    collectReads(B->getLHS(), Reads);
-    collectReads(B->getRHS(), Reads);
-    return;
-  }
-  case N::Value::Kind::Unary:
-    collectReads(cast<N::UnaryValue>(V)->getOperand(), Reads);
-    return;
-  case N::Value::Kind::SVar:
-    Reads.insert(cast<N::SVarValue>(V)->getSymbol());
-    return;
-  case N::Value::Kind::AVar: {
-    const auto *A = cast<N::AVarValue>(V);
-    Reads.insert(A->getSymbol());
-    if (const auto *Sub = dyn_cast<N::SubscriptAction>(A->getAction()))
-      for (const N::Value *I : Sub->getIndices())
-        collectReads(I, Reads);
-    return;
-  }
-  case N::Value::Kind::FcnCall:
-    for (const N::Value *A : cast<N::FcnCallValue>(V)->getArgs())
-      collectReads(A, Reads);
-    return;
-  case N::Value::Kind::ScalarConst:
-  case N::Value::Kind::StrConst:
-  case N::Value::Kind::LocalCoord:
-    return;
-  }
+  N::forEachValue(V, [&](const N::Value *X) {
+    if (const auto *SV = dyn_cast<N::SVarValue>(X))
+      Reads.insert(SV->getSymbol());
+    else if (const auto *AV = dyn_cast<N::AVarValue>(X))
+      Reads.insert(AV->getSymbol());
+    return true;
+  });
 }
 
 /// Names written by a MOVE destination (also reads subscript indices).
@@ -72,8 +51,7 @@ static void addEffects(const N::Imp *I, Effects &E) {
     return;
   case N::Imp::Kind::Move:
     for (const N::MoveClause &C : cast<N::MoveImp>(I)->getClauses()) {
-      if (C.Guard)
-        collectReads(C.Guard, E.Reads);
+      collectReads(C.Guard, E.Reads);
       collectReads(C.Src, E.Reads);
       collectDstEffects(C.Dst, E);
     }

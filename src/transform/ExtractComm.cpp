@@ -51,39 +51,23 @@ private:
     return Ctx.getScalarType(K);
   }
 
-  /// The domain of the first everywhere AVAR (or local_under) in \p V.
+  /// The domain of the first everywhere AVAR (or local_under) in \p V
+  /// that has one, outside any subscript index.
   const N::Symbol *domainOfFieldExpr(const N::Value *V) {
-    switch (V->getKind()) {
-    case N::Value::Kind::Binary: {
-      const auto *B = cast<N::BinaryValue>(V);
-      const N::Symbol *L = domainOfFieldExpr(B->getLHS());
-      return L ? L : domainOfFieldExpr(B->getRHS());
-    }
-    case N::Value::Kind::Unary:
-      return domainOfFieldExpr(cast<N::UnaryValue>(V)->getOperand());
-    case N::Value::Kind::AVar: {
-      const auto *AV = cast<N::AVarValue>(V);
-      if (!isa<N::EverywhereAction>(AV->getAction()))
-        return nullptr;
-      const auto *FT =
-          dyn_cast_or_null<N::DFieldType>(Types.lookup(AV->getSymbol()));
-      if (!FT)
-        return nullptr;
-      if (const auto *Ref = dyn_cast<N::DomainRefShape>(FT->getShape()))
-        return Ref->getSymbol();
-      return nullptr;
-    }
-    case N::Value::Kind::LocalCoord:
-      return cast<N::LocalCoordValue>(V)->getSymbol();
-    case N::Value::Kind::FcnCall: {
-      for (const N::Value *A : cast<N::FcnCallValue>(V)->getArgs())
-        if (const N::Symbol *D = domainOfFieldExpr(A))
-          return D;
-      return nullptr;
-    }
-    default:
-      return nullptr;
-    }
+    const N::Symbol *Domain = nullptr;
+    N::forEachValue(V, [&](const N::Value *X) {
+      if (Domain)
+        return false;
+      if (const auto *AV = dyn_cast<N::AVarValue>(X)) {
+        if (isa<N::EverywhereAction>(AV->getAction()))
+          Domain = domainOf(AV);
+        return false;
+      }
+      if (const auto *LC = dyn_cast<N::LocalCoordValue>(X))
+        Domain = LC->getSymbol();
+      return true;
+    });
+    return Domain;
   }
 
   bool isBareEverywhereAVar(const N::Value *V) {
@@ -227,8 +211,9 @@ private:
     }
   }
 
-  const N::Symbol *stmtDomainOf(const N::Value *Dst) {
-    const auto *AV = dyn_cast<N::AVarValue>(Dst);
+  /// The declared domain of the field \p V refers to, if any.
+  const N::Symbol *domainOf(const N::Value *V) {
+    const auto *AV = dyn_cast<N::AVarValue>(V);
     if (!AV)
       return nullptr;
     const auto *FT =
@@ -261,7 +246,7 @@ private:
     std::vector<N::MoveClause> Clauses;
     bool Changed = false;
     for (const N::MoveClause &C : M->getClauses()) {
-      const N::Symbol *StmtDomain = stmtDomainOf(C.Dst);
+      const N::Symbol *StmtDomain = domainOf(C.Dst);
       N::MoveClause NC = C;
       if (C.Guard) {
         NC.Guard = rewriteValue(C.Guard, StmtDomain, false);

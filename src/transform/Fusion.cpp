@@ -63,38 +63,13 @@ struct UseCounts {
 };
 
 void countValueReads(const N::Value *V, UseCounts &C) {
-  if (!V)
-    return;
-  switch (V->getKind()) {
-  case N::Value::Kind::Binary: {
-    const auto *B = cast<N::BinaryValue>(V);
-    countValueReads(B->getLHS(), C);
-    countValueReads(B->getRHS(), C);
-    return;
-  }
-  case N::Value::Kind::Unary:
-    countValueReads(cast<N::UnaryValue>(V)->getOperand(), C);
-    return;
-  case N::Value::Kind::SVar:
-    ++C.Reads[cast<N::SVarValue>(V)->getSymbol()];
-    return;
-  case N::Value::Kind::ScalarConst:
-  case N::Value::Kind::StrConst:
-  case N::Value::Kind::LocalCoord:
-    return;
-  case N::Value::Kind::FcnCall:
-    for (const N::Value *A : cast<N::FcnCallValue>(V)->getArgs())
-      countValueReads(A, C);
-    return;
-  case N::Value::Kind::AVar: {
-    const auto *AV = cast<N::AVarValue>(V);
-    ++C.Reads[AV->getSymbol()];
-    if (const auto *Sub = dyn_cast<N::SubscriptAction>(AV->getAction()))
-      for (const N::Value *Idx : Sub->getIndices())
-        countValueReads(Idx, C);
-    return;
-  }
-  }
+  N::forEachValue(V, [&](const N::Value *X) {
+    if (const auto *SV = dyn_cast<N::SVarValue>(X))
+      ++C.Reads[SV->getSymbol()];
+    else if (const auto *AV = dyn_cast<N::AVarValue>(X))
+      ++C.Reads[AV->getSymbol()];
+    return true;
+  });
 }
 
 void countImp(const N::Imp *Root, UseCounts &C) {

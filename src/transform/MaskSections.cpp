@@ -46,34 +46,19 @@ private:
   /// returns false if two sectioned reads disagree.
   bool collectSectionReads(const N::Value *V,
                            const std::vector<N::SectionTriplet> *&Out) {
-    switch (V->getKind()) {
-    case N::Value::Kind::Binary: {
-      const auto *B = cast<N::BinaryValue>(V);
-      return collectSectionReads(B->getLHS(), Out) &&
-             collectSectionReads(B->getRHS(), Out);
-    }
-    case N::Value::Kind::Unary:
-      return collectSectionReads(cast<N::UnaryValue>(V)->getOperand(), Out);
-    case N::Value::Kind::AVar: {
-      const auto *AV = cast<N::AVarValue>(V);
-      const auto *Sec = dyn_cast<N::SectionAction>(AV->getAction());
-      if (!Sec)
-        return true;
-      if (!Out) {
-        Out = &Sec->getTriplets();
-        return true;
+    bool Agree = true;
+    N::forEachValue(V, [&](const N::Value *X) {
+      const auto *AV = dyn_cast<N::AVarValue>(X);
+      if (!AV || !Agree)
+        return Agree;
+      if (const auto *Sec = dyn_cast<N::SectionAction>(AV->getAction())) {
+        if (!Out)
+          Out = &Sec->getTriplets();
+        Agree = *Out == Sec->getTriplets();
       }
-      return *Out == Sec->getTriplets();
-    }
-    case N::Value::Kind::FcnCall: {
-      for (const N::Value *A : cast<N::FcnCallValue>(V)->getArgs())
-        if (!collectSectionReads(A, Out))
-          return false;
-      return true;
-    }
-    default:
-      return true;
-    }
+      return false;
+    });
+    return Agree;
   }
 
   /// Mask condition for one dimension's triplet over \p Domain.
@@ -124,9 +109,8 @@ private:
 
     // Every sectioned read must agree with the destination triplets.
     const std::vector<N::SectionTriplet> *ReadTriplets = nullptr;
-    if (!collectSectionReads(C.Src, ReadTriplets))
-      return false;
-    if (C.Guard && !collectSectionReads(C.Guard, ReadTriplets))
+    if (!collectSectionReads(C.Src, ReadTriplets) ||
+        !collectSectionReads(C.Guard, ReadTriplets))
       return false;
     if (ReadTriplets && *ReadTriplets != DstSec->getTriplets())
       return false;

@@ -6,52 +6,22 @@
 
 #include "transform/Phases.h"
 
+#include "nir/Rewrite.h"
 
 using namespace f90y;
 using namespace f90y::transform;
 namespace N = f90y::nir;
 
-bool transform::containsCommCall(const N::Value *V) {
-  switch (V->getKind()) {
-  case N::Value::Kind::Binary: {
-    const auto *B = cast<N::BinaryValue>(V);
-    return containsCommCall(B->getLHS()) || containsCommCall(B->getRHS());
-  }
-  case N::Value::Kind::Unary:
-    return containsCommCall(cast<N::UnaryValue>(V)->getOperand());
-  case N::Value::Kind::FcnCall: {
-    const auto *F = cast<N::FcnCallValue>(V);
-    if (N::isCommOrReductionIntrinsic(F->getCallee()))
-      return true;
-    for (const N::Value *A : F->getArgs())
-      if (containsCommCall(A))
-        return true;
-    return false;
-  }
-  default:
-    return false;
-  }
-}
-
 bool transform::containsSection(const N::Value *V) {
-  switch (V->getKind()) {
-  case N::Value::Kind::Binary: {
-    const auto *B = cast<N::BinaryValue>(V);
-    return containsSection(B->getLHS()) || containsSection(B->getRHS());
-  }
-  case N::Value::Kind::Unary:
-    return containsSection(cast<N::UnaryValue>(V)->getOperand());
-  case N::Value::Kind::AVar:
-    return isa<N::SectionAction>(cast<N::AVarValue>(V)->getAction());
-  case N::Value::Kind::FcnCall: {
-    for (const N::Value *A : cast<N::FcnCallValue>(V)->getArgs())
-      if (containsSection(A))
-        return true;
-    return false;
-  }
-  default:
-    return false;
-  }
+  bool Found = false;
+  N::forEachValue(V, [&](const N::Value *X) {
+    if (const auto *AV = dyn_cast<N::AVarValue>(X)) {
+      Found |= isa<N::SectionAction>(AV->getAction());
+      return false;
+    }
+    return !Found;
+  });
+  return Found;
 }
 
 PhaseKind transform::classifyAction(const N::Imp *I) {
@@ -64,10 +34,8 @@ PhaseKind transform::classifyAction(const N::Imp *I) {
 
   bool AllScalarDst = true, AnyComm = false, AnySection = false;
   for (const N::MoveClause &C : M->getClauses()) {
-    if (containsCommCall(C.Src) || (C.Guard && containsCommCall(C.Guard)))
-      AnyComm = true;
-    if (containsSection(C.Src) || (C.Guard && containsSection(C.Guard)))
-      AnySection = true;
+    AnyComm |= N::containsCommCall(C.Src) || N::containsCommCall(C.Guard);
+    AnySection |= containsSection(C.Src) || containsSection(C.Guard);
     if (const auto *AV = dyn_cast<N::AVarValue>(C.Dst)) {
       if (isa<N::SubscriptAction>(AV->getAction()))
         continue; // Single-element stores are host (front-end) actions.

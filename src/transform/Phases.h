@@ -31,10 +31,8 @@ enum class PhaseKind {
   Structured     ///< Nested control (DO/IF/WHILE/decl scopes).
 };
 
-/// True when \p V contains a communication or reduction intrinsic call.
-bool containsCommCall(const nir::Value *V);
-
-/// True when \p V contains a section-restricted array reference.
+/// True when \p V contains a section-restricted array reference outside
+/// any subscript index.
 bool containsSection(const nir::Value *V);
 
 /// Classifies a single action appearing in a sequential composition.

@@ -202,6 +202,22 @@ TEST_F(BackendTest, GeneralForallScatter) {
                     {"a"});
 }
 
+TEST_F(BackendTest, ForallGatherBehindNestedSubscriptOrCall) {
+  // Each gather's coordinate sits below a second subscript or a call in
+  // the index: the statement must run as a router loop, not a grid-local
+  // MOVE whose index the host would evaluate outside any loop.
+  for (const char *Index : {"b(i)", "max(b(i), 1)", "merge(i, 1, i > 4)"})
+    compareWithInterp(std::string("program p\n"
+                                  "integer, parameter :: n = 8\n"
+                                  "integer a(n), b(n), c(n)\n"
+                                  "integer i\n"
+                                  "forall (i = 1:n) a(i) = i\n"
+                                  "forall (i = 1:n) b(i) = n + 1 - i\n"
+                                  "forall (i = 1:n) c(i) = a(") +
+                          Index + ")\nend\n",
+                      {"a", "b", "c"});
+}
+
 TEST_F(BackendTest, MergeElemental) {
   compareWithInterp("program p\n"
                     "integer v(16), w(16), i\n"

@@ -358,6 +358,68 @@ TEST(LayoutVerifier, RejectsMixedComputationalMove) {
   EXPECT_TRUE(nir::verify(CopyProg, D3, Strict)) << D3.str();
 }
 
+/// Verifies b = cshift(Args...) over an 8x8 domain under the layout
+/// invariant. 'a' sits at offsets (1,2) and 'b' at (0,2), so the two
+/// differ on axis 1 only; 'k' is an integer scalar.
+bool verifyLayoutShift(nir::NIRContext &Ctx, DiagnosticEngine &Diags,
+                       std::vector<const nir::Value *> Args) {
+  layout::LayoutDescriptor A, B;
+  A.Offsets = {1, 2};
+  B.Offsets = {0, 2};
+  const nir::Type *Field =
+      Ctx.getDField(Ctx.getDomainRef("d"), Ctx.getFloat64());
+  const nir::Decl *Decls = Ctx.getDeclSet(
+      {Ctx.getDecl("a", Field, A), Ctx.getDecl("b", Field, B),
+       Ctx.getDecl("k", Ctx.getInteger32())});
+  const nir::Imp *M = Ctx.getMove({{Ctx.getTrue(),
+                                    Ctx.getFcnCall("cshift", std::move(Args)),
+                                    Ctx.getAVar("b", Ctx.getEverywhere())}});
+  const nir::Imp *Prog = Ctx.getWithDomain(
+      "d", Ctx.getProdDom({Ctx.getInterval(1, 8), Ctx.getInterval(1, 8)}),
+      Ctx.getWithDecl(Decls, M));
+  nir::VerifyOptions Strict;
+  Strict.LayoutConsistency = true;
+  return nir::verify(Prog, Diags, Strict);
+}
+
+TEST(LayoutVerifier, AcceptsResidualShiftAlongTheMisalignedAxis) {
+  // Endpoints may differ in offset on the shifted axis: the exchange's
+  // slot distance absorbs it, in the plain and the realigned form.
+  nir::NIRContext Ctx;
+  const nir::Value *A = Ctx.getAVar("a", Ctx.getEverywhere());
+  DiagnosticEngine Plain;
+  EXPECT_TRUE(verifyLayoutShift(
+      Ctx, Plain, {A, Ctx.getIntConst(1), Ctx.getIntConst(1)}))
+      << Plain.str();
+  DiagnosticEngine Realigned;
+  EXPECT_TRUE(verifyLayoutShift(Ctx, Realigned,
+                                {A, Ctx.getIntConst(2), Ctx.getIntConst(1),
+                                 Ctx.getIntConst(1)}))
+      << Realigned.str();
+}
+
+TEST(LayoutVerifier, RejectsShiftMisalignedOffItsAxis) {
+  nir::NIRContext Ctx;
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(verifyLayoutShift(Ctx, Diags,
+                                 {Ctx.getAVar("a", Ctx.getEverywhere()),
+                                  Ctx.getIntConst(1), Ctx.getIntConst(2)}));
+  EXPECT_NE(Diags.str().find("misaligned on axis 1"), std::string::npos)
+      << Diags.str();
+}
+
+TEST(LayoutVerifier, RejectsNonConstantDimOnRealignedField) {
+  // The dim is known only at run time, so no axis may differ: a
+  // realigned operand is an error.
+  nir::NIRContext Ctx;
+  DiagnosticEngine Diags;
+  EXPECT_FALSE(verifyLayoutShift(Ctx, Diags,
+                                 {Ctx.getAVar("a", Ctx.getEverywhere()),
+                                  Ctx.getIntConst(1), Ctx.getSVar("k")}));
+  EXPECT_NE(Diags.str().find("cshift"), std::string::npos) << Diags.str();
+  EXPECT_NE(Diags.str().find("'a'"), std::string::npos) << Diags.str();
+}
+
 TEST(LayoutPrinter, DeclCarriesDescriptor) {
   nir::NIRContext Ctx;
   layout::LayoutDescriptor Shifted;

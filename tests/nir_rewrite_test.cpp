@@ -8,8 +8,10 @@
 /// The contract every NIR pass relies on: nir::ImpRewriter rebuilds a node
 /// only when a child changed, so an unchanged tree comes back as the same
 /// root and a local change shares every untouched subtree; decl() returning
-/// null splices a WITH_DECL out; forEachImp visits in pre-order; mapAVars
-/// shares what it leaves alone. The passes themselves are held to it on
+/// null splices a WITH_DECL out; forEachImp and forEachValue visit in
+/// pre-order (forEachValue pruning below a node its visitor refuses);
+/// containsCommCall looks under subscripts and arguments; mapAVars shares
+/// what it leaves alone. The passes themselves are held to it on
 /// optimize's own output: running one again returns its input node.
 ///
 //===----------------------------------------------------------------------===//
@@ -176,6 +178,66 @@ TEST(ImpRewriter, MapAVarsSharesWhatItLeavesAlone) {
   EXPECT_EQ(Sum->getLHS(), Left);
   EXPECT_EQ(N::printValue(Sum->getRHS()),
             N::printValue(Ctx.getFcnCall("merge", {B, B, Ctx.getTrue()})));
+}
+
+std::vector<const N::Value *> valuePreOrder(const N::Value *Root) {
+  std::vector<const N::Value *> Out;
+  N::forEachValue(Root, [&](const N::Value *V) {
+    Out.push_back(V);
+    return true;
+  });
+  return Out;
+}
+
+TEST(ForEachValue, VisitsParentsBeforeChildrenInOrder) {
+  N::NIRContext Ctx;
+  const N::Value *I = Ctx.getLocalCoord("alpha", 1);
+  const N::Value *J = Ctx.getLocalCoord("alpha", 2);
+  const N::Value *S = Ctx.getSVar("s");
+  const N::Value *A = Ctx.getAVar("a", Ctx.getSubscript({I, J}));
+  const N::Value *Neg = Ctx.getUnary(N::UnaryOp::Neg, A);
+  const N::Value *One = Ctx.getIntConst(1);
+  const N::Value *True = Ctx.getTrue();
+  const N::Value *Merge = Ctx.getFcnCall("merge", {S, One, True});
+  const N::Value *Root = Ctx.getBinary(N::BinaryOp::Add, Neg, Merge);
+
+  std::vector<const N::Value *> Want = {Root,  Neg, A,   I,   J,
+                                        Merge, S,   One, True};
+  EXPECT_EQ(valuePreOrder(Root), Want);
+}
+
+TEST(ForEachValue, FalseSkipsTheChildrenAndNullVisitsNothing) {
+  N::NIRContext Ctx;
+  const N::Value *I = Ctx.getLocalCoord("alpha", 1);
+  const N::Value *A = Ctx.getAVar("a", Ctx.getSubscript({I}));
+  const N::Value *Call = Ctx.getFcnCall("sum", {Ctx.getSVar("s")});
+  const N::Value *Root = Ctx.getBinary(N::BinaryOp::Mul, A, Call);
+
+  std::vector<const N::Value *> Seen;
+  N::forEachValue(Root, [&](const N::Value *V) {
+    Seen.push_back(V);
+    return !isa<N::AVarValue>(V) && !isa<N::FcnCallValue>(V);
+  });
+  EXPECT_EQ(Seen, (std::vector<const N::Value *>{Root, A, Call}));
+  EXPECT_TRUE(valuePreOrder(nullptr).empty());
+}
+
+TEST(ForEachValue, ContainsCommCallLooksInsideIndicesAndArguments) {
+  N::NIRContext Ctx;
+  const N::Value *B = Ctx.getAVar("b", Ctx.getEverywhere());
+  const N::Value *Sum = Ctx.getFcnCall("sum", {B});
+  // a(sum(b)): a reduction inside a subscript index.
+  EXPECT_TRUE(N::containsCommCall(Ctx.getAVar("a", Ctx.getSubscript({Sum}))));
+  // merge(cshift(b, 1, 1), b, .true.): a shift inside a call argument.
+  const N::Value *Shift = Ctx.getFcnCall(
+      "cshift", {B, Ctx.getIntConst(1), Ctx.getIntConst(1)});
+  EXPECT_TRUE(
+      N::containsCommCall(Ctx.getFcnCall("merge", {Shift, B, Ctx.getTrue()})));
+  // a(i) + b: reads only.
+  const N::Value *AI =
+      Ctx.getAVar("a", Ctx.getSubscript({Ctx.getLocalCoord("alpha", 1)}));
+  EXPECT_FALSE(N::containsCommCall(Ctx.getBinary(N::BinaryOp::Add, AI, B)));
+  EXPECT_FALSE(N::containsCommCall(nullptr));
 }
 
 /// optimize's output is a fixed point of every pass it ran except
