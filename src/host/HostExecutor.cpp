@@ -56,6 +56,10 @@ bool HostExecutor::run(const HostProgram &Prog) {
   Steps = 0;
   Scalars.clear();
   ScalarKinds.clear();
+  // An earlier run's top-level fields stay live for inspection until the
+  // next run starts; their storage goes back to the heap here.
+  for (const auto &[Name, Handle] : FieldHandles)
+    RT.freeField(Handle);
   FieldHandles.clear();
   LoopCoords.clear();
   StepIndex = 0;

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <new>
 
 using namespace f90y;
@@ -26,17 +27,14 @@ using support::RtStatus;
 
 const Geometry *CmRuntime::getGeometry(const std::vector<int64_t> &Extents,
                                        const std::vector<int64_t> &Los) {
-  std::string Key;
-  for (size_t D = 0; D < Extents.size(); ++D)
-    Key += std::to_string(Los[D]) + ":" + std::to_string(Extents[D]) + "x";
-  auto It = Geometries.find(Key);
-  if (It != Geometries.end())
-    return It->second.get();
-  auto Geo = std::make_unique<Geometry>(
-      Geometry::layout(Extents, Los, Costs.NumPEs, Costs.VectorWidth));
-  const Geometry *Raw = Geo.get();
-  Geometries[Key] = std::move(Geo);
-  return Raw;
+  auto It = Geometries.find(std::tie(Extents, Los));
+  if (It == Geometries.end())
+    It = Geometries
+             .try_emplace({Extents, Los},
+                          Geometry::layout(Extents, Los, Costs.NumPEs,
+                                           Costs.VectorWidth))
+             .first;
+  return &It->second;
 }
 
 RtResult<int> CmRuntime::tryAllocField(const Geometry *Geo, ElemKind Kind) {
@@ -46,7 +44,8 @@ RtResult<int> CmRuntime::tryAllocField(const Geometry *Geo, ElemKind Kind) {
         RtCode::OutOfMemory,
         "parallel heap exhausted allocating " + std::to_string(Elems) +
             " elements for geometry " + Geo->signature());
-  PeArray A;
+  HeapField F;
+  PeArray &A = F.A;
   A.Geo = Geo;
   A.Kind = Kind;
   const int64_t Size = static_cast<int64_t>(Elems);
@@ -54,7 +53,7 @@ RtResult<int> CmRuntime::tryAllocField(const Geometry *Geo, ElemKind Kind) {
     A.Data = std::move(Spare->second);
     Spares.erase(Spare);
     Heap.Spare -= Size;
-    std::fill(A.Data.begin(), A.Data.end(), 0.0);
+    F.Stale = true; // Zero-filled when first read, unless overwritten.
   } else {
     // Keep live + spare storage under the high-water mark this allocation
     // leaves, so the heap never holds more than its live fields once did.
@@ -78,7 +77,7 @@ RtResult<int> CmRuntime::tryAllocField(const Geometry *Geo, ElemKind Kind) {
   Heap.Live += Size;
   Heap.HighWater = std::max(Heap.HighWater, Heap.Live);
   int Handle = NextHandle++;
-  Fields[Handle] = std::move(A);
+  Fields[Handle] = std::move(F);
   return Handle;
 }
 
@@ -95,34 +94,66 @@ int CmRuntime::allocField(const Geometry *Geo, ElemKind Kind) {
 }
 
 void CmRuntime::freeField(int Handle) {
-  if (auto It = Fields.find(Handle); It != Fields.end()) {
-    std::vector<double> &Data = It->second.Data;
-    Heap.Live -= static_cast<int64_t>(Data.size());
-    Heap.Spare += static_cast<int64_t>(Data.size());
-    Spares.emplace(Data.size(), std::move(Data));
-    Fields.erase(It);
-  }
-  // The coordinate-field cache hands out plain field handles; drop any
-  // entry for this handle so a later coordField for the same geometry
-  // rebuilds instead of returning a handle that trips field()'s assert.
-  for (auto It = CoordFields.begin(); It != CoordFields.end();) {
-    if (It->second == Handle)
-      It = CoordFields.erase(It);
-    else
-      ++It;
-  }
+  auto It = Fields.find(Handle);
+  if (It == Fields.end())
+    return;
+  HeapField &F = It->second;
+  // The coordinate-field cache hands out plain field handles; drop this
+  // one's entry so a later coordField for the same geometry rebuilds
+  // instead of returning a handle that trips field()'s assert.
+  if (F.CoordDim)
+    CoordFields.erase({F.A.Geo, F.CoordDim});
+  std::vector<double> &Data = F.A.Data;
+  Heap.Live -= static_cast<int64_t>(Data.size());
+  Heap.Spare += static_cast<int64_t>(Data.size());
+  Spares.emplace(Data.size(), std::move(Data));
+  Fields.erase(It);
 }
 
-PeArray &CmRuntime::field(int Handle) {
+CmRuntime::HeapField &CmRuntime::entry(int Handle) const {
   auto It = Fields.find(Handle);
   F90Y_CHECK(It != Fields.end(), "use of a freed or invalid field handle");
   return It->second;
 }
+
+PeArray &CmRuntime::readable(HeapField &F) const {
+  if (F.Stale) {
+    std::fill(F.A.Data.begin(), F.A.Data.end(), 0.0);
+    F.Stale = false;
+    ++Heap.ZeroFills;
+  }
+  return F.A;
+}
+
+PeArray &CmRuntime::overwritten(int Handle) {
+  HeapField &F = entry(Handle);
+  if (F.A.Geo->dense())
+    F.Stale = false;
+  return readable(F);
+}
+
+PeArray &CmRuntime::field(int Handle) { return readable(entry(Handle)); }
 
 const PeArray &CmRuntime::field(int Handle) const {
-  auto It = Fields.find(Handle);
-  F90Y_CHECK(It != Fields.end(), "use of a freed or invalid field handle");
+  return readable(entry(Handle));
+}
+
+WalkPlan &CmRuntime::plan(WalkKey K) {
+  auto It = Plans.find(K);
+  if (It == Plans.end()) {
+    RegionWalk W = K.walk();
+    It = Plans.try_emplace(std::move(K), std::move(W)).first;
+  }
   return It->second;
+}
+
+CmRuntime::PlanStats CmRuntime::planStats() const {
+  PlanStats S;
+  for (const auto &[Key, P] : Plans) {
+    ++S.Plans;
+    S.Blocks += P.blocks();
+  }
+  return S;
 }
 
 bool CmRuntime::isLiveField(int Handle) const {
@@ -259,11 +290,11 @@ RtStatus CmRuntime::runFaultableCommGated(FaultKind Transient,
 }
 
 int CmRuntime::coordField(const Geometry *Geo, unsigned Dim) {
-  std::string Key = Geo->signature() + "#" + std::to_string(Dim);
-  auto It = CoordFields.find(Key);
+  auto It = CoordFields.find({Geo, Dim});
   if (It != CoordFields.end())
     return It->second;
   int Handle = allocField(Geo, ElemKind::Int);
+  entry(Handle).CoordDim = Dim;
   PeArray &A = field(Handle);
   const size_t Axis = Dim - 1;
   // Slots advance along Axis when it is the last dimension, rows when it
@@ -280,13 +311,13 @@ int CmRuntime::coordField(const Geometry *Geo, unsigned Dim) {
         Out[I] = static_cast<double>(First + Along * I);
     }
   });
-  CoordFields[Key] = Handle;
+  CoordFields[{Geo, Dim}] = Handle;
   return Handle;
 }
 
 void CmRuntime::setFieldLayout(int Handle, std::vector<int64_t> AxisMap,
                                std::vector<int64_t> Offsets) {
-  PeArray &A = field(Handle);
+  PeArray &A = entry(Handle).A; // Placement only: no data is read.
   bool AnyOffset = false;
   for (int64_t O : Offsets)
     AnyOffset |= O != 0;
@@ -337,66 +368,33 @@ void CmRuntime::writeElement(int Handle,
 
 namespace {
 
-/// What a copy walk moved: slots whose source sits on their own PE
-/// (boundary fills included), and the wire hops of the rest.
-struct Moved {
-  int64_t Local = 0, Hops = 0;
-  Moved &operator+=(const Moved &M) {
-    Local += M.Local;
-    Hops += M.Hops;
-    return *this;
-  }
-};
-
-/// Folds the blocks of \p W into one T per chunk of destination PEs, in
-/// walk order, and combines the chunks in chunk order (the ThreadPool
-/// determinism contract), so every thread count gives the same T.
-template <typename T, typename OnRunFn, typename CombineFn>
-T walkChunks(support::ThreadPool *Pool, const RegionWalk &W, OnRunFn OnRun,
-             CombineFn Combine) {
-  return support::reduceChunksOrdered<T>(
-      Pool, W.dst().GridPEs,
-      [&](int64_t Begin, int64_t End) {
-        T Acc{};
-        W.forEachRun(Begin, End, [&](const Run &R) { OnRun(Acc, R); });
-        return Acc;
-      },
-      Combine);
-}
-
-/// Copies every block of \p W from \p S into \p D (zero for boundary
-/// fill), truncating under \p Truncate, and counts what moved. A remote
-/// block of E elements costs E times its PEs' hop distance along
-/// \p HopDim, if set.
-Moved moveRuns(support::ThreadPool *Pool, const RegionWalk &W, PeArray &D,
-               const PeArray &S, int HopDim = -1, bool Truncate = false) {
-  return walkChunks<Moved>(
-      Pool, W,
-      [&](Moved &M, const Run &R) {
-        const int64_t Elems = R.Len * R.Rows;
-        for (int64_t Row = 0; Row < R.Rows; ++Row) {
-          double *Out = D.peBase(R.DstPE) + R.DstOff + Row * R.DstRow;
-          if (R.Fill) {
-            for (int64_t I = 0; I < R.Len; ++I)
-              Out[I * R.DstStep] = 0.0;
-            continue;
-          }
-          const double *In = S.peBase(R.SrcPE) + R.SrcOff + Row * R.SrcRow;
-          if (R.DstStep == 1 && R.SrcStep == 0 && !Truncate)
-            std::fill_n(Out, R.Len, *In); // One source slot fans out.
-          else
-            for (int64_t I = 0; I < R.Len; ++I) {
-              double V = In[I * R.SrcStep];
-              Out[I * R.DstStep] = Truncate ? std::trunc(V) : V;
-            }
+/// Copies every block of \p P from \p S into \p D (zero for boundary
+/// fill), truncating under \p Truncate.
+void copyBlocks(support::ThreadPool *Pool, WalkPlan &P, PeArray &D,
+                const PeArray &S, bool Truncate = false) {
+  double *const To = D.Data.data();
+  const double *const From = S.Data.data();
+  const int64_t Step = P.dstStep(), RowStep = P.dstRow();
+  P.sweep(Pool, [&](int64_t, const WalkPlan::Block &B) {
+    for (int64_t Row = 0; Row < B.Rows; ++Row) {
+      double *Out = To + B.Dst + Row * RowStep;
+      if (B.fill()) {
+        for (int64_t I = 0; I < B.Len; ++I)
+          Out[I * Step] = 0.0;
+        continue;
+      }
+      const double *In = From + B.Src + Row * B.SrcRow;
+      if (Step == 1 && B.SrcStep == 0 && !Truncate)
+        std::fill_n(Out, B.Len, *In); // One source slot fans out.
+      else if (Step == 1 && B.SrcStep == 1 && !Truncate)
+        std::copy_n(In, B.Len, Out);
+      else
+        for (int64_t I = 0; I < B.Len; ++I) {
+          double V = In[I * B.SrcStep];
+          Out[I * Step] = Truncate ? std::trunc(V) : V;
         }
-        if (R.Fill || R.SrcPE == R.DstPE)
-          M.Local += Elems;
-        else if (HopDim >= 0)
-          M.Hops += Elems * W.dst().hopDistance(R.DstPE, R.SrcPE,
-                                                static_cast<size_t>(HopDim));
-      },
-      [](Moved &Acc, const Moved &M) { Acc += M; });
+    }
+  });
 }
 
 /// One ReduceOp fold: Sum adds from zero; Product, Max and Min start from
@@ -467,18 +465,18 @@ RtStatus CmRuntime::shiftExchange(const char *OpName,
                                   const std::vector<ShiftSpec> &Shifts,
                                   int Src, unsigned Dim, bool EndOff) {
   F90Y_CHECK(!Shifts.empty(), "multiShift requires at least one shift");
-  const Geometry &Geo = *field(Src).Geo;
+  const Geometry &Geo = *entry(Src).A.Geo;
   const size_t Axis = static_cast<size_t>(Dim - 1);
   F90Y_CHECK(Axis < Geo.rank(), "shift dimension out of range");
   // Clause I's destination slot x reads source slot x + Shift along Axis,
   // wrapped around, or boundary fill past the edge under EndOff.
-  std::vector<RegionWalk> Walks;
+  std::vector<WalkPlan *> Walks;
   std::vector<int> DstHandles;
   for (const ShiftSpec &Spec : Shifts) {
     std::vector<int64_t> By(Geo.rank(), 0);
     By[Axis] = Spec.Shift;
-    Walks.emplace_back(Region(*field(Spec.Dst).Geo), Region(Geo),
-                       std::vector<int>(), std::move(By), EndOff);
+    Walks.push_back(
+        &plan({*entry(Spec.Dst).A.Geo, Geo, {}, std::move(By), EndOff}));
     DstHandles.push_back(Spec.Dst);
   }
 
@@ -487,32 +485,31 @@ RtStatus CmRuntime::shiftExchange(const char *OpName,
   // behaves exactly like the unfused sequence), but the grid pays the
   // fixed communication startup once. A fault retries or rolls back the
   // whole exchange - all destinations together - as one operation. Local
-  // slots, boundary fills (real in-PE stores) and wire hops are exact
-  // integer totals, so the charge is thread-count independent.
+  // slots, boundary fills (real in-PE stores) and wire hops are the
+  // plans' exact integer totals, so the charge is thread-count
+  // independent.
   return runFaultableComm(FaultKind::GridTimeout, OpName, DstHandles, [&] {
-    Moved Total;
+    int64_t Local = 0, Hops = 0;
     for (size_t I = 0; I < Shifts.size(); ++I) {
       PeArray Snapshot;
       const PeArray &S =
           Shifts[I].Dst == Src ? (Snapshot = field(Src)) : field(Src);
-      Total += moveRuns(Pool, Walks[I], field(Shifts[I].Dst), S,
-                        static_cast<int>(Axis));
+      copyBlocks(Pool, *Walks[I], overwritten(Shifts[I].Dst), S);
+      Local += Walks[I]->local();
+      Hops += Walks[I]->hops();
     }
     noteSweep(Geo, Geo.totalElements() * static_cast<int64_t>(Shifts.size()),
-              Total.Hops);
+              Hops);
     Ledger.CommCycles +=
         Costs.CommStartupCycles +
-        (Costs.GridLocalPerElem * static_cast<double>(Total.Local) +
-         Costs.GridWirePerElemHop * static_cast<double>(Total.Hops)) /
+        (Costs.GridLocalPerElem * static_cast<double>(Local) +
+         Costs.GridWirePerElemHop * static_cast<double>(Hops)) /
             static_cast<double>(Geo.GridPEs);
   });
 }
 
 RtStatus CmRuntime::transpose(int Dst, int Src) {
-  PeArray &D = field(Dst);
-  PeArray Snapshot;
-  const PeArray &S = Dst == Src ? (Snapshot = field(Src)) : field(Src);
-  const Geometry &DG = *D.Geo, &SG = *S.Geo;
+  const Geometry &DG = *entry(Dst).A.Geo, &SG = *entry(Src).A.Geo;
   F90Y_CHECK(DG.rank() == 2 && SG.rank() == 2, "transpose requires rank 2");
   // A correct program can reach mismatched extents through mismatched
   // declarations, so it is a recoverable status, not a check.
@@ -524,10 +521,12 @@ RtStatus CmRuntime::transpose(int Dst, int Src) {
             " are not the transpose of source extents " +
             std::to_string(SG.Extents[0]) + "x" +
             std::to_string(SG.Extents[1]));
-  RegionWalk W(Region(DG), Region(SG), {1, 0}); // dst(i, j) = src(j, i).
+  WalkPlan &P = plan({DG, SG, {1, 0}}); // dst(i, j) = src(j, i).
 
   return runFaultableComm(FaultKind::RouterDrop, "transpose", {Dst}, [&] {
-    moveRuns(Pool, W, D, S);
+    PeArray Snapshot;
+    const PeArray &S = Dst == Src ? (Snapshot = field(Src)) : field(Src);
+    copyBlocks(Pool, P, overwritten(Dst), S);
     noteSweep(DG, DG.totalElements(), /*Hops=*/0);
     // Transpose goes through the router; charge the per-element cost
     // spread across the machine (all PEs inject concurrently).
@@ -542,14 +541,21 @@ RtStatus CmRuntime::sectionCopy(int Dst,
                                 const std::vector<SectionDim> &DstSec,
                                 int Src,
                                 const std::vector<SectionDim> &SrcSec) {
-  PeArray &D = field(Dst);
-  const PeArray &S = field(Src);
-  const Geometry &DG = *D.Geo;
+  const Geometry &DG = *entry(Dst).A.Geo;
   F90Y_CHECK(DstSec.size() == SrcSec.size(), "section rank mismatch");
-  RegionWalk W(Region(DG, DstSec), Region(*S.Geo, SrcSec), {});
+  WalkKey Key(DG, *entry(Src).A.Geo);
+  Key.DstSec = DstSec;
+  Key.SrcSec = SrcSec;
+  WalkPlan &P = plan(std::move(Key));
+  // The plan checked that the section lies inside its array, so every
+  // element in a unit-stride run of a whole extent is the whole array.
   int64_t Total = 1;
-  for (const SectionDim &SD : DstSec)
-    Total *= SD.Count;
+  bool Whole = true;
+  for (size_t D = 0; D < DstSec.size(); ++D) {
+    Total *= DstSec[D].Count;
+    Whole &= std::abs(DstSec[D].Stride) == 1 &&
+             DstSec[D].Count == DG.Extents[D];
+  }
   if (Total == 0)
     return RtStatus::ok();
 
@@ -557,22 +563,21 @@ RtStatus CmRuntime::sectionCopy(int Dst,
     // Overlapping sections of one array keep Fortran vector semantics:
     // every read sees the array as it stood before the copy.
     PeArray Snapshot;
-    const PeArray &From = Dst == Src ? (Snapshot = S) : S;
-    Moved M = moveRuns(Pool, W, D, From, /*HopDim=*/-1,
-                       /*Truncate=*/D.Kind == ElemKind::Int);
+    const PeArray &S = Dst == Src ? (Snapshot = field(Src)) : field(Src);
+    PeArray &D = Whole ? overwritten(Dst) : field(Dst);
+    copyBlocks(Pool, P, D, S, /*Truncate=*/D.Kind == ElemKind::Int);
     noteSweep(DG, Total, /*Hops=*/0);
     Ledger.CommCycles +=
         Costs.CommStartupCycles +
-        (Costs.GridLocalPerElem * static_cast<double>(M.Local) +
-         Costs.RouterPerElem * static_cast<double>(Total - M.Local)) /
+        (Costs.GridLocalPerElem * static_cast<double>(P.local()) +
+         Costs.RouterPerElem * static_cast<double>(Total - P.local())) /
             static_cast<double>(DG.GridPEs);
   });
 }
 
 RtResult<double> CmRuntime::tryReduce(ReduceOp Op, int Src) {
-  const PeArray &S = field(Src);
-  const Geometry &Geo = *S.Geo;
-  const RegionWalk W{Region(Geo), Region(Geo), {}};
+  const Geometry &Geo = *entry(Src).A.Geo;
+  WalkPlan &P = plan({Geo, Geo});
   double Out = 0;
 
   // Per-chunk partial folds in PE order, combined in chunk order. The
@@ -582,19 +587,24 @@ RtResult<double> CmRuntime::tryReduce(ReduceOp Op, int Src) {
   // fold in the final ulps, exactly as the real machine's tree combine
   // does (see programs_test's note on machine-vs-interpreter order).
   RtStatus St = runFaultableComm(FaultKind::GridTimeout, "reduce", {}, [&] {
-    Fold Total = walkChunks<Fold>(
-        Pool, W,
-        [&](Fold &F, const Run &R) {
-          for (int64_t Row = 0; Row < R.Rows; ++Row) {
-            const double *In = S.peBase(R.DstPE) + R.DstOff + Row * R.DstRow;
-            for (int64_t I = 0; I < R.Len; ++I)
-              F.add(Op, In[I]);
-          }
-        },
-        [&](Fold &Acc, const Fold &P) {
-          if (P.Seen) // Fold in a later chunk's partial.
-            Acc.absorb(Op, P.Acc, P.True, P.Elems);
-        });
+    const double *const From = field(Src).Data.data();
+    const int64_t RowStep = P.dstRow();
+    std::vector<Fold> Parts(
+        static_cast<size_t>(support::ThreadPool::numChunks(Geo.GridPEs)));
+    P.sweep(Pool, [&](int64_t C, const WalkPlan::Block &B) {
+      // Fold into a local, which the field's doubles cannot alias.
+      Fold F = Parts[static_cast<size_t>(C)];
+      for (int64_t Row = 0; Row < B.Rows; ++Row) {
+        const double *In = From + B.Dst + Row * RowStep;
+        for (int64_t I = 0; I < B.Len; ++I)
+          F.add(Op, In[I]);
+      }
+      Parts[static_cast<size_t>(C)] = F;
+    });
+    Fold Total;
+    for (const Fold &Part : Parts)
+      if (Part.Seen) // Fold in a later chunk's partial.
+        Total.absorb(Op, Part.Acc, Part.True, Part.Elems);
 
     noteSweep(Geo, Geo.totalElements(), /*Hops=*/0);
     Ledger.CommCycles += reduceCycles(Costs, Geo, Geo.GridPEs);
@@ -615,9 +625,7 @@ double CmRuntime::reduce(ReduceOp Op, int Src) {
 
 RtStatus CmRuntime::reduceAlongDim(ReduceOp Op, int Dst, int Src,
                                    unsigned Dim) {
-  PeArray &D = field(Dst);
-  const PeArray &S = field(Src);
-  const Geometry &DG = *D.Geo, &SG = *S.Geo;
+  const Geometry &DG = *entry(Dst).A.Geo, &SG = *entry(Src).A.Geo;
   size_t Axis = static_cast<size_t>(Dim - 1);
   F90Y_CHECK(Axis < SG.rank() && DG.rank() + 1 == SG.rank(),
              "reduceAlongDim rank mismatch");
@@ -626,7 +634,7 @@ RtStatus CmRuntime::reduceAlongDim(ReduceOp Op, int Dst, int Src,
   std::vector<int> From;
   for (size_t J = 0, Out = 0; J < SG.rank(); ++J)
     From.push_back(J == Axis ? -1 : static_cast<int>(Out++));
-  RegionWalk W(Region(DG), Region(SG), From);
+  WalkPlan &P = plan({DG, SG, std::move(From)});
   std::vector<int64_t> Line;
   for (int64_t K = 0; K < SG.Extents[Axis]; ++K)
     Line.push_back(K / SG.Sub[Axis] * SG.PEStride[Axis] * SG.PaddedSubgrid +
@@ -636,23 +644,24 @@ RtStatus CmRuntime::reduceAlongDim(ReduceOp Op, int Dst, int Src,
   // independently of all others - so chunks of destination PEs run
   // concurrently and the result is bit-identical to the serial sweep.
   return runFaultableComm(FaultKind::GridTimeout, "reduce-dim", {Dst}, [&] {
-    support::parallelChunks(
-        Pool, DG.GridPEs, [&](int64_t, int64_t Begin, int64_t End) {
-          W.forEachRun(Begin, End, [&](const Run &R) {
-            for (int64_t Row = 0; Row < R.Rows; ++Row) {
-              const double *In = S.peBase(R.SrcPE) + R.SrcOff + Row * R.SrcRow;
-              double *Out = D.peBase(R.DstPE) + R.DstOff + Row * R.DstRow;
-              for (int64_t I = 0; I < R.Len; ++I) {
-                Fold F;
-                for (int64_t Step : Line)
-                  F.add(Op, In[I * R.SrcStep + Step]);
-                double V = F.result(Op);
-                Out[I * R.DstStep] =
-                    D.Kind == ElemKind::Int ? std::trunc(V) : V;
-              }
-            }
-          });
-        });
+    const double *const Lines = field(Src).Data.data();
+    PeArray &D = overwritten(Dst);
+    double *const To = D.Data.data();
+    const bool Int = D.Kind == ElemKind::Int;
+    const int64_t Step = P.dstStep(), RowStep = P.dstRow();
+    P.sweep(Pool, [&](int64_t, const WalkPlan::Block &B) {
+      for (int64_t Row = 0; Row < B.Rows; ++Row) {
+        const double *In = Lines + B.Src + Row * B.SrcRow;
+        double *Out = To + B.Dst + Row * RowStep;
+        for (int64_t I = 0; I < B.Len; ++I) {
+          Fold F;
+          for (int64_t K : Line)
+            F.add(Op, In[I * B.SrcStep + K]);
+          double V = F.result(Op);
+          Out[I * Step] = Int ? std::trunc(V) : V;
+        }
+      }
+    });
 
     noteSweep(SG, SG.totalElements(), /*Hops=*/0);
     // Combine along the reduced axis's PEs, then redistribute the
@@ -667,9 +676,7 @@ RtStatus CmRuntime::reduceAlongDim(ReduceOp Op, int Dst, int Src,
 }
 
 RtStatus CmRuntime::spreadAlongDim(int Dst, int Src, unsigned Dim) {
-  PeArray &D = field(Dst);
-  const PeArray &S = field(Src);
-  const Geometry &DG = *D.Geo, &SG = *S.Geo;
+  const Geometry &DG = *entry(Dst).A.Geo, &SG = *entry(Src).A.Geo;
   size_t Axis = static_cast<size_t>(Dim - 1);
   F90Y_CHECK(Axis < DG.rank() && DG.rank() == SG.rank() + 1,
              "spreadAlongDim rank mismatch");
@@ -678,12 +685,13 @@ RtStatus CmRuntime::spreadAlongDim(int Dst, int Src, unsigned Dim) {
   std::vector<int> From;
   for (size_t J = 0; J < SG.rank(); ++J)
     From.push_back(static_cast<int>(J < Axis ? J : J + 1));
-  RegionWalk W(Region(DG), Region(SG), From);
+  WalkPlan &P = plan({DG, SG, std::move(From)});
 
   // Pure broadcast: destination PEs only read the source, so chunks of
   // them run concurrently with no accounting to reduce.
   return runFaultableComm(FaultKind::RouterDrop, "spread", {Dst}, [&] {
-    moveRuns(Pool, W, D, S);
+    const PeArray &S = field(Src);
+    copyBlocks(Pool, P, overwritten(Dst), S);
     noteSweep(DG, DG.totalElements(), /*Hops=*/0);
     // Broadcast through the router (each source element fans out).
     Ledger.CommCycles +=
@@ -701,16 +709,17 @@ RtResult<std::string> CmRuntime::tryRenderField(int Handle) {
   // (x + LayoutOffsets) modulo the extents and lands at its own walk
   // position, so the text never depends on the walk's visiting order.
   // Every element read crosses the router, so the whole render retries
-  // as one faultable op.
+  // as one faultable op. The one-PE geometry lives only for this call, so
+  // its plan is not cached.
   const Geometry OnePE = Geometry::layout(Geo.Extents, Geo.Los, 1, 1);
-  RegionWalk W(Region(OnePE), Region(Geo), {}, A.LayoutOffsets);
+  WalkPlan P(RegionWalk(Region(OnePE), Region(Geo), {}, A.LayoutOffsets));
   PeArray Flat;
   Flat.Geo = &OnePE;
   Flat.Data.resize(static_cast<size_t>(OnePE.PaddedSubgrid));
   std::string Out;
   RtStatus St =
       runFaultableComm(FaultKind::RouterDrop, "field render", {}, [&] {
-        moveRuns(nullptr, W, Flat, A);
+        copyBlocks(nullptr, P, Flat, A);
         Out.clear();
         for (double V : Flat.Data) {
           if (!Out.empty())

@@ -24,8 +24,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace f90y {
@@ -115,20 +115,29 @@ enum class ReduceOp { Sum, Product, Max, Min, Count, Any, All };
 
 /// The runtime system instance owned by one program execution.
 ///
-/// The parallel heap keeps the storage of freed fields and hands it, zeroed,
-/// to the next allocation of the same element count, so a statement's
-/// temporaries stop costing fresh host memory after the first time step.
-/// Live plus spare storage never exceeds the live high-water mark: an
-/// allocation that finds no spare of its size releases spares first. The
-/// spares belong to this runtime and die with it.
+/// The parallel heap keeps the storage of freed fields and hands it to the
+/// next allocation of the same element count, so a statement's temporaries
+/// stop costing fresh host memory after the first time step. Recycled
+/// storage is handed out stale, still holding the freed field's values,
+/// and reads as zeros all the same: every accessor that can observe it
+/// (field(), snapshotField, element access, rendering, and so PEAC
+/// arguments and checkpoint writes) zero-fills it first. Only a comm sweep
+/// that writes every slot of its destination - the whole array of a
+/// geometry without padding - skips the fill. Live plus spare storage never
+/// exceeds the live high-water mark: an allocation that finds no spare of
+/// its size releases spares first. The spares belong to this runtime and
+/// die with it.
 ///
 /// Every communication op is a RegionWalk (runtime/RegionWalk.h): data moves
 /// and ledger counts accrue one block of a destination PE's subgrid at a
-/// time, never per element. When a host thread pool is attached, chunks of
-/// destination PEs (source PEs for a full reduction) walk concurrently and
-/// their exact integer counts or partial folds combine in chunk order
+/// time, never per element. The runtime resolves each distinct walk once
+/// into a WalkPlan and every later op on it replays the plan's blocks and
+/// charges its exact integer totals. When a host thread pool is attached,
+/// chunks of destination PEs (source PEs for a full reduction) sweep
+/// concurrently and their partial folds combine in chunk order
 /// (support/ThreadPool.h), so every thread count produces bit-identical
-/// data and cycle totals.
+/// data and cycle totals. Plans are derived state: checkpoints do not
+/// store them, and a restored runtime rebuilds them on first use.
 ///
 /// When a FaultInjector is attached, comm ops pass through a recoverable
 /// fault path: transient faults (router drop, grid-link timeout) fail the
@@ -178,7 +187,8 @@ public:
   CycleLedger &ledger() { return Ledger; }
   const CycleLedger &ledger() const { return Ledger; }
 
-  /// Returns (creating and caching) the geometry for the given shape.
+  /// Returns (creating and caching) the geometry for the given shape; the
+  /// runtime keeps it, at the same address, for its lifetime.
   const Geometry *getGeometry(const std::vector<int64_t> &Extents,
                               const std::vector<int64_t> &Los);
 
@@ -186,13 +196,14 @@ public:
   // Heap
   //===--------------------------------------------------------------------===//
 
-  /// Allocates a zero-filled field; returns its handle, or a fault on
-  /// simulated (injected or genuine host) heap exhaustion. The storage is
-  /// a freed field's of the same element count when one is spare, zeroed
-  /// padding included, so the field is bit-identical to a fresh one;
-  /// otherwise spares are released until live plus spare storage, this
-  /// field included, fits under the live high-water mark, and the storage
-  /// is fresh.
+  /// Allocates a field that reads as zeros; returns its handle, or a fault
+  /// on simulated (injected or genuine host) heap exhaustion. The storage
+  /// is a freed field's of the same element count when one is spare,
+  /// handed out stale and zero-filled, padding included, before anything
+  /// reads it, so the field is bit-identical to a fresh one; otherwise
+  /// spares are released until live plus spare storage, this field
+  /// included, fits under the live high-water mark, and the storage is
+  /// fresh zeros.
   support::RtResult<int> tryAllocField(const Geometry *Geo, ElemKind Kind);
   /// Infallible convenience wrapper: aborts via F90Y_CHECK on allocation
   /// failure. Test and benchmark scaffolding that never runs with an OOM
@@ -210,9 +221,12 @@ public:
     int64_t Spare = 0;        ///< Kept from freed fields for reuse.
     int64_t HighWater = 0;    ///< The most Live has ever been.
     uint64_t FreshAllocs = 0; ///< Allocations that took fresh storage.
+    uint64_t ZeroFills = 0;   ///< Recycled fields zero-filled on a read.
   };
   const HeapStats &heapStats() const { return Heap; }
 
+  /// The field's storage, zero-filled first when it is stale. The const
+  /// form fills too: the fill changes no value a reader can observe.
   PeArray &field(int Handle);
   const PeArray &field(int Handle) const;
   /// True when \p Handle names a live field.
@@ -227,7 +241,8 @@ public:
   // Checkpointing (phase rollback/replay)
   //===--------------------------------------------------------------------===//
 
-  /// Copies the field's raw subgrid storage for a later restoreField.
+  /// Copies the field's raw subgrid storage (zero-filled first when stale)
+  /// for a later restoreField.
   std::vector<double> snapshotField(int Handle) const;
   /// Restores storage saved by snapshotField, in place (pointers into the
   /// field's data - e.g. live PEAC bindings - stay valid) and counts one
@@ -251,6 +266,13 @@ public:
   //===--------------------------------------------------------------------===//
   // Communication (charged to the ledger)
   //===--------------------------------------------------------------------===//
+
+  /// Distinct walks resolved so far (one WalkPlan each) and their blocks.
+  struct PlanStats {
+    int64_t Plans = 0;
+    int64_t Blocks = 0;
+  };
+  PlanStats planStats() const;
 
   /// dst(i) = src(i + Shift along Dim, circular). Grid communication.
   support::RtStatus cshift(int Dst, int Src, unsigned Dim, int64_t Shift);
@@ -363,13 +385,39 @@ private:
     std::vector<int> Handles;
   };
   InFlightComm Pending;
-  std::map<std::string, std::unique_ptr<Geometry>> Geometries;
-  std::map<int, PeArray> Fields;
+  /// Geometries by (extents, lower bounds); map nodes keep their address.
+  std::map<std::tuple<std::vector<int64_t>, std::vector<int64_t>>, Geometry,
+           std::less<>>
+      Geometries;
+  /// A live field's storage and heap state. Stale storage still holds a
+  /// freed field's values; the accessors fill it before anyone reads it.
+  struct HeapField {
+    PeArray A;
+    bool Stale = false;
+    unsigned CoordDim = 0; ///< Dim of A.Geo whose coordField it is, or 0.
+  };
+  /// Mutable because reading a stale field through a const accessor
+  /// zero-fills it (and counts the fill).
+  mutable std::map<int, HeapField> Fields;
   /// Storage of freed fields, by element count.
   std::multimap<size_t, std::vector<double>> Spares;
-  HeapStats Heap;
-  std::map<std::string, int> CoordFields; ///< geometry-signature + dim.
+  mutable HeapStats Heap;
+  std::map<std::pair<const Geometry *, unsigned>, int> CoordFields;
+  /// Every walk resolved so far; map nodes keep plans at one address.
+  std::map<WalkKey, WalkPlan> Plans;
   int NextHandle = 1;
+
+  /// The live field \p Handle as it stands, stale or not.
+  HeapField &entry(int Handle) const;
+  /// \p F's field, zero-filled first when stale.
+  PeArray &readable(HeapField &F) const;
+  /// The destination of a sweep that writes every element of \p Handle:
+  /// stale storage skips the fill when its geometry has no padding, since
+  /// the sweep then writes every slot. Call it inside the sweep, so an op
+  /// that fails before moving data leaves the field stale.
+  PeArray &overwritten(int Handle);
+  /// The plan of the walk \p K, resolved on its first sweep.
+  WalkPlan &plan(WalkKey K);
 
   /// cshift, eoshift and multiShift: one exchange of \p Shifts, traced
   /// and counted as \p OpName.

@@ -58,6 +58,15 @@ Geometry Geometry::layout(std::vector<int64_t> Extents,
   return G;
 }
 
+bool Geometry::dense() const {
+  if (PaddedSubgrid != SubgridElems)
+    return false;
+  for (size_t D = 0; D < Extents.size(); ++D)
+    if (Grid[D] * Sub[D] != Extents[D])
+      return false;
+  return true;
+}
+
 void Geometry::locate(const std::vector<int64_t> &Coord, int64_t &PE,
                       int64_t &Off) const {
   PE = Off = 0;

@@ -45,6 +45,10 @@ struct Geometry {
     return N;
   }
 
+  /// True when every storage slot holds an element: no subgrid is padded
+  /// to the vector width and no edge block runs past the array.
+  bool dense() const;
+
   /// Builds the blockwise layout of \p Extents over at most \p MachinePEs
   /// processing elements, padding subgrids to multiples of \p Width.
   static Geometry layout(std::vector<int64_t> Extents,

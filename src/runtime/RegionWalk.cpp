@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <tuple>
 
 using namespace f90y;
@@ -61,6 +62,27 @@ int64_t blockSteps(int64_t In, int64_t Room, int64_t Step) {
   return Unbounded;
 }
 
+/// \p V as a block field; a walk whose steps need more than 32 bits
+/// would need a subgrid of billions of slots.
+int32_t narrow(int64_t V) {
+  F90Y_CHECK(V >= std::numeric_limits<int32_t>::min() &&
+                 V <= std::numeric_limits<int32_t>::max(),
+             "walk block step exceeds 32 bits");
+  return static_cast<int32_t>(V);
+}
+
+/// The step from \p From's source at which \p To's continues it after
+/// \p N steps of \p Step (any step when N is 1, so it is To's offset),
+/// or nothing when it does not, or the step needs more than 32 bits.
+std::optional<int32_t> continuing(int64_t From, int64_t To, int64_t N,
+                                  int64_t Step) {
+  if (N == 1)
+    Step = To - From;
+  if (To != From + N * Step || Step != static_cast<int32_t>(Step))
+    return std::nullopt;
+  return static_cast<int32_t>(Step);
+}
+
 } // namespace
 
 Region::Region(const Geometry &G) : Geo(&G) {
@@ -101,6 +123,46 @@ RegionWalk::RegionWalk(Region Dst, Region Src, std::vector<int> From,
   }
 }
 
+int RegionWalk::shiftAxis() const {
+  int Axis = -1;
+  for (size_t J = 0; J < Shift.size(); ++J)
+    if (Shift[J] != 0) {
+      if (Axis >= 0)
+        return -1;
+      Axis = static_cast<int>(J);
+    }
+  return Axis;
+}
+
+int64_t RegionWalk::dstStep() const { return Dst.Dims.back().Stride; }
+
+int64_t RegionWalk::dstRow() const {
+  const size_t Last = Dst.Dims.size() - 1;
+  return Last ? Dst.Dims[Last - 1].Stride * Dst.Geo->OffStride[Last - 1] : 0;
+}
+
+bool RegionWalk::bounds(int64_t PE, std::vector<int64_t> &Lo,
+                        std::vector<int64_t> &Hi) const {
+  const Geometry &DG = *Dst.Geo;
+  for (size_t D = 0; D < Dst.Dims.size(); ++D) {
+    int64_t BLo = PE / DG.PEStride[D] % DG.Grid[D] * DG.Sub[D];
+    positionsIn(Dst.Dims[D], BLo, std::min(BLo + DG.Sub[D], DG.Extents[D]),
+                Lo[D], Hi[D]);
+    if (Lo[D] >= Hi[D])
+      return false;
+  }
+  return true;
+}
+
+int64_t RegionWalk::dstOffset(const std::vector<int64_t> &P) const {
+  const Geometry &DG = *Dst.Geo;
+  int64_t Off = 0;
+  for (size_t D = 0; D < Dst.Dims.size(); ++D)
+    Off += (Dst.Dims[D].Start + Dst.Dims[D].Stride * P[D]) % DG.Sub[D] *
+           DG.OffStride[D];
+  return Off;
+}
+
 void RegionWalk::source(const std::vector<int64_t> &P, int64_t Left,
                         Run &R) const {
   const Geometry &SG = *Src.Geo;
@@ -137,49 +199,83 @@ void RegionWalk::source(const std::vector<int64_t> &P, int64_t Left,
   }
 }
 
-void RegionWalk::forEachRun(int64_t BeginPE, int64_t EndPE,
-                            const std::function<void(const Run &)> &Fn) const {
-  const Geometry &DG = *Dst.Geo;
-  const size_t Rank = Dst.Dims.size(), Last = Rank - 1;
-  std::vector<int64_t> Lo(Rank), Hi(Rank), P(Rank);
-  Run R;
-  R.Pos = P.data();
-  R.DstStep = Dst.Dims[Last].Stride;
-  R.DstRow = Last ? Dst.Dims[Last - 1].Stride * DG.OffStride[Last - 1] : 0;
-  for (R.DstPE = BeginPE; R.DstPE < EndPE; ++R.DstPE) {
-    // The region's positions inside this PE's block, per dimension.
-    bool Empty = false;
-    for (size_t D = 0; D < Rank && !Empty; ++D) {
-      int64_t BLo = R.DstPE / DG.PEStride[D] % DG.Grid[D] * DG.Sub[D];
-      positionsIn(Dst.Dims[D], BLo,
-                  std::min(BLo + DG.Sub[D], DG.Extents[D]), Lo[D], Hi[D]);
-      Empty = Lo[D] >= Hi[D];
-    }
-    if (Empty)
-      continue;
-    std::copy(Lo.begin(), Lo.end(), P.begin());
-    for (bool More = true; More;) {
-      // One band: the PE's rows left along the second-last dimension,
-      // as many as its first block's sources allow, cut into blocks
-      // along the last.
-      int64_t BandOff = 0;
-      for (size_t D = 0; D < Rank; ++D)
-        BandOff += (Dst.Dims[D].Start + Dst.Dims[D].Stride * P[D]) %
-                   DG.Sub[D] * DG.OffStride[D];
-      R.Rows = Last ? Hi[Last - 1] - P[Last - 1] : 1;
-      for (R.DstOff = BandOff; P[Last] < Hi[Last];
-           P[Last] += R.Len, R.DstOff += R.Len * R.DstStep) {
-        source(P, Hi[Last] - P[Last], R);
-        Fn(R);
-      }
-      // Next band: step the second-last dimension past the band's rows,
-      // then the outer dimensions' odometer; D wraps past 0 once every
-      // band is done.
-      P[Last] = Lo[Last];
-      size_t D = Last;
-      for (int64_t By = R.Rows; D-- > 0 && (P[D] += By) == Hi[D]; By = 1)
-        P[D] = Lo[D];
-      More = D < Last;
+RegionWalk WalkKey::walk() const {
+  return RegionWalk(DstSec.empty() ? Region(*Dst) : Region(*Dst, DstSec),
+                    SrcSec.empty() ? Region(*Src) : Region(*Src, SrcSec),
+                    From, Shift, EndOff);
+}
+
+WalkPlan::WalkPlan(RegionWalk W)
+    : Walk(std::move(W)), DstPEs(Walk->dst().GridPEs),
+      DstStep(Walk->dstStep()), DstRow(Walk->dstRow()),
+      HopAxis(Walk->shiftAxis()) {}
+
+int64_t WalkPlan::blocks() const {
+  int64_t N = 0;
+  for (const std::vector<Block> &C : Chunks)
+    N += static_cast<int64_t>(C.size());
+  return N;
+}
+
+WalkPlan::Block WalkPlan::record(const Run &R, Totals &T) const {
+  const Geometry &DG = Walk->dst(), &SG = Walk->src();
+  int64_t Len = R.Len, Rows = R.Rows;
+  if (R.Fill || R.SrcPE == R.DstPE)
+    T.Local += Len * Rows;
+  else if (HopAxis >= 0)
+    T.Hops += Len * Rows * DG.hopDistance(R.DstPE, R.SrcPE,
+                                          static_cast<size_t>(HopAxis));
+  // Rows that lie end to end on both sides make one row.
+  if (Rows > 1 && DstRow == Len * DstStep &&
+      (R.Fill || R.SrcRow == Len * R.SrcStep)) {
+    Len *= Rows;
+    Rows = 1;
+  }
+  Block B;
+  B.Dst = R.DstPE * DG.PaddedSubgrid + R.DstOff;
+  B.Src = R.Fill ? -1 : R.SrcPE * SG.PaddedSubgrid + R.SrcOff;
+  B.Len = narrow(Len);
+  B.Rows = narrow(Rows);
+  // A step that no slot takes is 0, so it never needs to fit.
+  B.SrcStep = R.Fill || Len == 1 ? 0 : narrow(R.SrcStep);
+  B.SrcRow = R.Fill || Rows == 1 ? 0 : narrow(R.SrcRow);
+  return B;
+}
+
+bool WalkPlan::extend(Block &Prev, const Block &B) const {
+  if (B.fill() != Prev.fill())
+    return false;
+  // B goes on along Prev's rows: the next slots of the same rows.
+  if (B.Rows == Prev.Rows && B.Dst == Prev.Dst + Prev.Len * DstStep &&
+      int64_t{Prev.Len} + B.Len <= std::numeric_limits<int32_t>::max()) {
+    std::optional<int32_t> Step =
+        B.fill() ? 0 : continuing(Prev.Src, B.Src, Prev.Len, Prev.SrcStep);
+    if (Step && (B.Len == 1 || B.SrcStep == *Step) &&
+        (Prev.Rows == 1 || B.SrcRow == Prev.SrcRow)) {
+      Prev.SrcStep = *Step;
+      Prev.Len += B.Len;
+      return true;
     }
   }
+  // B goes on down Prev's rows: the next rows of the same slots.
+  if (B.Len == Prev.Len && B.Dst == Prev.Dst + Prev.Rows * DstRow &&
+      int64_t{Prev.Rows} + B.Rows <= std::numeric_limits<int32_t>::max()) {
+    std::optional<int32_t> Row =
+        B.fill() ? 0 : continuing(Prev.Src, B.Src, Prev.Rows, Prev.SrcRow);
+    if (Row && (B.Rows == 1 || B.SrcRow == *Row) &&
+        (Prev.Len == 1 || B.SrcStep == Prev.SrcStep)) {
+      Prev.SrcRow = *Row;
+      Prev.Rows += B.Rows;
+      return true;
+    }
+  }
+  return false;
+}
+
+void WalkPlan::finish(const std::vector<Totals> &Parts) {
+  for (const Totals &T : Parts) {
+    Local += T.Local;
+    Hops += T.Hops;
+  }
+  Walk.reset();
 }

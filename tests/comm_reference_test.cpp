@@ -10,7 +10,10 @@
 /// per-element reference written with Geometry::locate/coordOf. Each case
 /// compares every field's whole storage (padding included), every
 /// CycleLedger field, and the op's comm.<op>.bytes/hops metrics, at one
-/// and at four host threads.
+/// and at four host threads. Each case then runs its op a second time on
+/// the same runtime, so it replays the walk plan the first run resolved,
+/// into destinations freed and allocated again: recycled storage, which
+/// the op overwrites without a zero fill when it writes every slot.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,20 +100,42 @@ bool next(std::vector<int64_t> &X, const std::vector<int64_t> &Extents) {
 
 /// The expected state of a runtime after a sequence of ops: each op's
 /// reference updates the field data, ledger and op metrics it predicts.
+/// It reads no field through the runtime before an op, so a recycled
+/// destination stays as the heap handed it out.
 struct Ref {
   const CmRuntime &RT;
   const cm2::CostModel &Costs;
   std::map<int, std::vector<double>> Data;
+  std::map<int, std::pair<const Geometry *, ElemKind>> Shapes;
   CycleLedger Ledger;
   uint64_t Bytes = 0, Hops = 0;
 
   Ref(const Rig &R, std::initializer_list<int> Handles)
       : RT(R.RT), Costs(R.Costs) {
-    for (int H : Handles)
-      Data[H] = RT.field(H).Data;
+    for (int H : Handles) {
+      const PeArray &A = RT.field(H);
+      Data[H] = A.Data;
+      Shapes[H] = {A.Geo, A.Kind};
+    }
   }
 
-  const Geometry &geo(int H) const { return *RT.field(H).Geo; }
+  const Geometry &geo(int H) const { return *Shapes.at(H).first; }
+  ElemKind kind(int H) const { return Shapes.at(H).second; }
+
+  /// Frees \p H and allocates its geometry and kind again: the new field
+  /// recycles H's storage and reads as zeros. Returns its handle.
+  int recycle(Rig &R, int H) {
+    const auto [G, K] = Shapes.at(H);
+    R.RT.freeField(H);
+    const uint64_t Fresh = R.RT.heapStats().FreshAllocs;
+    int New = R.RT.allocField(G, K);
+    EXPECT_EQ(R.RT.heapStats().FreshAllocs, Fresh);
+    Data.erase(H);
+    Shapes.erase(H);
+    Data[New].assign(static_cast<size_t>(G->GridPEs * G->PaddedSubgrid), 0.0);
+    Shapes[New] = {G, K};
+    return New;
+  }
   double &at(int H, int64_t PE, int64_t Off) {
     return Data[H][static_cast<size_t>(PE * geo(H).PaddedSubgrid + Off)];
   }
@@ -223,8 +248,7 @@ struct Ref {
       DG.locate(DX, DPE, DOff);
       SG.locate(SX, SPE, SOff);
       double V = S[static_cast<size_t>(SPE * SG.PaddedSubgrid + SOff)];
-      at(Dst, DPE, DOff) =
-          RT.field(Dst).Kind == ElemKind::Int ? std::trunc(V) : V;
+      at(Dst, DPE, DOff) = kind(Dst) == ElemKind::Int ? std::trunc(V) : V;
       ++(SPE == DPE ? Local : Remote);
     } while (next(Pos, Counts));
     Ledger.CommCycles +=
@@ -318,8 +342,7 @@ struct Ref {
       double V = F.result();
       int64_t PE, Off;
       DG.locate(X, PE, Off);
-      at(Dst, PE, Off) =
-          RT.field(Dst).Kind == ElemKind::Int ? std::trunc(V) : V;
+      at(Dst, PE, Off) = kind(Dst) == ElemKind::Int ? std::trunc(V) : V;
     } while (next(X, DG.Extents));
     Ledger.CommCycles +=
         Costs.CommStartupCycles +
@@ -361,6 +384,15 @@ bool sameBits(const std::vector<double> &A, const std::vector<double> &B) {
     if (std::bit_cast<uint64_t>(A[I]) != std::bit_cast<uint64_t>(B[I]))
       return false;
   return true;
+}
+
+/// Zero fills the heap has made so far.
+uint64_t zeroFills(const Rig &R) { return R.RT.heapStats().ZeroFills; }
+
+/// Zero fills an op makes when it writes every element of recycled
+/// destinations of geometry \p G: none when no slot is padding.
+uint64_t fillsFor(const Geometry &G, uint64_t Dsts) {
+  return G.dense() ? 0 : Dsts;
 }
 
 /// Every field's storage, every ledger field, and the op's metrics.
@@ -469,11 +501,17 @@ TEST(CommReference, CShiftAndEoshiftOnRaggedGeometries) {
             Rig R(Sh.PEs, Threads);
             int Src = R.alloc(Sh.Extents, 1), Dst = R.alloc(Sh.Extents, 2);
             Ref E(R, {Src, Dst});
-            E.shifts({{Dst, Shift}}, Src, Dim - 1, EndOff);
-            ASSERT_TRUE((EndOff ? R.RT.eoshift(Dst, Src, Dim, Shift)
-                                : R.RT.cshift(Dst, Src, Dim, Shift))
-                            .isOk());
-            expectMatches(R, E, EndOff ? "eoshift" : "cshift");
+            for (int Pass = 0; Pass < 2; ++Pass) {
+              if (Pass)
+                Dst = E.recycle(R, Dst);
+              const uint64_t Fills = zeroFills(R);
+              E.shifts({{Dst, Shift}}, Src, Dim - 1, EndOff);
+              ASSERT_TRUE((EndOff ? R.RT.eoshift(Dst, Src, Dim, Shift)
+                                  : R.RT.cshift(Dst, Src, Dim, Shift))
+                              .isOk());
+              EXPECT_EQ(zeroFills(R), Fills + fillsFor(G, Pass));
+              expectMatches(R, E, EndOff ? "eoshift" : "cshift");
+            }
           }
     }
 }
@@ -484,11 +522,13 @@ TEST(CommReference, ShiftOntoItselfReadsTheOldSource) {
       Rig R(8, Threads);
       int H = R.alloc({5, 7}, 3);
       Ref E(R, {H});
-      E.shifts({{H, 3}}, H, 1, EndOff);
-      ASSERT_TRUE((EndOff ? R.RT.eoshift(H, H, 2, 3)
-                          : R.RT.cshift(H, H, 2, 3))
-                      .isOk());
-      expectMatches(R, E, EndOff ? "eoshift" : "cshift");
+      for (int Pass = 0; Pass < 2; ++Pass) {
+        E.shifts({{H, 3}}, H, 1, EndOff);
+        ASSERT_TRUE((EndOff ? R.RT.eoshift(H, H, 2, 3)
+                            : R.RT.cshift(H, H, 2, 3))
+                        .isOk());
+        expectMatches(R, E, EndOff ? "eoshift" : "cshift");
+      }
     }
 }
 
@@ -503,14 +543,22 @@ TEST(CommReference, MultiShiftWithAliasedClause) {
           Rig R(Sh.PEs, Threads);
           int Src = R.alloc(Sh.Extents, 4), A = R.alloc(Sh.Extents, 5),
               B = R.alloc(Sh.Extents, 6);
-          // The aliased clause rewrites the source between A's and B's.
-          std::vector<CmRuntime::ShiftSpec> Clauses = {
-              {A, 1}, {Src, -2}, {B, Sh.Extents[Dim - 1] + 1}};
           Ref E(R, {Src, A, B});
-          E.shifts(Clauses, Src, Dim - 1, EndOff);
-          ASSERT_TRUE(R.RT.multiShift(Clauses, Src, Dim, EndOff).isOk());
-          expectMatches(R, E, "multi-shift");
-          EXPECT_EQ(R.Metrics.value("comm.coalesced"), 2.0);
+          for (int Pass = 0; Pass < 2; ++Pass) {
+            if (Pass) {
+              A = E.recycle(R, A);
+              B = E.recycle(R, B);
+            }
+            // The aliased clause rewrites the source between A's and B's.
+            std::vector<CmRuntime::ShiftSpec> Clauses = {
+                {A, 1}, {Src, -2}, {B, Sh.Extents[Dim - 1] + 1}};
+            const uint64_t Fills = zeroFills(R);
+            E.shifts(Clauses, Src, Dim - 1, EndOff);
+            ASSERT_TRUE(R.RT.multiShift(Clauses, Src, Dim, EndOff).isOk());
+            EXPECT_EQ(zeroFills(R), Fills + fillsFor(E.geo(A), 2 * Pass));
+            expectMatches(R, E, "multi-shift");
+            EXPECT_EQ(R.Metrics.value("comm.coalesced"), 2.0 * (Pass + 1));
+          }
         }
 }
 
@@ -525,18 +573,26 @@ TEST(CommReference, RaggedTransposes) {
       int Src = R.alloc(Sh.Extents, 7),
           Dst = R.alloc({Sh.Extents[1], Sh.Extents[0]}, 8);
       Ref E(R, {Src, Dst});
-      E.transpose(Dst, Src);
-      ASSERT_TRUE(R.RT.transpose(Dst, Src).isOk());
-      expectMatches(R, E, "transpose");
+      for (int Pass = 0; Pass < 2; ++Pass) {
+        if (Pass)
+          Dst = E.recycle(R, Dst);
+        const uint64_t Fills = zeroFills(R);
+        E.transpose(Dst, Src);
+        ASSERT_TRUE(R.RT.transpose(Dst, Src).isOk());
+        EXPECT_EQ(zeroFills(R), Fills + fillsFor(E.geo(Dst), Pass));
+        expectMatches(R, E, "transpose");
+      }
     }
   // A square ragged field transposed onto itself.
   for (unsigned Threads : {1u, 4u}) {
     Rig R(8, Threads);
     int H = R.alloc({5, 5}, 9);
     Ref E(R, {H});
-    E.transpose(H, H);
-    ASSERT_TRUE(R.RT.transpose(H, H).isOk());
-    expectMatches(R, E, "transpose");
+    for (int Pass = 0; Pass < 2; ++Pass) {
+      E.transpose(H, H);
+      ASSERT_TRUE(R.RT.transpose(H, H).isOk());
+      expectMatches(R, E, "transpose");
+    }
   }
 }
 
@@ -557,9 +613,15 @@ TEST(CommReference, SpreadAlongEachDim) {
         SrcExt.erase(SrcExt.begin() + Dim - 1);
         int Src = R.alloc(SrcExt, 10), Dst = R.alloc(Sh.Extents, 11);
         Ref E(R, {Src, Dst});
-        E.spread(Dst, Src, Dim - 1);
-        ASSERT_TRUE(R.RT.spreadAlongDim(Dst, Src, Dim).isOk());
-        expectMatches(R, E, "spread");
+        for (int Pass = 0; Pass < 2; ++Pass) {
+          if (Pass)
+            Dst = E.recycle(R, Dst);
+          const uint64_t Fills = zeroFills(R);
+          E.spread(Dst, Src, Dim - 1);
+          ASSERT_TRUE(R.RT.spreadAlongDim(Dst, Src, Dim).isOk());
+          EXPECT_EQ(zeroFills(R), Fills + fillsFor(E.geo(Dst), Pass));
+          expectMatches(R, E, "spread");
+        }
       }
 }
 
@@ -585,9 +647,15 @@ TEST(CommReference, ReduceAlongEachDimWithEveryOp) {
             DstExt.erase(DstExt.begin() + Dim - 1);
             int Src = R.alloc(Sh.Extents, 12), Dst = R.alloc(DstExt, 13, Kind);
             Ref E(R, {Src, Dst});
-            E.reduceAlongDim(Op, Dst, Src, Dim - 1);
-            ASSERT_TRUE(R.RT.reduceAlongDim(Op, Dst, Src, Dim).isOk());
-            expectMatches(R, E, "reduce-dim");
+            for (int Pass = 0; Pass < 2; ++Pass) {
+              if (Pass)
+                Dst = E.recycle(R, Dst);
+              const uint64_t Fills = zeroFills(R);
+              E.reduceAlongDim(Op, Dst, Src, Dim - 1);
+              ASSERT_TRUE(R.RT.reduceAlongDim(Op, Dst, Src, Dim).isOk());
+              EXPECT_EQ(zeroFills(R), Fills + fillsFor(E.geo(Dst), Pass));
+              expectMatches(R, E, "reduce-dim");
+            }
           }
 }
 
@@ -597,19 +665,30 @@ TEST(CommReference, FullReductionsWithEveryOp) {
       {{300}, 2048},    {{13, 10}, 8},   {{6, 9, 10}, 8}, {{40, 36}, 256}};
   for (const Shape &Sh : Shapes)
     for (ReduceOp Op : AllOps)
-      for (unsigned Threads : {1u, 4u}) {
-        SCOPED_TRACE(describe(Sh.Extents) + " op " +
-                     std::to_string(static_cast<int>(Op)));
-        Rig R(Sh.PEs, Threads);
-        int Src = R.alloc(Sh.Extents, 14);
-        Ref E(R, {Src});
-        double Want = E.reduce(Op, Src);
-        support::RtResult<double> Got = R.RT.tryReduce(Op, Src);
-        ASSERT_TRUE(Got.isOk());
-        EXPECT_EQ(std::bit_cast<uint64_t>(Got.value()),
-                  std::bit_cast<uint64_t>(Want));
-        expectMatches(R, E, "reduce");
-      }
+      for (unsigned Threads : {1u, 4u})
+        for (bool Fractional : {false, true}) {
+          SCOPED_TRACE(describe(Sh.Extents) + " op " +
+                       std::to_string(static_cast<int>(Op)) +
+                       (Fractional ? " fractional" : ""));
+          Rig R(Sh.PEs, Threads);
+          int Src = R.alloc(Sh.Extents, 14);
+          // Sums of these values round, so their bits depend on the order
+          // of the fold: each chunk must fold its blocks in walk order.
+          if (Fractional) {
+            std::vector<double> &D = R.RT.field(Src).Data;
+            for (size_t I = 0; I < D.size(); ++I)
+              D[I] = 1.0 / static_cast<double>(I + 3);
+          }
+          Ref E(R, {Src});
+          for (int Pass = 0; Pass < 2; ++Pass) {
+            double Want = E.reduce(Op, Src);
+            support::RtResult<double> Got = R.RT.tryReduce(Op, Src);
+            ASSERT_TRUE(Got.isOk());
+            EXPECT_EQ(std::bit_cast<uint64_t>(Got.value()),
+                      std::bit_cast<uint64_t>(Want));
+            expectMatches(R, E, "reduce");
+          }
+        }
 }
 
 TEST(CommReference, SectionCopiesWithNegativeStridesAndOverlap) {
@@ -679,9 +758,25 @@ TEST(CommReference, SectionCopiesWithNegativeStridesAndOverlap) {
       int Dst = R.alloc(C.DstExt, 15, C.Kind);
       int Src = C.SrcExt.empty() ? Dst : R.alloc(C.SrcExt, 16);
       Ref E(R, {Dst, Src});
-      E.sectionCopy(Dst, C.DS, Src, C.SS);
-      ASSERT_TRUE(R.RT.sectionCopy(Dst, C.DS, Src, C.SS).isOk());
-      expectMatches(R, E, "section-copy");
+      // Only a section that is the whole array overwrites every slot.
+      bool Whole = true;
+      for (size_t D = 0; D < C.DS.size(); ++D)
+        Whole &= std::abs(C.DS[D].Stride) == 1 &&
+                 C.DS[D].Count == C.DstExt[D];
+      for (int Pass = 0; Pass < 2; ++Pass) {
+        // A copy onto its own field runs again in place.
+        const bool Recycled = Pass && Src != Dst;
+        if (Recycled)
+          Dst = E.recycle(R, Dst);
+        const uint64_t Fills = zeroFills(R);
+        E.sectionCopy(Dst, C.DS, Src, C.SS);
+        ASSERT_TRUE(R.RT.sectionCopy(Dst, C.DS, Src, C.SS).isOk());
+        if (Recycled) {
+          EXPECT_EQ(zeroFills(R),
+                    Fills + (Whole ? fillsFor(E.geo(Dst), 1) : 1));
+        }
+        expectMatches(R, E, "section-copy");
+      }
     }
 }
 
@@ -713,11 +808,13 @@ TEST(CommReference, RenderThroughLayoutOffsets) {
         R.RT.setFieldLayout(H, Axes, C.Offsets);
       }
       Ref E(R, {H});
-      std::string Want = E.render(H);
-      support::RtResult<std::string> Got = R.RT.tryRenderField(H);
-      ASSERT_TRUE(Got.isOk());
-      EXPECT_EQ(Got.value(), Want);
-      expectMatches(R, E, "field-render");
+      for (int Pass = 0; Pass < 2; ++Pass) {
+        std::string Want = E.render(H);
+        support::RtResult<std::string> Got = R.RT.tryRenderField(H);
+        ASSERT_TRUE(Got.isOk());
+        EXPECT_EQ(Got.value(), Want);
+        expectMatches(R, E, "field-render");
+      }
     }
 }
 
@@ -752,7 +849,9 @@ TEST(CommReference, CoordFieldsOnRaggedGeometries) {
 /// walk visits each slot of \p Dst exactly once and no other slot, and
 /// that each slot's source is the one its walk position p names: source
 /// dimension j at Src[j].Start + Src[j].Stride * p[From[j]] + Shift[j],
-/// wrapped, or fill past the edge under \p EndOff.
+/// wrapped, or fill past the edge under \p EndOff. The walk's plan, when
+/// it resolves and when it replays, visits the same slots with the same
+/// sources, each chunk only its own PEs, and counts the same local slots.
 void expectEachSlotOnce(const Region &Dst, const Region &Src,
                         std::vector<int> From,
                         std::vector<int64_t> Shift = {},
@@ -764,7 +863,9 @@ void expectEachSlotOnce(const Region &Dst, const Region &Src,
     From.push_back(static_cast<int>(J)); // Empty: the identity.
   Shift.resize(Src.Dims.size(), 0);
   std::vector<int> Visits(static_cast<size_t>(DG.GridPEs * DG.PaddedSubgrid));
-  int64_t Blocks = 0, Mismatches = 0;
+  // Each visited slot's absolute source index, -1 for fill.
+  std::vector<int64_t> Sources(Visits.size(), -2);
+  int64_t Blocks = 0, Mismatches = 0, Local = 0;
   W.forEachRun(0, DG.GridPEs, [&](const Run &R) {
     ++Blocks;
     EXPECT_GE(R.Len, 1);
@@ -776,8 +877,14 @@ void expectEachSlotOnce(const Region &Dst, const Region &Src,
         Q[Rank - 1] += I;
         if (Rank > 1)
           Q[Rank - 2] += Row;
-        ++Visits[static_cast<size_t>(R.DstPE * DG.PaddedSubgrid + R.DstOff +
-                                     Row * R.DstRow + I * R.DstStep)];
+        const size_t Slot = static_cast<size_t>(
+            R.DstPE * DG.PaddedSubgrid + R.DstOff + Row * R.DstRow +
+            I * R.DstStep);
+        ++Visits[Slot];
+        Sources[Slot] = R.Fill ? -1
+                               : R.SrcPE * SG.PaddedSubgrid + R.SrcOff +
+                                     Row * R.SrcRow + I * R.SrcStep;
+        Local += R.Fill || R.SrcPE == R.DstPE;
         std::vector<int64_t> Y(Src.Dims.size());
         bool Fill = false;
         for (size_t J = 0; J < Y.size(); ++J) {
@@ -820,6 +927,30 @@ void expectEachSlotOnce(const Region &Dst, const Region &Src,
     } while (next(P, Counts));
   EXPECT_EQ(Visits, Want);
   EXPECT_LE(Blocks, Total);
+
+  WalkPlan Plan(W);
+  const int64_t Chunk = support::ThreadPool::chunkSize(DG.GridPEs);
+  for (int Pass = 0; Pass < 2; ++Pass) {
+    std::vector<int> PlanVisits(Visits.size());
+    std::vector<int64_t> PlanSources(Visits.size(), -2);
+    int64_t Strays = 0;
+    Plan.sweep(nullptr, [&](int64_t C, const WalkPlan::Block &B) {
+      Strays += B.Dst / DG.PaddedSubgrid / Chunk != C;
+      for (int64_t Row = 0; Row < B.Rows; ++Row)
+        for (int64_t I = 0; I < B.Len; ++I) {
+          const size_t Slot = static_cast<size_t>(
+              B.Dst + Row * Plan.dstRow() + I * Plan.dstStep());
+          ++PlanVisits[Slot];
+          PlanSources[Slot] =
+              B.fill() ? -1 : B.Src + Row * B.SrcRow + I * B.SrcStep;
+        }
+    });
+    EXPECT_EQ(PlanVisits, Visits) << "pass " << Pass;
+    EXPECT_EQ(PlanSources, Sources) << "pass " << Pass;
+    EXPECT_EQ(Strays, 0) << "pass " << Pass;
+    EXPECT_LE(Plan.blocks(), Blocks);
+    EXPECT_EQ(Plan.local(), Local);
+  }
 }
 
 TEST(CommReference, WalksVisitEachRegionSlotOnce) {

@@ -13,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <optional>
 
 using namespace f90y;
 using namespace f90y::runtime;
@@ -515,6 +517,217 @@ TEST(FieldHeap, RecycledStorageReadsLikeAFreshField) {
   ASSERT_EQ(Data.size(), Slots);
   for (size_t I = 0; I < Data.size(); ++I)
     EXPECT_EQ(std::bit_cast<uint64_t>(Data[I]), 0u) << "slot " << I;
+}
+
+/// A field of \p G on storage a freed field left full of -0.0, NaN and
+/// other nonzero values, padding included: the heap hands it out stale.
+int recycledField(CmRuntime &RT, const Geometry *G) {
+  int H = RT.allocField(G, ElemKind::Real);
+  std::vector<double> &Dirty = RT.field(H).Data;
+  for (size_t I = 0; I < Dirty.size(); ++I)
+    Dirty[I] = I % 3 == 0 ? -0.0 : I % 3 == 1 ? std::nan("") : 1.5 * I;
+  RT.freeField(H);
+  const uint64_t Fresh = RT.heapStats().FreshAllocs;
+  int Again = RT.allocField(G, ElemKind::Real);
+  EXPECT_EQ(RT.heapStats().FreshAllocs, Fresh); // The freed storage.
+  return Again;
+}
+
+/// A field of \p Extents holding its row-major index plus one.
+int seqField(CmRuntime &RT, const std::vector<int64_t> &Extents) {
+  int H = RT.allocField(
+      RT.getGeometry(Extents, std::vector<int64_t>(Extents.size(), 1)),
+      ElemKind::Real);
+  std::vector<int64_t> X(Extents.size(), 0);
+  for (double V = 1;; ++V) {
+    RT.writeElement(H, X, V);
+    size_t K = X.size();
+    while (K-- > 0 && ++X[K] == Extents[K])
+      X[K] = 0;
+    if (K == static_cast<size_t>(-1))
+      return H;
+  }
+}
+
+bool sameBits(const std::vector<double> &A, const std::vector<double> &B) {
+  return A.size() == B.size() &&
+         std::equal(A.begin(), A.end(), B.begin(), [](double X, double Y) {
+           return std::bit_cast<uint64_t>(X) == std::bit_cast<uint64_t>(Y);
+         });
+}
+
+bool allZeroBits(const std::vector<double> &D) {
+  return sameBits(D, std::vector<double>(D.size(), 0.0));
+}
+
+/// Storage and ledger of cshift(dst, seq, Dim, Shift) into a fresh field
+/// on its own runtime.
+std::pair<std::vector<double>, double>
+freshShift(const cm2::CostModel &Costs, const std::vector<int64_t> &Extents,
+           unsigned Dim, int64_t Shift) {
+  CmRuntime RT(Costs);
+  int Src = seqField(RT, Extents);
+  int Dst = RT.allocField(RT.field(Src).Geo, ElemKind::Real);
+  EXPECT_TRUE(RT.cshift(Dst, Src, Dim, Shift).isOk());
+  return {RT.field(Dst).Data, RT.ledger().CommCycles};
+}
+
+TEST(FieldHeap, WholeFieldShiftOverwritesRecycledStorageWithoutAFill) {
+  cm2::CostModel Costs = machineWith(16);
+  CmRuntime RT(Costs);
+  // {16, 16} over 16 PEs has 4x4 subgrids, a multiple of the vector
+  // width: every storage slot holds an element.
+  int Src = seqField(RT, {16, 16});
+  const Geometry *G = RT.field(Src).Geo;
+  ASSERT_TRUE(G->dense());
+  int Dst = recycledField(RT, G);
+  const CmRuntime::HeapStats Before = RT.heapStats();
+  ASSERT_TRUE(RT.cshift(Dst, Src, 2, 3).isOk());
+  EXPECT_EQ(RT.heapStats().FreshAllocs, Before.FreshAllocs);
+  EXPECT_EQ(RT.heapStats().ZeroFills, Before.ZeroFills); // Never filled.
+  auto [Want, Cycles] = freshShift(Costs, {16, 16}, 2, 3);
+  EXPECT_TRUE(sameBits(RT.field(Dst).Data, Want));
+  EXPECT_EQ(RT.ledger().CommCycles, Cycles);
+}
+
+TEST(FieldHeap, ShiftIntoPaddedRecycledStorageZerosThePadding) {
+  cm2::CostModel Costs = machineWith(8);
+  CmRuntime RT(Costs);
+  // {5, 7} over 8 PEs pads its edge blocks and every subgrid: the shift
+  // writes no padding slot, so the recycled storage is filled first.
+  int Src = seqField(RT, {5, 7});
+  const Geometry *G = RT.field(Src).Geo;
+  ASSERT_FALSE(G->dense());
+  int Dst = recycledField(RT, G);
+  const uint64_t Fills = RT.heapStats().ZeroFills;
+  ASSERT_TRUE(RT.cshift(Dst, Src, 1, 2).isOk());
+  EXPECT_EQ(RT.heapStats().ZeroFills, Fills + 1);
+  const std::vector<double> &Data = RT.field(Dst).Data;
+  std::vector<int64_t> X;
+  for (int64_t PE = 0; PE < G->GridPEs; ++PE)
+    for (int64_t Off = 0; Off < G->PaddedSubgrid; ++Off) {
+      if (G->coordOf(PE, Off, X))
+        continue;
+      EXPECT_EQ(std::bit_cast<uint64_t>(
+                    Data[static_cast<size_t>(PE * G->PaddedSubgrid + Off)]),
+                0u)
+          << "padding slot " << Off << " of PE " << PE;
+    }
+  EXPECT_TRUE(sameBits(Data, freshShift(Costs, {5, 7}, 1, 2).first));
+}
+
+TEST(FieldHeap, EveryFirstReadOfRecycledStorageSeesZeros) {
+  cm2::CostModel Costs = machineWith(8);
+  for (const std::vector<int64_t> &Extents :
+       {std::vector<int64_t>{5, 7}, std::vector<int64_t>{8, 8}}) {
+    CmRuntime RT(Costs);
+    const Geometry *G =
+        RT.getGeometry(Extents, std::vector<int64_t>(Extents.size(), 1));
+    int H = recycledField(RT, G);
+    EXPECT_EQ(RT.readElement(H, {1, 2}), 0.0);
+    EXPECT_TRUE(allZeroBits(RT.field(H).Data));
+
+    H = recycledField(RT, G);
+    std::string Zeros = "0";
+    for (int64_t I = 1; I < G->totalElements(); ++I)
+      Zeros += " 0";
+    EXPECT_EQ(RT.renderField(H), Zeros);
+    EXPECT_TRUE(allZeroBits(RT.field(H).Data));
+
+    H = recycledField(RT, G);
+    EXPECT_TRUE(allZeroBits(RT.snapshotField(H)));
+
+    H = recycledField(RT, G);
+    const CmRuntime &Reader = RT;
+    EXPECT_TRUE(allZeroBits(Reader.field(H).Data));
+  }
+}
+
+TEST(FieldHeap, PeacDispatchReadsRecycledStorageAsZeros) {
+  // A rerun frees the last run's arrays in name order, u then w, and
+  // allocates them in declaration order, w then u: so u, which the
+  // program reads but never writes, lands on w's old storage of ones.
+  const std::string Src = "program stale\n"
+                          "real, array(8,8) :: w, u\n"
+                          "w = u + 1.0\n"
+                          "print *, sum(w)\n"
+                          "end\n";
+  driver::Config Cfg;
+  Cfg.Threads = 1;
+  driver::Compilation C(Cfg.compileOptions());
+  ASSERT_TRUE(C.compile(Src)) << C.diags().str();
+  driver::Execution E(Cfg.machine(), Cfg.executionOptions());
+  std::optional<driver::RunReport> First =
+      E.run(C.artifacts().Compiled.Program);
+  ASSERT_TRUE(First.has_value());
+  EXPECT_EQ(First->Output, "64\n");
+  const uint64_t Fills = E.runtime().heapStats().ZeroFills;
+  std::optional<driver::RunReport> Again =
+      E.run(C.artifacts().Compiled.Program);
+  ASSERT_TRUE(Again.has_value());
+  EXPECT_EQ(Again->Output, First->Output);
+  EXPECT_GT(E.runtime().heapStats().ZeroFills, Fills);
+}
+
+TEST(FieldHeap, RerunsOfOneExecutionReuseTheFirstRunsStorage) {
+  driver::Config Cfg;
+  Cfg.Threads = 1;
+  driver::Compilation C(Cfg.compileOptions());
+  ASSERT_TRUE(C.compile(driver::sweSource(32, 2))) << C.diags().str();
+  driver::Execution E(Cfg.machine(), Cfg.executionOptions());
+  const host::HostProgram &Prog = C.artifacts().Compiled.Program;
+  std::optional<driver::RunReport> First = E.run(Prog);
+  ASSERT_TRUE(First.has_value());
+  const CmRuntime::HeapStats After1 = E.runtime().heapStats();
+  for (int Run = 2; Run <= 3; ++Run) {
+    std::optional<driver::RunReport> R = E.run(Prog);
+    ASSERT_TRUE(R.has_value()) << "run " << Run;
+    EXPECT_EQ(R->Output, First->Output) << "run " << Run;
+    EXPECT_EQ(R->json(), First->json()) << "run " << Run;
+  }
+  EXPECT_EQ(E.runtime().heapStats().Live, After1.Live);
+  EXPECT_EQ(E.runtime().heapStats().FreshAllocs, After1.FreshAllocs);
+}
+
+TEST(FieldHeap, ExhaustedRetriesLeaveRecycledStorageReadingZeros) {
+  cm2::CostModel Costs = machineWith(16);
+  CmRuntime RT(Costs);
+  int Src = seqField(RT, {16, 16});
+  int Dst = recycledField(RT, RT.field(Src).Geo);
+  support::FaultSpec Spec;
+  std::string Error;
+  ASSERT_TRUE(support::FaultSpec::parse("grid-timeout:1", Spec, Error))
+      << Error;
+  support::FaultInjector Injector(Spec, /*Seed=*/1);
+  RT.setFaultInjector(&Injector);
+  support::RtStatus St = RT.cshift(Dst, Src, 1, 1);
+  RT.setFaultInjector(nullptr);
+  EXPECT_FALSE(St.isOk());
+  const uint64_t Fills = RT.heapStats().ZeroFills;
+  EXPECT_TRUE(allZeroBits(RT.field(Dst).Data));
+  EXPECT_EQ(RT.heapStats().ZeroFills, Fills + 1); // Still stale until read.
+}
+
+TEST(WalkPlans, OneWalkIsResolvedOncePerRuntime) {
+  cm2::CostModel Costs = machineWith(16);
+  CmRuntime RT(Costs);
+  int A = seqField(RT, {16, 16}), C = seqField(RT, {16, 16});
+  const Geometry *G = RT.field(A).Geo;
+  int B = RT.allocField(G, ElemKind::Real);
+  int D = RT.allocField(G, ElemKind::Real);
+  // Same geometry, axis and offset, different fields: one plan.
+  ASSERT_TRUE(RT.cshift(B, A, 1, 2).isOk());
+  ASSERT_TRUE(RT.cshift(D, C, 1, 2).isOk());
+  ASSERT_TRUE(RT.multiShift({{B, 2}}, C, 1, /*EndOff=*/false).isOk());
+  EXPECT_EQ(RT.planStats().Plans, 1);
+  const int64_t Blocks = RT.planStats().Blocks;
+  EXPECT_GT(Blocks, 0);
+  // Another offset, axis or boundary is another walk.
+  ASSERT_TRUE(RT.cshift(D, C, 1, 3).isOk());
+  ASSERT_TRUE(RT.cshift(D, C, 2, 2).isOk());
+  ASSERT_TRUE(RT.eoshift(D, C, 1, 2).isOk());
+  EXPECT_EQ(RT.planStats().Plans, 4);
+  EXPECT_GT(RT.planStats().Blocks, Blocks);
 }
 
 /// Fresh allocations of f90yc's default run of SWE at 32x32.
