@@ -103,9 +103,11 @@ CompileOptions CompileOptions::forProfile(Profile P, cm2::CostModel Costs) {
   return O;
 }
 
-bool Compilation::compile(const std::string &Source) {
-  observe::WallSpan Whole(Trace, "compile", "phase");
-
+std::shared_ptr<const FrontEnd> FrontEnd::run(const std::string &Source,
+                                              observe::TraceRecorder *Trace,
+                                              observe::MetricsRegistry *Metrics) {
+  auto FE = std::make_shared<FrontEnd>();
+  DiagnosticEngine &Diags = FE->Diags;
   frontend::Lexer Lexer(Source, Diags);
   std::vector<frontend::Token> Tokens;
   {
@@ -116,6 +118,7 @@ bool Compilation::compile(const std::string &Source) {
   if (Metrics)
     Metrics->gauge("frontend.tokens", static_cast<double>(Tokens.size()));
 
+  frontend::ast::ASTContext ACtx;
   frontend::Parser Parser(std::move(Tokens), ACtx, Diags);
   decltype(Parser.parseSourceFile()) File;
   {
@@ -123,7 +126,7 @@ bool Compilation::compile(const std::string &Source) {
     File = Parser.parseSourceFile();
   }
   if (!File)
-    return false;
+    return FE;
 
   decltype(frontend::integrateProcedures(*File, ACtx, Diags)) Unit;
   {
@@ -131,16 +134,26 @@ bool Compilation::compile(const std::string &Source) {
     Unit = frontend::integrateProcedures(*File, ACtx, Diags);
   }
   if (!Unit)
-    return false;
+    return FE;
 
-  decltype(lower::lowerProgram(*Unit, NCtx, Diags)) Lowered;
-  {
-    observe::WallSpan S(Trace, "lower", "phase");
-    Lowered = lower::lowerProgram(*Unit, NCtx, Diags);
-  }
-  if (!Lowered)
+  observe::WallSpan S(Trace, "lower", "phase");
+  if (auto Lowered = lower::lowerProgram(*Unit, FE->NCtx, Diags))
+    FE->RawNIR = Lowered->Program;
+  return FE;
+}
+
+bool Compilation::compile(const std::string &Source) {
+  observe::WallSpan Whole(Trace, "compile", "phase");
+  return compile(FrontEnd::run(Source, Trace, Metrics));
+}
+
+bool Compilation::compile(std::shared_ptr<const FrontEnd> Front) {
+  FE = std::move(Front);
+  Diags = FE->diags();
+  NCtx = std::make_unique<nir::NIRContext>(&FE->nirContext());
+  Arts.RawNIR = FE->rawNIR();
+  if (!Arts.RawNIR)
     return false;
-  Arts.RawNIR = Lowered->Program;
 
   {
     observe::WallSpan S(Trace, "optimize", "phase");
@@ -148,7 +161,7 @@ bool Compilation::compile(const std::string &Source) {
     // machine model (Opts is owned by value, so the pointer is stable).
     Opts.Transforms.Costs = &Opts.Costs;
     Arts.OptimizedNIR =
-        transform::optimize(Arts.RawNIR, NCtx, Diags, Opts.Transforms);
+        transform::optimize(Arts.RawNIR, *NCtx, Diags, Opts.Transforms);
   }
   if (Diags.hasErrors())
     return false;

@@ -12,7 +12,10 @@
 ///   CM2/NIR back end (FE host code + PE PEAC routines)
 ///
 /// and executes the result on the simulated CM/2, reporting sustained
-/// performance from the machine's cycle ledger.
+/// performance from the machine's cycle ledger. The pipeline splits where
+/// options first matter: a FrontEnd lowers a source into raw NIR once,
+/// and any number of Compilations, under any options, optimize and
+/// compile that NIR in NIR contexts layered over the front end's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +24,6 @@
 
 #include "backend/Backend.h"
 #include "cm2/CostModel.h"
-#include "frontend/AST.h"
 #include "host/HostExecutor.h"
 #include "nir/NIRContext.h"
 #include "observe/Metrics.h"
@@ -58,33 +60,62 @@ struct CompileOptions {
   static CompileOptions forProfile(Profile P, cm2::CostModel Costs = {});
 };
 
-/// What the compiler produced for one source unit. NIR nodes are owned by
-/// the Compilation object.
+/// The option-free half of a compilation: one source lexed, parsed,
+/// integrated and lowered into raw NIR in a NIR context of its own. The
+/// AST dies with run(). Immutable once run, so Compilations on any
+/// threads may share one.
+class FrontEnd {
+public:
+  /// Runs the front end over \p Source; on failure rawNIR() is null and
+  /// diags() says why. Each stage is a wall span on \p Trace.
+  static std::shared_ptr<const FrontEnd>
+  run(const std::string &Source, observe::TraceRecorder *Trace = nullptr,
+      observe::MetricsRegistry *Metrics = nullptr);
+
+  const nir::ProgramImp *rawNIR() const { return RawNIR; }
+  const DiagnosticEngine &diags() const { return Diags; }
+  const nir::NIRContext &nirContext() const { return NCtx; }
+
+private:
+  DiagnosticEngine Diags;
+  nir::NIRContext NCtx;
+  const nir::ProgramImp *RawNIR = nullptr;
+};
+
+/// What the compiler produced for one source unit. The raw NIR belongs to
+/// the front end, the rest to the Compilation.
 struct Artifacts {
   const nir::ProgramImp *RawNIR = nullptr;
   const nir::ProgramImp *OptimizedNIR = nullptr;
   backend::CompiledProgram Compiled;
 };
 
-/// One compilation: owns every AST/NIR node referenced by its artifacts.
+/// One compilation: keeps its front end alive and owns every other NIR
+/// node its artifacts reference.
 class Compilation {
 public:
   explicit Compilation(CompileOptions Opts) : Opts(std::move(Opts)) {}
 
-  /// Compiles \p Source; false (with diagnostics) on any front-end,
+  /// Compiles \p Source: compile(FrontEnd::run(Source)), with both halves
+  /// under one "compile" span. False (with diagnostics) on any front-end,
   /// lowering, transformation, or back-end error.
   bool compile(const std::string &Source);
+  /// Optimizes and compiles \p FE's raw NIR in a layer over its context,
+  /// after copying its diagnostics. False as compile(Source) is.
+  bool compile(std::shared_ptr<const FrontEnd> FE);
 
   const Artifacts &artifacts() const { return Arts; }
   const CompileOptions &options() const { return Opts; }
   DiagnosticEngine &diags() { return Diags; }
-  nir::NIRContext &nirContext() { return NCtx; }
+  /// This compilation's layer; valid once compile() has run.
+  nir::NIRContext &nirContext() { return *NCtx; }
 
   /// Attaches observability sinks for the next compile(): each pipeline
-  /// stage (lex, parse, integrate, lower, every NIR pass, backend) becomes
-  /// a wall-clock span, and per-stage metrics accumulate. Null pointers
-  /// (the default) are the zero-cost disabled path. The sinks are also
-  /// plumbed into Opts.Transforms and Opts.Backend.
+  /// stage it runs (lex, parse, integrate and lower from source; every NIR
+  /// pass and the backend) becomes a wall-clock span, and per-stage
+  /// metrics accumulate. Null pointers (the default) are the zero-cost
+  /// disabled path. The sinks are also plumbed into Opts.Transforms and
+  /// Opts.Backend.
   void setObservability(observe::TraceRecorder *T, observe::MetricsRegistry *M) {
     Trace = T;
     Metrics = M;
@@ -97,8 +128,8 @@ public:
 private:
   CompileOptions Opts;
   DiagnosticEngine Diags;
-  frontend::ast::ASTContext ACtx;
-  nir::NIRContext NCtx;
+  std::shared_ptr<const FrontEnd> FE;
+  std::unique_ptr<nir::NIRContext> NCtx;
   Artifacts Arts;
   observe::TraceRecorder *Trace = nullptr;
   observe::MetricsRegistry *Metrics = nullptr;

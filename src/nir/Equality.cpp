@@ -31,9 +31,9 @@ size_t ValueNumbering::KeyHash::operator()(const Key &K) const {
 
 unsigned ValueNumbering::intern(Key K, std::initializer_list<unsigned> Parts,
                                 const Symbol *Own) {
-  auto [It, New] = Numbers.try_emplace(K, Begin.size() - 1);
-  if (!New)
-    return It->second;
+  const unsigned Next = static_cast<unsigned>(Begin.size() - 1);
+  if (unsigned N = Numbers.insert(K, Next); N != Next)
+    return N;
   size_t First = Pool.size();
   if (Own)
     Pool.push_back(Own->Id);
@@ -45,7 +45,7 @@ unsigned ValueNumbering::intern(Key K, std::initializer_list<unsigned> Parts,
   std::sort(Pool.begin() + First, Pool.end());
   Pool.erase(std::unique(Pool.begin() + First, Pool.end()), Pool.end());
   Begin.push_back(static_cast<uint32_t>(Pool.size()));
-  return It->second;
+  return Next;
 }
 
 unsigned ValueNumbering::numberAction(const FieldAction *F) {
@@ -72,8 +72,8 @@ unsigned ValueNumbering::numberAction(const FieldAction *F) {
 }
 
 unsigned ValueNumbering::number(const Value *V) {
-  if (auto It = Memo.find(V); It != Memo.end())
-    return It->second;
+  if (const unsigned *Known = Memo.find(V))
+    return *Known;
   unsigned N = 0;
   switch (V->getKind()) {
   case Value::Kind::Binary: {
@@ -135,7 +135,7 @@ unsigned ValueNumbering::number(const Value *V) {
     break;
   }
   }
-  Memo.emplace(V, N);
+  Memo.insert(V, N);
   return N;
 }
 

@@ -12,12 +12,17 @@ using namespace f90y;
 using namespace f90y::nir;
 
 NIRContext::NIRContext()
-    : Int32Ty(std::make_unique<ScalarType>(Type::Kind::Integer32)),
-      Logical32Ty(std::make_unique<ScalarType>(Type::Kind::Logical32)),
-      Float32Ty(std::make_unique<ScalarType>(Type::Kind::Float32)),
-      Float64Ty(std::make_unique<ScalarType>(Type::Kind::Float64)),
-      Everywhere(std::make_unique<EverywhereAction>()),
-      Skip(std::make_unique<SkipImp>()) {}
+    : Int32Ty(make<ScalarType>(Type::Kind::Integer32)),
+      Logical32Ty(make<ScalarType>(Type::Kind::Logical32)),
+      Float32Ty(make<ScalarType>(Type::Kind::Float32)),
+      Float64Ty(make<ScalarType>(Type::Kind::Float64)),
+      Everywhere(make<EverywhereAction>()), Skip(make<SkipImp>()) {}
+
+NIRContext::NIRContext(const NIRContext *Base)
+    : Symbols(&Base->Symbols), Int32Ty(Base->Int32Ty),
+      Logical32Ty(Base->Logical32Ty), Float32Ty(Base->Float32Ty),
+      Float64Ty(Base->Float64Ty), Everywhere(Base->Everywhere),
+      Skip(Base->Skip), NextDomainId(Base->NextDomainId) {}
 
 NIRContext::~NIRContext() = default;
 

@@ -12,6 +12,15 @@
 /// what they change and share the rest (nir/Rewrite.h). Every name a factory
 /// receives is interned once into the context's symbol table (nir/Symbol.h).
 ///
+/// A context may be layered over a finished base context: the front end
+/// lowers a source once into a base, and each compilation of it optimizes
+/// and compiles in a layer of its own. The layer resolves the base's names
+/// to the base's symbols, numbers new names from the base's count, shares
+/// the base's scalar types, Everywhere and Skip, continues its fresh
+/// domain numbering, and owns the nodes it makes. So a layer sees the same
+/// ids, types and names as one context would, and layers over one base
+/// may run on several threads: they only read it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef F90Y_NIR_NIRCONTEXT_H
@@ -49,6 +58,8 @@ private:
 class NIRContext {
 public:
   NIRContext();
+  /// A layer over \p Base, which must outlive it and no longer change.
+  explicit NIRContext(const NIRContext *Base);
   ~NIRContext();
   NIRContext(const NIRContext &) = delete;
   NIRContext &operator=(const NIRContext &) = delete;
@@ -57,12 +68,14 @@ public:
   const Symbol *intern(NameRef N) {
     return N.Sym ? N.Sym : Symbols.intern(N.Spelling);
   }
+  /// The names this context and its base hold: the next new name's id.
+  uint32_t symbolCount() const { return Symbols.size(); }
 
   // Types.
-  const ScalarType *getInteger32() const { return Int32Ty.get(); }
-  const ScalarType *getLogical32() const { return Logical32Ty.get(); }
-  const ScalarType *getFloat32() const { return Float32Ty.get(); }
-  const ScalarType *getFloat64() const { return Float64Ty.get(); }
+  const ScalarType *getInteger32() const { return Int32Ty; }
+  const ScalarType *getLogical32() const { return Logical32Ty; }
+  const ScalarType *getFloat32() const { return Float32Ty; }
+  const ScalarType *getFloat64() const { return Float64Ty; }
   const ScalarType *getScalarType(Type::Kind K) const;
   const DFieldType *getDField(const Shape *S, const Type *Elem);
 
@@ -74,7 +87,7 @@ public:
   const DomainRefShape *getDomainRef(NameRef Name);
 
   // Field restrictors.
-  const EverywhereAction *getEverywhere() const { return Everywhere.get(); }
+  const EverywhereAction *getEverywhere() const { return Everywhere; }
   const SubscriptAction *getSubscript(std::vector<const Value *> Indices);
   const SectionAction *getSection(std::vector<SectionTriplet> Triplets);
 
@@ -110,7 +123,7 @@ public:
   const WithDeclImp *getWithDecl(const Decl *D, const Imp *Body);
   const WithDomainImp *getWithDomain(NameRef Name, const Shape *S,
                                      const Imp *Body);
-  const SkipImp *getSkip() const { return Skip.get(); }
+  const SkipImp *getSkip() const { return Skip; }
   const DoImp *getDo(const Shape *IterSpace, const Imp *Body);
   const CallImp *getCall(NameRef Callee, std::vector<const Value *> Args);
 
@@ -139,9 +152,9 @@ private:
 
   std::vector<std::unique_ptr<AnyNode>> Nodes;
   SymbolTable Symbols;
-  std::unique_ptr<ScalarType> Int32Ty, Logical32Ty, Float32Ty, Float64Ty;
-  std::unique_ptr<EverywhereAction> Everywhere;
-  std::unique_ptr<SkipImp> Skip;
+  const ScalarType *Int32Ty, *Logical32Ty, *Float32Ty, *Float64Ty;
+  const EverywhereAction *Everywhere;
+  const SkipImp *Skip;
   unsigned NextDomainId = 0;
 };
 

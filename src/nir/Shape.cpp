@@ -50,21 +50,34 @@ bool nir::shapeExtents(const Shape *S, const DomainEnv &Env,
   return false;
 }
 
+/// Folds \p S's extents into \p Rank and \p N as shapeExtents lists
+/// them, without the list; false when a domain reference is unbound.
+static bool countExtents(const Shape *S, const DomainEnv &Env, int &Rank,
+                         int64_t &N) {
+  S = resolveShape(S, Env);
+  if (!S)
+    return false;
+  if (const auto *IV = dyn_cast<IntervalShape>(S)) {
+    ++Rank;
+    N *= IV->size();
+  } else if (const auto *P = dyn_cast<ProdDomShape>(S)) {
+    for (const Shape *Dim : P->getDims())
+      if (!countExtents(Dim, Env, Rank, N))
+        return false;
+  }
+  return true; // A point contributes no extent.
+}
+
 int64_t nir::shapeNumElements(const Shape *S, const DomainEnv &Env) {
-  std::vector<ShapeExtent> Exts;
-  if (!shapeExtents(S, Env, Exts))
-    return -1;
+  int Rank = 0;
   int64_t N = 1;
-  for (const ShapeExtent &E : Exts)
-    N *= E.size();
-  return N;
+  return countExtents(S, Env, Rank, N) ? N : -1;
 }
 
 int nir::rankOf(const Shape *S, const DomainEnv &Env) {
-  std::vector<ShapeExtent> Exts;
-  if (!shapeExtents(S, Env, Exts))
-    return -1;
-  return static_cast<int>(Exts.size());
+  int Rank = 0;
+  int64_t N = 1;
+  return countExtents(S, Env, Rank, N) ? Rank : -1;
 }
 
 bool nir::shapesIdentical(const Shape *A, const Shape *B,

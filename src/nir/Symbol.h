@@ -9,7 +9,8 @@
 /// factory receives (variables, callees, domains, the program) into one
 /// Symbol with a dense id, and nodes hold that Symbol: two nodes name the
 /// same thing exactly when they hold the same Symbol, and the passes key
-/// their tables by id (SymbolMap, SymbolSet) instead of by string.
+/// their tables by id (SymbolMap, SymbolSet) instead of by string. A
+/// compilation's table is layered over its front end's (NIRContext.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,19 +33,34 @@ struct Symbol {
   uint32_t Id;
 };
 
-/// Owns the symbols of one compilation (NIRContext holds one).
+/// Owns the symbols of one compilation (NIRContext holds one). A table
+/// layered over a base resolves the base's names to the base's symbols
+/// and numbers its own from the base's count, so ids stay dense and
+/// unique across both; the base must no longer change.
 class SymbolTable {
 public:
+  explicit SymbolTable(const SymbolTable *Base = nullptr)
+      : Base(Base), First(Base ? Base->size() : 0) {}
+
+  const Symbol *find(std::string_view Name) const {
+    if (const Symbol *S = Base ? Base->find(Name) : nullptr)
+      return S;
+    auto It = Index.find(Name);
+    return It == Index.end() ? nullptr : It->second;
+  }
   const Symbol *intern(std::string_view Name) {
-    if (auto It = Index.find(Name); It != Index.end())
-      return It->second;
-    const Symbol &S = Syms.emplace_back(
-        Symbol{std::string(Name), static_cast<uint32_t>(Syms.size())});
+    if (const Symbol *S = find(Name))
+      return S;
+    const Symbol &S = Syms.emplace_back(Symbol{std::string(Name), size()});
     Index.emplace(S.Name, &S);
     return &S;
   }
+  /// The symbols of this table and its base: the next id.
+  uint32_t size() const { return First + static_cast<uint32_t>(Syms.size()); }
 
 private:
+  const SymbolTable *Base;
+  uint32_t First; ///< The base's count when layered.
   std::deque<Symbol> Syms; ///< Stable addresses; Index views their names.
   std::unordered_map<std::string_view, const Symbol *> Index;
 };

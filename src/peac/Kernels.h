@@ -267,7 +267,10 @@ template <Opcode Op>
 
 /// The kernels' clone list: one clone per x86-64 vector unit under GCC,
 /// picked by the CPU's features at load time; one plain kernel elsewhere.
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__)
+/// ThreadSanitizer builds take the plain kernel: a clone's ifunc resolver
+/// runs during relocation, before the TSan runtime is up, and crashes.
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) &&         \
+    !defined(__SANITIZE_THREAD__)
 #define F90Y_STRIP_CLONES [[gnu::target_clones("avx512f", "avx2", "default")]]
 #else
 #define F90Y_STRIP_CLONES

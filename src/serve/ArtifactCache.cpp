@@ -130,63 +130,90 @@ uint64_t ArtifactCache::fingerprint(const std::string &Source,
   return F.H;
 }
 
-ArtifactCache::EntryPtr
-ArtifactCache::get(uint64_t Key, const std::function<EntryPtr()> &Compile) {
-  std::promise<EntryPtr> Promise;
-  bool Winner = false;
-  std::shared_future<EntryPtr> Future;
+template <typename T>
+T ArtifactCache::once(Slots<T> &In, uint64_t Key,
+                      const std::function<T()> &Make) {
+  std::promise<T> Promise;
+  std::shared_future<T> Future;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = Map.find(Key);
-    if (It != Map.end()) {
-      ++Hits;
+    auto It = In.Map.find(Key);
+    if (It != In.Map.end()) {
+      ++In.Hits;
       Future = It->second;
     } else {
-      if (Map.size() >= MaxEntries)
-        Map.clear();
-      Future = Promise.get_future().share();
-      Map.emplace(Key, Future);
-      ++Misses;
-      Winner = true;
+      // Only an artifact insert reaches the bound: a front end is
+      // requested only on an artifact miss, so that map is never larger.
+      if (In.Map.size() >= MaxEntries) {
+        Entries.Map.clear();
+        FrontEnds.Map.clear();
+      }
+      In.Map.emplace(Key, Promise.get_future().share());
+      ++In.Misses;
     }
   }
-  if (!Winner)
+  if (Future.valid())
     return Future.get();
-  EntryPtr E = Compile();
-  Promise.set_value(E);
-  return E;
+  T Made = Make();
+  Promise.set_value(Made);
+  return Made;
+}
+
+ArtifactCache::EntryPtr
+ArtifactCache::get(uint64_t Key, const std::function<EntryPtr()> &Compile) {
+  return once(Entries, Key, Compile);
+}
+
+std::shared_ptr<const driver::FrontEnd>
+ArtifactCache::frontEnd(const std::string &Source) {
+  Fnv1a F;
+  F.str(canonicalize(Source));
+  return once<std::shared_ptr<const driver::FrontEnd>>(
+      FrontEnds, F.H, [&Source] { return driver::FrontEnd::run(Source); });
 }
 
 bool ArtifactCache::contains(uint64_t Key) const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return Map.count(Key) != 0;
+  return Entries.Map.count(Key) != 0;
 }
 
 uint64_t ArtifactCache::hits() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return Hits;
+  return Entries.Hits;
 }
 
 uint64_t ArtifactCache::misses() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return Misses;
+  return Entries.Misses;
+}
+
+uint64_t ArtifactCache::frontEndHits() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return FrontEnds.Hits;
+}
+
+uint64_t ArtifactCache::frontEndMisses() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return FrontEnds.Misses;
 }
 
 size_t ArtifactCache::size() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return Map.size();
+  return Entries.Map.size();
 }
 
 void ArtifactCache::clear() {
   std::lock_guard<std::mutex> Lock(Mutex);
-  Map.clear();
+  Entries.Map.clear();
+  FrontEnds.Map.clear();
 }
 
-ArtifactCache::EntryPtr serve::compileEntry(const std::string &Source,
-                                            driver::CompileOptions Opts) {
+ArtifactCache::EntryPtr
+serve::compileEntry(std::shared_ptr<const driver::FrontEnd> FE,
+                    driver::CompileOptions Opts) {
   auto E = std::make_shared<ArtifactCache::Entry>();
   auto C = std::make_shared<driver::Compilation>(std::move(Opts));
-  E->Ok = C->compile(Source);
+  E->Ok = C->compile(std::move(FE));
   E->DiagText = C->diags().str();
   if (E->Ok)
     E->Comp = std::move(C);

@@ -8,18 +8,24 @@
 /// The serving layer's compile-once store: a fingerprint over
 /// (canonicalized source, the compilation-relevant CompileOptions and
 /// cm2::CostModel knobs) maps to one shared, immutable
-/// driver::Compilation. N jobs over the same program compile once and
-/// share the compilation's AST/NIR/PEAC artifacts - and, through the
-/// process-wide peac::RoutineCache keyed by those shared Routine objects,
-/// its pre-decoded kernels too.
+/// driver::Compilation. N jobs over the same program and options compile
+/// once and share the compilation's NIR and PEAC artifacts - and, through
+/// the process-wide peac::RoutineCache keyed by those shared Routine
+/// objects, its pre-decoded kernels too.
 ///
-/// Concurrency: the first requester of a fingerprint installs an in-flight
-/// slot and compiles; every concurrent requester blocks on that slot's
-/// shared_future instead of compiling again. Exactly one compile happens
-/// per fingerprint per cache generation, so hit/miss totals are a pure
-/// function of the job set - deterministic at any worker count. Failed
-/// compilations are cached too (the diagnostics are as reusable as the
-/// artifacts).
+/// One level down, the canonicalized source alone maps to one shared
+/// driver::FrontEnd: a miss runs lex, parse, integrate and lower only on
+/// the first request for its source, and every option set of that program
+/// compiles in a layer over the one raw NIR. A front end is requested only
+/// on an artifact miss, and the two maps empty together.
+///
+/// Concurrency: the first requester of a key installs an in-flight slot
+/// and builds; every concurrent requester blocks on that slot's
+/// shared_future instead of building again. Exactly one compile happens
+/// per fingerprint (one front end per source) per cache generation, so
+/// hit/miss totals are a pure function of the job set - deterministic at
+/// any worker count. Failed compilations are cached too (the diagnostics
+/// are as reusable as the artifacts).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,34 +83,48 @@ public:
   /// winner publishes). \p Compile must not throw.
   EntryPtr get(uint64_t Key, const std::function<EntryPtr()> &Compile);
 
+  /// The front end of \p Source, run once per canonicalized source per
+  /// generation (concurrent requesters wait as in get()).
+  std::shared_ptr<const driver::FrontEnd> frontEnd(const std::string &Source);
+
   /// True when \p Key is resident (or in flight). The scheduler uses this
   /// before a batch to classify jobs cold/shared deterministically.
   bool contains(uint64_t Key) const;
 
   uint64_t hits() const;
   uint64_t misses() const;
+  uint64_t frontEndHits() const;
+  uint64_t frontEndMisses() const;
   size_t size() const;
-  /// Drops every entry (cold-cache benchmarks; outstanding shared
-  /// pointers keep their compilations alive).
+  /// Drops every entry and front end (cold-cache benchmarks; outstanding
+  /// shared pointers keep their compilations alive).
   void clear();
 
-  /// Entry-count bound; inserting past it drops the whole map first.
+  /// Entry-count bound; inserting past it drops both maps first.
   /// Compilations are heavyweight, so the bound is much smaller than the
   /// routine cache's.
   static constexpr size_t MaxEntries = 256;
 
 private:
+  template <typename T> struct Slots {
+    std::map<uint64_t, std::shared_future<T>> Map;
+    uint64_t Hits = 0, Misses = 0;
+  };
+  template <typename T>
+  T once(Slots<T> &In, uint64_t Key, const std::function<T()> &Make);
+
   mutable std::mutex Mutex;
-  std::map<uint64_t, std::shared_future<EntryPtr>> Map;
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;
+  Slots<EntryPtr> Entries;
+  Slots<std::shared_ptr<const driver::FrontEnd>> FrontEnds;
 };
 
-/// Compiles \p Source under \p Opts into a cache entry (never throws;
-/// failures become Ok=false entries). The uncached compile path shared by
-/// ArtifactCache misses and cache-disabled jobs.
-ArtifactCache::EntryPtr compileEntry(const std::string &Source,
-                                     driver::CompileOptions Opts);
+/// Compiles \p FE's program under \p Opts into a cache entry (never
+/// throws; failures become Ok=false entries). The one compile path of
+/// ArtifactCache misses and cache-disabled jobs, which pass
+/// driver::FrontEnd::run(Source).
+ArtifactCache::EntryPtr
+compileEntry(std::shared_ptr<const driver::FrontEnd> FE,
+             driver::CompileOptions Opts);
 
 } // namespace serve
 } // namespace f90y

@@ -101,12 +101,13 @@ JobRecord runOne(const JobSpec &S, const ServeOptions &O) {
   ArtifactCache::EntryPtr E;
   if (O.Cache) {
     R.Compile = S.ColdCompile ? "cold" : "shared";
-    E = O.Cache->get(S.Fingerprint, [&S] {
-      return compileEntry(S.Source, S.Cfg.compileOptions());
+    E = O.Cache->get(S.Fingerprint, [&S, &O] {
+      return compileEntry(O.Cache->frontEnd(S.Source),
+                          S.Cfg.compileOptions());
     });
   } else {
     R.Compile = "private";
-    E = compileEntry(S.Source, S.Cfg.compileOptions());
+    E = compileEntry(driver::FrontEnd::run(S.Source), S.Cfg.compileOptions());
   }
   if (!E->Ok) {
     R.Status = JobStatus::CompileError;
@@ -235,6 +236,9 @@ BatchResult serve::runBatch(std::vector<JobSpec> Jobs,
 
   const uint64_t Hits0 = Opts.Cache ? Opts.Cache->hits() : 0;
   const uint64_t Misses0 = Opts.Cache ? Opts.Cache->misses() : 0;
+  const uint64_t FrontEndHits0 = Opts.Cache ? Opts.Cache->frontEndHits() : 0;
+  const uint64_t FrontEndMisses0 =
+      Opts.Cache ? Opts.Cache->frontEndMisses() : 0;
 
   // Admission control: everything past the queue bound is shed now, in
   // manifest order, with a structured record.
@@ -294,6 +298,8 @@ BatchResult serve::runBatch(std::vector<JobSpec> Jobs,
   if (Opts.Cache) {
     B.CacheHits = Opts.Cache->hits() - Hits0;
     B.CacheMisses = Opts.Cache->misses() - Misses0;
+    B.FrontEndHits = Opts.Cache->frontEndHits() - FrontEndHits0;
+    B.FrontEndMisses = Opts.Cache->frontEndMisses() - FrontEndMisses0;
   }
 
   // Batch observability, all recorded here on the coordinator thread in
@@ -310,6 +316,8 @@ BatchResult serve::runBatch(std::vector<JobSpec> Jobs,
     M->count("serve.jobs.retried", B.Retried);
     M->count("serve.cache.hits", B.CacheHits);
     M->count("serve.cache.misses", B.CacheMisses);
+    M->count("serve.cache.frontend_hits", B.FrontEndHits);
+    M->count("serve.cache.frontend_misses", B.FrontEndMisses);
     M->gauge("serve.queue.depth", static_cast<double>(B.Admitted));
     M->gauge("serve.queue.limit", static_cast<double>(Opts.QueueLimit));
   }

@@ -80,6 +80,7 @@ struct BatchResult {
   uint64_t Retried = 0;  ///< Total retry attempts across all jobs.
   uint64_t Admitted = 0; ///< Jobs that entered the run queue.
   uint64_t CacheHits = 0, CacheMisses = 0; ///< This batch's deltas.
+  uint64_t FrontEndHits = 0, FrontEndMisses = 0; ///< The same for front ends.
   uint64_t IoFailures = 0; ///< Per-job output files that failed to write.
 
   bool allOk() const { return Ok == Records.size(); }

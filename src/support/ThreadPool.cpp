@@ -9,6 +9,7 @@
 #include "observe/Trace.h"
 
 #include <algorithm>
+#include <utility>
 
 using namespace f90y;
 using namespace f90y::support;
@@ -21,6 +22,10 @@ namespace {
 constexpr int64_t TargetChunks = 64;
 static_assert(ThreadPool::MaxThreads == TargetChunks,
               "a pool runs no more threads than a job has chunks");
+
+/// The pool whose chunks this thread is running, if any: a parallelChunks
+/// call on that pool from inside a chunk is reentrant and runs inline.
+thread_local const ThreadPool *RunningChunksOf = nullptr;
 
 } // namespace
 
@@ -56,6 +61,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::runChunks(ParallelJob &Job) {
+  const ThreadPool *Outer = std::exchange(RunningChunksOf, this);
   int64_t CS = chunkSize(Job.N);
   int64_t C;
   while ((C = Job.Next.fetch_add(1)) < Job.Chunks) {
@@ -66,6 +72,7 @@ void ThreadPool::runChunks(ParallelJob &Job) {
       DoneCV.notify_all();
     }
   }
+  RunningChunksOf = Outer;
 }
 
 void ThreadPool::workerLoop() {
@@ -92,7 +99,7 @@ void ThreadPool::parallelChunks(
   int64_t Chunks = numChunks(N);
   if (Chunks == 0)
     return;
-  if (!Trace || InParallel) {
+  if (!Trace || RunningChunksOf == this) {
     dispatchChunks(N, Chunks, Fn);
     return;
   }
@@ -112,7 +119,7 @@ void ThreadPool::dispatchChunks(
   // A one-thread pool, a one-chunk job, and reentrant calls all take the
   // inline path: chunks run on the caller in index order. The decomposition
   // is identical either way, so so is the arithmetic.
-  if (NumThreads == 1 || Chunks == 1 || InParallel) {
+  if (NumThreads == 1 || Chunks == 1 || RunningChunksOf == this) {
     int64_t CS = chunkSize(N);
     for (int64_t C = 0; C < Chunks; ++C)
       Fn(C, C * CS, std::min(N, (C + 1) * CS));
@@ -129,15 +136,11 @@ void ThreadPool::dispatchChunks(
     Current = Job;
     ++Generation;
   }
-  InParallel = true;
   WorkCV.notify_all();
   runChunks(*Job);
-  {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    DoneCV.wait(Lock, [&] { return Job->Left.load() == 0; });
-    Current.reset();
-  }
-  InParallel = false;
+  std::unique_lock<std::mutex> Lock(Mutex);
+  DoneCV.wait(Lock, [&] { return Job->Left.load() == 0; });
+  Current.reset();
 }
 
 void support::parallelChunks(

@@ -111,7 +111,6 @@ private:
   std::shared_ptr<ParallelJob> Current; ///< Guarded by Mutex.
   uint64_t Generation = 0;              ///< Guarded by Mutex.
   bool ShuttingDown = false;            ///< Guarded by Mutex.
-  bool InParallel = false;              ///< Caller-thread reentrancy flag.
 };
 
 /// parallelChunks over \p Pool, or inline (same chunks, same order) when

@@ -14,9 +14,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "baselines/Fieldwise.h"
+#include "driver/Config.h"
 #include "driver/Driver.h"
 #include "driver/Workloads.h"
+#include "host/Printer.h"
 #include "invariance/Invariance.h"
+#include "nir/Printer.h"
 
 #include <gtest/gtest.h>
 
@@ -210,6 +213,61 @@ TEST(DriverTest, RuntimeFailureYieldsNulloptAndDiagnostics) {
   EXPECT_TRUE(Exec.diags().hasErrors());
   EXPECT_NE(Exec.diags().str().find("out of bounds"), std::string::npos)
       << Exec.diags().str();
+}
+
+/// Everything a compilation printed or reported, in f90yc's -emit- forms.
+std::string listings(Compilation &C) {
+  const Artifacts &A = C.artifacts();
+  std::string Out = "diagnostics:\n" + C.diags().str();
+  if (A.RawNIR)
+    Out += "raw:\n" + nir::printImp(A.RawNIR);
+  if (A.OptimizedNIR)
+    Out += "optimized:\n" + nir::printImp(A.OptimizedNIR);
+  if (A.Compiled.Program.Body)
+    Out += "peac:\n" + A.Compiled.peacListing() + "host:\n" +
+           host::printHostProgram(A.Compiled.Program);
+  return Out;
+}
+
+TEST(DriverTest, SharedFrontEndCompilesAsFromSource) {
+  // Each program's front end runs once; every option set then compiles it
+  // after another set already has, and must print what compile(Source)
+  // prints under the same options.
+  std::vector<std::pair<std::string, std::string>> Sources;
+  for (const char *Name :
+       {"fig10.f90", "mswe.f90", "subroutines.f90", "swe.f90"})
+    Sources.emplace_back(Name, invariance::sampleProgram(Name));
+  Sources.emplace_back("swe", sweSource(16, 2));
+  Sources.emplace_back("swe-temps", sweTempsSource(16, 2));
+  Sources.emplace_back("fig9", figure9Source());
+  Sources.emplace_back("fig10", figure10Source());
+  Sources.emplace_back("fig12", figure12Source(16));
+  Sources.emplace_back("heat", heatSource(16, 2));
+  Sources.emplace_back("mswe", misalignedSweSource(16, 2));
+  Sources.emplace_back("bad", "program p\n  x = (\nend\n");
+
+  std::vector<Config> Sets;
+  for (Profile P : {Profile::F90Y, Profile::CMFStyle, Profile::Naive})
+    for (unsigned Pes : {16u, 32u, 64u}) {
+      Config Cfg;
+      Cfg.Prof = P;
+      Cfg.Pes = Pes;
+      Sets.push_back(Cfg);
+    }
+  for (const auto &[Name, Src] : Sources) {
+    const auto FE = FrontEnd::run(Src);
+    Compilation First(Sets.back().compileOptions());
+    const bool Ok = First.compile(FE);
+    EXPECT_EQ(Ok, Name != "bad") << Name << ": " << First.diags().str();
+    for (size_t I = 0; I < Sets.size(); ++I) {
+      Compilation Shared(Sets[I].compileOptions());
+      Compilation Own(Sets[I].compileOptions());
+      EXPECT_EQ(Shared.compile(FE), Ok) << Name << " set " << I;
+      EXPECT_EQ(Own.compile(Src), Ok) << Name << " set " << I;
+      EXPECT_EQ(listings(Shared), listings(Own)) << Name << " set " << I;
+      EXPECT_EQ(Shared.artifacts().RawNIR, FE->rawNIR());
+    }
+  }
 }
 
 TEST(DriverTest, GflopsForUsesExternalFlopCount) {

@@ -16,6 +16,7 @@
 #include "serve/Scheduler.h"
 
 #include "driver/Workloads.h"
+#include "observe/Json.h"
 #include "observe/Metrics.h"
 #include "observe/Trace.h"
 #include "peac/Engine.h"
@@ -242,7 +243,7 @@ TEST(ArtifactCache, ConcurrentFirstRequestsCompileExactlyOnce) {
     Threads.emplace_back([&, T] {
       Entries[T] = Cache.get(FP, [&] {
         ++Compiles;
-        return compileEntry(Src, defaultOpts());
+        return compileEntry(driver::FrontEnd::run(Src), defaultOpts());
       });
     });
   for (auto &T : Threads)
@@ -266,7 +267,7 @@ TEST(ArtifactCache, CachesFailedCompilations) {
   auto Get = [&] {
     return Cache.get(FP, [&] {
       ++Compiles;
-      return compileEntry(Bad, defaultOpts());
+      return compileEntry(driver::FrontEnd::run(Bad), defaultOpts());
     });
   };
   auto E1 = Get();
@@ -462,6 +463,85 @@ TEST(RunBatch, EmitsServeMetricsAndPerJobSpans) {
   EXPECT_NE(Json.find("\"serve.batch\""), std::string::npos);
 }
 
+/// \p Source under every profile and PE count, each set twice.
+std::string everyOptionSet(const std::string &Source, int Repeats) {
+  std::string Out;
+  int Id = 0;
+  for (int Rep = 0; Rep < Repeats; ++Rep)
+    for (const char *Profile : {"f90y", "cmf", "naive"})
+      for (int Pes : {16, 32, 64})
+        Out += "{\"id\":\"j" + std::to_string(++Id) + "\",\"profile\":\"" +
+               Profile + "\",\"pes\":" + std::to_string(Pes) +
+               ",\"source\":" + observe::json::quote(Source) + "}\n";
+  return Out;
+}
+
+/// Every byte a batch reports: results.jsonl plus each job's output and
+/// -stats-json report.
+std::string batchBytes(const BatchResult &B) {
+  std::string Out = B.resultsJsonl();
+  for (const JobRecord &R : B.Records)
+    Out += R.Output + R.Report.json();
+  return Out;
+}
+
+TEST(RunBatch, OptionSetsOfOneProgramShareOneFrontEnd) {
+  const std::string Manifest = everyOptionSet(driver::sweSource(16, 2), 2);
+  std::string Expected;
+  for (unsigned Workers : {1u, 8u}) {
+    ArtifactCache Cache;
+    observe::MetricsRegistry M;
+    ServeOptions Opts;
+    Opts.Workers = Workers;
+    Opts.Cache = &Cache;
+    Opts.Metrics = &M;
+    BatchResult B = runBatch(parseManifest(Manifest, ""), Opts);
+    EXPECT_EQ(B.Ok, 18u);
+    EXPECT_EQ(B.CacheMisses, 9u);
+    EXPECT_EQ(B.CacheHits, 9u);
+    EXPECT_EQ(B.FrontEndMisses, 1u) << "one front end per program";
+    EXPECT_EQ(B.FrontEndHits, 8u)
+        << "a front end is requested only on an artifact miss";
+    EXPECT_EQ(M.value("serve.cache.frontend_misses"), 1.0);
+    EXPECT_EQ(M.value("serve.cache.frontend_hits"), 8.0);
+    if (Expected.empty())
+      Expected = batchBytes(B);
+    else
+      EXPECT_EQ(batchBytes(B), Expected) << "workers=" << Workers;
+  }
+  // Private compiles, each with a front end of its own, report the same
+  // but for the compile field.
+  ServeOptions Private;
+  Private.Workers = 8;
+  BatchResult B = runBatch(parseManifest(Manifest, ""), Private);
+  for (JobRecord &R : B.Records) // j1-j9 are each set's first request.
+    R.Compile = R.Id.size() == 2 ? "cold" : "shared";
+  EXPECT_EQ(batchBytes(B), Expected);
+}
+
+TEST(RunBatch, AFailedFrontEndReportsOnceForEveryOptionSet) {
+  const std::string Bad = "program p\n  x = (\nend\n";
+  const std::string Diags = driver::FrontEnd::run(Bad)->diags().str();
+  ASSERT_FALSE(Diags.empty());
+  for (unsigned Workers : {1u, 8u}) {
+    ArtifactCache Cache;
+    ServeOptions Opts;
+    Opts.Workers = Workers;
+    Opts.Cache = &Cache;
+    std::string Manifest = everyOptionSet(Bad, 1);
+    // The three profiles at 16 PEs.
+    std::vector<JobSpec> Jobs = parseManifest(Manifest, "");
+    Jobs = {Jobs[0], Jobs[3], Jobs[6]};
+    BatchResult B = runBatch(Jobs, Opts);
+    EXPECT_EQ(B.CompileErrors, 3u);
+    EXPECT_EQ(B.CacheMisses, 3u);
+    EXPECT_EQ(B.FrontEndMisses, 1u);
+    EXPECT_EQ(B.FrontEndHits, 2u);
+    for (const JobRecord &R : B.Records)
+      EXPECT_EQ(R.Error + "\n", Diags) << R.Id;
+  }
+}
+
 TEST(RunBatch, WritesPerJobArtifactsAndResults) {
   const std::string Dir = ::testing::TempDir() + "f90y_serve_out_test";
   std::filesystem::remove_all(Dir);
@@ -495,7 +575,7 @@ TEST(RoutineCacheStress, ConcurrentEnginesTranslateEachRoutineOnce) {
   // cache lock, so the miss count equals the routine count exactly - no
   // duplicate translations, no torn map - and every run's output matches.
   const std::string Src = driver::sweSource(16, 2);
-  auto Entry = compileEntry(Src, defaultOpts());
+  auto Entry = compileEntry(driver::FrontEnd::run(Src), defaultOpts());
   ASSERT_TRUE(Entry->Ok);
 
   // Learn the routine count from a clean serial run.

@@ -255,17 +255,21 @@ TEST(ThreadPool, OrderedReduceBitIdenticalAcrossPools) {
 TEST(ThreadPool, NestedParallelRunsInline) {
   support::ThreadPool Pool(4);
   std::atomic<int64_t> Total{0};
-  support::parallelChunks(&Pool, 256,
-                          [&](int64_t, int64_t Begin, int64_t End) {
-                            // Reentrant use from a worker must not
-                            // deadlock; it degrades to inline execution.
-                            support::parallelChunks(
-                                &Pool, End - Begin,
+  std::atomic<int64_t> Elsewhere{0};
+  support::parallelChunks(
+      &Pool, 256, [&](int64_t, int64_t Begin, int64_t End) {
+        // Reentrant use from a worker must not deadlock; it degrades to
+        // inline execution on the thread that runs the outer chunk.
+        const std::thread::id Outer = std::this_thread::get_id();
+        support::parallelChunks(&Pool, End - Begin,
                                 [&](int64_t, int64_t B2, int64_t E2) {
                                   Total += E2 - B2;
+                                  if (std::this_thread::get_id() != Outer)
+                                    ++Elsewhere;
                                 });
-                          });
+      });
   EXPECT_EQ(Total.load(), 256);
+  EXPECT_EQ(Elsewhere.load(), 0) << "a nested chunk left its outer thread";
 }
 
 TEST(Serialize, Crc32KnownAnswer) {
